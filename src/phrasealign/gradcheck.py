@@ -2,8 +2,8 @@
 
 Each check rebuilds a small forward graph with one named parameter replaced
 by the probe tensor and compares the autodiff gradient against central
-differences. The suite backs both the ``gradcheck`` CLI subcommand and the
-acceptance tests.
+differences. The suite backs the finite-difference tests
+(``tests/test_gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -81,25 +81,6 @@ def _masked_phrase(pipeline, rng) -> MaskedPhrase:
     return MaskedPhrase(tuple(ids), pos, target)
 
 
-def _coarse_embeddings(images, texts, params, cfg):
-    img_rows, txt_rows = [], []
-    for patches in images:
-        cls = model.encode_image(patches, params, cfg).cls
-        img_rows.append(nx.as_row(cls))
-    for ids in texts:
-        cls = model.encode_text(ids, params, cfg).cls
-        txt_rows.append(nx.as_row(cls))
-    img = img_rows[0]
-    for r in img_rows[1:]:
-        img = nx.concat_rows(img, r)
-    txt = txt_rows[0]
-    for r in txt_rows[1:]:
-        txt = nx.concat_rows(txt, r)
-    img = nx.l2_normalize_rows(nx.matmul(img, params["proj.img.w"]))
-    txt = nx.l2_normalize_rows(nx.matmul(txt, params["proj.txt.w"]))
-    return img, txt
-
-
 # ---------------------------------------------------------------------------
 # per-loss checks; each returns the max relative error over probed parameters
 
@@ -113,14 +94,12 @@ def check_itc(seed: int) -> float:
     mom = Rng(seed + 1)
     mom_img = _unit_rows(mom.normal((2, cfg.proj_dim)))
     mom_txt = _unit_rows(mom.normal((2, cfg.proj_dim)))
-    queue_seed = seed + 2
+    fill = Rng(seed + 2)
+    queue = losses.QueueState(8, cfg.proj_dim)
+    queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
 
     def build():
-        # rebuilt per evaluation so the queue fill is identical every time
-        local = Rng(queue_seed)
-        queue = losses.QueueState(8, cfg.proj_dim)
-        queue.enqueue(local.normal((3, cfg.proj_dim)), local.normal((3, cfg.proj_dim)))
-        img, txt = _coarse_embeddings(images, texts, params, cfg)
+        _, _, img, txt = model.coarse_embeddings(images, texts, params, cfg)
         tau = nx.exp(params["temp.log_tau"])
         loss, _, _ = losses.itc_loss(img, txt, mom_img, mom_txt, queue, tau)
         return loss
@@ -238,10 +217,10 @@ def check_total(seed: int) -> float:
     mom = Rng(seed + 3)
     mom_img = _unit_rows(mom.normal((2, cfg.proj_dim)))
     mom_txt = _unit_rows(mom.normal((2, cfg.proj_dim)))
+    queue = losses.QueueState(8, cfg.proj_dim)
 
     def build():
-        queue = losses.QueueState(8, cfg.proj_dim)
-        img_emb, txt_emb = _coarse_embeddings(images, texts, params, cfg)
+        _, _, img_emb, txt_emb = model.coarse_embeddings(images, texts, params, cfg)
         tau = nx.exp(params["temp.log_tau"])
         itc, p_i2t, p_t2i = losses.itc_loss(img_emb, txt_emb, mom_img, mom_txt,
                                             queue, tau)

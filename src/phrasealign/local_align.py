@@ -23,7 +23,8 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
-from .model import AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params
+from .model import (AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params,
+                    phrase_projection)
 
 log = logging.getLogger(__name__)
 
@@ -59,22 +60,23 @@ def score_per_head(trace: AttentionTrace, mask_row: int, w_s: Tensor) -> list:
     return scores
 
 
-def backward_attention(trace: AttentionTrace, w_s) -> list:
+def backward_attention(trace: AttentionTrace, heads_ws: list) -> list:
     """Gradient of the prediction score w.r.t. the attention row, in closed
-    form: position j gets sum_k V[j, k] * w_s[k]. No graph traversal."""
-    ws = w_s.data if isinstance(w_s, Tensor) else np.asarray(w_s)
-    ws = ws.reshape(-1)
-    return [v.data @ ws for v in trace.values]
+    form: position j of head h gets sum_k V_h[j, k] * heads_ws[h][k]. No
+    graph traversal."""
+    return [v.data @ ws for v, ws in zip(trace.values, heads_ws)]
 
 
-def bidirectional_weights(fa_heads: list, ba_heads: list) -> np.ndarray:
-    """Normalized product of head-averaged forward and rectified backward
-    attention; falls back to the forward average if rectification removes
-    all mass."""
+def _head_means(fa_heads: list, ba_heads: list):
+    """Head-averaged forward attention and rectified backward attention."""
     fa = np.mean(np.asarray(fa_heads, dtype=np.float64), axis=0)
     ba = np.mean(np.maximum(np.asarray(ba_heads, dtype=np.float64), 0.0), axis=0)
     if fa.shape != ba.shape:
         raise nx.ShapeError(f"attention length mismatch: {fa.shape} vs {ba.shape}")
+    return fa, ba
+
+
+def _normalized_product(fa: np.ndarray, ba: np.ndarray) -> np.ndarray:
     raw = fa * ba
     total = raw.sum()
     if total < _EPS_FALLBACK:
@@ -82,23 +84,28 @@ def bidirectional_weights(fa_heads: list, ba_heads: list) -> np.ndarray:
     return raw / total
 
 
-def compute_weights(trace: AttentionTrace, w_s, mask_row: int,
+def bidirectional_weights(fa_heads: list, ba_heads: list) -> np.ndarray:
+    """Normalized product of head-averaged forward and rectified backward
+    attention; falls back to the forward average if rectification removes
+    all mass."""
+    return _normalized_product(*_head_means(fa_heads, ba_heads))
+
+
+def compute_weights(trace: AttentionTrace, heads_ws: list, mask_row: int,
                     row_mode: str = "mask") -> BidirectionalWeights:
-    """Full weight computation for one traced image-phrase pair.
+    """Full weight computation for one traced image-phrase pair, given the
+    per-head score vectors of :func:`score_vectors`.
 
     ``row_mode`` selects the row whose attention serves as forward attention:
     the masked token's row (default) or the global [CLS] row.
     """
     fa_row = mask_row if row_mode == "mask" else 0
-    fa_heads = forward_attention(trace, fa_row)
-    ba_heads = backward_attention(trace, w_s)
-    w = bidirectional_weights(fa_heads, ba_heads)
-    ws = w_s.data if isinstance(w_s, Tensor) else np.asarray(w_s)
-    s = [float(a.data[mask_row] @ v.data @ ws.reshape(-1))
-         for a, v in zip(trace.attn, trace.values)]
-    fa = np.mean(np.asarray(fa_heads), axis=0)
-    ba = np.mean(np.maximum(np.asarray(ba_heads), 0.0), axis=0)
-    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=w, s_per_head=s)
+    fa, ba = _head_means(forward_attention(trace, fa_row),
+                         backward_attention(trace, heads_ws))
+    s = [float(a.data[mask_row] @ v.data @ ws)
+         for a, v, ws in zip(trace.attn, trace.values, heads_ws)]
+    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=_normalized_product(fa, ba),
+                                s_per_head=s)
 
 
 def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:
@@ -135,16 +142,15 @@ def coarse_similarity(a: Tensor, b: Tensor, proj_a: Tensor, proj_b: Tensor) -> T
 
 
 def score_vectors(params: Params, cfg: ModelConfig, target_id: int | None = None) -> list:
-    """Per-head score projections; one shared head by default, or tied to the
-    masked token's classifier column when configured."""
+    """Per-head score vectors (head_dim,) as plain arrays; one shared head by
+    default, or slices of the masked token's classifier column when tied."""
     if not cfg.tie_score_head:
-        return [params["score.w"]] * cfg.heads
+        return [params["score.w"].data.reshape(-1)] * cfg.heads
     if target_id is None:
         raise ValueError("tied score head requires the masked target id")
-    column = nx.as_row(nx.take_row(nx.transpose(params["mpm.w2"]), target_id))
-    column = nx.transpose(column)  # (d, 1)
+    column = params["mpm.w2"].data[:, target_id]
     dh = cfg.head_dim
-    return [nx.slice_rows(column, h * dh, (h + 1) * dh) for h in range(cfg.heads)]
+    return [column[h * dh:(h + 1) * dh] for h in range(cfg.heads)]
 
 
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
@@ -152,26 +158,12 @@ def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
                          cfg: ModelConfig, target_id: int | None = None):
     """1 - cosine between the weight-pooled image representation and the
     projected phrase representation. Returns (loss, weights)."""
-    heads_ws = score_vectors(params, cfg, target_id)
-    # heads share one projection unless tied; weight math is per head
-    trace = fusion.trace
-    if trace is None:
-        raise ValueError("fusion output carries no attention trace")
-    fa_row = mask_row if cfg.biatt_row == "mask" else 0
-    fa_heads = forward_attention(trace, fa_row)
-    ba_heads = [v.data @ ws.data.reshape(-1)
-                for v, ws in zip(trace.values, heads_ws)]
-    w = bidirectional_weights(fa_heads, ba_heads)
-    pooled = weighted_pool(w, image)
-    phrase_proj = params["proj.phrase.w" if cfg.separate_phrase_projection
-                         else "proj.txt.w"]
-    sim = coarse_similarity(pooled, phrase_out.cls, params["proj.img.w"], phrase_proj)
-    loss = nx.sub(Tensor(1.0), sim)
-    s = [float(a.data[mask_row] @ v.data @ ws.data.reshape(-1))
-         for a, v, ws in zip(trace.attn, trace.values, heads_ws)]
-    fa = np.mean(np.asarray(fa_heads), axis=0)
-    ba = np.mean(np.maximum(np.asarray(ba_heads), 0.0), axis=0)
-    return loss, BidirectionalWeights(w_fa=fa, w_ba=ba, w=w, s_per_head=s)
+    weights = compute_weights(fusion.trace, score_vectors(params, cfg, target_id),
+                              mask_row, cfg.biatt_row)
+    pooled = weighted_pool(weights.w, image)
+    sim = coarse_similarity(pooled, phrase_out.cls, params["proj.img.w"],
+                            phrase_projection(params, cfg))
+    return nx.sub(Tensor(1.0), sim), weights
 
 
 # ---------------------------------------------------------------------------

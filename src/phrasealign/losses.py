@@ -76,8 +76,8 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
              mom_txt: np.ndarray, queue: QueueState, tau: Tensor):
     """Symmetric contrastive loss over batch momentum embeddings plus queued
-    negatives; the matching batch index is the positive. After the loss the
-    batch's momentum embeddings are enqueued (FIFO overwrite).
+    negatives; the matching batch index is the positive. The queue is only
+    read; the caller enqueues the batch's momentum embeddings afterwards.
 
     Returns (loss, p_i2t, p_t2i); the probability matrices are detached.
     """
@@ -90,16 +90,12 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     logits_t2i = nx.div(nx.matmul(txt_emb, nx.transpose(cand_img)), tau)
 
     def row_ce(logits):
-        terms = [nx.cross_entropy_logits(nx.take_row(logits, i), i) for i in range(n)]
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = nx.add(acc, t)
-        return nx.mul(acc, 1.0 / n)
+        return nx.mul(nx.sum_n([nx.cross_entropy_logits(nx.take_row(logits, i), i)
+                                for i in range(n)]), 1.0 / n)
 
     loss = nx.mul(nx.add(row_ce(logits_i2t), row_ce(logits_t2i)), 0.5)
     p_i2t = _softmax_rows(logits_i2t.data)
     p_t2i = _softmax_rows(logits_t2i.data)
-    queue.enqueue(mom_img, mom_txt)
     return loss, p_i2t, p_t2i
 
 
@@ -114,11 +110,9 @@ def itm_loss(pairs: list) -> Tensor:
     if not pairs:
         raise ValueError("itm_loss needs at least one pair")
     n_pos = sum(1 for _, label in pairs if label >= 0.5)
-    acc = None
-    for logit, label in pairs:
-        term = nx.binary_cross_entropy_logit(logit, float(label))
-        acc = term if acc is None else nx.add(acc, term)
-    return nx.mul(acc, 1.0 / max(1, n_pos))
+    terms = [nx.binary_cross_entropy_logit(logit, float(label))
+             for logit, label in pairs]
+    return nx.mul(nx.sum_n(terms), 1.0 / max(1, n_pos))
 
 
 def sample_negatives(identities: list, coarse_sims: np.ndarray, rng: Rng,
@@ -199,11 +193,8 @@ def masked_phrase_loss(fusion: FusionOutput, masked: MaskedPhrase, params: Param
         raise ValueError(f"unknown positions mode {positions!r}")
     originals = list(masked.token_ids)
     originals[masked.mask_index] = masked.target_id
-    acc = None
-    for j, target in enumerate(originals):
-        term = nx.cross_entropy_logits(mpm_logits(fusion, j + 1, params), target)
-        acc = term if acc is None else nx.add(acc, term)
-    return acc
+    return nx.sum_n([nx.cross_entropy_logits(mpm_logits(fusion, j + 1, params), target)
+                     for j, target in enumerate(originals)])
 
 
 def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None,
@@ -214,18 +205,15 @@ def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None,
     if stage == 1 or not per_phrase:
         biatt_t = mpm_t = None
     else:
-        biatt_acc = mpm_acc = None
-        for b, m in per_phrase:
-            biatt_acc = b if biatt_acc is None else nx.add(biatt_acc, b)
-            mpm_acc = m if mpm_acc is None else nx.add(mpm_acc, m)
-        biatt_t = nx.mul(biatt_acc, phrase_scale)
-        mpm_t = nx.mul(mpm_acc, phrase_scale)
+        biatt_t = nx.mul(nx.sum_n([b for b, _ in per_phrase]), phrase_scale)
+        mpm_t = nx.mul(nx.sum_n([m for _, m in per_phrase]), phrase_scale)
 
-    total = nx.add(itc, itm)
+    terms = [itc, itm]
     if stage != 1 and tri is not None:
-        total = nx.add(total, tri)
+        terms.append(tri)
     if biatt_t is not None:
-        total = nx.add(nx.add(total, biatt_t), mpm_t)
+        terms += [biatt_t, mpm_t]
+    total = nx.sum_n(terms)
 
     breakdown = LossBreakdown(
         itc=float(itc.data),

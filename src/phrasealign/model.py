@@ -294,10 +294,8 @@ def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
             trace[0].append(a)
             trace[1].append(v)
             trace[2].append(q)
-    out = head_outs[0]
-    for ho in head_outs[1:]:
-        out = nx.concat_cols(out, ho)
-    out = nx.add(nx.matmul(out, params[f"{prefix}.out.w"]), params[f"{prefix}.out.b"])
+    out = nx.add(nx.matmul(nx.concat(head_outs, axis=1), params[f"{prefix}.out.w"]),
+                 params[f"{prefix}.out.b"])
     return out, trace
 
 
@@ -333,7 +331,7 @@ def encode_image(patches, params: Params, cfg: ModelConfig,
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = nx.add(nx.matmul(patches, params["embed.patch.w"]), params["embed.patch.b"])
-        x = nx.concat_rows(params["embed.cls_img"], x)
+        x = nx.concat([params["embed.cls_img"], x], axis=0)
         x = nx.add(x, params["embed.pos_img"])
         for layer in range(cfg.n_self_layers):
             x = _self_block(x, params, f"img_self{layer}", cfg)
@@ -356,6 +354,21 @@ def encode_text(token_ids, params: Params, cfg: ModelConfig,
         for layer in range(cfg.n_self_layers):
             x = _self_block(x, params, f"txt_self{layer}", cfg)
         return EncoderOutput(x)
+
+
+def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig):
+    """Encode a batch of images and texts and project their [CLS] rows into
+    the coarse space, one unit row per item.
+
+    Returns (image outputs, text outputs, image embeddings, text embeddings).
+    """
+    img_outs = [encode_image(x, params, cfg) for x in images]
+    txt_outs = [encode_text(ids, params, cfg) for ids in token_ids]
+    img = nx.concat([nx.slice_rows(o.reps, 0, 1) for o in img_outs], axis=0)
+    txt = nx.concat([nx.slice_rows(o.reps, 0, 1) for o in txt_outs], axis=0)
+    return (img_outs, txt_outs,
+            nx.l2_normalize_rows(nx.matmul(img, params["proj.img.w"])),
+            nx.l2_normalize_rows(nx.matmul(txt, params["proj.txt.w"])))
 
 
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
@@ -445,8 +458,16 @@ def params_state(params: Params, momentum: MomentumState | None = None) -> dict:
 
 def load_params_state(params: Params, momentum: MomentumState | None,
                       state: dict) -> None:
-    for name, _ in params.named():
-        params[name].data[...] = state[name]
-    if momentum is not None:
-        for name in momentum.shadow:
-            momentum.shadow[name].data[...] = state[f"momentum/{name}"]
+    """Copy ``state`` (names as in :func:`params_state`) into the live and
+    momentum tensors. Nothing is written unless every tensor is present with
+    its exact shape; otherwise ValueError names the first offender."""
+    targets = params_state(params, momentum)
+    for name, tensor in targets.items():
+        if name not in state:
+            raise ValueError(f"state has no tensor {name!r}")
+        shape = np.shape(state[name])
+        if shape != tensor.data.shape:
+            raise ValueError(f"tensor {name!r} has shape {shape}, "
+                             f"expected {tensor.data.shape}")
+    for name, tensor in targets.items():
+        tensor.data[...] = state[name]

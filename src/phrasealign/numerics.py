@@ -295,26 +295,34 @@ def row_sums(a: Tensor) -> Tensor:
     return _result(a.data.sum(axis=1, keepdims=True), "row_sums", (a,), bw)
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows width mismatch: {a.shape} vs {b.shape}")
-    na = a.shape[0]
+def sum_n(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of same-shape tensors as one graph node, added left to right."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ValueError("sum_n needs at least one tensor")
+    shape = tensors[0].shape
+    if any(t.shape != shape for t in tensors):
+        raise ShapeError(f"sum_n shape mismatch: {[t.shape for t in tensors]}")
+    out = tensors[0].data.copy()
+    for t in tensors[1:]:
+        out += t.data
+    return _result(out, "sum_n", tuple(tensors), lambda g: (g,) * len(tensors))
+
+
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Matrices joined along ``axis`` (0: stack rows, 1: join columns)."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if any(t.data.ndim != 2 for t in tensors) or \
+            len({t.shape[1 - axis] for t in tensors}) != 1:
+        raise ShapeError(f"concat along axis {axis} needs matrices of equal "
+                         f"extent on the other axis: {[t.shape for t in tensors]}")
+    sizes = [t.shape[axis] for t in tensors]
 
     def bw(g):
-        return (g[:na], g[na:])
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return _result(np.concatenate([a.data, b.data], axis=0), "concat_rows", (a, b), bw)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols height mismatch: {a.shape} vs {b.shape}")
-    na = a.shape[1]
-
-    def bw(g):
-        return (g[:, :na], g[:, na:])
-
-    return _result(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b), bw)
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+                   tuple(tensors), bw)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

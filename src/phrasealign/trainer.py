@@ -40,7 +40,6 @@ class TrainConfig:
     triplet_margin: float = 0.6
     momentum_coeff: float = 0.995
     queue_size: int = 256
-    k_rerank: int = 32
     seed: int = 0
     weight_decay: float = 0.01
     max_grad_norm: float = 0.0   # 0 disables clipping
@@ -172,39 +171,6 @@ def momentum_params(state: md.MomentumState) -> md.Params:
     return p
 
 
-def _coarse_embeddings_live(batch: Batch, params: md.Params,
-                            cfg: md.ModelConfig):
-    img_outs = [md.encode_image(x, params, cfg) for x in batch.images]
-    txt_outs = [md.encode_text(ids, params, cfg) for ids in batch.token_ids]
-    img = img_outs[0].cls
-    img_rows = [nx.as_row(o.cls) for o in img_outs]
-    txt_rows = [nx.as_row(o.cls) for o in txt_outs]
-    img_mat = img_rows[0]
-    for r in img_rows[1:]:
-        img_mat = nx.concat_rows(img_mat, r)
-    txt_mat = txt_rows[0]
-    for r in txt_rows[1:]:
-        txt_mat = nx.concat_rows(txt_mat, r)
-    img_emb = nx.l2_normalize_rows(nx.matmul(img_mat, params["proj.img.w"]))
-    txt_emb = nx.l2_normalize_rows(nx.matmul(txt_mat, params["proj.txt.w"]))
-    return img_outs, txt_outs, img_emb, txt_emb
-
-
-def _coarse_embeddings_momentum(batch: Batch, state: md.MomentumState,
-                                cfg: md.ModelConfig):
-    shadow = momentum_params(state)
-    with nx.no_grad():
-        img = np.vstack([md.encode_image(x, shadow, cfg).cls.data
-                         for x in batch.images])
-        txt = np.vstack([md.encode_text(ids, shadow, cfg).cls.data
-                         for ids in batch.token_ids])
-        img = img @ shadow["proj.img.w"].data
-        txt = txt @ shadow["proj.txt.w"].data
-        img /= np.maximum(np.linalg.norm(img, axis=1, keepdims=True), 1e-12)
-        txt /= np.maximum(np.linalg.norm(txt, axis=1, keepdims=True), 1e-12)
-    return img, txt
-
-
 def train_step(batch: Batch, stage: int, params: md.Params,
                momentum: md.MomentumState, queue: ls.QueueState,
                model_cfg: md.ModelConfig, cfg: TrainConfig, rng: Rng):
@@ -215,12 +181,15 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     n = len(batch.images)
     devs: list = []
     with md.collect_attention_row_sums(devs):
-        img_outs, txt_outs, img_emb, txt_emb = _coarse_embeddings_live(
-            batch, params, model_cfg)
-        mom_img, mom_txt = _coarse_embeddings_momentum(batch, momentum, model_cfg)
+        img_outs, txt_outs, img_emb, txt_emb = md.coarse_embeddings(
+            batch.images, batch.token_ids, params, model_cfg)
+        with nx.no_grad():
+            _, _, mom_img, mom_txt = md.coarse_embeddings(
+                batch.images, batch.token_ids, momentum_params(momentum), model_cfg)
         tau = nx.exp(params["temp.log_tau"])
-        itc, p_i2t, p_t2i = ls.itc_loss(img_emb, txt_emb, mom_img, mom_txt,
-                                        queue, tau)
+        itc, p_i2t, p_t2i = ls.itc_loss(img_emb, txt_emb, mom_img.data,
+                                        mom_txt.data, queue, tau)
+        queue.enqueue(mom_img.data, mom_txt.data)
 
         coarse = img_emb.data @ txt_emb.data.T
         neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, rng,
@@ -248,44 +217,40 @@ def train_step(batch: Batch, stage: int, params: md.Params,
 
         tri = None
         if stage != 1 and cfg.enable_triplet and neg_txt:
-            terms = None
-            for i in range(n):
-                term = ls.fusion_triplet_loss(
+            tri = nx.mul(nx.sum_n([
+                ls.fusion_triplet_loss(
                     pos_logits[i], neg_img_logits[i], neg_txt_logits[i],
                     margin=cfg.triplet_margin, direction=cfg.triplet_direction)
-                terms = term if terms is None else nx.add(terms, term)
-            tri = nx.mul(terms, 1.0 / n)
+                for i in range(n)]), 1.0 / n)
 
         per_phrase = []
         weight_sums = []
         if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm):
+            need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
+            trace_layer = model_cfg.bidiratt_layer if need_trace else None
             for i in range(n):
                 for phrase, masked in batch.phrase_pairs[i]:
-                    phrase_ids = list(masked.token_ids)
-                    phr_out = md.encode_text(phrase_ids, params, model_cfg)
-                    need_trace = cfg.enable_biatt and \
-                        model_cfg.biatt_phrase == "masked"
+                    phr_out = md.encode_text(list(masked.token_ids), params,
+                                             model_cfg)
                     fused = md.cross_encode(
                         phr_out, img_outs[i], params, model_cfg,
-                        trace_layer=model_cfg.bidiratt_layer if need_trace else None)
+                        trace_layer=trace_layer)
                     biatt_term = Tensor(0.0)
                     mpm_term = Tensor(0.0)
                     if cfg.enable_biatt:
+                        # the local stream reads the masked phrase's own pass,
+                        # or a separate traced pass over the clean phrase
+                        biatt_out, biatt_fused = phr_out, fused
                         if model_cfg.biatt_phrase == "clean":
-                            clean_out = md.encode_text(list(phrase.token_ids),
+                            biatt_out = md.encode_text(list(phrase.token_ids),
                                                        params, model_cfg)
-                            clean_fused = md.cross_encode(
-                                clean_out, img_outs[i], params, model_cfg,
+                            biatt_fused = md.cross_encode(
+                                biatt_out, img_outs[i], params, model_cfg,
                                 trace_layer=model_cfg.bidiratt_layer)
-                            biatt_term, weights = local_alignment_loss(
-                                img_outs[i], clean_out, clean_fused,
-                                masked.mask_index + 1, params, model_cfg,
-                                target_id=masked.target_id)
-                        else:
-                            biatt_term, weights = local_alignment_loss(
-                                img_outs[i], phr_out, fused,
-                                masked.mask_index + 1, params, model_cfg,
-                                target_id=masked.target_id)
+                        biatt_term, weights = local_alignment_loss(
+                            img_outs[i], biatt_out, biatt_fused,
+                            masked.mask_index + 1, params, model_cfg,
+                            target_id=masked.target_id)
                         weight_sums.append(float(weights.w.sum()))
                     if cfg.enable_mpm:
                         mpm_term = ls.masked_phrase_loss(

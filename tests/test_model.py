@@ -243,3 +243,23 @@ def test_checkpoint_restores_into_params(cfg, tmp_path):
         assert np.array_equal(t.data, b[name].data)
     for name, t in momentum.shadow.items():
         assert np.array_equal(t.data, momentum_b.shadow[name].data)
+
+
+def test_load_state_rejects_shape_mismatch(params):
+    state = {name: t.data.copy() for name, t in params.named()}
+    state["embed.patch.b"] = np.zeros(1)
+    state["embed.token"] = state["embed.token"] + 1.0
+    before = params["embed.token"].data.copy()
+    with pytest.raises(ValueError, match="embed.patch.b"):
+        md.load_params_state(params, None, state)
+    # nothing is written when any tensor fails the check
+    assert np.array_equal(params["embed.token"].data, before)
+
+
+def test_load_state_rejects_missing_tensor(params):
+    momentum = md.MomentumState.from_params(params, 0.995)
+    state = {name: t.data.copy()
+             for name, t in md.params_state(params, momentum).items()}
+    del state["momentum/proj.img.w"]
+    with pytest.raises(ValueError, match="momentum/proj.img.w"):
+        md.load_params_state(params, momentum, state)

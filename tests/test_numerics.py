@@ -218,6 +218,27 @@ def test_finite_diff_composite_ops():
     assert nx.finite_diff_check(f, x) < 1e-6
 
 
+def test_finite_diff_concat_and_sum_n():
+    rng = nx.Rng(12)
+    x = t(rng.normal((2, 3)))
+    w = t(rng.normal((3, 3)))
+
+    def f(v):
+        rows = nx.concat([v, nx.matmul(v, w), v], axis=0)
+        cols = nx.concat([rows, nx.tanh(rows)], axis=1)
+        return nx.sum_n([nx.sum_all(cols), nx.mean_all(nx.mul(cols, cols)),
+                         nx.sum_all(v)])
+
+    assert nx.finite_diff_check(f, x) < 1e-6
+
+
+def test_concat_and_sum_n_reject_mismatched_shapes():
+    with pytest.raises(nx.ShapeError):
+        nx.concat([t(np.zeros((2, 3))), t(np.zeros((2, 2)))], axis=0)
+    with pytest.raises(nx.ShapeError):
+        nx.sum_n([t(1.0), t([1.0, 2.0])])
+
+
 # ---------------------------------------------------------------------------
 # invariant: autodiff matches finite differences on every primitive loss
 
