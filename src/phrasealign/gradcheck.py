@@ -188,7 +188,7 @@ def check_local_align(seed: int) -> float:
                                 params["proj.txt.w"])
         return nx.sub(Tensor(1.0), sim)
 
-    errs.append(finite_diff_param(params, "txt_self0.attn.h0.wv", build_fixed_w))
+    errs.append(finite_diff_param(params, "txt_self0.attn.wv", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ln2.g", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ffn.b2", build_fixed_w))
     return max(errs)

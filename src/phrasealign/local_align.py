@@ -39,35 +39,34 @@ class BidirectionalWeights:
     w_fa: np.ndarray        # (L_img + 1,), sums to 1
     w_ba: np.ndarray        # (L_img + 1,), rectified head average
     w: np.ndarray           # (L_img + 1,), nonnegative, sums to 1
-    s_per_head: list        # masked-token prediction score per head
+    s_per_head: np.ndarray  # (heads,), masked-token prediction score per head
 
 
-def forward_attention(trace: AttentionTrace, row_index: int = 0) -> list:
-    """Per-head attention over image positions, read from one traced row."""
+def forward_attention(trace: AttentionTrace, row_index: int = 0) -> np.ndarray:
+    """(heads, L_img + 1) attention over image positions from one traced row."""
     if trace is None:
         raise ValueError("no attention trace captured; request a trace layer")
-    return [a.data[row_index].copy() for a in trace.attn]
+    return trace.attn.data[:, row_index].copy()
 
 
-def score_per_head(trace: AttentionTrace, mask_row: int, w_s: Tensor) -> list:
-    """Masked-token prediction score per head, on the graph: (A_row V) w_s."""
+def score_per_head(trace: AttentionTrace, mask_row: int, w_s: Tensor) -> Tensor:
+    """(heads,) masked-token prediction score, on the graph: (A_row V) w_s."""
     if trace is None:
         raise ValueError("no attention trace captured; request a trace layer")
-    scores = []
-    for a, v in zip(trace.attn, trace.values):
-        row = nx.as_row(nx.take_row(a, mask_row))
-        scores.append(nx.reshape(nx.matmul(nx.matmul(row, v), w_s), ()))
-    return scores
+    row = nx.take_row(trace.attn, mask_row)
+    heads, n = row.shape
+    s = nx.matmul(nx.matmul(nx.reshape(row, (heads, 1, n)), trace.values), w_s)
+    return nx.reshape(s, (heads,))
 
 
-def backward_attention(trace: AttentionTrace, heads_ws: list) -> list:
+def backward_attention(trace: AttentionTrace, heads_ws: np.ndarray) -> np.ndarray:
     """Gradient of the prediction score w.r.t. the attention row, in closed
-    form: position j of head h gets sum_k V_h[j, k] * heads_ws[h][k]. No
-    graph traversal."""
-    return [v.data @ ws for v, ws in zip(trace.values, heads_ws)]
+    form: position j of head h gets sum_k V[h, j, k] * heads_ws[h, k]. No
+    graph traversal. Returns (heads, L_img + 1)."""
+    return np.einsum("hjk,hk->hj", trace.values.data, heads_ws)
 
 
-def _head_means(fa_heads: list, ba_heads: list):
+def _head_means(fa_heads, ba_heads):
     """Head-averaged forward attention and rectified backward attention."""
     fa = np.mean(np.asarray(fa_heads, dtype=np.float64), axis=0)
     ba = np.mean(np.maximum(np.asarray(ba_heads, dtype=np.float64), 0.0), axis=0)
@@ -84,26 +83,26 @@ def _normalized_product(fa: np.ndarray, ba: np.ndarray) -> np.ndarray:
     return raw / total
 
 
-def bidirectional_weights(fa_heads: list, ba_heads: list) -> np.ndarray:
+def bidirectional_weights(fa_heads, ba_heads) -> np.ndarray:
     """Normalized product of head-averaged forward and rectified backward
-    attention; falls back to the forward average if rectification removes
-    all mass."""
+    attention, each (heads, L_img + 1); falls back to the forward average if
+    rectification removes all mass."""
     return _normalized_product(*_head_means(fa_heads, ba_heads))
 
 
-def compute_weights(trace: AttentionTrace, heads_ws: list, mask_row: int,
+def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row: int,
                     row_mode: str = "mask") -> BidirectionalWeights:
     """Full weight computation for one traced image-phrase pair, given the
-    per-head score vectors of :func:`score_vectors`.
+    (heads, head_dim) score vectors of :func:`score_vectors`.
 
     ``row_mode`` selects the row whose attention serves as forward attention:
     the masked token's row (default) or the global [CLS] row.
     """
-    fa_row = mask_row if row_mode == "mask" else 0
-    fa, ba = _head_means(forward_attention(trace, fa_row),
-                         backward_attention(trace, heads_ws))
-    s = [float(a.data[mask_row] @ v.data @ ws)
-         for a, v, ws in zip(trace.attn, trace.values, heads_ws)]
+    fa_heads = forward_attention(trace, mask_row if row_mode == "mask" else 0)
+    ba_heads = backward_attention(trace, heads_ws)
+    fa, ba = _head_means(fa_heads, ba_heads)
+    # s_h = A_h[mask_row] V_h w_h, and V_h w_h is the backward attention
+    s = np.einsum("hj,hj->h", trace.attn.data[:, mask_row], ba_heads)
     return BidirectionalWeights(w_fa=fa, w_ba=ba, w=_normalized_product(fa, ba),
                                 s_per_head=s)
 
@@ -141,16 +140,16 @@ def coarse_similarity(a: Tensor, b: Tensor, proj_a: Tensor, proj_b: Tensor) -> T
     return nx.cosine(pa, pb)
 
 
-def score_vectors(params: Params, cfg: ModelConfig, target_id: int | None = None) -> list:
-    """Per-head score vectors (head_dim,) as plain arrays; one shared head by
-    default, or slices of the masked token's classifier column when tied."""
+def score_vectors(params: Params, cfg: ModelConfig,
+                  target_id: int | None = None) -> np.ndarray:
+    """(heads, head_dim) score vectors as a plain array; one shared head by
+    default, or the masked token's classifier column split by head when tied."""
     if not cfg.tie_score_head:
-        return [params["score.w"].data.reshape(-1)] * cfg.heads
+        w_s = params["score.w"].data.reshape(-1)
+        return np.broadcast_to(w_s, (cfg.heads, w_s.size))
     if target_id is None:
         raise ValueError("tied score head requires the masked target id")
-    column = params["mpm.w2"].data[:, target_id]
-    dh = cfg.head_dim
-    return [column[h * dh:(h + 1) * dh] for h in range(cfg.heads)]
+    return params["mpm.w2"].data[:, target_id].reshape(cfg.heads, cfg.head_dim)
 
 
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,

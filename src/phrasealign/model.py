@@ -4,9 +4,10 @@ tracing, momentum shadows of the unimodal weights, and checkpoint files.
 The encoders are deliberately small: linear patch/token embeddings plus
 standard post-norm self-attention blocks. The cross-modal encoder runs
 self-attention over the text rows, cross-attention with text queries against
-image keys/values, then a feed-forward, per layer; one layer's per-head
-attention matrices and projected values can be captured as a trace. The same
-cross-modal parameters serve the image-text and image-phrase streams.
+image keys/values, then a feed-forward, per layer; one layer's attention
+matrices and projected values can be captured as a trace. The same
+cross-modal parameters serve the image-text and image-phrase streams. Heads
+are the leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import struct
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import numerics as nx
 from .numerics import Tensor, Rng
 from .textproc import CLS_ID, UNK_ID
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # 2: stacked (heads, d, head_dim) attention weights
 _CKPT_MAGIC = b"PACKPT01"
 
 INIT_STD = 0.02
@@ -166,10 +167,11 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     w("embed.cls_img", 1, d)
 
     def attention_block(prefix):
-        for h in range(cfg.heads):
-            w(f"{prefix}.h{h}.wq", d, dh)
-            w(f"{prefix}.h{h}.wk", d, dh)
-            w(f"{prefix}.h{h}.wv", d, dh)
+        # draw order per head: q, k, v, so every seed keeps its values
+        draws = [[rng.truncated_normal((d, dh), INIT_STD) for _ in range(3)]
+                 for _ in range(cfg.heads)]
+        for name, per_head in zip(("wq", "wk", "wv"), zip(*draws)):
+            p.add(f"{prefix}.{name}", np.stack(per_head))
         w(f"{prefix}.out.w", d, d)
         zeros(f"{prefix}.out.b", d)
 
@@ -231,12 +233,11 @@ class EncoderOutput:
 
 @dataclasses.dataclass
 class AttentionTrace:
-    """Per-head attention state of one cross-attention layer."""
+    """Attention state of one cross-attention layer, head as leading axis."""
 
     layer: int                  # 1-based
-    attn: list                  # per head: (L_text+1, L_img+1), rows sum to 1
-    values: list                # per head: (L_img+1, head_dim)
-    queries: list               # per head: (L_text+1, head_dim)
+    attn: Tensor                # (heads, L_text+1, L_img+1), rows sum to 1
+    values: Tensor              # (heads, L_img+1, head_dim)
 
 
 @dataclasses.dataclass
@@ -249,8 +250,8 @@ class FusionOutput:
         return nx.take_row(self.reps, 0)
 
 
-# optional collector: every cross-attention softmax row computed while a
-# collector is installed reports its worst row-sum deviation to it
+# optional collector: every attention softmax computed while a collector is
+# installed reports its worst row-sum deviation, one per head, to it
 _row_sum_collector: list | None = None
 
 
@@ -267,8 +268,8 @@ def collect_attention_row_sums(into: list):
 
 def _note_attention_rows(a: Tensor) -> None:
     if _row_sum_collector is not None:
-        dev = float(np.abs(a.data.sum(axis=1) - 1.0).max())
-        _row_sum_collector.append(dev)
+        dev = np.abs(a.data.sum(axis=-1) - 1.0).max(axis=-1)
+        _row_sum_collector.extend(dev.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +277,20 @@ def _note_attention_rows(a: Tensor) -> None:
 
 
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
-                          params: Params, prefix: str, cfg: ModelConfig,
-                          capture: bool = False):
-    """Scaled dot-product attention; per-head projections as in the traced
-    layer's contract. Returns (output rows, trace parts or None)."""
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    head_outs = []
-    trace = ([], [], []) if capture else None
-    for h in range(cfg.heads):
-        q = nx.matmul(queries_from, params[f"{prefix}.h{h}.wq"])
-        k = nx.matmul(keys_values_from, params[f"{prefix}.h{h}.wk"])
-        v = nx.matmul(keys_values_from, params[f"{prefix}.h{h}.wv"])
-        a = nx.row_softmax(nx.mul(nx.matmul(q, nx.transpose(k)), scale))
-        _note_attention_rows(a)
-        head_outs.append(nx.matmul(a, v))
-        if capture:
-            trace[0].append(a)
-            trace[1].append(v)
-            trace[2].append(q)
-    out = nx.add(nx.matmul(nx.concat(head_outs, axis=1), params[f"{prefix}.out.w"]),
+                          params: Params, prefix: str, cfg: ModelConfig):
+    """Scaled dot-product attention over all heads at once. Returns the output
+    rows, the (heads, L_q, L_kv) attention and the (heads, L_kv, head_dim)
+    values."""
+    # scale q, not the scores: (heads, L, L) temporaries are the costly ones
+    q = nx.mul(nx.matmul(queries_from, params[f"{prefix}.wq"]),
+               1.0 / np.sqrt(cfg.head_dim))
+    k = nx.matmul(keys_values_from, params[f"{prefix}.wk"])
+    v = nx.matmul(keys_values_from, params[f"{prefix}.wv"])
+    a = nx.row_softmax(nx.matmul(q, nx.transpose(k)))
+    _note_attention_rows(a)
+    out = nx.add(nx.matmul(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"]),
                  params[f"{prefix}.out.b"])
-    return out, trace
+    return out, a, v
 
 
 def _ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
@@ -310,7 +304,7 @@ def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
 
 
 def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Tensor:
-    attn, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg)
+    attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg)
     x = _post_norm(x, attn, params, f"{prefix}.ln1")
     x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln2")
     return x
@@ -385,13 +379,12 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         trace = None
         for layer in range(cfg.n_cross_layers):
             prefix = f"cross{layer}"
-            attn, _ = _multi_head_attention(x, x, params, f"{prefix}.self", cfg)
+            attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.self", cfg)
             x = _post_norm(x, attn, params, f"{prefix}.ln1")
-            capture = trace_layer is not None and layer + 1 == trace_layer
-            cross, parts = _multi_head_attention(
-                x, img_out.reps, params, f"{prefix}.cross", cfg, capture=capture)
-            if capture:
-                trace = AttentionTrace(layer + 1, parts[0], parts[1], parts[2])
+            cross, a, v = _multi_head_attention(x, img_out.reps, params,
+                                                f"{prefix}.cross", cfg)
+            if layer + 1 == trace_layer:
+                trace = AttentionTrace(layer + 1, a, v)
             x = _post_norm(x, cross, params, f"{prefix}.ln2")
             x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln3")
         return FusionOutput(x, trace)
@@ -427,6 +420,8 @@ def save_checkpoint(path, named_tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Read a directory written by :func:`save_checkpoint` into name -> array.
+    A malformed file raises ValueError, naming the tensor where there is one."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
@@ -438,13 +433,35 @@ def load_checkpoint(path) -> dict:
     blob = (path / "tensors.bin").read_bytes()
     if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError("bad magic bytes in tensors.bin")
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("checkpoint manifest has no list of tensor entries")
     out = {}
-    for entry in manifest["tensors"]:
-        start, nbytes = entry["offset"], entry["bytes"]
-        if start + nbytes > len(blob):
-            raise ValueError(f"tensors.bin truncated at offset {start}")
-        arr = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=start)
-        out[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    end = len(_CKPT_MAGIC)  # tensors are stored back to back in manifest order
+    for i, entry in enumerate(entries):
+        missing = [k for k in ("name", "shape", "offset", "bytes") if k not in entry]
+        if missing:
+            raise ValueError(f"manifest entry {i} "
+                             f"({entry.get('name', 'unnamed')!r}) lacks {missing}")
+        name, shape, start, nbytes = (entry[k] for k in ("name", "shape", "offset",
+                                                          "bytes"))
+        if not (isinstance(shape, list) and
+                all(isinstance(n, int) and n >= 0 for n in shape) and
+                nbytes == 8 * math.prod(shape)):
+            raise ValueError(f"tensor {name!r}: {nbytes} bytes do not hold "
+                             f"shape {shape!r}")
+        if start != end:
+            raise ValueError(f"tensor {name!r} starts at offset {start}, "
+                             f"expected {end}")
+        end = start + nbytes
+        if end > len(blob):
+            raise ValueError(f"tensors.bin truncated in tensor {name!r}")
+        out[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
+                                  offset=start).reshape(shape).copy()
+    if end != len(blob):
+        last = f"tensor {entries[-1]['name']!r}" if entries else "the magic bytes"
+        raise ValueError(f"tensors.bin has {len(blob) - end} trailing bytes "
+                         f"after {last}")
     return out
 
 

@@ -205,18 +205,24 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product over the last two axes. Leading (head) axes must match, or one
+    operand is a matrix shared by every leading index."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or \
+            (a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def bw(g):
-        return (g @ b.data.T, a.data.T @ g)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _result(a.data.T, "transpose", (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    return _result(np.swapaxes(a.data, -1, -2), "transpose", (a,),
+                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -338,23 +344,37 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_row(a: Tensor, index: int) -> Tensor:
-    """Row ``index`` of a matrix as a 1-D vector."""
-    if a.data.ndim != 2:
+    """Row ``index`` (axis -2) of a matrix or of each stacked matrix: (n,)
+    from a matrix, (heads, n) from a (heads, rows, n) stack."""
+    if a.data.ndim < 2:
         raise ShapeError(f"take_row expects a matrix, got shape {a.shape}")
-    if not 0 <= index < a.shape[0]:
+    if not 0 <= index < a.shape[-2]:
         raise IndexError(f"row {index} out of range for shape {a.shape}")
 
     def bw(g):
         out = np.zeros(a.shape)
-        out[index] = g
+        out[..., index, :] = g
         return (out,)
 
-    return _result(a.data[index].copy(), "take_row", (a,), bw)
+    return _result(a.data[..., index, :].copy(), "take_row", (a,), bw)
 
 
 def as_row(a: Tensor) -> Tensor:
     """View a 1-D vector as a (1, n) matrix."""
     return reshape(a, (1, a.size))
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """(heads, rows, w) -> (rows, heads*w): head blocks side by side, head 0 first."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"merge_heads expects (heads, rows, width), got {a.shape}")
+    heads, rows, width = a.shape
+
+    def bw(g):
+        return (g.reshape(rows, heads, width).transpose(1, 0, 2),)
+
+    return _result(a.data.transpose(1, 0, 2).reshape(rows, heads * width),
+                   "merge_heads", (a,), bw)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -376,15 +396,17 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along each row, computed with max-subtraction."""
-    if a.data.ndim != 2:
+    """Softmax along the last axis, computed with max-subtraction."""
+    if a.data.ndim < 2:
         raise ShapeError(f"row_softmax expects a matrix, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    # one buffer: a (4, 65, 65) float64 temporary is past the allocator's
+    # mmap threshold, so each extra one costs fresh page faults
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _result(y, "row_softmax", (a,), bw)

@@ -33,7 +33,7 @@ class NumericalError(RuntimeError):
 class TrainConfig:
     stage1_epochs: int = 30
     stage2_epochs: int = 15
-    base_lr: float = 1e-3        # cold-start desk value; see paper_scale_config
+    base_lr: float = 1e-3
     warmup_lr: float = 1e-6
     warmup_frac: float = 0.1     # fraction of each stage spent ramping up
     batch_size: int = 8
@@ -64,12 +64,6 @@ class TrainConfig:
             raise ValueError("triplet_direction must be standard or printed")
         if self.neg_sampling not in ("hard", "uniform"):
             raise ValueError("neg_sampling must be hard or uniform")
-
-
-def paper_scale_config() -> TrainConfig:
-    """The full-scale hyperparameters, for reference runs."""
-    return TrainConfig(base_lr=1e-5, warmup_lr=1e-6, stage1_epochs=30,
-                       stage2_epochs=15)
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +188,23 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         coarse = img_emb.data @ txt_emb.data.T
         neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, rng,
                                                mode=cfg.neg_sampling)
-        w_o = params["itm.w"]
-        pos_logits = []
-        pairs = []
-        for i in range(n):
-            fused = md.cross_encode(txt_outs[i], img_outs[i], params, model_cfg)
-            logit = ls.fine_similarity(fused.cls, w_o)
-            pos_logits.append(logit)
-            pairs.append((logit, 1.0))
-        neg_txt_logits, neg_img_logits = {}, {}
-        for i, j in enumerate(neg_txt):  # image i with a non-matching text j
-            fused = md.cross_encode(txt_outs[j], img_outs[i], params, model_cfg)
-            logit = ls.fine_similarity(fused.cls, w_o)
-            neg_txt_logits[i] = logit
-            pairs.append((logit, 0.0))
-        for j, i in enumerate(neg_img):  # text j with a non-matching image i
-            fused = md.cross_encode(txt_outs[j], img_outs[i], params, model_cfg)
-            logit = ls.fine_similarity(fused.cls, w_o)
-            neg_img_logits[j] = logit
-            pairs.append((logit, 0.0))
-        itm = ls.itm_loss(pairs)
+        # (text, image, label): positives, then image i with a non-matching
+        # text at n + i, then text j with a non-matching image at 2n + j
+        pairs = ([(i, i, 1.0) for i in range(n)]
+                 + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
+                 + [(j, i, 0.0) for j, i in enumerate(neg_img)])
+        logits = []
+        for t, i, _ in pairs:
+            fused = md.cross_encode(txt_outs[t], img_outs[i], params, model_cfg)
+            logits.append(ls.fine_similarity(fused.cls, params["itm.w"]))
+        itm = ls.itm_loss([(logit, label)
+                           for logit, (_, _, label) in zip(logits, pairs)])
 
         tri = None
         if stage != 1 and cfg.enable_triplet and neg_txt:
             tri = nx.mul(nx.sum_n([
                 ls.fusion_triplet_loss(
-                    pos_logits[i], neg_img_logits[i], neg_txt_logits[i],
+                    logits[i], logits[2 * n + i], logits[n + i],
                     margin=cfg.triplet_margin, direction=cfg.triplet_direction)
                 for i in range(n)]), 1.0 / n)
 

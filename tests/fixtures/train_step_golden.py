@@ -51,6 +51,25 @@ def _probe(name: str, shape) -> np.ndarray:
     return np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape)
 
 
+def _grad_records(params) -> dict:
+    """[L2 norm, probe dot] of each parameter's gradient. Head h of a stacked
+    ``{block}.wq``/``wk``/``wv`` is recorded as ``{block}.h{h}.wq`` etc., in
+    per-head q, k, v order, the keys and order of the per-head layout the
+    fixture was recorded with."""
+    grads = {}
+    for name, p in params.named():
+        block, _, kind = name.rpartition(".")
+        if kind in ("wk", "wv"):
+            continue
+        heads = ([(f"{block}.h{h}.{k}", params[f"{block}.{k}"].grad[h])
+                  for h in range(p.grad.shape[0]) for k in ("wq", "wk", "wv")]
+                 if kind == "wq" else [(name, p.grad)])
+        for key, g in heads:
+            grads[key] = [float(np.linalg.norm(g)),
+                          float(np.sum(g * _probe(key, g.shape)))]
+    return grads
+
+
 def record(variant: str) -> dict:
     model_over, train_over = VARIANTS[variant]
     pipeline = TextPipeline()
@@ -86,9 +105,7 @@ def record(variant: str) -> dict:
             "p_i2t": breakdown.p_i2t.tolist(),
             "p_t2i": breakdown.p_t2i.tolist(),
             "weight_sums": list(diag.weight_sums),
-            "grads": {name: [float(np.linalg.norm(p.grad)),
-                             float(np.sum(p.grad * _probe(name, p.grad.shape)))]
-                      for name, p in params.named()},
+            "grads": _grad_records(params),
         }
         adamw_step(params, optim, 1e-3, cfg.weight_decay)
         momentum_update(params, momentum)

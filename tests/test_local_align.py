@@ -17,13 +17,10 @@ def stochastic_rows(raw):
 
 def fake_trace(attn_rows, values, heads=1, layer=1, grad=False):
     """Trace with identical per-head matrices, optionally graph leaves."""
-    attn = [Tensor(np.asarray(attn_rows, dtype=float), requires_grad=grad)
-            for _ in range(heads)]
-    vals = [Tensor(np.asarray(values, dtype=float), requires_grad=grad)
-            for _ in range(heads)]
-    qs = [Tensor(np.zeros((len(attn_rows), np.asarray(values).shape[1])))
-          for _ in range(heads)]
-    return md.AttentionTrace(layer, attn, vals, qs)
+    def stacked(m):
+        return Tensor(np.repeat(np.asarray(m, dtype=float)[None], heads, axis=0),
+                      requires_grad=grad)
+    return md.AttentionTrace(layer, stacked(attn_rows), stacked(values))
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +54,21 @@ def test_forward_attention_requires_trace():
 
 def test_score_hand_value():
     trace = fake_trace([[1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
-    (s,) = la.score_per_head(trace, 0, Tensor([[1.0], [1.0]]))
+    s = la.score_per_head(trace, 0, Tensor([[1.0], [1.0]]))
     assert s.item() == pytest.approx(3.0)
 
 
 def test_score_zero_projection():
     trace = fake_trace([[0.3, 0.7]], [[1.0, 2.0], [3.0, 4.0]])
-    (s,) = la.score_per_head(trace, 0, Tensor([[0.0], [0.0]]))
+    s = la.score_per_head(trace, 0, Tensor([[0.0], [0.0]]))
     assert s.item() == 0.0
 
 
 def test_score_linear_in_projection():
     trace = fake_trace([[0.3, 0.7]], [[1.0, 2.0], [3.0, 4.0]])
     w = Rng(1).normal((2, 1))
-    (s1,) = la.score_per_head(trace, 0, Tensor(w))
-    (s2,) = la.score_per_head(trace, 0, Tensor(2.0 * w))
+    s1 = la.score_per_head(trace, 0, Tensor(w))
+    s2 = la.score_per_head(trace, 0, Tensor(2.0 * w))
     assert s2.item() == pytest.approx(2.0 * s1.item())
 
 
@@ -81,13 +78,13 @@ def test_score_linear_in_projection():
 
 def test_backward_attention_hand_value():
     trace = fake_trace([[1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
-    (ba,) = la.backward_attention(trace, [np.array([1.0, 1.0])])
+    (ba,) = la.backward_attention(trace, np.array([[1.0, 1.0]]))
     assert np.array_equal(ba, [3.0, 7.0])
 
 
 def test_backward_attention_zero_values():
     trace = fake_trace([[0.5, 0.5]], np.zeros((2, 3)))
-    (ba,) = la.backward_attention(trace, [np.ones(3)])
+    (ba,) = la.backward_attention(trace, np.ones((1, 3)))
     assert np.array_equal(ba, [0.0, 0.0])
 
 
@@ -95,18 +92,18 @@ def test_backward_attention_zero_values():
 def test_backward_attention_equals_autodiff(seed):
     rng = Rng(seed)
     n_img, dh = 5, 4
-    a = Tensor(stochastic_rows(rng.normal((3, n_img))), requires_grad=True)
-    v = Tensor(rng.normal((n_img, dh)))
+    a = Tensor(stochastic_rows(rng.normal((3, n_img)))[None], requires_grad=True)
+    v = Tensor(rng.normal((n_img, dh))[None])
     ws = Tensor(rng.normal((dh, 1)))
-    trace = md.AttentionTrace(1, [a], [v], [Tensor(np.zeros((3, dh)))])
-    (s,) = la.score_per_head(trace, 2, ws)
+    trace = md.AttentionTrace(1, a, v)
+    s = la.score_per_head(trace, 2, ws)
     nx.backward(s)
-    (closed,) = la.backward_attention(trace, [ws.data.reshape(-1)])
-    autodiff = a.grad[2]
+    (closed,) = la.backward_attention(trace, ws.data.reshape(1, -1))
+    autodiff = a.grad[0, 2]
     denom = np.maximum(np.abs(autodiff), 1e-12)
     assert (np.abs(closed - autodiff) / denom).max() < 1e-10
     # rows other than the scored one receive no gradient at all
-    assert np.array_equal(a.grad[0], np.zeros(n_img))
+    assert np.array_equal(a.grad[0, 0], np.zeros(n_img))
 
 
 # ---------------------------------------------------------------------------

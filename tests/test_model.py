@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -124,12 +126,10 @@ def test_cross_encode_shape_and_trace(cfg, params, pipeline):
     fused = md.cross_encode(txt, img, params, cfg, trace_layer=cfg.bidiratt_layer)
     assert fused.reps.shape == (3, cfg.d)
     assert fused.trace is not None and fused.trace.layer == cfg.bidiratt_layer
-    assert len(fused.trace.attn) == cfg.heads
-    for a in fused.trace.attn:
-        assert a.shape == (3, cfg.n_patches + 1)
-        assert np.abs(a.data.sum(axis=1) - 1.0).max() <= 1e-9
-    for v in fused.trace.values:
-        assert v.shape == (cfg.n_patches + 1, cfg.head_dim)
+    attn, values = fused.trace.attn, fused.trace.values
+    assert attn.shape == (cfg.heads, 3, cfg.n_patches + 1)
+    assert np.abs(attn.data.sum(axis=-1) - 1.0).max() <= 1e-9
+    assert values.shape == (cfg.heads, cfg.n_patches + 1, cfg.head_dim)
 
 
 def test_cross_encode_no_trace_by_default(cfg, params, pipeline):
@@ -147,7 +147,7 @@ def test_cross_encode_trace_layer_out_of_range(cfg, params):
 
 def test_cross_params_shared_between_streams(cfg, params):
     # the phrase stream and the text stream read the very same tensors
-    assert params["cross0.cross.h0.wq"] is params["cross0.cross.h0.wq"]
+    assert params["cross0.cross.wq"] is params["cross0.cross.wq"]
     n_cross = sum(1 for name in params.names() if name.startswith("cross"))
     assert n_cross > 0  # a single parameter set serves both streams
 
@@ -227,9 +227,39 @@ def test_checkpoint_version_enforced(cfg, params, tmp_path):
     md.save_checkpoint(tmp_path / "ckpt", md.params_state(params))
     manifest = tmp_path / "ckpt" / "manifest.json"
     manifest.write_text(manifest.read_text().replace(
-        '"format_version": 1', '"format_version": 42'))
+        f'"format_version": {md.CHECKPOINT_VERSION}', '"format_version": 42'))
     with pytest.raises(ValueError, match="version"):
         md.load_checkpoint(tmp_path / "ckpt")
+
+
+CHECKPOINT_DEFECTS = {
+    # case: (manifest edit, bytes appended to tensors.bin, error names)
+    "trailing bytes": (lambda m: None, b"\0" * 8, "trailing bytes after tensor 'b'"),
+    "bytes not a multiple of 8": (lambda m: m["tensors"][1].update(bytes=31), b"",
+                                  "'b'"),
+    "bytes do not match shape": (lambda m: m["tensors"][0].update(shape=[2, 2]),
+                                 b"", "'a'"),
+    "no offset": (lambda m: m["tensors"][0].pop("offset"), b"", "'a'.*offset"),
+    "no bytes": (lambda m: m["tensors"][0].pop("bytes"), b"", "'a'.*bytes"),
+    "no shape": (lambda m: m["tensors"][0].pop("shape"), b"", "'a'.*shape"),
+    "no name": (lambda m: m["tensors"][1].pop("name"), b"", "entry 1.*name"),
+    "no tensor list": (lambda m: m.pop("tensors"), b"", "tensor entries"),
+    "entry not an object": (lambda m: m["tensors"].insert(0, 3), b"", "tensor entries"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_DEFECTS))
+def test_checkpoint_rejects_malformed_files(case, tmp_path):
+    edit, extra, names = CHECKPOINT_DEFECTS[case]
+    path = tmp_path / "ckpt"
+    md.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with open(path / "tensors.bin", "ab") as fh:
+        fh.write(extra)
+    with pytest.raises(ValueError, match=names):
+        md.load_checkpoint(path)
 
 
 def test_checkpoint_restores_into_params(cfg, tmp_path):

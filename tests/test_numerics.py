@@ -36,6 +36,9 @@ def test_matmul_zeros():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(nx.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         nx.matmul(t(np.ones((2, 3))), t(np.ones((2, 2))))
+    # stacked operands must agree on the leading (head) axis
+    with pytest.raises(nx.ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        nx.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 5))))
 
 
 def test_matmul_associativity():
@@ -44,6 +47,53 @@ def test_matmul_associativity():
     left = nx.matmul(nx.matmul(a, b), c).data
     right = nx.matmul(a, nx.matmul(b, c)).data
     assert np.abs(left - right).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# heads as the leading axis
+
+
+def test_stacked_ops_match_per_head_matrices():
+    rng = nx.Rng(8)
+    x = t(rng.normal((4, 6)))
+    w = t(rng.normal((3, 6, 2)))
+    u = t(rng.normal((2, 5)))
+    q = nx.matmul(x, w)
+    scores = nx.matmul(q, nx.transpose(q))
+    soft = nx.row_softmax(scores)
+    assert q.shape == (3, 4, 2) and scores.shape == (3, 4, 4)
+    for h in range(3):
+        qh = x.data @ w.data[h]
+        assert np.array_equal(q.data[h], qh)
+        assert np.array_equal(nx.matmul(q, u).data[h], qh @ u.data)
+        assert np.array_equal(scores.data[h], qh @ qh.T)
+        assert np.array_equal(soft.data[h], nx.row_softmax(t(scores.data[h])).data)
+        assert np.array_equal(nx.take_row(soft, 1).data[h], soft.data[h, 1])
+    assert np.array_equal(nx.merge_heads(q).data, np.concatenate(list(q.data), axis=1))
+
+
+def test_merge_heads_requires_a_stack():
+    with pytest.raises(nx.ShapeError):
+        nx.merge_heads(t(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("probe", ["matrix", "stack", "shared right"])
+def test_finite_diff_stacked_head_ops(probe):
+    """A matrix times a stack, stack times stack, stack times a shared matrix,
+    3-D softmax, stacked take_row and merge_heads; each operand probed."""
+    rng = nx.Rng(13)
+    leaves = {"matrix": t(rng.normal((4, 6))), "stack": t(rng.normal((3, 6, 2))),
+              "shared right": t(rng.normal((2, 5)))}
+
+    def f(v):
+        x, w, u = (v if name == probe else leaf for name, leaf in leaves.items())
+        q = nx.matmul(x, w)
+        a = nx.row_softmax(nx.matmul(q, nx.transpose(q)))
+        return nx.sum_n([nx.sum_all(nx.tanh(nx.merge_heads(nx.matmul(a, q)))),
+                         nx.sum_all(nx.mul(nx.take_row(a, 1), nx.take_row(a, 2))),
+                         nx.mean_all(nx.tanh(nx.matmul(q, u)))])
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
 
 # ---------------------------------------------------------------------------

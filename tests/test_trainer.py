@@ -79,3 +79,66 @@ def test_train_is_bitwise_reproducible():
         assert np.array_equal(t.data, b.params[name].data), name
     for name, t in a.momentum.shadow.items():
         assert np.array_equal(t.data, b.momentum.shadow[name].data), name
+
+
+# ---------------------------------------------------------------------------
+# optimizer, schedule and clipping
+
+
+def grad_params(**grads):
+    """Params holding zeros with the given gradients, one per name."""
+    params = md.Params()
+    for name, g in grads.items():
+        params.add(name, np.zeros_like(g)).grad[...] = g
+    return params
+
+
+def test_adamw_first_step_is_bias_corrected_sign_step():
+    g = np.array([[0.5, -2.0], [1e-3, 0.0]])
+    params = grad_params(w=g)
+    state = trainer.OptimState.for_params(params)
+    trainer.adamw_step(params, state, lr=0.1, weight_decay=0.0)
+    # after one step m/bc1 = g and v/bc2 = g*g, so the update is lr*g/(|g|+eps)
+    assert state.step == 1
+    assert np.allclose(params["w"].data, -0.1 * g / (np.abs(g) + state.eps),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_adamw_decays_only_tensors_of_two_or_more_axes():
+    params = grad_params(bias=np.zeros(3), matrix=np.zeros((2, 3)),
+                         stacked=np.zeros((2, 3, 4)))
+    for _, p in params.named():
+        p.data[...] = 1.0
+    trainer.adamw_step(params, trainer.OptimState.for_params(params), lr=0.1,
+                       weight_decay=0.5)
+    # zero gradients leave only the decoupled decay, 1 - lr * decay
+    assert np.array_equal(params["bias"].data, np.ones(3))
+    assert np.allclose(params["matrix"].data, 0.95, rtol=1e-15, atol=0.0)
+    assert np.allclose(params["stacked"].data, 0.95, rtol=1e-15, atol=0.0)
+
+
+def test_cosine_lr_warmup_endpoints_and_decay_to_zero():
+    kwargs = dict(total_steps=20, base_lr=1e-3, warmup_steps=4, warmup_lr=1e-6)
+    assert trainer.cosine_lr(0, **kwargs) == 1e-6
+    assert trainer.cosine_lr(4, **kwargs) == pytest.approx(1e-3, rel=1e-15)
+    assert trainer.cosine_lr(20, **kwargs) == pytest.approx(0.0, abs=1e-18)
+    values = [trainer.cosine_lr(s, **kwargs) for s in range(4, 21)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        trainer.cosine_lr(-1, **kwargs)
+
+
+def test_clip_gradients_returns_norm_and_rescales():
+    params = grad_params(a=np.array([3.0, 0.0]), b=np.array([[0.0, 4.0]]))
+    assert trainer.clip_gradients(params, max_norm=1.0) == pytest.approx(5.0)
+    assert np.allclose(params["a"].grad, [0.6, 0.0], rtol=1e-15)
+    assert np.allclose(params["b"].grad, [[0.0, 0.8]], rtol=1e-15)
+    total = sum(float((p.grad ** 2).sum()) for _, p in params.named())
+    assert total == pytest.approx(1.0, rel=1e-15)
+
+
+def test_clip_gradients_zero_max_norm_leaves_gradients():
+    params = grad_params(a=np.array([3.0, 0.0]), b=np.array([[0.0, 4.0]]))
+    assert trainer.clip_gradients(params, max_norm=0.0) == pytest.approx(5.0)
+    assert np.array_equal(params["a"].grad, [3.0, 0.0])
+    assert np.array_equal(params["b"].grad, [[0.0, 4.0]])
