@@ -253,24 +253,30 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(raw)
 
 
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DataConfig))
+
+
 def load_dataset(path) -> Dataset:
+    """Read a directory written by :func:`save_dataset`. A malformed file
+    raises FormatError naming the key, record or split index at fault."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"unreadable dataset manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError("dataset manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format version "
                           f"{manifest.get('format_version')!r}")
-    cfg = DataConfig(
-        n_identities=manifest["n_identities"],
-        images_per_identity=manifest["images_per_identity"],
-        test_images_per_identity=manifest["test_images_per_identity"],
-        patch_rows=manifest["patch_rows"],
-        patch_cols=manifest["patch_cols"],
-        patch_pixels=manifest["patch_pixels"],
-        noise_sigma=manifest["noise_sigma"],
-    )
+    missing = [k for k in _CONFIG_KEYS + ("records", "train_indices", "test_indices")
+               if k not in manifest]
+    if missing:
+        raise FormatError(f"dataset manifest lacks {missing}")
+    for key in ("records", "train_indices", "test_indices"):
+        if not isinstance(manifest[key], list):
+            raise FormatError(f"dataset manifest entry {key!r} is not a list")
+    cfg = DataConfig(**{k: manifest[k] for k in _CONFIG_KEYS})
     blob = (path / "records.bin").read_bytes()
     if blob[:len(_MAGIC)] != _MAGIC:
         raise FormatError(f"bad magic bytes at offset 0 of records.bin")
@@ -278,7 +284,9 @@ def load_dataset(path) -> Dataset:
     image_values = cfg.patch_rows * cfg.patch_cols * cfg.patch_pixels
     image_bytes = image_values * 8
     records = []
-    for meta in manifest["records"]:
+    for i, meta in enumerate(manifest["records"]):
+        if not (isinstance(meta, dict) and "identity" in meta and "attributes" in meta):
+            raise FormatError(f"manifest record {i} lacks its identity or attributes")
         if offset + image_bytes + 4 > len(blob):
             raise FormatError(f"records.bin truncated at offset {offset}")
         image = np.frombuffer(blob, dtype="<f8", count=image_values,
@@ -289,12 +297,25 @@ def load_dataset(path) -> Dataset:
         offset += 4
         if offset + length > len(blob):
             raise FormatError(f"records.bin truncated at offset {offset}")
-        caption = blob[offset:offset + length].decode("utf-8")
+        try:
+            caption = blob[offset:offset + length].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"caption of record {i} is not valid UTF-8: {e}") from e
         offset += length
         records.append(PersonRecord(meta["identity"], dict(meta["attributes"]),
                                     image, caption))
     if offset != len(blob):
         raise FormatError(f"trailing bytes in records.bin at offset {offset}")
+    split_of: dict[int, str] = {}
+    for split in ("train_indices", "test_indices"):
+        for index in manifest[split]:
+            if type(index) is not int or not 0 <= index < len(records):
+                raise FormatError(f"{split} holds index {index!r}, outside the "
+                                  f"{len(records)} records")
+            if index in split_of:
+                raise FormatError(f"record {index} is listed in {split_of[index]} "
+                                  f"and again in {split}")
+            split_of[index] = split
     return Dataset(cfg, records, list(manifest["train_indices"]),
                    list(manifest["test_indices"]))
 

@@ -100,8 +100,10 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
 
 
 def fine_similarity(fusion_cls: Tensor, w_o: Tensor) -> Tensor:
-    """Scalar matching logit of a fused [CLS] representation."""
-    return nx.reshape(nx.matmul(nx.as_row(fusion_cls), w_o), ())
+    """Matching logit of a fused [CLS] representation: a scalar from a (d,)
+    row, or (B,) logits from the (B, d) rows of a batch of pairs."""
+    rows = fusion_cls if fusion_cls.data.ndim == 2 else nx.as_row(fusion_cls)
+    return nx.reshape(nx.matmul(rows, w_o), fusion_cls.shape[:-1])
 
 
 def itm_loss(pairs: list) -> Tensor:

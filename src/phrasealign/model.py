@@ -222,36 +222,73 @@ def phrase_projection(params: Params, cfg: ModelConfig) -> Tensor:
 # outputs and traces
 
 
+# key bias of padding rows: finite, since Tensor rejects -inf, and far enough
+# below any score that its softmax weight is exactly 0
+PAD_BIAS = -1e30
+
+
 @dataclasses.dataclass
 class EncoderOutput:
-    reps: Tensor  # (sequence_length + 1, d); row 0 is the global [CLS] row
+    """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
+    zero-padded to the longest, (B, L_max+1, d); row 0 is the global [CLS]
+    row. A batch whose lengths differ carries ``pad_bias``, a constant
+    (B, 1, 1, L_max+1) key bias: 0 on real rows, ``PAD_BIAS`` on padding."""
+
+    reps: Tensor
+    pad_bias: Tensor | None = None
 
     @property
     def cls(self) -> Tensor:
         return nx.take_row(self.reps, 0)
 
 
+def stack_outputs(outs) -> EncoderOutput:
+    """One batched output from per-sequence outputs (repeats allowed), in
+    order; see :class:`EncoderOutput`."""
+    reps = nx.stack_padded([o.reps for o in outs])
+    rows = [o.reps.shape[0] for o in outs]
+    if min(rows) == reps.shape[1]:
+        return EncoderOutput(reps)
+    bias = np.zeros((len(rows), 1, 1, reps.shape[1]))
+    for b, n in enumerate(rows):
+        bias[b, ..., n:] = PAD_BIAS
+    return EncoderOutput(reps, Tensor(bias))
+
+
 @dataclasses.dataclass
 class AttentionTrace:
-    """Attention state of one cross-attention layer, head as leading axis."""
+    """Attention state of one cross-attention layer, head as an axis; a
+    batched cross-encode adds a leading pair axis, and padded text rows of a
+    pair hold finite values nothing reads."""
 
     layer: int                  # 1-based
-    attn: Tensor                # (heads, L_text+1, L_img+1), rows sum to 1
-    values: Tensor              # (heads, L_img+1, head_dim)
+    attn: Tensor                # ([B,] heads, L_text+1, L_img+1), rows sum to 1
+    values: Tensor              # ([B,] heads, L_img+1, head_dim)
 
 
 @dataclasses.dataclass
 class FusionOutput:
-    reps: Tensor
+    reps: Tensor                # ([B,] L_text+1, d), as the text input
     trace: AttentionTrace | None = None
 
     @property
     def cls(self) -> Tensor:
         return nx.take_row(self.reps, 0)
 
+    def pair(self, b: int, rows: int) -> "FusionOutput":
+        """Pair ``b`` of a batched output cut to its ``rows`` real text rows.
+        The rows stay on the graph; the trace is a constant slice, since its
+        readers use only its values."""
+        reps = nx.slice_rows(nx.gather_rows(self.reps, b), 0, rows)
+        trace = self.trace
+        if trace is not None:
+            trace = AttentionTrace(trace.layer, Tensor(trace.attn.data[b, :, :rows]),
+                                   Tensor(trace.values.data[b]))
+        return FusionOutput(reps, trace)
+
 
 # optional collector: every attention softmax computed while a collector is
-# installed reports its worst row-sum deviation, one per head, to it
+# installed reports its worst row-sum deviation, one per (pair,) head, to it
 _row_sum_collector: list | None = None
 
 
@@ -269,24 +306,36 @@ def collect_attention_row_sums(into: list):
 def _note_attention_rows(a: Tensor) -> None:
     if _row_sum_collector is not None:
         dev = np.abs(a.data.sum(axis=-1) - 1.0).max(axis=-1)
-        _row_sum_collector.extend(dev.tolist())
+        _row_sum_collector.extend(dev.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
 # blocks
 
 
+def _head_axis(x: Tensor) -> Tensor:
+    """(B, L, d) rows as (B, 1, L, d), so that a (heads, d, w) weight
+    broadcasts over the pairs; a (L, d) matrix already broadcasts."""
+    return x if x.data.ndim == 2 else nx.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+
+
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
-                          params: Params, prefix: str, cfg: ModelConfig):
-    """Scaled dot-product attention over all heads at once. Returns the output
-    rows, the (heads, L_q, L_kv) attention and the (heads, L_kv, head_dim)
+                          params: Params, prefix: str, cfg: ModelConfig,
+                          key_bias: Tensor | None = None):
+    """Scaled dot-product attention over all heads (and pairs) at once, with
+    ``key_bias`` added to the scores. Returns the output rows, the
+    ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, head_dim)
     values."""
+    x_q = _head_axis(queries_from)
+    x_kv = x_q if keys_values_from is queries_from else _head_axis(keys_values_from)
     # scale q, not the scores: (heads, L, L) temporaries are the costly ones
-    q = nx.mul(nx.matmul(queries_from, params[f"{prefix}.wq"]),
-               1.0 / np.sqrt(cfg.head_dim))
-    k = nx.matmul(keys_values_from, params[f"{prefix}.wk"])
-    v = nx.matmul(keys_values_from, params[f"{prefix}.wv"])
-    a = nx.row_softmax(nx.matmul(q, nx.transpose(k)))
+    q = nx.mul(nx.matmul(x_q, params[f"{prefix}.wq"]), 1.0 / np.sqrt(cfg.head_dim))
+    k = nx.matmul(x_kv, params[f"{prefix}.wk"])
+    v = nx.matmul(x_kv, params[f"{prefix}.wv"])
+    scores = nx.matmul(q, nx.transpose(k))
+    if key_bias is not None:
+        scores = nx.add(scores, key_bias)
+    a = nx.row_softmax(scores)
     _note_attention_rows(a)
     out = nx.add(nx.matmul(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"]),
                  params[f"{prefix}.out.b"])
@@ -370,16 +419,26 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
                  mode: str = "train") -> FusionOutput:
     """Per layer: self-attention over text rows, cross-attention with text
     queries against image keys/values, feed-forward. ``trace_layer`` (1-based)
-    captures that layer's attention trace."""
+    captures that layer's attention trace.
+
+    Takes one pair, or a batch of pairs as built by :func:`stack_outputs`:
+    text and image reps with the same leading pair axis. A text batch's
+    ``pad_bias`` keeps its padding out of the text self-attention; image rows
+    are never padded. The fused reps and the trace keep the pair axis."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
+    if text_out.reps.shape[:-2] != img_out.reps.shape[:-2] or \
+            img_out.pad_bias is not None:
+        raise nx.ShapeError(f"need one unpadded image per text: text "
+                            f"{text_out.reps.shape}, image {img_out.reps.shape}")
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = text_out.reps
         trace = None
         for layer in range(cfg.n_cross_layers):
             prefix = f"cross{layer}"
-            attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.self", cfg)
+            attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.self", cfg,
+                                               text_out.pad_bias)
             x = _post_norm(x, attn, params, f"{prefix}.ln1")
             cross, a, v = _multi_head_attention(x, img_out.reps, params,
                                                 f"{prefix}.cross", cfg)

@@ -6,7 +6,12 @@ tensors that sit on a differentiable path are recorded on an acyclic graph;
 ``backward`` then accumulates d(root)/d(node) into each node's ``grad`` slot.
 Inside :func:`no_grad` nothing is recorded and no gradient state is allocated.
 
-Gradient slots accumulate with ``+=`` and must be cleared explicitly through
+Only leaves (tensors created with ``requires_grad=True``) own a gradient slot
+from the start: it is zero-initialized and keeps what ``backward`` adds to it.
+An op result gets its slot inside ``backward`` when the first gradient
+reaches it, and loses it again once that gradient has been passed on to its
+parents, so no full-size buffer is held for nodes backward never reaches.
+Leaf slots accumulate with ``+=`` and must be cleared explicitly through
 ``zero_grads`` between backward passes; reuse without a reset raises.
 
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
@@ -17,6 +22,7 @@ difference oracle used to validate every analytic gradient.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,10 +62,12 @@ def is_grad_enabled() -> bool:
 class Tensor:
     """A float64 array plus its slot in the differentiation graph.
 
-    ``data`` is the value (row-major numpy array). ``grad`` mirrors its shape,
-    zero-initialized, for tensors created with ``requires_grad=True`` or
-    produced from such tensors while recording; otherwise it stays ``None``.
-    ``op`` and ``parents`` describe how the tensor was produced.
+    ``data`` is the value (row-major numpy array). ``grad`` mirrors its shape:
+    a leaf created with ``requires_grad=True`` starts with a zero slot; an op
+    result produced while recording starts with ``None``, holds its gradient
+    only between its first use in :func:`backward` and the call of its
+    backward function, and is ``None`` again afterwards. ``op`` and
+    ``parents`` describe how the tensor was produced.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "requires_grad",
@@ -68,14 +76,17 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        # a finite sum implies finite elements; only a non-finite sum (which
+        # overflow of finite values can also cause) needs the full scan
+        if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite values produced by op '{op}'")
         self.data = arr
         self.op = op
         self.parents = parents
         self.requires_grad = bool(requires_grad)
         self._backward_fn = backward_fn
-        self.grad = np.zeros_like(arr) if self.requires_grad else None
+        self.grad = np.zeros_like(arr) if self.requires_grad and backward_fn is None \
+            else None
         self._grad_dirty = False
 
     @property
@@ -205,12 +216,19 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes. Leading (head) axes must match, or one
-    operand is a matrix shared by every leading index."""
+    """Product over the last two axes; leading axes broadcast, so a matrix is
+    shared by every leading index and ``(B, 1, L, d) @ (heads, d, w)`` gives
+    ``(B, heads, L, w)``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or \
-            (a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    # broadcast_shapes costs more than a small matmul: only call it when the
+    # leading axes differ
+    if a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
 
     def bw(g):
         return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
@@ -365,30 +383,52 @@ def as_row(a: Tensor) -> Tensor:
 
 
 def merge_heads(a: Tensor) -> Tensor:
-    """(heads, rows, w) -> (rows, heads*w): head blocks side by side, head 0 first."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"merge_heads expects (heads, rows, width), got {a.shape}")
-    heads, rows, width = a.shape
+    """(..., heads, rows, w) -> (..., rows, heads*w): head blocks side by
+    side, head 0 first."""
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads expects (..., heads, rows, width), got {a.shape}")
+    *lead, heads, rows, width = a.shape
 
     def bw(g):
-        return (g.reshape(rows, heads, width).transpose(1, 0, 2),)
+        return (np.swapaxes(g.reshape(*lead, rows, heads, width), -3, -2),)
 
-    return _result(a.data.transpose(1, 0, 2).reshape(rows, heads * width),
+    return _result(np.swapaxes(a.data, -3, -2).reshape(*lead, rows, heads * width),
                    "merge_heads", (a,), bw)
 
 
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Rows of an embedding table; gradients scatter-add back."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
+def stack_padded(tensors: Sequence[Tensor]) -> Tensor:
+    """Matrices of equal width stacked on a new leading axis, each padded with
+    zero rows at the bottom to the longest: (n, max rows, width)."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors or any(t.data.ndim != 2 for t in tensors) or \
+            len({t.shape[1] for t in tensors}) != 1:
+        raise ShapeError(f"stack_padded needs matrices of equal width: "
+                         f"{[t.shape for t in tensors]}")
+    rows = [t.shape[0] for t in tensors]
+    out = np.zeros((len(tensors), max(rows), tensors[0].shape[1]))
+    for b, t in enumerate(tensors):
+        out[b, :rows[b]] = t.data
+
+    def bw(g):
+        return tuple(g[b, :n] for b, n in enumerate(rows))
+
+    return _result(out, "stack_padded", tuple(tensors), bw)
+
+
+def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
+    """Entries along the leading axis: the rows ``ids`` of an embedding table
+    (duplicates allowed), or for an int the single entry ``table[ids]`` with
+    that axis dropped. Gradients scatter-add back."""
+    if table.data.ndim < 1:
+        raise ShapeError("gather_rows needs a leading axis to index")
+    idx = ids if isinstance(ids, (int, np.integer)) else np.asarray(ids, dtype=np.intp)
 
     def bw(g):
         out = np.zeros(table.shape)
         np.add.at(out, idx, g)
         return (out,)
 
-    return _result(table.data[idx], "gather_rows", (table,), bw)
+    return _result(np.take(table.data, idx, axis=0), "gather_rows", (table,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +486,24 @@ def binary_cross_entropy_logit(logit: Tensor, label: float) -> Tensor:
 
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row layer normalization with learned gain and bias (1-D, width n)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"layer_norm_rows expects a matrix, got shape {a.shape}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    """Layer normalization over the last axis (width n) with learned gain and
+    bias (1-D, width n), for any number of leading axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"layer_norm_rows expects rows, got shape {a.shape}")
+    n = a.shape[-1]
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (a.data - mu) * inv
     y = xhat * gain.data + bias.data
 
     def bw(g):
         gh = g * gain.data
-        m1 = gh.mean(axis=1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=1, keepdims=True)
+        m1 = gh.mean(axis=-1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
         ga = (gh - m1 - xhat * m2) * inv
-        return (ga, (g * xhat).sum(axis=0), g.sum(axis=0))
+        return (ga, (g * xhat).reshape(-1, n).sum(axis=0),
+                g.reshape(-1, n).sum(axis=0))
 
     return _result(y, "layer_norm_rows", (a, gain, bias), bw)
 
@@ -511,11 +554,14 @@ def _toposort(root: Tensor) -> list:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into every reachable grad slot.
+    """Accumulate d(root)/d(node) into the grad slot of every reachable leaf.
 
-    ``root`` must be scalar. Grad slots touched by a previous backward must
-    be reset (``zero_grads``) first; silent accumulation across passes is an
-    error by design.
+    ``root`` must be scalar. An op result gets a slot holding a copy of the
+    first gradient that reaches it (that array may alias another node's
+    buffer), adds later ones into it, and gives the slot up once its backward
+    function has run. Grad slots touched by a previous backward must be reset
+    (``zero_grads``) first; silent accumulation across passes is an error by
+    design.
     """
     if root.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
@@ -534,6 +580,7 @@ def backward(root: Tensor) -> None:
         if node._backward_fn is None or node.grad is None:
             continue
         grads = node._backward_fn(node.grad)
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
@@ -544,7 +591,14 @@ def backward(root: Tensor) -> None:
                         "call zero_grads before backward")
                 touched.add(id(parent))
                 parent._grad_dirty = True
-            parent.grad += g
+            if parent.grad is not None:
+                parent.grad += g
+            elif np.shape(g) == parent.data.shape:
+                parent.grad = np.array(g, dtype=np.float64, order="C")
+            else:
+                raise ShapeError(f"backward of op '{node.op}' gave a gradient of "
+                                 f"shape {np.shape(g)} for an input of shape "
+                                 f"{parent.shape}")
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

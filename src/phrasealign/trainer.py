@@ -193,10 +193,11 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         pairs = ([(i, i, 1.0) for i in range(n)]
                  + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
                  + [(j, i, 0.0) for j, i in enumerate(neg_img)])
-        logits = []
-        for t, i, _ in pairs:
-            fused = md.cross_encode(txt_outs[t], img_outs[i], params, model_cfg)
-            logits.append(ls.fine_similarity(fused.cls, params["itm.w"]))
+        fused = md.cross_encode(md.stack_outputs([txt_outs[t] for t, _, _ in pairs]),
+                                md.stack_outputs([img_outs[i] for _, i, _ in pairs]),
+                                params, model_cfg)
+        logit_vec = ls.fine_similarity(fused.cls, params["itm.w"])
+        logits = [nx.gather_rows(logit_vec, b) for b in range(len(pairs))]
         itm = ls.itm_loss([(logit, label)
                            for logit, (_, _, label) in zip(logits, pairs)])
 
@@ -210,38 +211,42 @@ def train_step(batch: Batch, stage: int, params: md.Params,
 
         per_phrase = []
         weight_sums = []
-        if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm):
+        # (image index, phrase, masked phrase), batch item by item
+        items = [(i, phrase, masked) for i in range(n)
+                 for phrase, masked in batch.phrase_pairs[i]]
+        if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm) and items:
             need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
             trace_layer = model_cfg.bidiratt_layer if need_trace else None
-            for i in range(n):
-                for phrase, masked in batch.phrase_pairs[i]:
-                    phr_out = md.encode_text(list(masked.token_ids), params,
-                                             model_cfg)
-                    fused = md.cross_encode(
-                        phr_out, img_outs[i], params, model_cfg,
-                        trace_layer=trace_layer)
-                    biatt_term = Tensor(0.0)
-                    mpm_term = Tensor(0.0)
-                    if cfg.enable_biatt:
-                        # the local stream reads the masked phrase's own pass,
-                        # or a separate traced pass over the clean phrase
-                        biatt_out, biatt_fused = phr_out, fused
-                        if model_cfg.biatt_phrase == "clean":
-                            biatt_out = md.encode_text(list(phrase.token_ids),
-                                                       params, model_cfg)
-                            biatt_fused = md.cross_encode(
-                                biatt_out, img_outs[i], params, model_cfg,
-                                trace_layer=model_cfg.bidiratt_layer)
-                        biatt_term, weights = local_alignment_loss(
-                            img_outs[i], biatt_out, biatt_fused,
-                            masked.mask_index + 1, params, model_cfg,
-                            target_id=masked.target_id)
-                        weight_sums.append(float(weights.w.sum()))
-                    if cfg.enable_mpm:
-                        mpm_term = ls.masked_phrase_loss(
-                            fused, masked, params,
-                            positions=model_cfg.mpm_positions)
-                    per_phrase.append((biatt_term, mpm_term))
+            images = md.stack_outputs([img_outs[i] for i, _, _ in items])
+            phr_outs = [md.encode_text(list(masked.token_ids), params, model_cfg)
+                        for _, _, masked in items]
+            fused = md.cross_encode(md.stack_outputs(phr_outs), images, params,
+                                    model_cfg, trace_layer=trace_layer)
+            # the local stream reads the masked phrases' own pass, or a
+            # separate traced pass over the clean phrases
+            biatt_outs, biatt_fused = phr_outs, fused
+            if cfg.enable_biatt and model_cfg.biatt_phrase == "clean":
+                biatt_outs = [md.encode_text(list(phrase.token_ids), params, model_cfg)
+                              for _, phrase, _ in items]
+                biatt_fused = md.cross_encode(
+                    md.stack_outputs(biatt_outs), images, params, model_cfg,
+                    trace_layer=model_cfg.bidiratt_layer)
+            for b, (i, _, masked) in enumerate(items):
+                fused_b = fused.pair(b, phr_outs[b].reps.shape[0])
+                biatt_term = Tensor(0.0)
+                mpm_term = Tensor(0.0)
+                if cfg.enable_biatt:
+                    biatt_b = fused_b if biatt_fused is fused else \
+                        biatt_fused.pair(b, biatt_outs[b].reps.shape[0])
+                    biatt_term, weights = local_alignment_loss(
+                        img_outs[i], biatt_outs[b], biatt_b,
+                        masked.mask_index + 1, params, model_cfg,
+                        target_id=masked.target_id)
+                    weight_sums.append(float(weights.w.sum()))
+                if cfg.enable_mpm:
+                    mpm_term = ls.masked_phrase_loss(fused_b, masked, params,
+                                                     positions=model_cfg.mpm_positions)
+                per_phrase.append((biatt_term, mpm_term))
 
         total, breakdown = ls.total_loss(itc, itm, tri, per_phrase, stage,
                                          phrase_scale=1.0 / n,

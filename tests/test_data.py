@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,44 @@ def test_version_mismatch_rejected(dataset, tmp_path):
     manifest.write_text(manifest.read_text().replace(
         '"format_version": 1', '"format_version": 99'))
     with pytest.raises(dt.FormatError, match="version"):
+        dt.load_dataset(tmp_path / "ds")
+
+
+def _drop_noise_sigma(manifest, blob):
+    del manifest["noise_sigma"]
+
+
+def _bad_utf8_caption(manifest, blob):
+    # record 0's caption starts after the magic, its image and its length
+    cfg = dt.DataConfig()
+    blob[8 + 8 * cfg.patch_rows * cfg.patch_cols * cfg.patch_pixels + 4] = 0xFF
+
+
+def _overlapping_splits(manifest, blob):
+    manifest["test_indices"][0] = manifest["train_indices"][0]
+
+
+def _index_out_of_range(manifest, blob):
+    manifest["train_indices"][0] = 999
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_noise_sigma, "noise_sigma"),
+    (_bad_utf8_caption, "record 0 .*UTF-8"),
+    (_overlapping_splits, "record .* train_indices and again in test_indices"),
+    (_index_out_of_range, "999"),
+], ids=["missing config key", "caption not utf-8", "splits overlap",
+        "index out of range"])
+def test_malformed_dataset_rejected(dataset, tmp_path, corrupt, message):
+    dt.save_dataset(dataset, tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    blob_path = tmp_path / "ds" / "records.bin"
+    manifest = json.loads(manifest_path.read_text())
+    blob = bytearray(blob_path.read_bytes())
+    corrupt(manifest, blob)
+    manifest_path.write_text(json.dumps(manifest))
+    blob_path.write_bytes(bytes(blob))
+    with pytest.raises(dt.FormatError, match=message):
         dt.load_dataset(tmp_path / "ds")
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phrasealign import losses as ls
 from phrasealign import model as md
 from phrasealign import numerics as nx
 from phrasealign.numerics import Rng
@@ -160,6 +161,70 @@ def test_row_sum_collector(cfg, params, pipeline):
     # every cross layer contributes self+cross attention rows per head
     assert len(devs) == cfg.n_cross_layers * cfg.heads * 2
     assert max(devs) <= 1e-9
+    # a batch of pairs reports one float per pair and head
+    short = md.encode_text([5], params, cfg)
+    with md.collect_attention_row_sums([]) as devs:
+        md.cross_encode(md.stack_outputs([txt, short]), md.stack_outputs([img, img]),
+                        params, cfg)
+    assert len(devs) == cfg.n_cross_layers * 2 * cfg.heads * 2
+    assert all(type(d) is float for d in devs) and max(devs) <= 1e-9
+
+
+def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
+    """Texts of unequal length (one at the batch maximum), a repeated image
+    and a trace layer: each pair's real rows, trace and ITM logit, and every
+    parameter gradient of a fixed probe, equal the per-pair calls."""
+    params = md.init_params(cfg, Rng(4))
+    ids = [pipeline.vocab.encode(words) for words in
+           (["red", "shirt"], ["a", "man", "in", "blue", "pants"], ["black", "hair", "."])]
+    images = [random_patches(cfg, seed) for seed in (1, 2)]
+    pairs = [(0, 0), (1, 1), (2, 0)]   # (text, image)
+    probes = [Rng(10 + b).normal((len(ids[t]) + 1, cfg.d))
+              for b, (t, _) in enumerate(pairs)]
+
+    def run(batched):
+        params.zero_grads()
+        imgs = [md.encode_image(x, params, cfg) for x in images]
+        txts = [md.encode_text(i, params, cfg) for i in ids]
+        if batched:
+            fused = md.cross_encode(md.stack_outputs([txts[t] for t, _ in pairs]),
+                                    md.stack_outputs([imgs[i] for _, i in pairs]),
+                                    params, cfg, trace_layer=cfg.bidiratt_layer)
+            logits = ls.fine_similarity(fused.cls, params["itm.w"]).data
+            outs = [fused.pair(b, txts[t].reps.shape[0])
+                    for b, (t, _) in enumerate(pairs)]
+        else:
+            outs = [md.cross_encode(txts[t], imgs[i], params, cfg,
+                                    trace_layer=cfg.bidiratt_layer) for t, i in pairs]
+            logits = [ls.fine_similarity(o.cls, params["itm.w"]).item() for o in outs]
+        nx.backward(nx.sum_n([nx.sum_all(nx.mul(o.reps, probe))
+                              for o, probe in zip(outs, probes)]))
+        grads = {name: p.grad.copy() for name, p in params.named()}
+        params.zero_grads()
+        return outs, np.asarray(logits), grads
+
+    batch_outs, batch_logits, batch_grads = run(batched=True)
+    pair_outs, pair_logits, pair_grads = run(batched=False)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    assert batch_logits.shape == (3,) and close(batch_logits, pair_logits)
+    for got, want in zip(batch_outs, pair_outs):
+        assert got.reps.shape == want.reps.shape and close(got.reps.data, want.reps.data)
+        assert close(got.trace.attn.data, want.trace.attn.data)
+        assert close(got.trace.values.data, want.trace.values.data)
+    for name, g in pair_grads.items():
+        assert close(batch_grads[name], g), name
+
+
+def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
+    img = md.encode_image(random_patches(cfg), params, cfg)
+    texts = md.stack_outputs([md.encode_text([5, 6], params, cfg)] * 2)
+    with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
+        md.cross_encode(texts, md.stack_outputs([img] * 3), params, cfg)
+    with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
+        md.cross_encode(texts, img, params, cfg)
 
 
 # ---------------------------------------------------------------------------

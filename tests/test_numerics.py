@@ -97,6 +97,59 @@ def test_finite_diff_stacked_head_ops(probe):
 
 
 # ---------------------------------------------------------------------------
+# a leading batch axis
+
+
+def test_batched_ops_match_per_item_ops():
+    rng = nx.Rng(14)
+    short, long_ = t(rng.normal((2, 6))), t(rng.normal((3, 6)))
+    w = t(rng.normal((2, 6, 3)))
+    x = nx.stack_padded([short, long_, short])
+    assert x.shape == (3, 3, 6)
+    assert np.array_equal(x.data[0, :2], short.data) and not x.data[0, 2:].any()
+    q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
+    gain, bias = t(rng.normal(6)), t(rng.normal(6))
+    merged = nx.merge_heads(q)
+    normed = nx.layer_norm_rows(merged, gain, bias)
+    assert q.shape == (3, 2, 3, 3) and merged.shape == (3, 3, 6)
+    for b in range(3):
+        assert np.array_equal(q.data[b], nx.matmul(t(x.data[b]), w).data)
+        assert np.array_equal(merged.data[b], nx.merge_heads(t(q.data[b])).data)
+        assert np.array_equal(normed.data[b],
+                              nx.layer_norm_rows(t(merged.data[b]), gain, bias).data)
+        assert np.array_equal(nx.gather_rows(x, b).data, x.data[b])
+    assert np.array_equal(nx.gather_rows(x, [2, 0, 2]).data, x.data[[2, 0, 2]])
+    # leading axes that do not broadcast are still rejected
+    with pytest.raises(nx.ShapeError):
+        nx.matmul(nx.reshape(x, (3, 1, 3, 6)), t(rng.normal((2, 2, 6, 3))))
+
+
+@pytest.mark.parametrize("probe", ["short", "long", "weights", "gain", "bias"])
+def test_finite_diff_batched_ops(probe):
+    """Padded stack, (B, 1, L, d) @ (heads, d, w) and (B, heads) @ (B, heads)
+    matmul, batched merge_heads and layer_norm_rows, and int and repeated
+    leading-axis indexing; each operand probed."""
+    rng = nx.Rng(15)
+    leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
+              "weights": t(rng.normal((2, 4, 3))), "gain": t(rng.normal(6, 0.5) + 1.0),
+              "bias": t(rng.normal(6, 0.5))}
+
+    def f(v):
+        short, long_, w, gain, bias = (v if name == probe else leaf
+                                       for name, leaf in leaves.items())
+        x = nx.reshape(nx.stack_padded([short, long_, short]), (3, 1, 3, 4))
+        q = nx.matmul(x, w)
+        scores = nx.matmul(q, nx.transpose(nx.tanh(q)))
+        y = nx.layer_norm_rows(nx.merge_heads(nx.tanh(q)), gain, bias)
+        picked = nx.gather_rows(y, [2, 0, 2])
+        one = nx.gather_rows(y, 1)
+        return nx.sum_n([nx.sum_all(nx.tanh(picked)), nx.mean_all(nx.mul(one, one)),
+                         nx.mean_all(nx.tanh(scores))])
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
 # row_softmax
 
 
@@ -222,6 +275,44 @@ def test_nonfinite_rejected():
         nx.div(t([1.0]), t([0.0]))
 
 
+@pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+                                    [np.inf, -np.inf], np.nan],
+                         ids=["nan", "+inf", "-inf", "inf and -inf", "nan scalar"])
+def test_nonfinite_element_rejected(values):
+    # the sum that screens for non-finite values warns on inf - inf
+    with np.errstate(invalid="ignore"), pytest.raises(nx.NonFiniteError):
+        nx.Tensor(values)
+
+
+def test_finite_values_with_overflowing_sum_accepted():
+    with np.errstate(over="ignore"):
+        x = nx.Tensor([1e308, 1e308])
+    assert np.array_equal(x.data, [1e308, 1e308])
+
+
+# ---------------------------------------------------------------------------
+# gradient slots
+
+
+def test_interior_slot_released_and_leaf_slots_kept():
+    x = t([1.0, 2.0], grad=True)
+    y = t([3.0, 4.0], grad=True)
+    h = nx.mul(x, y)
+    assert h.grad is None and x.grad is not None
+    nx.backward(nx.sum_all(nx.mul(h, h)))
+    assert h.grad is None
+    assert np.array_equal(x.grad, 2.0 * h.data * y.data)
+    assert np.array_equal(y.grad, 2.0 * h.data * x.data)
+
+
+def test_first_gradient_of_wrong_shape_raises():
+    h = nx.mul(t([1.0, 2.0], grad=True), 2.0)
+    bad = nx.Tensor([1.0, 1.0], requires_grad=True, op="bad", parents=(h,),
+                    backward_fn=lambda g: (np.ones(3),))
+    with pytest.raises(nx.ShapeError, match="'bad'.*\\(3,\\).*\\(2,\\)"):
+        nx.backward(nx.sum_all(bad))
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -287,6 +378,10 @@ def test_concat_and_sum_n_reject_mismatched_shapes():
         nx.concat([t(np.zeros((2, 3))), t(np.zeros((2, 2)))], axis=0)
     with pytest.raises(nx.ShapeError):
         nx.sum_n([t(1.0), t([1.0, 2.0])])
+    with pytest.raises(nx.ShapeError):
+        nx.stack_padded([t(np.zeros((2, 3))), t(np.zeros((2, 2)))])
+    with pytest.raises(nx.ShapeError):
+        nx.stack_padded([])
 
 
 # ---------------------------------------------------------------------------
