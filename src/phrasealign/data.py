@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -276,6 +277,18 @@ def load_dataset(path) -> Dataset:
     for key in ("records", "train_indices", "test_indices"):
         if not isinstance(manifest[key], list):
             raise FormatError(f"dataset manifest entry {key!r} is not a list")
+    for key in _CONFIG_KEYS:
+        value = manifest[key]
+        if key == "noise_sigma":
+            want = "a finite number >= 0"
+            ok = type(value) in (int, float) and 0.0 <= value < math.inf
+        else:
+            low = 1 if key.startswith("patch_") else 0
+            want = f"an integer >= {low}"
+            ok = type(value) is int and value >= low
+        if not ok:
+            raise FormatError(f"dataset manifest entry {key!r} is {value!r}, "
+                              f"not {want}")
     cfg = DataConfig(**{k: manifest[k] for k in _CONFIG_KEYS})
     blob = (path / "records.bin").read_bytes()
     if blob[:len(_MAGIC)] != _MAGIC:
@@ -285,8 +298,10 @@ def load_dataset(path) -> Dataset:
     image_bytes = image_values * 8
     records = []
     for i, meta in enumerate(manifest["records"]):
-        if not (isinstance(meta, dict) and "identity" in meta and "attributes" in meta):
-            raise FormatError(f"manifest record {i} lacks its identity or attributes")
+        if not (isinstance(meta, dict) and type(meta.get("identity")) is int
+                and isinstance(meta.get("attributes"), dict)):
+            raise FormatError(f"manifest record {i} needs an integer identity "
+                              f"and an attributes object")
         if offset + image_bytes + 4 > len(blob):
             raise FormatError(f"records.bin truncated at offset {offset}")
         image = np.frombuffer(blob, dtype="<f8", count=image_values,

@@ -116,14 +116,11 @@ def check_itm(seed: int) -> float:
 
     def build():
         img = model.encode_image(images[0], params, cfg)
-        pos = model.cross_encode(model.encode_text(texts[0], params, cfg),
-                                 img, params, cfg)
-        neg = model.cross_encode(model.encode_text(texts[1], params, cfg),
-                                 img, params, cfg)
-        return losses.itm_loss([
-            (losses.fine_similarity(pos.cls, params["itm.w"]), 1.0),
-            (losses.fine_similarity(neg.cls, params["itm.w"]), 0.0),
-        ])
+        txts = [model.encode_text(ids, params, cfg) for ids in texts]
+        fused = model.cross_encode(model.stack_outputs(txts),
+                                   model.stack_outputs([img, img]), params, cfg)
+        return losses.itm_loss(losses.fine_similarity(fused.cls, params["itm.w"]),
+                               [1.0, 0.0])
 
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
@@ -201,8 +198,9 @@ def check_mpm(seed: int) -> float:
     def build():
         img = model.encode_image(images[0], params, cfg)
         phr = model.encode_text(list(masked.token_ids), params, cfg)
-        fused = model.cross_encode(phr, img, params, cfg)
-        return losses.masked_phrase_loss(fused, masked, params)
+        fused = model.cross_encode(model.stack_outputs([phr]),
+                                   model.stack_outputs([img]), params, cfg)
+        return nx.sum_all(losses.masked_phrase_loss(fused, [masked], params))
 
     errs = [finite_diff_param(params, "mpm.b2", build),
             finite_diff_param(params, "mpm.b1", build),
@@ -228,19 +226,23 @@ def check_total(seed: int) -> float:
         img1 = model.encode_image(images[1], params, cfg)
         txt0 = model.encode_text(texts[0], params, cfg)
         txt1 = model.encode_text(texts[1], params, cfg)
-        w_o = params["itm.w"]
-        pos = losses.fine_similarity(model.cross_encode(txt0, img0, params, cfg).cls, w_o)
-        neg_i = losses.fine_similarity(model.cross_encode(txt0, img1, params, cfg).cls, w_o)
-        neg_t = losses.fine_similarity(model.cross_encode(txt1, img0, params, cfg).cls, w_o)
-        itm = losses.itm_loss([(pos, 1.0), (neg_i, 0.0), (neg_t, 0.0)])
+        # (text, image): the positive, then a negative image and a negative text
+        fused = model.cross_encode(model.stack_outputs([txt0, txt0, txt1]),
+                                   model.stack_outputs([img0, img1, img0]),
+                                   params, cfg)
+        logits = losses.fine_similarity(fused.cls, params["itm.w"])
+        itm = losses.itm_loss(logits, [1.0, 0.0, 0.0])
+        pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
         tri = losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
-        phr = model.encode_text(list(masked.token_ids), params, cfg)
-        fused = model.cross_encode(phr, img0, params, cfg,
+        image = model.stack_outputs([img0])
+        phrase = model.stack_outputs([model.encode_text(list(masked.token_ids),
+                                                        params, cfg)])
+        fused = model.cross_encode(phrase, image, params, cfg,
                                    trace_layer=cfg.bidiratt_layer)
-        biatt, _ = local_alignment_loss(img0, phr, fused, masked.mask_index + 1,
+        biatt, _ = local_alignment_loss(image, phrase, fused, [masked.mask_index + 1],
                                         params, cfg)
-        mpm = losses.masked_phrase_loss(fused, masked, params)
-        total, _ = losses.total_loss(itc, itm, tri, [(biatt, mpm)], stage=2,
+        mpm = losses.masked_phrase_loss(fused, [masked], params)
+        total, _ = losses.total_loss(itc, itm, tri, biatt, mpm, stage=2,
                                      p_i2t=p_i2t, p_t2i=p_t2i)
         return total
 

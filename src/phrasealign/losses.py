@@ -88,12 +88,11 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     cand_img = Tensor(np.vstack([mom_img, queue.image_candidates()]))
     logits_i2t = nx.div(nx.matmul(img_emb, nx.transpose(cand_txt)), tau)
     logits_t2i = nx.div(nx.matmul(txt_emb, nx.transpose(cand_img)), tau)
-
-    def row_ce(logits):
-        return nx.mul(nx.sum_n([nx.cross_entropy_logits(nx.take_row(logits, i), i)
-                                for i in range(n)]), 1.0 / n)
-
-    loss = nx.mul(nx.add(row_ce(logits_i2t), row_ce(logits_t2i)), 0.5)
+    # both directions have n + queue-fill candidates: one cross-entropy over
+    # the 2n rows, each row's positive at its batch index
+    ce = nx.cross_entropy_logits(nx.concat([logits_i2t, logits_t2i], axis=0),
+                                 np.tile(np.arange(n), 2))
+    loss = nx.mul(nx.sum_all(ce), 0.5 / n)
     p_i2t = _softmax_rows(logits_i2t.data)
     p_t2i = _softmax_rows(logits_t2i.data)
     return loss, p_i2t, p_t2i
@@ -106,15 +105,15 @@ def fine_similarity(fusion_cls: Tensor, w_o: Tensor) -> Tensor:
     return nx.reshape(nx.matmul(rows, w_o), fusion_cls.shape[:-1])
 
 
-def itm_loss(pairs: list) -> Tensor:
-    """Binary cross-entropy over (logit, label) pairs, summed and normalized
-    by the number of positive pairs."""
-    if not pairs:
+def itm_loss(logits: Tensor, labels) -> Tensor:
+    """Binary cross-entropy of a vector of matching logits against their 0/1
+    labels, summed and normalized by the number of positive pairs."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if not labels.size:
         raise ValueError("itm_loss needs at least one pair")
-    n_pos = sum(1 for _, label in pairs if label >= 0.5)
-    terms = [nx.binary_cross_entropy_logit(logit, float(label))
-             for logit, label in pairs]
-    return nx.mul(nx.sum_n(terms), 1.0 / max(1, n_pos))
+    n_pos = int((labels >= 0.5).sum())
+    return nx.mul(nx.sum_all(nx.binary_cross_entropy_logit(logits, labels)),
+                  1.0 / max(1, n_pos))
 
 
 def sample_negatives(identities: list, coarse_sims: np.ndarray, rng: Rng,
@@ -151,8 +150,9 @@ def sample_negatives(identities: list, coarse_sims: np.ndarray, rng: Rng,
 
 def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
                         margin: float, direction: str = "standard") -> Tensor:
-    """Squared hinge separating the positive logit from both negatives by
-    ``margin``. The ``printed`` direction swaps the operands."""
+    """Squared hinge separating each positive logit from both of its
+    negatives by ``margin``, averaged over the pairs (scalars or same-shape
+    vectors). The ``printed`` direction swaps the operands."""
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 
@@ -166,61 +166,59 @@ def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
         r = nx.relu(gap)
         return nx.mul(r, r)
 
-    return nx.add(hinge(neg_img), hinge(neg_txt))
+    return nx.mean_all(nx.add(hinge(neg_img), hinge(neg_txt)))
 
 
-def mpm_logits(fusion: FusionOutput, position: int, params: Params) -> Tensor:
-    """Classifier logits over the vocabulary at one fused phrase position."""
-    row = nx.as_row(nx.take_row(fusion.reps, position))
-    hidden = nx.tanh(nx.add(nx.matmul(row, params["mpm.w1"]), params["mpm.b1"]))
-    out = nx.add(nx.matmul(hidden, params["mpm.w2"]), params["mpm.b2"])
-    return nx.reshape(out, (out.shape[1],))
-
-
-def masked_phrase_loss(fusion: FusionOutput, masked: MaskedPhrase, params: Params,
-                       positions: str = "masked") -> Tensor:
-    """Cross-entropy of the classifier against the original token.
+def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
+                       params: Params, positions: str = "masked") -> Tensor:
+    """Cross-entropy of the classifier against the original tokens, one
+    value per pair of a padded fused batch, (B, L_max + 1, d), with its B
+    masked phrases.
 
     ``masked`` scores the [MASK] position only; ``all`` sums the original
-    token's cross-entropy over every phrase position.
+    token's cross-entropy over every phrase position. Either way every row is
+    classified, and a 0/1 weight per position selects the scored ones.
     """
-    n_tokens = len(masked.token_ids)
-    if fusion.reps.shape[0] != n_tokens + 1:
-        raise ValueError(f"fusion rows {fusion.reps.shape[0]} do not cover "
-                         f"{n_tokens} phrase tokens")
-    if positions == "masked":
-        logits = mpm_logits(fusion, masked.mask_index + 1, params)
-        return nx.cross_entropy_logits(logits, masked.target_id)
-    if positions != "all":
+    if positions not in ("masked", "all"):
         raise ValueError(f"unknown positions mode {positions!r}")
-    originals = list(masked.token_ids)
-    originals[masked.mask_index] = masked.target_id
-    return nx.sum_n([nx.cross_entropy_logits(mpm_logits(fusion, j + 1, params), target)
-                     for j, target in enumerate(originals)])
+    batch, rows = fusion.reps.shape[:2]
+    if len(masked) != batch:
+        raise ValueError(f"{len(masked)} masked phrases for {batch} fused pairs")
+    targets = np.zeros((batch, rows), dtype=np.intp)
+    weights = np.zeros((batch, rows))
+    for b, phrase in enumerate(masked):
+        n_tokens = len(phrase.token_ids)
+        if n_tokens + 1 > rows:
+            raise ValueError(f"fusion rows {rows} do not cover "
+                             f"{n_tokens} phrase tokens")
+        originals = list(phrase.token_ids)
+        originals[phrase.mask_index] = phrase.target_id
+        scored = range(n_tokens) if positions == "all" else [phrase.mask_index]
+        for j in scored:
+            targets[b, j + 1] = originals[j]
+            weights[b, j + 1] = 1.0
+    hidden = nx.tanh(nx.add(nx.matmul(fusion.reps, params["mpm.w1"]), params["mpm.b1"]))
+    logits = nx.add(nx.matmul(hidden, params["mpm.w2"]), params["mpm.b2"])
+    ce = nx.cross_entropy_logits(logits, targets)
+    return nx.reshape(nx.row_sums(nx.mul(ce, Tensor(weights))), (batch,))
 
 
-def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None,
-               per_phrase: list, stage: int, phrase_scale: float = 1.0,
+def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | None,
+               mpm: Tensor | None, stage: int, phrase_scale: float = 1.0,
                p_i2t: np.ndarray | None = None, p_t2i: np.ndarray | None = None):
-    """Combine the loss terms; stage 1 keeps only the contrastive and
-    matching terms. Returns (total, breakdown)."""
-    if stage == 1 or not per_phrase:
-        biatt_t = mpm_t = None
-    else:
-        biatt_t = nx.mul(nx.sum_n([b for b, _ in per_phrase]), phrase_scale)
-        mpm_t = nx.mul(nx.sum_n([m for _, m in per_phrase]), phrase_scale)
-
-    terms = [itc, itm]
-    if stage != 1 and tri is not None:
-        terms.append(tri)
-    if biatt_t is not None:
-        terms += [biatt_t, mpm_t]
-    total = nx.sum_n(terms)
+    """Combine the loss terms; ``biatt`` and ``mpm`` hold one value per
+    phrase (or are None), summed and scaled by ``phrase_scale``. Stage 1
+    keeps only the contrastive and matching terms. Returns (total, breakdown)."""
+    if stage == 1:
+        tri = biatt = mpm = None
+    biatt_t, mpm_t = (None if v is None else nx.mul(nx.sum_all(v), phrase_scale)
+                      for v in (biatt, mpm))
+    total = nx.sum_n([t for t in (itc, itm, tri, biatt_t, mpm_t) if t is not None])
 
     breakdown = LossBreakdown(
         itc=float(itc.data),
         itm=float(itm.data),
-        tri=0.0 if (stage == 1 or tri is None) else float(tri.data),
+        tri=0.0 if tri is None else float(tri.data),
         biatt=0.0 if biatt_t is None else float(biatt_t.data),
         mpm=0.0 if mpm_t is None else float(mpm_t.data),
         total=float(total.data),

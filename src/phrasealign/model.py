@@ -275,17 +275,6 @@ class FusionOutput:
     def cls(self) -> Tensor:
         return nx.take_row(self.reps, 0)
 
-    def pair(self, b: int, rows: int) -> "FusionOutput":
-        """Pair ``b`` of a batched output cut to its ``rows`` real text rows.
-        The rows stay on the graph; the trace is a constant slice, since its
-        readers use only its values."""
-        reps = nx.slice_rows(nx.gather_rows(self.reps, b), 0, rows)
-        trace = self.trace
-        if trace is not None:
-            trace = AttentionTrace(trace.layer, Tensor(trace.attn.data[b, :, :rows]),
-                                   Tensor(trace.values.data[b]))
-        return FusionOutput(reps, trace)
-
 
 # optional collector: every attention softmax computed while a collector is
 # installed reports its worst row-sum deviation, one per (pair,) head, to it
@@ -486,13 +475,15 @@ def load_checkpoint(path) -> dict:
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"unreadable checkpoint manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{manifest.get('format_version')!r}")
     blob = (path / "tensors.bin").read_bytes()
     if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError("bad magic bytes in tensors.bin")
-    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("checkpoint manifest has no list of tensor entries")
     out = {}

@@ -100,9 +100,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -110,37 +107,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars and arrays coerce to constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -452,37 +418,48 @@ def row_softmax(a: Tensor) -> Tensor:
     return _result(y, "row_softmax", (a,), bw)
 
 
-def cross_entropy_logits(logits: Tensor, target_index: int) -> Tensor:
-    """Negative log softmax probability of ``target_index``. 1-D logits."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy_logits expects a vector, got {logits.shape}")
-    n = logits.size
-    if not 0 <= target_index < n:
-        raise IndexError(f"target index {target_index} out of range for {n} logits")
+def cross_entropy_logits(logits: Tensor, target_index) -> Tensor:
+    """Negative log softmax probability of the target along the last axis:
+    (..., V) logits and integer targets of shape ``logits.shape[:-1]`` give
+    (...) losses; a vector and an int give a scalar."""
     z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
+    target = np.asarray(target_index)
+    if z.ndim < 1 or target.shape != z.shape[:-1]:
+        raise ShapeError(f"cross_entropy_logits: targets of shape {target.shape} "
+                         f"for logits of shape {z.shape}")
+    n = z.shape[-1]
+    if target.dtype.kind not in "iu" or ((target < 0) | (target >= n)).any():
+        raise IndexError(f"target index {target_index} is not an integer in "
+                         f"0..{n - 1}")
+    idx = target[..., None]
+    m = z.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
     def bw(g):
         p = np.exp(z - lse)
-        p[target_index] -= 1.0
-        return (g * p,)
+        np.put_along_axis(p, idx, np.take_along_axis(p, idx, axis=-1) - 1.0, axis=-1)
+        return (np.asarray(g)[..., None] * p,)
 
-    return _result(lse - z[target_index], "cross_entropy_logits", (logits,), bw)
+    return _result((lse - np.take_along_axis(z, idx, axis=-1))[..., 0],
+                   "cross_entropy_logits", (logits,), bw)
 
 
-def binary_cross_entropy_logit(logit: Tensor, label: float) -> Tensor:
-    """Stable BCE of sigmoid(logit) against a 0/1 label. Scalar logit."""
-    if logit.size != 1:
-        raise ShapeError(f"binary_cross_entropy_logit expects a scalar, got {logit.shape}")
-    z = float(logit.data)
-    value = max(z, 0.0) - z * label + np.log1p(np.exp(-abs(z)))
-    sig = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+def binary_cross_entropy_logit(logit: Tensor, label) -> Tensor:
+    """Stable BCE of sigmoid(logit) against 0/1 labels, elementwise; ``label``
+    is a scalar or an array of the logit's shape."""
+    z = logit.data
+    label = np.asarray(label, dtype=np.float64)
+    if label.ndim and label.shape != z.shape:
+        raise ShapeError(f"binary_cross_entropy_logit: labels of shape "
+                         f"{label.shape} for logits of shape {z.shape}")
+    e = np.exp(-np.abs(z))
+    value = np.maximum(z, 0.0) - z * label + np.log1p(e)
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
-        return (np.full(logit.shape, float(g) * (sig - label)),)
+        return (g * (sig - label),)
 
-    return _result(np.asarray(value), "bce_logit", (logit,), bw)
+    return _result(value, "bce_logit", (logit,), bw)
 
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -517,17 +494,8 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return sum_all(mul(a, b))
 
 
-def l2_norm(a: Tensor) -> Tensor:
-    return sqrt(sum_all(mul(a, a)))
-
-
 def l2_normalize_rows(a: Tensor) -> Tensor:
     return div(a, sqrt(row_sums(mul(a, a))))
-
-
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of two 1-D vectors; caller guards zero vectors."""
-    return div(dot(a, b), mul(l2_norm(a), l2_norm(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import model as md
 from . import numerics as nx
 from .data import Batch, DataConfig, Dataset, make_batches
 from .local_align import local_alignment_loss
-from .numerics import Rng, Tensor
+from .numerics import Rng
 from .textproc import TextPipeline
 
 LOG_COLUMNS = ("step", "lr", "itc", "itm", "tri", "biatt", "mpm", "total")
@@ -196,20 +196,17 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         fused = md.cross_encode(md.stack_outputs([txt_outs[t] for t, _, _ in pairs]),
                                 md.stack_outputs([img_outs[i] for _, i, _ in pairs]),
                                 params, model_cfg)
-        logit_vec = ls.fine_similarity(fused.cls, params["itm.w"])
-        logits = [nx.gather_rows(logit_vec, b) for b in range(len(pairs))]
-        itm = ls.itm_loss([(logit, label)
-                           for logit, (_, _, label) in zip(logits, pairs)])
+        logits = ls.fine_similarity(fused.cls, params["itm.w"])
+        itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
         tri = None
         if stage != 1 and cfg.enable_triplet and neg_txt:
-            tri = nx.mul(nx.sum_n([
-                ls.fusion_triplet_loss(
-                    logits[i], logits[2 * n + i], logits[n + i],
-                    margin=cfg.triplet_margin, direction=cfg.triplet_direction)
-                for i in range(n)]), 1.0 / n)
+            pos, neg_t, neg_i = (nx.gather_rows(logits, range(k * n, (k + 1) * n))
+                                 for k in range(3))
+            tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin,
+                                         direction=cfg.triplet_direction)
 
-        per_phrase = []
+        biatt = mpm = None
         weight_sums = []
         # (image index, phrase, masked phrase), batch item by item
         items = [(i, phrase, masked) for i in range(n)
@@ -217,38 +214,33 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm) and items:
             need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
             trace_layer = model_cfg.bidiratt_layer if need_trace else None
+            masked = [m for _, _, m in items]
             images = md.stack_outputs([img_outs[i] for i, _, _ in items])
-            phr_outs = [md.encode_text(list(masked.token_ids), params, model_cfg)
-                        for _, _, masked in items]
-            fused = md.cross_encode(md.stack_outputs(phr_outs), images, params,
-                                    model_cfg, trace_layer=trace_layer)
-            # the local stream reads the masked phrases' own pass, or a
-            # separate traced pass over the clean phrases
-            biatt_outs, biatt_fused = phr_outs, fused
-            if cfg.enable_biatt and model_cfg.biatt_phrase == "clean":
-                biatt_outs = [md.encode_text(list(phrase.token_ids), params, model_cfg)
-                              for _, phrase, _ in items]
-                biatt_fused = md.cross_encode(
-                    md.stack_outputs(biatt_outs), images, params, model_cfg,
-                    trace_layer=model_cfg.bidiratt_layer)
-            for b, (i, _, masked) in enumerate(items):
-                fused_b = fused.pair(b, phr_outs[b].reps.shape[0])
-                biatt_term = Tensor(0.0)
-                mpm_term = Tensor(0.0)
-                if cfg.enable_biatt:
-                    biatt_b = fused_b if biatt_fused is fused else \
-                        biatt_fused.pair(b, biatt_outs[b].reps.shape[0])
-                    biatt_term, weights = local_alignment_loss(
-                        img_outs[i], biatt_outs[b], biatt_b,
-                        masked.mask_index + 1, params, model_cfg,
-                        target_id=masked.target_id)
-                    weight_sums.append(float(weights.w.sum()))
-                if cfg.enable_mpm:
-                    mpm_term = ls.masked_phrase_loss(fused_b, masked, params,
-                                                     positions=model_cfg.mpm_positions)
-                per_phrase.append((biatt_term, mpm_term))
+            phrases = md.stack_outputs([md.encode_text(list(m.token_ids), params,
+                                                       model_cfg) for m in masked])
+            fused = md.cross_encode(phrases, images, params, model_cfg,
+                                    trace_layer=trace_layer)
+            if cfg.enable_biatt:
+                # the local stream reads the masked phrases' own pass, or a
+                # separate traced pass over the clean phrases
+                biatt_phrases, biatt_fused = phrases, fused
+                if model_cfg.biatt_phrase == "clean":
+                    biatt_phrases = md.stack_outputs([
+                        md.encode_text(list(phrase.token_ids), params, model_cfg)
+                        for _, phrase, _ in items])
+                    biatt_fused = md.cross_encode(biatt_phrases, images, params,
+                                                  model_cfg,
+                                                  trace_layer=model_cfg.bidiratt_layer)
+                biatt, weights = local_alignment_loss(
+                    images, biatt_phrases, biatt_fused,
+                    [m.mask_index + 1 for m in masked], params, model_cfg,
+                    target_id=[m.target_id for m in masked])
+                weight_sums = weights.w.sum(axis=-1).tolist()
+            if cfg.enable_mpm:
+                mpm = ls.masked_phrase_loss(fused, masked, params,
+                                            positions=model_cfg.mpm_positions)
 
-        total, breakdown = ls.total_loss(itc, itm, tri, per_phrase, stage,
+        total, breakdown = ls.total_loss(itc, itm, tri, biatt, mpm, stage,
                                          phrase_scale=1.0 / n,
                                          p_i2t=p_i2t, p_t2i=p_t2i)
     diag = StepDiagnostics(attention_row_dev=max(devs) if devs else 0.0,

@@ -145,13 +145,29 @@ def _index_out_of_range(manifest, blob):
     manifest["train_indices"][0] = 999
 
 
+def _config_value(key, value):
+    def corrupt(manifest, blob):
+        manifest[key] = value
+    return corrupt
+
+
+def _attributes_not_object(manifest, blob):
+    manifest["records"][3]["attributes"] = ["red", "shirt"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_noise_sigma, "noise_sigma"),
     (_bad_utf8_caption, "record 0 .*UTF-8"),
     (_overlapping_splits, "record .* train_indices and again in test_indices"),
     (_index_out_of_range, "999"),
+    (_config_value("patch_rows", "8"), "'patch_rows'"),
+    (_config_value("patch_rows", -8), "'patch_rows'"),
+    (_config_value("noise_sigma", "0.05"), "'noise_sigma'"),
+    (_config_value("n_identities", 8.0), "'n_identities'"),
+    (_attributes_not_object, "record 3 "),
 ], ids=["missing config key", "caption not utf-8", "splits overlap",
-        "index out of range"])
+        "index out of range", "string patch_rows", "negative patch_rows",
+        "string noise_sigma", "float n_identities", "attributes not an object"])
 def test_malformed_dataset_rejected(dataset, tmp_path, corrupt, message):
     dt.save_dataset(dataset, tmp_path / "ds")
     manifest_path = tmp_path / "ds" / "manifest.json"

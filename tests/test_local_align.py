@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phrasealign import local_align as la
+from phrasealign import losses as ls
 from phrasealign import model as md
 from phrasealign import numerics as nx
 from phrasealign.numerics import Rng, Tensor
+from phrasealign.textproc import MASK_ID, MaskedPhrase, TextPipeline
 
 
 def stochastic_rows(raw):
@@ -312,3 +314,108 @@ def test_pgm_output(tmp_path):
     pixels = raw[len(b"P5\n2 2\n255\n"):]
     assert len(pixels) == 4
     assert pixels[0] == 0 and pixels[3] == 255
+
+
+# ---------------------------------------------------------------------------
+# a padded batch of pairs against batch-of-one calls
+
+
+def phrase_batch_setup(**over):
+    """A toy model, two images and three masked phrases of 2, 4 and 3 tokens
+    (the second at the batch maximum), paired with images 0, 1 and 0."""
+    pipeline = TextPipeline()
+    cfg = md.ModelConfig(d=8, heads=2, n_self_layers=1, n_cross_layers=2,
+                         bidiratt_layer=1, proj_dim=4, patch_rows=2, patch_cols=2,
+                         patch_pixels=6, max_text_len=12,
+                         vocab_size=len(pipeline.vocab), **over)
+    params = md.init_params(cfg, Rng(0))
+    # widened as in the gradcheck suite, so attention and weights differ by row
+    for name, t in params.named():
+        if t.data.ndim >= 2 and name != "mpm.w2":
+            t.data *= 12.0
+    images = [Rng(seed).uniform((cfg.n_patches, cfg.patch_pixels)) for seed in (1, 2)]
+    masked = []
+    for words, pos in ((["red", "shirt"], 1), (["dark", "blue", "striped", "jacket"], 2),
+                       (["small", "black", "hat"], 0)):
+        ids = pipeline.vocab.encode(words)
+        masked.append(MaskedPhrase(tuple(ids[:pos] + [MASK_ID] + ids[pos + 1:]),
+                                   pos, ids[pos]))
+    return cfg, params, images, masked, [0, 1, 0]
+
+
+def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
+    """Both phrase losses of the stacked pairs, with the [CLS] row of pair
+    ``zero_cls_of`` (if given) zeroed in the phrase input of the alignment."""
+    imgs = [md.encode_image(x, params, cfg) for x in images]
+    image = md.stack_outputs([imgs[i] for i in img_of])
+    phrase = md.stack_outputs([md.encode_text(list(m.token_ids), params, cfg)
+                               for m in masked])
+    fused = md.cross_encode(phrase, image, params, cfg,
+                            trace_layer=cfg.bidiratt_layer)
+    if zero_cls_of is not None:
+        keep = np.ones(phrase.reps.shape[:-1] + (1,))
+        keep[zero_cls_of, 0] = 0.0
+        phrase = md.EncoderOutput(nx.mul(phrase.reps, Tensor(keep)))
+    biatt, weights = la.local_alignment_loss(
+        image, phrase, fused, [m.mask_index + 1 for m in masked], params, cfg,
+        target_id=[m.target_id for m in masked])
+    mpm = ls.masked_phrase_loss(fused, masked, params, positions=cfg.mpm_positions)
+    return biatt, mpm, weights
+
+
+def probed_grads(params, biatt, mpm, probe):
+    """Every parameter gradient of a fixed combination of the loss rows."""
+    params.zero_grads()
+    nx.backward(nx.add(nx.sum_all(nx.mul(biatt, Tensor(probe[0, :biatt.size]))),
+                       nx.sum_all(nx.mul(mpm, Tensor(probe[1, :mpm.size])))))
+    grads = {name: p.grad.copy() for name, p in params.named()}
+    params.zero_grads()
+    return grads
+
+
+@pytest.mark.parametrize("over", [{}, {"mpm_positions": "all"}, {"tie_score_head": True},
+                                  {"biatt_row": "cls"}],
+                         ids=["default", "mpm_positions=all", "tie_score_head",
+                              "biatt_row=cls"])
+def test_batched_phrase_losses_match_batch_of_one_calls(over):
+    cfg, params, images, masked, img_of = phrase_batch_setup(**over)
+    probe = Rng(7).normal((2, len(masked)))
+    biatt, mpm, weights = phrase_losses(cfg, params, images, masked, img_of)
+    assert biatt.shape == mpm.shape == (3,)
+    grads = probed_grads(params, biatt, mpm, probe)
+
+    want = {"biatt": [], "mpm": [], "w": [], "w_fa": [], "w_ba": [], "s": []}
+    want_grads = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, m in enumerate(masked):
+        one_biatt, one_mpm, one_w = phrase_losses(cfg, params, images, [m], img_of[b:b + 1])
+        want["biatt"].append(one_biatt.data[0])
+        want["mpm"].append(one_mpm.data[0])
+        for key, got in (("w", one_w.w), ("w_fa", one_w.w_fa), ("w_ba", one_w.w_ba),
+                         ("s", one_w.s_per_head)):
+            want[key].append(got[0])
+        for name, g in probed_grads(params, one_biatt, one_mpm, probe[:, b:b + 1]).items():
+            want_grads[name] += g
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    assert close(biatt.data, want["biatt"]) and close(mpm.data, want["mpm"])
+    for key, got in (("w", weights.w), ("w_fa", weights.w_fa), ("w_ba", weights.w_ba),
+                     ("s", weights.s_per_head)):
+        assert got.shape[0] == 3 and close(got, np.array(want[key])), key
+    for name, g in want_grads.items():
+        assert close(grads[name], g), name
+
+
+def test_zero_projection_row_is_zero_and_leaves_other_rows(caplog):
+    cfg, params, images, masked, img_of = phrase_batch_setup()
+    probe = Rng(7).normal((2, len(masked)))
+    biatt, _, _ = phrase_losses(cfg, params, images, masked, img_of)
+    with caplog.at_level("WARNING"):
+        zeroed, mpm, _ = phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=1)
+    assert any("zero vector" in r.message for r in caplog.records)
+    # similarity 0, so the loss row is exactly 1; the other rows are unchanged
+    assert zeroed.data[1] == 1.0
+    assert np.array_equal(zeroed.data[[0, 2]], biatt.data[[0, 2]])
+    grads = probed_grads(params, zeroed, mpm, probe)
+    assert all(np.isfinite(g).all() for g in grads.values())

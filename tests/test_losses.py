@@ -103,17 +103,17 @@ def test_itc_momentum_side_receives_no_gradient():
 
 
 def test_itm_logit_zero_is_log2_per_pair():
-    loss = ls.itm_loss([(Tensor(0.0), 1.0)])
+    loss = ls.itm_loss(Tensor([0.0]), [1.0])
     assert loss.item() == pytest.approx(math.log(2.0))
 
 
 def test_itm_saturated_positive():
-    assert ls.itm_loss([(Tensor(20.0), 1.0)]).item() < 1e-8
+    assert ls.itm_loss(Tensor([20.0]), [1.0]).item() < 1e-8
 
 
 def test_itm_identical_fusion_minimum_at_zero():
     def total(z):
-        return ls.itm_loss([(Tensor(z), 1.0), (Tensor(z), 0.0)]).item()
+        return ls.itm_loss(Tensor([z, z]), [1.0, 0.0]).item()
 
     assert total(0.0) == pytest.approx(2.0 * math.log(2.0))
     assert total(0.5) > total(0.0)
@@ -121,9 +121,8 @@ def test_itm_identical_fusion_minimum_at_zero():
 
 
 def test_itm_normalizes_by_positive_count():
-    pairs2 = [(Tensor(0.0), 1.0), (Tensor(0.0), 1.0),
-              (Tensor(0.0), 0.0), (Tensor(0.0), 0.0)]
-    assert ls.itm_loss(pairs2).item() == pytest.approx(2.0 * math.log(2.0))
+    loss = ls.itm_loss(Tensor(np.zeros(4)), [1.0, 1.0, 0.0, 0.0])
+    assert loss.item() == pytest.approx(2.0 * math.log(2.0))
 
 
 def test_fine_similarity_scalar():
@@ -223,27 +222,27 @@ def mpm_setup(vocab_size=10, d=4, zero=True):
     params.add("mpm.b1", np.zeros(d))
     params.add("mpm.w2", np.zeros((d, vocab_size)) if zero else rng.normal((d, vocab_size)))
     params.add("mpm.b2", np.zeros(vocab_size))
-    fusion = md.FusionOutput(Tensor(Rng(1).normal((3, d))))
+    fusion = md.FusionOutput(Tensor(Rng(1).normal((1, 3, d))))   # a batch of one
     masked = MaskedPhrase((5, MASK_ID), 1, 7)
     return params, fusion, masked, vocab_size
 
 
 def test_mpm_uniform_logits_log_vocab():
     params, fusion, masked, v = mpm_setup(zero=True)
-    loss = ls.masked_phrase_loss(fusion, masked, params)
+    loss = ls.masked_phrase_loss(fusion, [masked], params)
     assert loss.item() == pytest.approx(math.log(v))
 
 
 def test_mpm_saturated_correct():
     params, fusion, masked, v = mpm_setup(zero=True)
     params["mpm.b2"].data[masked.target_id] = 30.0
-    loss = ls.masked_phrase_loss(fusion, masked, params)
+    loss = ls.masked_phrase_loss(fusion, [masked], params)
     assert loss.item() < 1e-8
 
 
 def test_mpm_all_positions_mode_sums():
     params, fusion, masked, v = mpm_setup(zero=True)
-    loss_all = ls.masked_phrase_loss(fusion, masked, params, positions="all")
+    loss_all = ls.masked_phrase_loss(fusion, [masked], params, positions="all")
     assert loss_all.item() == pytest.approx(2 * math.log(v))
 
 
@@ -251,7 +250,7 @@ def test_mpm_mask_outside_fusion_rejected():
     params, fusion, masked, _ = mpm_setup()
     bad = MaskedPhrase((5, MASK_ID, 6, 6), 1, 7)
     with pytest.raises(ValueError, match="fusion rows"):
-        ls.masked_phrase_loss(fusion, bad, params)
+        ls.masked_phrase_loss(fusion, [bad], params)
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +258,30 @@ def test_mpm_mask_outside_fusion_rejected():
 
 
 def test_total_zero_phrases_is_global_only():
-    total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), [], stage=2)
+    total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), None, None,
+                              stage=2)
     assert total.item() == pytest.approx(3.5)
     assert bd.biatt == 0.0 and bd.mpm == 0.0
 
 
 def test_total_stage1_gates_everything_but_global():
     total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(9.0),
-                              [(Tensor(4.0), Tensor(5.0))], stage=1)
+                              Tensor([4.0]), Tensor([5.0]), stage=1)
     assert total.item() == pytest.approx(3.0)
     assert bd.tri == 0.0 and bd.biatt == 0.0 and bd.mpm == 0.0
 
 
 def test_total_phrase_additivity():
     one, _ = ls.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0),
-                           [(Tensor(0.3), Tensor(0.7))], stage=2)
+                           Tensor([0.3]), Tensor([0.7]), stage=2)
     two, _ = ls.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0),
-                           [(Tensor(0.3), Tensor(0.7))] * 2, stage=2)
+                           Tensor([0.3] * 2), Tensor([0.7] * 2), stage=2)
     assert two.item() == pytest.approx(2.0 * one.item())
 
 
 def test_total_breakdown_sums_exactly():
     total, bd = ls.total_loss(Tensor(0.37), Tensor(1.21), Tensor(0.11),
-                              [(Tensor(0.53), Tensor(2.41)),
-                               (Tensor(0.19), Tensor(0.07))], stage=2,
+                              Tensor([0.53, 0.19]), Tensor([2.41, 0.07]), stage=2,
                               phrase_scale=0.5)
     assert abs(bd.total - (bd.itc + bd.itm + bd.tri + bd.biatt + bd.mpm)) <= 1e-12
     assert bd.total == pytest.approx(total.item())
@@ -292,6 +291,6 @@ def test_all_losses_nonnegative():
     rng = Rng(5)
     for _ in range(5):
         z = float(rng.normal(()))
-        assert ls.itm_loss([(Tensor(z), 1.0)]).item() >= 0.0
+        assert ls.itm_loss(Tensor([z]), [1.0]).item() >= 0.0
         assert ls.fusion_triplet_loss(Tensor(z), Tensor(z - 1), Tensor(z),
                                       margin=0.6).item() >= 0.0

@@ -6,7 +6,7 @@ import pytest
 from phrasealign import losses as ls
 from phrasealign import model as md
 from phrasealign import numerics as nx
-from phrasealign.numerics import Rng
+from phrasealign.numerics import Rng, Tensor
 from phrasealign.textproc import MASK_ID, TextPipeline
 
 
@@ -170,6 +170,15 @@ def test_row_sum_collector(cfg, params, pipeline):
     assert all(type(d) is float for d in devs) and max(devs) <= 1e-9
 
 
+def pair_of(fused, b, rows):
+    """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
+    rows: the rows on the graph, the trace as a constant slice."""
+    trace = md.AttentionTrace(fused.trace.layer,
+                              Tensor(fused.trace.attn.data[b, :, :rows]),
+                              Tensor(fused.trace.values.data[b]))
+    return md.FusionOutput(nx.slice_rows(nx.gather_rows(fused.reps, b), 0, rows), trace)
+
+
 def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
     """Texts of unequal length (one at the batch maximum), a repeated image
     and a trace layer: each pair's real rows, trace and ITM logit, and every
@@ -191,7 +200,7 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
                                     md.stack_outputs([imgs[i] for _, i in pairs]),
                                     params, cfg, trace_layer=cfg.bidiratt_layer)
             logits = ls.fine_similarity(fused.cls, params["itm.w"]).data
-            outs = [fused.pair(b, txts[t].reps.shape[0])
+            outs = [pair_of(fused, b, txts[t].reps.shape[0])
                     for b, (t, _) in enumerate(pairs)]
         else:
             outs = [md.cross_encode(txts[t], imgs[i], params, cfg,
@@ -310,6 +319,8 @@ CHECKPOINT_DEFECTS = {
     "no name": (lambda m: m["tensors"][1].pop("name"), b"", "entry 1.*name"),
     "no tensor list": (lambda m: m.pop("tensors"), b"", "tensor entries"),
     "entry not an object": (lambda m: m["tensors"].insert(0, 3), b"", "tensor entries"),
+    # a string replaces the whole manifest text
+    "manifest not an object": ("[]", b"", "not a JSON object"),
 }
 
 
@@ -318,9 +329,12 @@ def test_checkpoint_rejects_malformed_files(case, tmp_path):
     edit, extra, names = CHECKPOINT_DEFECTS[case]
     path = tmp_path / "ckpt"
     md.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
-    manifest = json.loads((path / "manifest.json").read_text())
-    edit(manifest)
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    if isinstance(edit, str):
+        (path / "manifest.json").write_text(edit)
+    else:
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
     with open(path / "tensors.bin", "ab") as fh:
         fh.write(extra)
     with pytest.raises(ValueError, match=names):

@@ -119,6 +119,25 @@ def test_batched_ops_match_per_item_ops():
                               nx.layer_norm_rows(t(merged.data[b]), gain, bias).data)
         assert np.array_equal(nx.gather_rows(x, b).data, x.data[b])
     assert np.array_equal(nx.gather_rows(x, [2, 0, 2]).data, x.data[[2, 0, 2]])
+    # losses over the last axis, one target or label per row or element
+    targets = np.array([[0, 5, 2], [1, 1, 4], [3, 0, 5]])
+    labels = (rng.uniform((3, 3, 6)) > 0.5).astype(float)
+    ce = nx.cross_entropy_logits(normed, targets)
+    bce = nx.binary_cross_entropy_logit(normed, labels)
+    assert ce.shape == (3, 3) and bce.shape == (3, 3, 6)
+    for b in range(3):
+        for r in range(3):
+            row = t(normed.data[b, r])
+            assert np.allclose(ce.data[b, r],
+                               nx.cross_entropy_logits(row, int(targets[b, r])).data,
+                               rtol=1e-15, atol=0.0)
+            for j in range(6):
+                assert bce.data[b, r, j] == nx.binary_cross_entropy_logit(
+                    t(normed.data[b, r, j]), labels[b, r, j]).item()
+    with pytest.raises(nx.ShapeError):
+        nx.cross_entropy_logits(normed, targets[0])
+    with pytest.raises(nx.ShapeError):
+        nx.binary_cross_entropy_logit(normed, labels[0])
     # leading axes that do not broadcast are still rejected
     with pytest.raises(nx.ShapeError):
         nx.matmul(nx.reshape(x, (3, 1, 3, 6)), t(rng.normal((2, 2, 6, 3))))
@@ -127,8 +146,9 @@ def test_batched_ops_match_per_item_ops():
 @pytest.mark.parametrize("probe", ["short", "long", "weights", "gain", "bias"])
 def test_finite_diff_batched_ops(probe):
     """Padded stack, (B, 1, L, d) @ (heads, d, w) and (B, heads) @ (B, heads)
-    matmul, batched merge_heads and layer_norm_rows, and int and repeated
-    leading-axis indexing; each operand probed."""
+    matmul, batched merge_heads and layer_norm_rows, int and repeated
+    leading-axis indexing, and batched cross-entropy and BCE; each operand
+    probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
               "weights": t(rng.normal((2, 4, 3))), "gain": t(rng.normal(6, 0.5) + 1.0),
@@ -143,8 +163,11 @@ def test_finite_diff_batched_ops(probe):
         y = nx.layer_norm_rows(nx.merge_heads(nx.tanh(q)), gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
         one = nx.gather_rows(y, 1)
+        ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2], [1, 1, 4], [3, 0, 5]]))
+        bce = nx.binary_cross_entropy_logit(one, np.eye(3, 6))
         return nx.sum_n([nx.sum_all(nx.tanh(picked)), nx.mean_all(nx.mul(one, one)),
-                         nx.mean_all(nx.tanh(scores))])
+                         nx.mean_all(nx.tanh(scores)), nx.sum_all(ce),
+                         nx.sum_all(bce)])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
@@ -354,7 +377,7 @@ def test_finite_diff_composite_ops():
     def f(v):
         y = nx.row_softmax(nx.matmul(v, nx.transpose(v)))
         z = nx.l2_normalize_rows(nx.tanh(y))
-        return nx.mean_all(nx.mul(z, z + 1.0))
+        return nx.mean_all(nx.mul(z, nx.add(z, 1.0)))
 
     assert nx.finite_diff_check(f, x) < 1e-6
 

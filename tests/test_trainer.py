@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -142,3 +143,30 @@ def test_clip_gradients_zero_max_norm_leaves_gradients():
     assert trainer.clip_gradients(params, max_norm=0.0) == pytest.approx(5.0)
     assert np.array_equal(params["a"].grad, [3.0, 0.0])
     assert np.array_equal(params["b"].grad, [[0.0, 4.0]])
+
+
+def test_train_writes_checkpoints_and_log(tmp_path):
+    pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=1,
+                                                   stage2_epochs=1)
+    result = trainer.train(model_cfg, cfg, dataset, pipeline, out_dir=tmp_path)
+    # training is reproducible, so a stage-1-only run gives the stage-1 state
+    stage1 = trainer.train(model_cfg, dataclasses.replace(cfg, stage2_epochs=0),
+                           dataset, pipeline)
+    assert result.checkpoints == {1: tmp_path / "stage1.ckpt",
+                                  2: tmp_path / "stage2.ckpt"}
+    for stage, want in ((1, stage1), (2, result)):
+        params = md.init_params(model_cfg, Rng(99))
+        momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
+        md.load_params_state(params, momentum,
+                             md.load_checkpoint(result.checkpoints[stage]))
+        for name, t in want.params.named():
+            assert np.array_equal(params[name].data, t.data), (stage, name)
+        for name, t in want.momentum.shadow.items():
+            assert np.array_equal(momentum.shadow[name].data, t.data), (stage, name)
+
+    lines = (tmp_path / "training_log.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(trainer.LOG_COLUMNS)
+    assert len(lines) == len(result.log_rows) + 1
+    for line, row in zip(lines[1:], result.log_rows):
+        assert line.split(",") == [str(row["step"])] + [
+            f"{row[c]:.12g}" for c in trainer.LOG_COLUMNS[1:]]
