@@ -302,6 +302,15 @@ def load_dataset(path) -> Dataset:
                 and isinstance(meta.get("attributes"), dict)):
             raise FormatError(f"manifest record {i} needs an integer identity "
                               f"and an attributes object")
+        attributes = meta["attributes"]
+        odd = sorted(set(attributes) ^ set(ATTRIBUTE_SCHEMA))
+        if odd:
+            kind = "an unknown" if odd[0] in attributes else "no"
+            raise FormatError(f"manifest record {i} has {kind} attribute {odd[0]!r}")
+        for key, allowed in ATTRIBUTE_SCHEMA.items():
+            if attributes[key] not in allowed:
+                raise FormatError(f"manifest record {i} attribute {key!r} is "
+                                  f"{attributes[key]!r}, not one of {allowed}")
         if offset + image_bytes + 4 > len(blob):
             raise FormatError(f"records.bin truncated at offset {offset}")
         image = np.frombuffer(blob, dtype="<f8", count=image_values,

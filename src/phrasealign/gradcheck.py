@@ -72,21 +72,32 @@ def _toy_setup(seed: int):
     return pipeline, cfg, params, rng, images, texts
 
 
-def _masked_phrase(pipeline, rng) -> MaskedPhrase:
-    phrase = pipeline.phrases("a red shirt")[0]
-    ids = list(phrase.token_ids)
-    pos = rng.integer(len(ids))
-    target = ids[pos]
-    ids[pos] = MASK_ID
-    return MaskedPhrase(tuple(ids), pos, target)
+def _masked_phrases(pipeline, rng) -> list[MaskedPhrase]:
+    """Two phrases of unequal length, one token of each masked, so that a
+    phrase batch carries padding."""
+    out = []
+    for text in ("a red shirt", "a dark blue striped jacket"):
+        ids = list(pipeline.phrases(text)[0].token_ids)
+        pos = rng.integer(len(ids))
+        target = ids[pos]
+        ids[pos] = MASK_ID
+        out.append(MaskedPhrase(tuple(ids), pos, target))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# per-loss checks; each returns the max relative error over probed parameters
+# per-loss checks; each returns the max relative error over probed parameters.
+# Every check encodes its images and its texts in one call each and picks the
+# pairs' rows by index, as ``trainer.train_step`` does.
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _encode(images, texts, params, cfg):
+    return (model.encode_image(np.stack(images), params, cfg),
+            model.encode_text(texts, params, cfg))
 
 
 def check_itc(seed: int) -> float:
@@ -115,10 +126,8 @@ def check_itm(seed: int) -> float:
     _, cfg, params, _, images, texts = _toy_setup(seed)
 
     def build():
-        img = model.encode_image(images[0], params, cfg)
-        txts = [model.encode_text(ids, params, cfg) for ids in texts]
-        fused = model.cross_encode(model.stack_outputs(txts),
-                                   model.stack_outputs([img, img]), params, cfg)
+        img, txt = _encode(images, texts, params, cfg)
+        fused = model.cross_encode(txt.select([0, 1]), img.select([0, 0]), params, cfg)
         return losses.itm_loss(losses.fine_similarity(fused.cls, params["itm.w"]),
                                [1.0, 0.0])
 
@@ -128,19 +137,20 @@ def check_itm(seed: int) -> float:
     return max(errs)
 
 
+def _triplet(img, txt, params, cfg):
+    """ITM logits and triplet loss of (text, image) pairs: the positive
+    (0, 0), then a negative image (0, 1) and a negative text (1, 0)."""
+    fused = model.cross_encode(txt.select([0, 0, 1]), img.select([0, 1, 0]), params, cfg)
+    logits = losses.fine_similarity(fused.cls, params["itm.w"])
+    pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
+    return logits, losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
+
+
 def check_triplet(seed: int) -> float:
     _, cfg, params, _, images, texts = _toy_setup(seed)
 
     def build():
-        img0 = model.encode_image(images[0], params, cfg)
-        img1 = model.encode_image(images[1], params, cfg)
-        txt0 = model.encode_text(texts[0], params, cfg)
-        txt1 = model.encode_text(texts[1], params, cfg)
-        w_o = params["itm.w"]
-        pos = losses.fine_similarity(model.cross_encode(txt0, img0, params, cfg).cls, w_o)
-        neg_i = losses.fine_similarity(model.cross_encode(txt0, img1, params, cfg).cls, w_o)
-        neg_t = losses.fine_similarity(model.cross_encode(txt1, img0, params, cfg).cls, w_o)
-        return losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
+        return _triplet(*_encode(images, texts, params, cfg), params, cfg)[1]
 
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
@@ -150,16 +160,19 @@ def check_triplet(seed: int) -> float:
 
 def check_local_align(seed: int) -> float:
     pipeline, cfg, params, rng, images, _ = _toy_setup(seed)
-    masked = _masked_phrase(pipeline, rng)
+    masked = _masked_phrases(pipeline, rng)
+    mask_rows = [m.mask_index + 1 for m in masked]
+
+    def phrase_pass():
+        img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
+        image = img.select([0, 1])
+        fused = model.cross_encode(phr, image, params, cfg,
+                                   trace_layer=cfg.bidiratt_layer)
+        return image, phr, fused
 
     def build():
-        img = model.encode_image(images[0], params, cfg)
-        phr = model.encode_text(list(masked.token_ids), params, cfg)
-        fused = model.cross_encode(phr, img, params, cfg,
-                                   trace_layer=cfg.bidiratt_layer)
-        loss, _ = local_alignment_loss(img, phr, fused, masked.mask_index + 1,
-                                       params, cfg)
-        return loss
+        loss, _ = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg)
+        return nx.sum_all(loss)
 
     # the projections do not feed the attention trace, so the full loss is
     # checkable through them as-is; the cosine's worst gradient elements are
@@ -170,20 +183,14 @@ def check_local_align(seed: int) -> float:
     # encoder parameters do feed the trace; the pooling weights are constants
     # by definition, so the probe holds them at their unperturbed values
     with nx.no_grad():
-        img0 = model.encode_image(images[0], params, cfg)
-        phr0 = model.encode_text(list(masked.token_ids), params, cfg)
-        fused0 = model.cross_encode(phr0, img0, params, cfg,
-                                    trace_layer=cfg.bidiratt_layer)
-        _, frozen = local_alignment_loss(img0, phr0, fused0,
-                                         masked.mask_index + 1, params, cfg)
+        _, frozen = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg)
 
     def build_fixed_w():
-        img = model.encode_image(images[0], params, cfg)
-        phr = model.encode_text(list(masked.token_ids), params, cfg)
-        pooled = weighted_pool(frozen.w, img)
+        image, phr, _ = phrase_pass()
+        pooled = weighted_pool(frozen.w, image)
         sim = coarse_similarity(pooled, phr.cls, params["proj.img.w"],
                                 params["proj.txt.w"])
-        return nx.sub(Tensor(1.0), sim)
+        return nx.sum_all(nx.sub(Tensor(1.0), sim))
 
     errs.append(finite_diff_param(params, "txt_self0.attn.wv", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ln2.g", build_fixed_w))
@@ -193,14 +200,12 @@ def check_local_align(seed: int) -> float:
 
 def check_mpm(seed: int) -> float:
     pipeline, cfg, params, rng, images, _ = _toy_setup(seed)
-    masked = _masked_phrase(pipeline, rng)
+    masked = _masked_phrases(pipeline, rng)
 
     def build():
-        img = model.encode_image(images[0], params, cfg)
-        phr = model.encode_text(list(masked.token_ids), params, cfg)
-        fused = model.cross_encode(model.stack_outputs([phr]),
-                                   model.stack_outputs([img]), params, cfg)
-        return nx.sum_all(losses.masked_phrase_loss(fused, [masked], params))
+        img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
+        fused = model.cross_encode(phr, img.select([0, 1]), params, cfg)
+        return nx.sum_all(losses.masked_phrase_loss(fused, masked, params))
 
     errs = [finite_diff_param(params, "mpm.b2", build),
             finite_diff_param(params, "mpm.b1", build),
@@ -211,37 +216,26 @@ def check_mpm(seed: int) -> float:
 
 def check_total(seed: int) -> float:
     pipeline, cfg, params, rng, images, texts = _toy_setup(seed)
-    masked = _masked_phrase(pipeline, rng)
+    masked = _masked_phrases(pipeline, rng)
     mom = Rng(seed + 3)
     mom_img = _unit_rows(mom.normal((2, cfg.proj_dim)))
     mom_txt = _unit_rows(mom.normal((2, cfg.proj_dim)))
     queue = losses.QueueState(8, cfg.proj_dim)
 
     def build():
-        _, _, img_emb, txt_emb = model.coarse_embeddings(images, texts, params, cfg)
+        img, txt, img_emb, txt_emb = model.coarse_embeddings(images, texts, params, cfg)
         tau = nx.exp(params["temp.log_tau"])
         itc, p_i2t, p_t2i = losses.itc_loss(img_emb, txt_emb, mom_img, mom_txt,
                                             queue, tau)
-        img0 = model.encode_image(images[0], params, cfg)
-        img1 = model.encode_image(images[1], params, cfg)
-        txt0 = model.encode_text(texts[0], params, cfg)
-        txt1 = model.encode_text(texts[1], params, cfg)
-        # (text, image): the positive, then a negative image and a negative text
-        fused = model.cross_encode(model.stack_outputs([txt0, txt0, txt1]),
-                                   model.stack_outputs([img0, img1, img0]),
-                                   params, cfg)
-        logits = losses.fine_similarity(fused.cls, params["itm.w"])
+        logits, tri = _triplet(img, txt, params, cfg)
         itm = losses.itm_loss(logits, [1.0, 0.0, 0.0])
-        pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
-        tri = losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
-        image = model.stack_outputs([img0])
-        phrase = model.stack_outputs([model.encode_text(list(masked.token_ids),
-                                                        params, cfg)])
+        image = img.select([0, 1])
+        phrase = model.encode_text([m.token_ids for m in masked], params, cfg)
         fused = model.cross_encode(phrase, image, params, cfg,
                                    trace_layer=cfg.bidiratt_layer)
-        biatt, _ = local_alignment_loss(image, phrase, fused, [masked.mask_index + 1],
-                                        params, cfg)
-        mpm = losses.masked_phrase_loss(fused, [masked], params)
+        biatt, _ = local_alignment_loss(image, phrase, fused,
+                                        [m.mask_index + 1 for m in masked], params, cfg)
+        mpm = losses.masked_phrase_loss(fused, masked, params)
         total, _ = losses.total_loss(itc, itm, tri, biatt, mpm, stage=2,
                                      p_i2t=p_i2t, p_t2i=p_t2i)
         return total

@@ -176,9 +176,10 @@ def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
     """1 - cosine between the weight-pooled image representation and the
     projected phrase representation. Returns (loss, weights).
 
-    Takes one pair, or a batch of pairs as :func:`model.stack_outputs` and
-    :func:`model.cross_encode` build them, with one mask row and one target
-    id per pair; the loss is then a (B,) vector."""
+    Takes one pair, or a batch of pairs (the image rows picked per pair by
+    :meth:`model.EncoderOutput.select`, the phrases encoded in one call, and
+    their :func:`model.cross_encode`), with one mask row and one target id
+    per pair; the loss is then a (B,) vector."""
     weights = compute_weights(fusion.trace, score_vectors(params, cfg, target_id),
                               mask_row, cfg.biatt_row)
     pooled = weighted_pool(weights.w, image)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor, Rng
-from .textproc import CLS_ID, UNK_ID
+from .textproc import CLS_ID, PAD_ID, UNK_ID
 
 CHECKPOINT_VERSION = 2   # 2: stacked (heads, d, head_dim) attention weights
 _CKPT_MAGIC = b"PACKPT01"
@@ -230,8 +230,8 @@ PAD_BIAS = -1e30
 @dataclasses.dataclass
 class EncoderOutput:
     """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
-    zero-padded to the longest, (B, L_max+1, d); row 0 is the global [CLS]
-    row. A batch whose lengths differ carries ``pad_bias``, a constant
+    padded to the longest, (B, L_max+1, d); row 0 is the global [CLS] row.
+    A batch whose lengths differ carries ``pad_bias``, a constant
     (B, 1, 1, L_max+1) key bias: 0 on real rows, ``PAD_BIAS`` on padding."""
 
     reps: Tensor
@@ -241,18 +241,11 @@ class EncoderOutput:
     def cls(self) -> Tensor:
         return nx.take_row(self.reps, 0)
 
-
-def stack_outputs(outs) -> EncoderOutput:
-    """One batched output from per-sequence outputs (repeats allowed), in
-    order; see :class:`EncoderOutput`."""
-    reps = nx.stack_padded([o.reps for o in outs])
-    rows = [o.reps.shape[0] for o in outs]
-    if min(rows) == reps.shape[1]:
-        return EncoderOutput(reps)
-    bias = np.zeros((len(rows), 1, 1, reps.shape[1]))
-    for b, n in enumerate(rows):
-        bias[b, ..., n:] = PAD_BIAS
-    return EncoderOutput(reps, Tensor(bias))
+    def select(self, index) -> "EncoderOutput":
+        """Sequences ``index`` of a batch (repeats allowed), in that order,
+        with their ``pad_bias`` rows."""
+        bias = None if self.pad_bias is None else Tensor(self.pad_bias.data[index])
+        return EncoderOutput(nx.gather_rows(self.reps, index), bias)
 
 
 @dataclasses.dataclass
@@ -341,8 +334,9 @@ def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
                               params[f"{prefix}.b"])
 
 
-def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Tensor:
-    attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg)
+def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig,
+                key_bias: Tensor | None = None) -> Tensor:
+    attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg, key_bias)
     x = _post_norm(x, attn, params, f"{prefix}.ln1")
     x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln2")
     return x
@@ -354,16 +348,19 @@ def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Ten
 
 def encode_image(patches, params: Params, cfg: ModelConfig,
                  mode: str = "train") -> EncoderOutput:
-    """Linear patch embedding + positions + [CLS] + self-attention layers."""
+    """Linear patch embedding + positions + [CLS] + self-attention layers,
+    for one image's (n_patches, patch_pixels) patches or a (B, n_patches,
+    patch_pixels) stack of images in one call; images are never padded."""
     patches = patches if isinstance(patches, Tensor) else Tensor(patches)
-    if patches.shape != (cfg.n_patches, cfg.patch_pixels):
+    if patches.data.ndim not in (2, 3) or \
+            patches.shape[-2:] != (cfg.n_patches, cfg.patch_pixels):
         raise nx.ShapeError(
-            f"expected {cfg.n_patches} patches of {cfg.patch_pixels} pixels, "
-            f"got shape {patches.shape}")
+            f"expected {cfg.n_patches} patches of {cfg.patch_pixels} pixels per "
+            f"image, for one image or a stack, got shape {patches.shape}")
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = nx.add(nx.matmul(patches, params["embed.patch.w"]), params["embed.patch.b"])
-        x = nx.concat([params["embed.cls_img"], x], axis=0)
+        x = nx.prepend_row(params["embed.cls_img"], x)
         x = nx.add(x, params["embed.pos_img"])
         for layer in range(cfg.n_self_layers):
             x = _self_block(x, params, f"img_self{layer}", cfg)
@@ -372,35 +369,45 @@ def encode_image(patches, params: Params, cfg: ModelConfig,
 
 def encode_text(token_ids, params: Params, cfg: ModelConfig,
                 mode: str = "train") -> EncoderOutput:
-    """Token embedding + positions + [CLS] + self-attention layers.
+    """Token embedding + positions + [CLS] + self-attention layers, for one
+    id list or a sequence of id lists in one call. A batch is padded with
+    ``PAD_ID`` to the longest text; if lengths differ it carries
+    ``pad_bias``, which gives the padding weight 0 in the self-attention.
 
     Unknown ids fall back to the [UNK] row. Phrases reuse the text positional
     rows from position 0."""
-    ids = [i if 0 <= i < cfg.vocab_size else UNK_ID for i in token_ids]
-    if len(ids) > cfg.max_text_len:
-        raise nx.ShapeError(f"text length {len(ids)} exceeds {cfg.max_text_len}")
+    batched = len(token_ids) > 0 and not isinstance(token_ids[0], (int, np.integer))
+    texts = token_ids if batched else [token_ids]
+    rows = [len(t) + 1 for t in texts]
+    if max(rows) > cfg.max_text_len + 1:
+        raise nx.ShapeError(f"text length {max(rows) - 1} exceeds {cfg.max_text_len}")
+    ids = np.full((len(texts), max(rows)), PAD_ID)
+    for b, t in enumerate(texts):
+        ids[b, :rows[b]] = [CLS_ID] + [i if 0 <= i < cfg.vocab_size else UNK_ID
+                                       for i in t]
+    real = np.arange(max(rows)) < np.array(rows)[:, None]
+    pad_bias = None if real.all() else \
+        Tensor(np.where(real, 0.0, PAD_BIAS)[:, None, None, :])
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
-        x = nx.gather_rows(params["embed.token"], [CLS_ID] + ids)
-        x = nx.add(x, nx.slice_rows(params["embed.pos_txt"], 0, len(ids) + 1))
+        x = nx.gather_rows(params["embed.token"], ids if batched else ids[0])
+        x = nx.add(x, nx.slice_rows(params["embed.pos_txt"], 0, max(rows)))
         for layer in range(cfg.n_self_layers):
-            x = _self_block(x, params, f"txt_self{layer}", cfg)
-        return EncoderOutput(x)
+            x = _self_block(x, params, f"txt_self{layer}", cfg, pad_bias)
+        return EncoderOutput(x, pad_bias)
 
 
 def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig):
-    """Encode a batch of images and texts and project their [CLS] rows into
-    the coarse space, one unit row per item.
+    """Encode a batch of images and a batch of texts, one encoder call each,
+    and project their [CLS] rows into the coarse space, one unit row per item.
 
-    Returns (image outputs, text outputs, image embeddings, text embeddings).
+    Returns (image output, text output, image embeddings, text embeddings).
     """
-    img_outs = [encode_image(x, params, cfg) for x in images]
-    txt_outs = [encode_text(ids, params, cfg) for ids in token_ids]
-    img = nx.concat([nx.slice_rows(o.reps, 0, 1) for o in img_outs], axis=0)
-    txt = nx.concat([nx.slice_rows(o.reps, 0, 1) for o in txt_outs], axis=0)
-    return (img_outs, txt_outs,
-            nx.l2_normalize_rows(nx.matmul(img, params["proj.img.w"])),
-            nx.l2_normalize_rows(nx.matmul(txt, params["proj.txt.w"])))
+    img_out = encode_image(np.stack(images), params, cfg)
+    txt_out = encode_text(token_ids, params, cfg)
+    return (img_out, txt_out,
+            nx.l2_normalize_rows(nx.matmul(img_out.cls, params["proj.img.w"])),
+            nx.l2_normalize_rows(nx.matmul(txt_out.cls, params["proj.txt.w"])))
 
 
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
@@ -410,10 +417,11 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     queries against image keys/values, feed-forward. ``trace_layer`` (1-based)
     captures that layer's attention trace.
 
-    Takes one pair, or a batch of pairs as built by :func:`stack_outputs`:
-    text and image reps with the same leading pair axis. A text batch's
-    ``pad_bias`` keeps its padding out of the text self-attention; image rows
-    are never padded. The fused reps and the trace keep the pair axis."""
+    Takes one pair, or a batch of pairs: text and image reps with the same
+    leading pair axis, as the batched encoders give them or
+    :meth:`EncoderOutput.select` picks them. A text batch's ``pad_bias``
+    keeps its padding out of the text self-attention; image rows are never
+    padded. The fused reps and the trace keep the pair axis."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
     if text_out.reps.shape[:-2] != img_out.reps.shape[:-2] or \

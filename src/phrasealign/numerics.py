@@ -184,7 +184,12 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading axes broadcast, so a matrix is
     shared by every leading index and ``(B, 1, L, d) @ (heads, d, w)`` gives
-    ``(B, heads, L, w)``."""
+    ``(B, heads, L, w)``.
+
+    For that (B, 1, L, d) @ (heads, d, w) case, backward contracts over all
+    B*L rows at once: (B*L, heads*w) @ (heads*w, d) for ``a`` and
+    (d, B*L) @ (B*L, heads*w) for ``b``, with no (B, heads, d, w) temporary
+    summed over B."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -196,9 +201,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         except ValueError:
             raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
 
-    def bw(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    if a.data.ndim == 4 and a.shape[1] == 1 and b.data.ndim == 3:
+        def bw(g):
+            heads, d, w = b.shape
+            rows = np.swapaxes(g, 1, 2).reshape(-1, heads * w)
+            ga = rows @ np.swapaxes(b.data, 1, 2).reshape(heads * w, d)
+            gb = a.data.reshape(-1, d).T @ rows
+            return ga.reshape(a.shape), np.swapaxes(gb.reshape(d, heads, w), 0, 1)
+    else:
+        def bw(g):
+            return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                    _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
@@ -327,6 +340,23 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _result(a.data[start:stop].copy(), "slice_rows", (a,), bw)
 
 
+def prepend_row(row: Tensor, a: Tensor) -> Tensor:
+    """A (1, n) ``row`` on top of a matrix, or of each matrix of a
+    (..., rows, n) stack, which all share it: (..., rows + 1, n)."""
+    if row.data.ndim != 2 or row.shape[0] != 1 or a.data.ndim < 2 or \
+            row.shape[1] != a.shape[-1]:
+        raise ShapeError(f"prepend_row needs a (1, n) row and (..., rows, n) "
+                         f"matrices: {row.shape}, {a.shape}")
+    out = np.empty(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1]))
+    out[..., :1, :] = row.data
+    out[..., 1:, :] = a.data
+
+    def bw(g):
+        return _unbroadcast(g[..., :1, :], row.shape), g[..., 1:, :]
+
+    return _result(out, "prepend_row", (row, a), bw)
+
+
 def take_row(a: Tensor, index: int) -> Tensor:
     """Row ``index`` (axis -2) of a matrix or of each stacked matrix: (n,)
     from a matrix, (heads, n) from a (heads, rows, n) stack."""
@@ -362,29 +392,11 @@ def merge_heads(a: Tensor) -> Tensor:
                    "merge_heads", (a,), bw)
 
 
-def stack_padded(tensors: Sequence[Tensor]) -> Tensor:
-    """Matrices of equal width stacked on a new leading axis, each padded with
-    zero rows at the bottom to the longest: (n, max rows, width)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors or any(t.data.ndim != 2 for t in tensors) or \
-            len({t.shape[1] for t in tensors}) != 1:
-        raise ShapeError(f"stack_padded needs matrices of equal width: "
-                         f"{[t.shape for t in tensors]}")
-    rows = [t.shape[0] for t in tensors]
-    out = np.zeros((len(tensors), max(rows), tensors[0].shape[1]))
-    for b, t in enumerate(tensors):
-        out[b, :rows[b]] = t.data
-
-    def bw(g):
-        return tuple(g[b, :n] for b, n in enumerate(rows))
-
-    return _result(out, "stack_padded", tuple(tensors), bw)
-
-
 def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
-    """Entries along the leading axis: the rows ``ids`` of an embedding table
-    (duplicates allowed), or for an int the single entry ``table[ids]`` with
-    that axis dropped. Gradients scatter-add back."""
+    """Entries along the leading axis: ``table[ids]`` for ids of any shape
+    (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of
+    embedding rows, or for an int the single entry with that axis dropped.
+    Gradients scatter-add back."""
     if table.data.ndim < 1:
         raise ShapeError("gather_rows needs a leading axis to index")
     idx = ids if isinstance(ids, (int, np.integer)) else np.asarray(ids, dtype=np.intp)
@@ -487,11 +499,6 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
 
 # ---------------------------------------------------------------------------
 # small composites
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D vectors."""
-    return sum_all(mul(a, b))
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:

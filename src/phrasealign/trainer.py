@@ -175,7 +175,7 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     n = len(batch.images)
     devs: list = []
     with md.collect_attention_row_sums(devs):
-        img_outs, txt_outs, img_emb, txt_emb = md.coarse_embeddings(
+        img_out, txt_out, img_emb, txt_emb = md.coarse_embeddings(
             batch.images, batch.token_ids, params, model_cfg)
         with nx.no_grad():
             _, _, mom_img, mom_txt = md.coarse_embeddings(
@@ -193,8 +193,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         pairs = ([(i, i, 1.0) for i in range(n)]
                  + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
                  + [(j, i, 0.0) for j, i in enumerate(neg_img)])
-        fused = md.cross_encode(md.stack_outputs([txt_outs[t] for t, _, _ in pairs]),
-                                md.stack_outputs([img_outs[i] for _, i, _ in pairs]),
+        fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]),
+                                img_out.select([i for _, i, _ in pairs]),
                                 params, model_cfg)
         logits = ls.fine_similarity(fused.cls, params["itm.w"])
         itm = ls.itm_loss(logits, [label for _, _, label in pairs])
@@ -215,9 +215,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
             need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
             trace_layer = model_cfg.bidiratt_layer if need_trace else None
             masked = [m for _, _, m in items]
-            images = md.stack_outputs([img_outs[i] for i, _, _ in items])
-            phrases = md.stack_outputs([md.encode_text(list(m.token_ids), params,
-                                                       model_cfg) for m in masked])
+            images = img_out.select([i for i, _, _ in items])
+            phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
             fused = md.cross_encode(phrases, images, params, model_cfg,
                                     trace_layer=trace_layer)
             if cfg.enable_biatt:
@@ -225,9 +224,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
                 # separate traced pass over the clean phrases
                 biatt_phrases, biatt_fused = phrases, fused
                 if model_cfg.biatt_phrase == "clean":
-                    biatt_phrases = md.stack_outputs([
-                        md.encode_text(list(phrase.token_ids), params, model_cfg)
-                        for _, phrase, _ in items])
+                    biatt_phrases = md.encode_text(
+                        [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
                     biatt_fused = md.cross_encode(biatt_phrases, images, params,
                                                   model_cfg,
                                                   trace_layer=model_cfg.bidiratt_layer)

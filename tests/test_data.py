@@ -155,6 +155,16 @@ def _attributes_not_object(manifest, blob):
     manifest["records"][3]["attributes"] = ["red", "shirt"]
 
 
+def _attribute(key, value):
+    def corrupt(manifest, blob):
+        attributes = manifest["records"][2]["attributes"]
+        if value is None:
+            del attributes[key]
+        else:
+            attributes[key] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_noise_sigma, "noise_sigma"),
     (_bad_utf8_caption, "record 0 .*UTF-8"),
@@ -165,9 +175,13 @@ def _attributes_not_object(manifest, blob):
     (_config_value("noise_sigma", "0.05"), "'noise_sigma'"),
     (_config_value("n_identities", 8.0), "'n_identities'"),
     (_attributes_not_object, "record 3 "),
+    (_attribute("nonsense", [1]), "record 2 has an unknown attribute 'nonsense'"),
+    (_attribute("accessory_color", None), "record 2 has no attribute 'accessory_color'"),
+    (_attribute("top_color", 5), "record 2 attribute 'top_color' is 5"),
 ], ids=["missing config key", "caption not utf-8", "splits overlap",
         "index out of range", "string patch_rows", "negative patch_rows",
-        "string noise_sigma", "float n_identities", "attributes not an object"])
+        "string noise_sigma", "float n_identities", "attributes not an object",
+        "unknown attribute", "missing attribute", "attribute outside vocabulary"])
 def test_malformed_dataset_rejected(dataset, tmp_path, corrupt, message):
     dt.save_dataset(dataset, tmp_path / "ds")
     manifest_path = tmp_path / "ds" / "manifest.json"

@@ -346,10 +346,8 @@ def phrase_batch_setup(**over):
 def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
     """Both phrase losses of the stacked pairs, with the [CLS] row of pair
     ``zero_cls_of`` (if given) zeroed in the phrase input of the alignment."""
-    imgs = [md.encode_image(x, params, cfg) for x in images]
-    image = md.stack_outputs([imgs[i] for i in img_of])
-    phrase = md.stack_outputs([md.encode_text(list(m.token_ids), params, cfg)
-                               for m in masked])
+    image = md.encode_image(np.stack(images), params, cfg).select(img_of)
+    phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
     fused = md.cross_encode(phrase, image, params, cfg,
                             trace_layer=cfg.bidiratt_layer)
     if zero_cls_of is not None:

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from phrasealign import data, trainer
 from phrasealign import losses as ls
 from phrasealign import model as md
 from phrasealign import numerics as nx
 from phrasealign.numerics import Rng, Tensor
-from phrasealign.textproc import MASK_ID, TextPipeline
+from phrasealign.textproc import MASK_ID, PAD_ID, TextPipeline
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,75 @@ def test_encode_image_wrong_patch_count(cfg, params):
         md.encode_image(np.zeros((3, cfg.patch_pixels)), params, cfg)
 
 
+@pytest.mark.parametrize("shape", ["4-D stack", "stack of wrong patch count",
+                                   "stack of wrong patch width"])
+def test_encode_image_rejects_malformed_stack(cfg, params, shape):
+    n, px = cfg.n_patches, cfg.patch_pixels
+    patches = np.zeros({"4-D stack": (2, 2, n, px),
+                        "stack of wrong patch count": (2, n - 1, px),
+                        "stack of wrong patch width": (2, n, px + 3)}[shape])
+    with pytest.raises(nx.ShapeError, match="patches"):
+        md.encode_image(patches, params, cfg)
+
+
+def probed_gradients(params, reps, probe):
+    """Every parameter gradient of sum(reps * probe), then reset."""
+    params.zero_grads()
+    nx.backward(nx.sum_all(nx.mul(reps, Tensor(probe))))
+    grads = {name: p.grad.copy() for name, p in params.named()}
+    params.zero_grads()
+    return grads
+
+
+def close(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_encode_image_matches_per_image(cfg):
+    """A stack of three images (one repeated) in one call: its rows and every
+    parameter gradient of a fixed probe equal the per-image calls."""
+    params = md.init_params(cfg, Rng(5))
+    images = [random_patches(cfg, seed) for seed in (1, 2, 1)]
+    probes = Rng(11).normal((3, cfg.n_patches + 1, cfg.d))
+    batch = md.encode_image(np.stack(images), params, cfg)
+    assert batch.reps.shape == (3, cfg.n_patches + 1, cfg.d) and batch.pad_bias is None
+    grads = probed_gradients(params, batch.reps, probes)
+    want = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, x in enumerate(images):
+        one = md.encode_image(x, params, cfg)
+        assert close(batch.reps.data[b], one.reps.data)
+        for name, g in probed_gradients(params, one.reps, probes[b]).items():
+            want[name] += g
+    for name, g in want.items():
+        assert close(grads[name], g), name
+
+
+def test_batched_encode_text_matches_per_text(cfg):
+    """Texts of length 1, 4 and the maximum, the second repeated, padded in
+    one call: the real rows and every parameter gradient of a probe on them
+    equal the per-text calls, and the padding gets key bias ``PAD_BIAS``."""
+    params = md.init_params(cfg, Rng(6))
+    ids = [[7], [5, 9, 11, 6], list(range(4, 4 + cfg.max_text_len)), [5, 9, 11, 6]]
+    rows = [len(i) + 1 for i in ids]
+    probe = Rng(12).normal((len(ids), max(rows), cfg.d))
+    for b, n in enumerate(rows):
+        probe[b, n:] = 0.0
+    batch = md.encode_text(ids, params, cfg)
+    assert batch.reps.shape == (4, max(rows), cfg.d)
+    for b, n in enumerate(rows):
+        assert not batch.pad_bias.data[b, ..., :n].any()
+        assert (batch.pad_bias.data[b, ..., n:] == md.PAD_BIAS).all()
+    grads = probed_gradients(params, batch.reps, probe)
+    want = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, (i, n) in enumerate(zip(ids, rows)):
+        one = md.encode_text(i, params, cfg)
+        assert one.reps.shape == (n, cfg.d) and close(batch.reps.data[b, :n], one.reps.data)
+        for name, g in probed_gradients(params, one.reps, probe[b, :n]).items():
+            want[name] += g
+    for name, g in want.items():
+        assert close(grads[name], g), name
+
+
 def test_encode_image_deterministic(cfg, params):
     x = random_patches(cfg, 5)
     a = md.encode_image(x, params, cfg).reps.data
@@ -108,6 +179,42 @@ def test_encode_text_unknown_id_becomes_unk(cfg, params):
 def test_encode_text_too_long(cfg, params):
     with pytest.raises(nx.ShapeError):
         md.encode_text([5] * (cfg.max_text_len + 1), params, cfg)
+    with pytest.raises(nx.ShapeError):
+        md.encode_text([[5], [5] * (cfg.max_text_len + 1)], params, cfg)
+
+
+@pytest.mark.parametrize("mpm_positions", ["masked", "all"])
+def test_pad_embedding_reaches_no_real_row_or_loss(cfg, pipeline, mpm_positions):
+    """Changing the [PAD] token row leaves the real rows of a padded text
+    batch and every term of a stage-2 ``train_step`` loss bit-identical."""
+    step_cfg = dataclasses.replace(cfg, mpm_positions=mpm_positions)
+    dataset = data.generate_dataset(
+        data.DataConfig(n_identities=5, images_per_identity=3, patch_rows=4,
+                        patch_cols=4, patch_pixels=12), Rng(0))
+    batch = data.make_batches(dataset.train_records(), 5, pipeline, Rng(1))[0]
+    phrases = [m.token_ids for pairs in batch.phrase_pairs for _, m in pairs]
+    ids = [[7], [5, 9, 11, 6]]
+
+    def run(pad_row):
+        params = md.init_params(step_cfg, Rng(8))
+        momentum = md.MomentumState.from_params(params, 0.995)
+        for table in (params["embed.token"], momentum.shadow["embed.token"]):
+            table.data[PAD_ID] = pad_row
+        reps = md.encode_text(ids, params, step_cfg).reps.data
+        for texts in (batch.token_ids, phrases):
+            assert md.encode_text(texts, params, step_cfg).pad_bias is not None
+        _, breakdown, _ = trainer.train_step(
+            batch, 2, params, momentum, ls.QueueState(8, step_cfg.proj_dim), step_cfg,
+            trainer.TrainConfig(batch_size=5, queue_size=8), Rng(2))
+        return reps, breakdown
+
+    reps, breakdown = run(np.zeros(cfg.d))
+    other_reps, other = run(np.full(cfg.d, 3.0))
+    assert not np.array_equal(reps[0, 2:], other_reps[0, 2:])   # padding does change
+    assert np.array_equal(reps[0, :2], other_reps[0, :2])
+    assert np.array_equal(reps[1], other_reps[1])
+    for term in ("itc", "itm", "tri", "biatt", "mpm", "total"):
+        assert getattr(breakdown, term) == getattr(other, term), term
 
 
 def test_inference_mode_allocates_no_gradient_state(cfg, params):
@@ -162,10 +269,10 @@ def test_row_sum_collector(cfg, params, pipeline):
     assert len(devs) == cfg.n_cross_layers * cfg.heads * 2
     assert max(devs) <= 1e-9
     # a batch of pairs reports one float per pair and head
-    short = md.encode_text([5], params, cfg)
+    texts = md.encode_text([[5, 6, 7], [5]], params, cfg)
+    images = md.encode_image(np.stack([random_patches(cfg)] * 2), params, cfg)
     with md.collect_attention_row_sums([]) as devs:
-        md.cross_encode(md.stack_outputs([txt, short]), md.stack_outputs([img, img]),
-                        params, cfg)
+        md.cross_encode(texts, images, params, cfg)
     assert len(devs) == cfg.n_cross_layers * 2 * cfg.heads * 2
     assert all(type(d) is float for d in devs) and max(devs) <= 1e-9
 
@@ -193,16 +300,17 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
 
     def run(batched):
         params.zero_grads()
-        imgs = [md.encode_image(x, params, cfg) for x in images]
-        txts = [md.encode_text(i, params, cfg) for i in ids]
         if batched:
-            fused = md.cross_encode(md.stack_outputs([txts[t] for t, _ in pairs]),
-                                    md.stack_outputs([imgs[i] for _, i in pairs]),
+            imgs = md.encode_image(np.stack(images), params, cfg)
+            txts = md.encode_text(ids, params, cfg)
+            fused = md.cross_encode(txts.select([t for t, _ in pairs]),
+                                    imgs.select([i for _, i in pairs]),
                                     params, cfg, trace_layer=cfg.bidiratt_layer)
             logits = ls.fine_similarity(fused.cls, params["itm.w"]).data
-            outs = [pair_of(fused, b, txts[t].reps.shape[0])
-                    for b, (t, _) in enumerate(pairs)]
+            outs = [pair_of(fused, b, len(ids[t]) + 1) for b, (t, _) in enumerate(pairs)]
         else:
+            imgs = [md.encode_image(x, params, cfg) for x in images]
+            txts = [md.encode_text(i, params, cfg) for i in ids]
             outs = [md.cross_encode(txts[t], imgs[i], params, cfg,
                                     trace_layer=cfg.bidiratt_layer) for t, i in pairs]
             logits = [ls.fine_similarity(o.cls, params["itm.w"]).item() for o in outs]
@@ -229,9 +337,14 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
 
 def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
     img = md.encode_image(random_patches(cfg), params, cfg)
-    texts = md.stack_outputs([md.encode_text([5, 6], params, cfg)] * 2)
+    texts = md.encode_text([[5, 6]] * 2, params, cfg)
     with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
-        md.cross_encode(texts, md.stack_outputs([img] * 3), params, cfg)
+        md.cross_encode(texts, md.encode_image(np.stack([random_patches(cfg)] * 3),
+                                               params, cfg), params, cfg)
+    padded = md.EncoderOutput(nx.gather_rows(img.reps, [0, 0]),
+                              Tensor(np.zeros((2, 1, 1, img.reps.shape[0]))))
+    with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
+        md.cross_encode(texts, padded, params, cfg)
     with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
         md.cross_encode(texts, img, params, cfg)
 

@@ -102,11 +102,15 @@ def test_finite_diff_stacked_head_ops(probe):
 
 def test_batched_ops_match_per_item_ops():
     rng = nx.Rng(14)
-    short, long_ = t(rng.normal((2, 6))), t(rng.normal((3, 6)))
+    short, long_ = rng.normal((2, 6)), rng.normal((3, 6))
     w = t(rng.normal((2, 6, 3)))
-    x = nx.stack_padded([short, long_, short])
-    assert x.shape == (3, 3, 6)
-    assert np.array_equal(x.data[0, :2], short.data) and not x.data[0, 2:].any()
+    padded = np.vstack([short, np.zeros((1, 6))])
+    x = t(np.stack([padded, long_, padded]))
+    row = t(rng.normal((1, 6)))
+    top = nx.prepend_row(row, x)
+    assert top.shape == (3, 4, 6)
+    for b in range(3):
+        assert np.array_equal(top.data[b], nx.prepend_row(row, t(x.data[b])).data)
     q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
     gain, bias = t(rng.normal(6)), t(rng.normal(6))
     merged = nx.merge_heads(q)
@@ -143,33 +147,50 @@ def test_batched_ops_match_per_item_ops():
         nx.matmul(nx.reshape(x, (3, 1, 3, 6)), t(rng.normal((2, 2, 6, 3))))
 
 
-@pytest.mark.parametrize("probe", ["short", "long", "weights", "gain", "bias"])
+@pytest.mark.parametrize("probe", ["short", "long", "cls", "weights", "gain", "bias"])
 def test_finite_diff_batched_ops(probe):
-    """Padded stack, (B, 1, L, d) @ (heads, d, w) and (B, heads) @ (B, heads)
-    matmul, batched merge_heads and layer_norm_rows, int and repeated
-    leading-axis indexing, and batched cross-entropy and BCE; each operand
-    probed."""
+    """A zero-padded stack under a shared [CLS] row, (B, 1, L, d) @
+    (heads, d, w) (both operands) and (B, heads) @ (B, heads) matmul, batched
+    merge_heads and layer_norm_rows, int and repeated leading-axis indexing,
+    and batched cross-entropy and BCE; each operand probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
-              "weights": t(rng.normal((2, 4, 3))), "gain": t(rng.normal(6, 0.5) + 1.0),
-              "bias": t(rng.normal(6, 0.5))}
+              "cls": t(rng.normal((1, 4))), "weights": t(rng.normal((2, 4, 3))),
+              "gain": t(rng.normal(6, 0.5) + 1.0), "bias": t(rng.normal(6, 0.5))}
 
     def f(v):
-        short, long_, w, gain, bias = (v if name == probe else leaf
-                                       for name, leaf in leaves.items())
-        x = nx.reshape(nx.stack_padded([short, long_, short]), (3, 1, 3, 4))
+        short, long_, cls, w, gain, bias = (v if name == probe else leaf
+                                            for name, leaf in leaves.items())
+        padded = nx.concat([short, t(np.zeros((1, 4)))], axis=0)
+        stack = nx.reshape(nx.concat([padded, long_, padded], axis=0), (3, 3, 4))
+        x = nx.reshape(nx.prepend_row(cls, stack), (3, 1, 4, 4))
         q = nx.matmul(x, w)
         scores = nx.matmul(q, nx.transpose(nx.tanh(q)))
         y = nx.layer_norm_rows(nx.merge_heads(nx.tanh(q)), gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
         one = nx.gather_rows(y, 1)
-        ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2], [1, 1, 4], [3, 0, 5]]))
-        bce = nx.binary_cross_entropy_logit(one, np.eye(3, 6))
+        ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2, 1], [1, 1, 4, 3],
+                                                  [3, 0, 5, 2]]))
+        bce = nx.binary_cross_entropy_logit(one, np.eye(4, 6))
         return nx.sum_n([nx.sum_all(nx.tanh(picked)), nx.mean_all(nx.mul(one, one)),
                          nx.mean_all(nx.tanh(scores)), nx.sum_all(ce),
                          nx.sum_all(bce)])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+def test_shared_stack_matmul_backward_matches_broadcast_sum():
+    """(B, 1, L, d) @ (heads, d, w): the one-contraction backward equals the
+    per-pair products summed back over the broadcast axes."""
+    rng = nx.Rng(16)
+    a, w = t(rng.normal((5, 1, 3, 4)), grad=True), t(rng.normal((2, 4, 3)), grad=True)
+    g = rng.normal((5, 2, 3, 3))
+    nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
+    want_a = nx._unbroadcast(g @ np.swapaxes(w.data, -1, -2), a.shape)
+    want_w = nx._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, w.shape)
+    assert a.grad.shape == a.shape and w.grad.shape == w.shape
+    assert np.allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +269,7 @@ def test_backward_sum_gives_ones():
 def test_backward_product_rule():
     x = t([1.0, 2.0], grad=True)
     y = t([3.0, 4.0], grad=True)
-    nx.backward(nx.dot(x, y))
+    nx.backward(nx.sum_all(nx.mul(x, y)))
     assert np.array_equal(x.grad, [3.0, 4.0])
     assert np.array_equal(y.grad, [1.0, 2.0])
 
@@ -402,9 +423,9 @@ def test_concat_and_sum_n_reject_mismatched_shapes():
     with pytest.raises(nx.ShapeError):
         nx.sum_n([t(1.0), t([1.0, 2.0])])
     with pytest.raises(nx.ShapeError):
-        nx.stack_padded([t(np.zeros((2, 3))), t(np.zeros((2, 2)))])
+        nx.prepend_row(t(np.zeros((1, 3))), t(np.zeros((2, 4, 2))))
     with pytest.raises(nx.ShapeError):
-        nx.stack_padded([])
+        nx.prepend_row(t(np.zeros((2, 3))), t(np.zeros((2, 4, 3))))
 
 
 # ---------------------------------------------------------------------------
