@@ -1,16 +1,20 @@
 """Finite-difference validation of every loss in the artifact.
 
-Each check rebuilds a small forward graph with one named parameter replaced
-by the probe tensor and compares the autodiff gradient against central
-differences. The suite backs the finite-difference tests
-(``tests/test_gradcheck.py``).
+Each per-loss check builds one loss term on a small forward graph;
+:func:`check_total` runs ``trainer.train_step`` itself, so it checks the
+objective training optimizes, whatever terms that step builds. Every check
+replaces one named parameter by the probe tensor and compares the autodiff
+gradient against central differences. The suite backs the finite-difference
+tests (``tests/test_gradcheck.py``).
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from . import losses, model
+from . import data, losses, model, trainer
 from . import numerics as nx
 from .numerics import Rng, Tensor
 from .local_align import coarse_similarity, local_alignment_loss, weighted_pool
@@ -48,16 +52,16 @@ def finite_diff_param(params: model.Params, name: str, build_loss,
 # toy fixtures
 
 
-def _toy_config(vocab_size: int) -> model.ModelConfig:
+def _toy_config(vocab_size: int, max_text_len: int) -> model.ModelConfig:
     return model.ModelConfig(d=8, heads=2, n_self_layers=1, n_cross_layers=2,
                              bidiratt_layer=1, proj_dim=4, patch_rows=2,
-                             patch_cols=2, patch_pixels=6, max_text_len=12,
+                             patch_cols=2, patch_pixels=6, max_text_len=max_text_len,
                              vocab_size=vocab_size)
 
 
-def _toy_setup(seed: int):
+def _toy_setup(seed: int, max_text_len: int = 12):
     pipeline = TextPipeline()
-    cfg = _toy_config(len(pipeline.vocab))
+    cfg = _toy_config(len(pipeline.vocab), max_text_len)
     rng = Rng(seed)
     params = model.init_params(cfg, rng)
     # widen the init so gradients sit comfortably above the FD noise floor;
@@ -137,20 +141,18 @@ def check_itm(seed: int) -> float:
     return max(errs)
 
 
-def _triplet(img, txt, params, cfg):
-    """ITM logits and triplet loss of (text, image) pairs: the positive
-    (0, 0), then a negative image (0, 1) and a negative text (1, 0)."""
-    fused = model.cross_encode(txt.select([0, 0, 1]), img.select([0, 1, 0]), params, cfg)
-    logits = losses.fine_similarity(fused.cls, params["itm.w"])
-    pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
-    return logits, losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
-
-
 def check_triplet(seed: int) -> float:
     _, cfg, params, _, images, texts = _toy_setup(seed)
 
     def build():
-        return _triplet(*_encode(images, texts, params, cfg), params, cfg)[1]
+        # (text, image) pairs: the positive (0, 0), then a negative image
+        # (0, 1) and a negative text (1, 0)
+        img, txt = _encode(images, texts, params, cfg)
+        fused = model.cross_encode(txt.select([0, 0, 1]), img.select([0, 1, 0]),
+                                   params, cfg)
+        logits = losses.fine_similarity(fused.cls, params["itm.w"])
+        pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
+        return losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
 
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
@@ -215,29 +217,31 @@ def check_mpm(seed: int) -> float:
 
 
 def check_total(seed: int) -> float:
-    pipeline, cfg, params, rng, images, texts = _toy_setup(seed)
-    masked = _masked_phrases(pipeline, rng)
-    mom = Rng(seed + 3)
-    mom_img = _unit_rows(mom.normal((2, cfg.proj_dim)))
-    mom_txt = _unit_rows(mom.normal((2, cfg.proj_dim)))
-    queue = losses.QueueState(8, cfg.proj_dim)
+    """The stage-2 objective as training builds it: ``trainer.train_step`` on
+    one batch of a 3-identity toy corpus, with every term enabled.
+
+    Each evaluation gets a fresh copy of a pre-filled queue and a fresh
+    negative-sampling stream, and uniform sampling keeps the drawn pairs
+    independent of the probe. No probed parameter feeds the traced layer, so
+    the pooling weights, constants by definition, stay fixed.
+    """
+    # the corpus captions are longer than the other checks' texts
+    pipeline, cfg, params, rng, _, _ = _toy_setup(seed, max_text_len=20)
+    corpus = data.generate_dataset(
+        data.DataConfig(n_identities=3, patch_rows=cfg.patch_rows,
+                        patch_cols=cfg.patch_cols, patch_pixels=cfg.patch_pixels), rng)
+    train_cfg = trainer.TrainConfig(batch_size=3, queue_size=8, neg_sampling="uniform")
+    batch = data.make_batches(corpus.train_records(), train_cfg.batch_size,
+                              pipeline, rng)[0]
+    momentum = model.MomentumState.from_params(params, train_cfg.momentum_coeff)
+    fill = Rng(seed + 3)
+    queue = losses.QueueState(train_cfg.queue_size, cfg.proj_dim)
+    queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
 
     def build():
-        img, txt, img_emb, txt_emb = model.coarse_embeddings(images, texts, params, cfg)
-        tau = nx.exp(params["temp.log_tau"])
-        itc, p_i2t, p_t2i = losses.itc_loss(img_emb, txt_emb, mom_img, mom_txt,
-                                            queue, tau)
-        logits, tri = _triplet(img, txt, params, cfg)
-        itm = losses.itm_loss(logits, [1.0, 0.0, 0.0])
-        image = img.select([0, 1])
-        phrase = model.encode_text([m.token_ids for m in masked], params, cfg)
-        fused = model.cross_encode(phrase, image, params, cfg,
-                                   trace_layer=cfg.bidiratt_layer)
-        biatt, _ = local_alignment_loss(image, phrase, fused,
-                                        [m.mask_index + 1 for m in masked], params, cfg)
-        mpm = losses.masked_phrase_loss(fused, masked, params)
-        total, _ = losses.total_loss(itc, itm, tri, biatt, mpm, stage=2,
-                                     p_i2t=p_i2t, p_t2i=p_t2i)
+        total, _, _ = trainer.train_step(batch, 2, params, momentum,
+                                         copy.deepcopy(queue), cfg, train_cfg,
+                                         Rng(seed + 4))
         return total
 
     errs = [finite_diff_param(params, "itm.w", build),

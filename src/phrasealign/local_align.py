@@ -23,8 +23,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
-from .model import (AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params,
-                    phrase_projection)
+from .model import AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +183,7 @@ def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
                               mask_row, cfg.biatt_row)
     pooled = weighted_pool(weights.w, image)
     sim = coarse_similarity(pooled, phrase_out.cls, params["proj.img.w"],
-                            phrase_projection(params, cfg))
+                            params["proj.txt.w"])
     return nx.sub(Tensor(1.0), sim), weights
 
 

@@ -204,13 +204,12 @@ def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
 
 
 def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | None,
-               mpm: Tensor | None, stage: int, phrase_scale: float = 1.0,
+               mpm: Tensor | None, phrase_scale: float = 1.0,
                p_i2t: np.ndarray | None = None, p_t2i: np.ndarray | None = None):
-    """Combine the loss terms; ``biatt`` and ``mpm`` hold one value per
-    phrase (or are None), summed and scaled by ``phrase_scale``. Stage 1
-    keeps only the contrastive and matching terms. Returns (total, breakdown)."""
-    if stage == 1:
-        tri = biatt = mpm = None
+    """Sum the loss terms it is given; a term passed as None counts 0.
+    ``biatt`` and ``mpm`` hold one value per phrase, summed and scaled by
+    ``phrase_scale``. Which terms a training stage builds is decided by
+    ``trainer.train_step``. Returns (total, breakdown)."""
     biatt_t, mpm_t = (None if v is None else nx.mul(nx.sum_all(v), phrase_scale)
                       for v in (biatt, mpm))
     total = nx.sum_n([t for t in (itc, itm, tri, biatt_t, mpm_t) if t is not None])

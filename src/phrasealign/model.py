@@ -48,7 +48,6 @@ class ModelConfig:
     biatt_row: str = "mask"       # "mask" or "cls": row read for forward attention
     biatt_phrase: str = "masked"  # "masked" or "clean": phrase fed to the local stream
     mpm_positions: str = "masked"  # "masked" or "all": positions scored by the MPM loss
-    separate_phrase_projection: bool = False
     tie_score_head: bool = False
 
     @property
@@ -77,10 +76,11 @@ class ModelConfig:
 
 
 class Params:
-    """Named parameter tensors in a fixed creation order."""
+    """Named parameter tensors in a fixed creation order, optionally starting
+    from an existing name -> tensor mapping."""
 
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
+    def __init__(self, tensors: dict[str, Tensor] | None = None):
+        self._tensors: dict[str, Tensor] = dict(tensors or {})
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         t = Tensor(data, requires_grad=True, op=f"param:{name}")
@@ -204,18 +204,12 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     w("itm.w", d, 1)
     w("proj.img.w", d, cfg.proj_dim)
     w("proj.txt.w", d, cfg.proj_dim)
-    if cfg.separate_phrase_projection:
-        w("proj.phrase.w", d, cfg.proj_dim)
     w("mpm.w1", d, d)
     zeros("mpm.b1", d)
     w("mpm.w2", d, v)
     zeros("mpm.b2", v)
     p.add("temp.log_tau", np.log(INIT_TEMPERATURE))
     return p
-
-
-def phrase_projection(params: Params, cfg: ModelConfig) -> Tensor:
-    return params["proj.phrase.w" if cfg.separate_phrase_projection else "proj.txt.w"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +263,6 @@ class FusionOutput:
         return nx.take_row(self.reps, 0)
 
 
-# optional collector: every attention softmax computed while a collector is
-# installed reports its worst row-sum deviation, one per (pair,) head, to it
-_row_sum_collector: list | None = None
-
-
-@contextlib.contextmanager
-def collect_attention_row_sums(into: list):
-    global _row_sum_collector
-    prev = _row_sum_collector
-    _row_sum_collector = into
-    try:
-        yield into
-    finally:
-        _row_sum_collector = prev
-
-
-def _note_attention_rows(a: Tensor) -> None:
-    if _row_sum_collector is not None:
-        dev = np.abs(a.data.sum(axis=-1) - 1.0).max(axis=-1)
-        _row_sum_collector.extend(dev.ravel().tolist())
-
-
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -318,7 +290,6 @@ def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
     if key_bias is not None:
         scores = nx.add(scores, key_bias)
     a = nx.row_softmax(scores)
-    _note_attention_rows(a)
     out = nx.add(nx.matmul(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"]),
                  params[f"{prefix}.out.b"])
     return out, a, v

@@ -1,9 +1,13 @@
 """AdamW, cosine learning-rate schedule, and the two-stage training loop.
 
-Stage 1 optimizes the contrastive and matching terms only; stage 2 adds the
-triplet, local-alignment, and masked-phrase terms. The momentum shadows are
-updated after every optimizer step and are never touched by the optimizer.
-Runs are bit-for-bit reproducible from the seed.
+:func:`train_step` is the one place the training objective is built: stage 1
+optimizes the contrastive and matching terms only; stage 2 adds the triplet,
+local-alignment, and masked-phrase terms. The finite-difference check of the
+total (``gradcheck.check_total``) differentiates this function itself. Each
+stage's learning-rate schedule spans its epochs times the batches
+``make_batches`` gives per epoch. The momentum shadows are updated after
+every optimizer step and are never touched by the optimizer. Runs are
+bit-for-bit reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, p in params.named():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient on parameter {name}")
         if weight_decay and p.data.ndim >= 2:
@@ -114,14 +118,12 @@ def clip_gradients(params: md.Params, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``."""
     total = 0.0
     for _, p in params.named():
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
+        total += float((p.grad ** 2).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for _, p in params.named():
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return norm
 
 
@@ -143,7 +145,6 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
 
 @dataclasses.dataclass
 class StepDiagnostics:
-    attention_row_dev: float     # worst |row sum - 1| across every softmax row
     weight_sums: list            # per phrase: sum of the pooling weight vector
 
 
@@ -157,108 +158,85 @@ class TrainResult:
     checkpoints: dict
 
 
-def momentum_params(state: md.MomentumState) -> md.Params:
-    """The shadow tensors exposed with the live parameter names; sufficient
-    for the unimodal encoders and coarse projections."""
-    p = md.Params()
-    p._tensors = dict(state.shadow)
-    return p
-
-
 def train_step(batch: Batch, stage: int, params: md.Params,
                momentum: md.MomentumState, queue: ls.QueueState,
                model_cfg: md.ModelConfig, cfg: TrainConfig, rng: Rng):
-    """One forward/backward pass; returns (total, breakdown, diagnostics).
+    """One forward pass of the training objective; returns (total, breakdown,
+    diagnostics). Both stages build ITC and ITM; stage 2 adds the triplet,
+    local-alignment and masked-phrase terms its ``enable_*`` switches allow.
 
-    Gradients are left populated for the caller's optimizer step.
+    The queue receives the batch's momentum embeddings. The caller runs
+    backward on ``total`` and steps the optimizer.
     """
     n = len(batch.images)
-    devs: list = []
-    with md.collect_attention_row_sums(devs):
-        img_out, txt_out, img_emb, txt_emb = md.coarse_embeddings(
-            batch.images, batch.token_ids, params, model_cfg)
-        with nx.no_grad():
-            _, _, mom_img, mom_txt = md.coarse_embeddings(
-                batch.images, batch.token_ids, momentum_params(momentum), model_cfg)
-        tau = nx.exp(params["temp.log_tau"])
-        itc, p_i2t, p_t2i = ls.itc_loss(img_emb, txt_emb, mom_img.data,
-                                        mom_txt.data, queue, tau)
-        queue.enqueue(mom_img.data, mom_txt.data)
+    img_out, txt_out, img_emb, txt_emb = md.coarse_embeddings(
+        batch.images, batch.token_ids, params, model_cfg)
+    with nx.no_grad():
+        # the shadows carry the live names of the encoders and projections
+        _, _, mom_img, mom_txt = md.coarse_embeddings(
+            batch.images, batch.token_ids, md.Params(momentum.shadow), model_cfg)
+    tau = nx.exp(params["temp.log_tau"])
+    itc, p_i2t, p_t2i = ls.itc_loss(img_emb, txt_emb, mom_img.data,
+                                    mom_txt.data, queue, tau)
+    queue.enqueue(mom_img.data, mom_txt.data)
 
-        coarse = img_emb.data @ txt_emb.data.T
-        neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, rng,
-                                               mode=cfg.neg_sampling)
-        # (text, image, label): positives, then image i with a non-matching
-        # text at n + i, then text j with a non-matching image at 2n + j
-        pairs = ([(i, i, 1.0) for i in range(n)]
-                 + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
-                 + [(j, i, 0.0) for j, i in enumerate(neg_img)])
-        fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]),
-                                img_out.select([i for _, i, _ in pairs]),
-                                params, model_cfg)
-        logits = ls.fine_similarity(fused.cls, params["itm.w"])
-        itm = ls.itm_loss(logits, [label for _, _, label in pairs])
+    coarse = img_emb.data @ txt_emb.data.T
+    neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, rng,
+                                           mode=cfg.neg_sampling)
+    # (text, image, label): positives, then image i with a non-matching
+    # text at n + i, then text j with a non-matching image at 2n + j
+    pairs = ([(i, i, 1.0) for i in range(n)]
+             + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
+             + [(j, i, 0.0) for j, i in enumerate(neg_img)])
+    fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]),
+                            img_out.select([i for _, i, _ in pairs]),
+                            params, model_cfg)
+    logits = ls.fine_similarity(fused.cls, params["itm.w"])
+    itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
-        tri = None
-        if stage != 1 and cfg.enable_triplet and neg_txt:
-            pos, neg_t, neg_i = (nx.gather_rows(logits, range(k * n, (k + 1) * n))
-                                 for k in range(3))
-            tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin,
-                                         direction=cfg.triplet_direction)
+    tri = None
+    if stage != 1 and cfg.enable_triplet and neg_txt:
+        pos, neg_t, neg_i = (nx.gather_rows(logits, range(k * n, (k + 1) * n))
+                             for k in range(3))
+        tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin,
+                                     direction=cfg.triplet_direction)
 
-        biatt = mpm = None
-        weight_sums = []
-        # (image index, phrase, masked phrase), batch item by item
-        items = [(i, phrase, masked) for i in range(n)
-                 for phrase, masked in batch.phrase_pairs[i]]
-        if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm) and items:
-            need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
-            trace_layer = model_cfg.bidiratt_layer if need_trace else None
-            masked = [m for _, _, m in items]
-            images = img_out.select([i for i, _, _ in items])
-            phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-            fused = md.cross_encode(phrases, images, params, model_cfg,
-                                    trace_layer=trace_layer)
-            if cfg.enable_biatt:
-                # the local stream reads the masked phrases' own pass, or a
-                # separate traced pass over the clean phrases
-                biatt_phrases, biatt_fused = phrases, fused
-                if model_cfg.biatt_phrase == "clean":
-                    biatt_phrases = md.encode_text(
-                        [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
-                    biatt_fused = md.cross_encode(biatt_phrases, images, params,
-                                                  model_cfg,
-                                                  trace_layer=model_cfg.bidiratt_layer)
-                biatt, weights = local_alignment_loss(
-                    images, biatt_phrases, biatt_fused,
-                    [m.mask_index + 1 for m in masked], params, model_cfg,
-                    target_id=[m.target_id for m in masked])
-                weight_sums = weights.w.sum(axis=-1).tolist()
-            if cfg.enable_mpm:
-                mpm = ls.masked_phrase_loss(fused, masked, params,
-                                            positions=model_cfg.mpm_positions)
+    biatt = mpm = None
+    weight_sums = []
+    # (image index, phrase, masked phrase), batch item by item
+    items = [(i, phrase, masked) for i in range(n)
+             for phrase, masked in batch.phrase_pairs[i]]
+    if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm) and items:
+        need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
+        trace_layer = model_cfg.bidiratt_layer if need_trace else None
+        masked = [m for _, _, m in items]
+        images = img_out.select([i for i, _, _ in items])
+        phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
+        fused = md.cross_encode(phrases, images, params, model_cfg,
+                                trace_layer=trace_layer)
+        if cfg.enable_biatt:
+            # the local stream reads the masked phrases' own pass, or a
+            # separate traced pass over the clean phrases
+            biatt_phrases, biatt_fused = phrases, fused
+            if model_cfg.biatt_phrase == "clean":
+                biatt_phrases = md.encode_text(
+                    [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
+                biatt_fused = md.cross_encode(biatt_phrases, images, params,
+                                              model_cfg,
+                                              trace_layer=model_cfg.bidiratt_layer)
+            biatt, weights = local_alignment_loss(
+                images, biatt_phrases, biatt_fused,
+                [m.mask_index + 1 for m in masked], params, model_cfg,
+                target_id=[m.target_id for m in masked])
+            weight_sums = weights.w.sum(axis=-1).tolist()
+        if cfg.enable_mpm:
+            mpm = ls.masked_phrase_loss(fused, masked, params,
+                                        positions=model_cfg.mpm_positions)
 
-        total, breakdown = ls.total_loss(itc, itm, tri, biatt, mpm, stage,
-                                         phrase_scale=1.0 / n,
-                                         p_i2t=p_i2t, p_t2i=p_t2i)
-    diag = StepDiagnostics(attention_row_dev=max(devs) if devs else 0.0,
-                           weight_sums=weight_sums)
-    return total, breakdown, diag
-
-
-def _batches_per_epoch(records, batch_size: int) -> int:
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[r.identity] = counts.get(r.identity, 0) + 1
-    remaining = list(counts.values())
-    steps = 0
-    while any(remaining):
-        remaining.sort(reverse=True)
-        for i in range(min(batch_size, len(remaining))):
-            if remaining[i] > 0:
-                remaining[i] -= 1
-        steps += 1
-    return steps
+    total, breakdown = ls.total_loss(itc, itm, tri, biatt, mpm,
+                                     phrase_scale=1.0 / n,
+                                     p_i2t=p_i2t, p_t2i=p_t2i)
+    return total, breakdown, StepDiagnostics(weight_sums=weight_sums)
 
 
 def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
@@ -281,18 +259,18 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
 
     records = dataset.train_records()
     effective_batch = min(cfg.batch_size, len({r.identity for r in records}))
-    per_epoch = _batches_per_epoch(records, effective_batch)
     log_rows: list = []
     diagnostics: list = []
     checkpoints: dict = {}
     global_step = 0
 
     for stage, epochs in ((1, cfg.stage1_epochs), (2, cfg.stage2_epochs)):
-        total_steps = epochs * per_epoch
-        warmup = int(round(cfg.warmup_frac * total_steps))
         stage_step = 0
         for _ in range(epochs):
             batches = make_batches(records, effective_batch, pipeline, batch_rng)
+            # every epoch of a stage has as many batches, whatever the draw
+            total_steps = epochs * len(batches)
+            warmup = int(round(cfg.warmup_frac * total_steps))
             for batch in batches:
                 lr = cosine_lr(stage_step, total_steps, cfg.base_lr, warmup,
                                cfg.warmup_lr)

@@ -37,7 +37,6 @@ VARIANTS = {
     "biatt_row=cls": ({"biatt_row": "cls"}, {}),
     "biatt_phrase=clean": ({"biatt_phrase": "clean"}, {}),
     "mpm_positions=all": ({"mpm_positions": "all"}, {}),
-    "separate_phrase_projection": ({"separate_phrase_projection": True}, {}),
     "tie_score_head": ({"tie_score_head": True}, {}),
     "triplet_direction=printed": ({}, {"triplet_direction": "printed"}),
     "neg_sampling=uniform": ({}, {"neg_sampling": "uniform"}),

@@ -258,30 +258,22 @@ def test_mpm_mask_outside_fusion_rejected():
 
 
 def test_total_zero_phrases_is_global_only():
-    total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), None, None,
-                              stage=2)
+    total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), None, None)
     assert total.item() == pytest.approx(3.5)
     assert bd.biatt == 0.0 and bd.mpm == 0.0
 
 
-def test_total_stage1_gates_everything_but_global():
-    total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(9.0),
-                              Tensor([4.0]), Tensor([5.0]), stage=1)
-    assert total.item() == pytest.approx(3.0)
-    assert bd.tri == 0.0 and bd.biatt == 0.0 and bd.mpm == 0.0
-
-
 def test_total_phrase_additivity():
     one, _ = ls.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0),
-                           Tensor([0.3]), Tensor([0.7]), stage=2)
+                           Tensor([0.3]), Tensor([0.7]))
     two, _ = ls.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0),
-                           Tensor([0.3] * 2), Tensor([0.7] * 2), stage=2)
+                           Tensor([0.3] * 2), Tensor([0.7] * 2))
     assert two.item() == pytest.approx(2.0 * one.item())
 
 
 def test_total_breakdown_sums_exactly():
     total, bd = ls.total_loss(Tensor(0.37), Tensor(1.21), Tensor(0.11),
-                              Tensor([0.53, 0.19]), Tensor([2.41, 0.07]), stage=2,
+                              Tensor([0.53, 0.19]), Tensor([2.41, 0.07]),
                               phrase_scale=0.5)
     assert abs(bd.total - (bd.itc + bd.itm + bd.tri + bd.biatt + bd.mpm)) <= 1e-12
     assert bd.total == pytest.approx(total.item())

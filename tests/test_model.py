@@ -260,23 +260,6 @@ def test_cross_params_shared_between_streams(cfg, params):
     assert n_cross > 0  # a single parameter set serves both streams
 
 
-def test_row_sum_collector(cfg, params, pipeline):
-    img = md.encode_image(random_patches(cfg), params, cfg)
-    txt = md.encode_text([5, 6, 7], params, cfg)
-    with md.collect_attention_row_sums([]) as devs:
-        md.cross_encode(txt, img, params, cfg)
-    # every cross layer contributes self+cross attention rows per head
-    assert len(devs) == cfg.n_cross_layers * cfg.heads * 2
-    assert max(devs) <= 1e-9
-    # a batch of pairs reports one float per pair and head
-    texts = md.encode_text([[5, 6, 7], [5]], params, cfg)
-    images = md.encode_image(np.stack([random_patches(cfg)] * 2), params, cfg)
-    with md.collect_attention_row_sums([]) as devs:
-        md.cross_encode(texts, images, params, cfg)
-    assert len(devs) == cfg.n_cross_layers * 2 * cfg.heads * 2
-    assert all(type(d) is float for d in devs) and max(devs) <= 1e-9
-
-
 def pair_of(fused, b, rows):
     """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
     rows: the rows on the graph, the trace as a constant slice."""

@@ -322,15 +322,16 @@ def test_nonfinite_rejected():
 @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
                                     [np.inf, -np.inf], np.nan],
                          ids=["nan", "+inf", "-inf", "inf and -inf", "nan scalar"])
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_element_rejected(values):
-    # the sum that screens for non-finite values warns on inf - inf
-    with np.errstate(invalid="ignore"), pytest.raises(nx.NonFiniteError):
+    # the screen raises NonFiniteError and prints no numpy RuntimeWarning
+    with pytest.raises(nx.NonFiniteError):
         nx.Tensor(values)
 
 
+@pytest.mark.filterwarnings("error")
 def test_finite_values_with_overflowing_sum_accepted():
-    with np.errstate(over="ignore"):
-        x = nx.Tensor([1e308, 1e308])
+    x = nx.Tensor([1e308, 1e308])
     assert np.array_equal(x.data, [1e308, 1e308])
 
 

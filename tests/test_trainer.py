@@ -58,15 +58,37 @@ def tiny_setup(**train_over):
     return pipeline, dataset, model_cfg, cfg
 
 
-def test_train_step_enqueues_batch_momentum_embeddings():
+def first_step(stage):
+    """``train_step`` on the first batch of the tiny corpus, every term
+    enabled; returns (batch, queue, step outputs)."""
     pipeline, dataset, model_cfg, cfg = tiny_setup()
     params = md.init_params(model_cfg, Rng(1))
     momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
     queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
     batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
                               Rng(2))[0]
-    trainer.train_step(batch, 1, params, momentum, queue, model_cfg, cfg, Rng(3))
+    out = trainer.train_step(batch, stage, params, momentum, queue, model_cfg,
+                             cfg, Rng(3))
+    return batch, queue, out
+
+
+def test_train_step_enqueues_batch_momentum_embeddings():
+    batch, queue, _ = first_step(1)
     assert queue.filled == len(batch.images)
+
+
+def test_stage1_step_builds_no_stage2_term(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stage 1 built a stage-2 loss term")
+
+    monkeypatch.setattr(trainer, "local_alignment_loss", refuse)
+    monkeypatch.setattr(ls, "masked_phrase_loss", refuse)
+    monkeypatch.setattr(ls, "fusion_triplet_loss", refuse)
+    batch, _, (total, bd, diag) = first_step(1)
+    assert any(batch.phrase_pairs)
+    assert bd.tri == bd.biatt == bd.mpm == 0.0
+    assert total.item() == bd.total == pytest.approx(bd.itc + bd.itm, rel=1e-15)
+    assert diag.weight_sums == []
 
 
 def test_train_is_bitwise_reproducible():
@@ -80,6 +102,27 @@ def test_train_is_bitwise_reproducible():
         assert np.array_equal(t.data, b.params[name].data), name
     for name, t in a.momentum.shadow.items():
         assert np.array_equal(t.data, b.momentum.shadow[name].data), name
+
+
+def test_lr_schedule_spans_each_stage_of_batches():
+    pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=2, stage2_epochs=1)
+    cfg = dataclasses.replace(cfg, batch_size=2)
+    # drop a record of the first identity, so the identities hold 1, 2 and 2
+    first = next(i for i in dataset.train_indices
+                 if dataset.records[i].identity == 0)
+    dataset = dataclasses.replace(
+        dataset, train_indices=[i for i in dataset.train_indices if i != first])
+    per_epoch = len(data.make_batches(dataset.train_records(), cfg.batch_size,
+                                      pipeline, Rng(0)))
+    rows = trainer.train(model_cfg, cfg, dataset, pipeline).log_rows
+    stages = (rows[:2 * per_epoch], rows[2 * per_epoch:])
+    for epochs, stage_rows in zip((2, 1), stages):
+        total = epochs * per_epoch
+        assert len(stage_rows) == total
+        warmup = int(round(cfg.warmup_frac * total))
+        assert [row["lr"] for row in stage_rows] == [
+            trainer.cosine_lr(step, total, cfg.base_lr, warmup, cfg.warmup_lr)
+            for step in range(total)]
 
 
 # ---------------------------------------------------------------------------
