@@ -32,18 +32,13 @@ def finite_diff_param(params: model.Params, name: str, build_loss,
     loss from the current parameters; the named parameter is temporarily
     replaced by the probe leaf on every evaluation.
     """
-    original = params[name]
-
     def f(x: Tensor) -> Tensor:
-        params._tensors[name] = x
-        try:
+        with params.substituted(name, x):
             return build_loss()
-        finally:
-            params._tensors[name] = original
 
     params.zero_grads()
     try:
-        return nx.finite_diff_check(f, original, eps=eps)
+        return nx.finite_diff_check(f, params[name], eps=eps)
     finally:
         params.zero_grads()
 
@@ -91,8 +86,10 @@ def _masked_phrases(pipeline, rng) -> list[MaskedPhrase]:
 
 # ---------------------------------------------------------------------------
 # per-loss checks; each returns the max relative error over probed parameters.
-# Every check encodes its images and its texts in one call each and picks the
-# pairs' rows by index, as ``trainer.train_step`` does.
+# Every check encodes its images and its texts in one call each, picks the
+# pairs' text rows by index and passes the pairs' image index to
+# ``cross_encode``, as ``trainer.train_step`` does; a repeated image scatters
+# its key and value gradients back to one entry.
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -131,13 +128,18 @@ def check_itm(seed: int) -> float:
 
     def build():
         img, txt = _encode(images, texts, params, cfg)
-        fused = model.cross_encode(txt.select([0, 1]), img.select([0, 0]), params, cfg)
+        fused = model.cross_encode(txt.select([0, 1]), img, params, cfg,
+                                   image_index=[0, 0])
         return losses.itm_loss(losses.fine_similarity(fused.cls, params["itm.w"]),
                                [1.0, 0.0])
 
+    # the cross keys and the image encoder reach the loss through the
+    # per-pair gather of the shared image's keys and values
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
-            finite_diff_param(params, "cross0.ffn.w2", build)]
+            finite_diff_param(params, "cross0.ffn.w2", build),
+            finite_diff_param(params, "cross0.cross.wk", build),
+            finite_diff_param(params, "img_self0.ln2.g", build)]
     return max(errs)
 
 
@@ -148,15 +150,17 @@ def check_triplet(seed: int) -> float:
         # (text, image) pairs: the positive (0, 0), then a negative image
         # (0, 1) and a negative text (1, 0)
         img, txt = _encode(images, texts, params, cfg)
-        fused = model.cross_encode(txt.select([0, 0, 1]), img.select([0, 1, 0]),
-                                   params, cfg)
+        fused = model.cross_encode(txt.select([0, 0, 1]), img, params, cfg,
+                                   image_index=[0, 1, 0])
         logits = losses.fine_similarity(fused.cls, params["itm.w"])
         pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
         return losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
 
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
-            finite_diff_param(params, "cross1.ffn.b2", build)]
+            finite_diff_param(params, "cross1.ffn.b2", build),
+            finite_diff_param(params, "cross1.cross.wv", build),
+            finite_diff_param(params, "img_self0.ffn.b2", build)]
     return max(errs)
 
 
@@ -167,10 +171,9 @@ def check_local_align(seed: int) -> float:
 
     def phrase_pass():
         img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
-        image = img.select([0, 1])
-        fused = model.cross_encode(phr, image, params, cfg,
-                                   trace_layer=cfg.bidiratt_layer)
-        return image, phr, fused
+        fused = model.cross_encode(phr, img, params, cfg,
+                                   trace_layer=cfg.bidiratt_layer, image_index=[0, 1])
+        return img.select([0, 1]), phr, fused
 
     def build():
         loss, _ = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg)
@@ -206,7 +209,7 @@ def check_mpm(seed: int) -> float:
 
     def build():
         img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
-        fused = model.cross_encode(phr, img.select([0, 1]), params, cfg)
+        fused = model.cross_encode(phr, img, params, cfg, image_index=[0, 1])
         return nx.sum_all(losses.masked_phrase_loss(fused, masked, params))
 
     errs = [finite_diff_param(params, "mpm.b2", build),

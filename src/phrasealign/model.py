@@ -8,6 +8,9 @@ image keys/values, then a feed-forward, per layer; one layer's attention
 matrices and projected values can be captured as a trace. The same
 cross-modal parameters serve the image-text and image-phrase streams. Heads
 are the leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim).
+Pairs that share an image can share its cross-attention keys and values:
+given an image index per pair, each cross layer projects every distinct
+image once and gathers the projected rows per pair.
 """
 
 from __future__ import annotations
@@ -104,6 +107,17 @@ class Params:
 
     def zero_grads(self) -> None:
         nx.zero_grads(self._tensors.values())
+
+    @contextlib.contextmanager
+    def substituted(self, name: str, tensor: Tensor):
+        """``tensor`` in place of the parameter ``name`` for the length of the
+        ``with`` block; the original is restored on exit."""
+        original = self._tensors[name]
+        self._tensors[name] = tensor
+        try:
+            yield
+        finally:
+            self._tensors[name] = original
 
 
 # momentum shadows mirror the unimodal encoders and the coarse projections
@@ -275,17 +289,20 @@ def _head_axis(x: Tensor) -> Tensor:
 
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
                           params: Params, prefix: str, cfg: ModelConfig,
-                          key_bias: Tensor | None = None):
+                          key_bias: Tensor | None = None, kv_index=None):
     """Scaled dot-product attention over all heads (and pairs) at once, with
-    ``key_bias`` added to the scores. Returns the output rows, the
-    ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, head_dim)
-    values."""
+    ``key_bias`` added to the scores. With ``kv_index``, keys and values are
+    projected once per entry of ``keys_values_from`` and pair b attends to
+    entry ``kv_index[b]``. Returns the output rows, the ([B,] heads, L_q,
+    L_kv) attention and the ([B,] heads, L_kv, head_dim) values."""
     x_q = _head_axis(queries_from)
     x_kv = x_q if keys_values_from is queries_from else _head_axis(keys_values_from)
     # scale q, not the scores: (heads, L, L) temporaries are the costly ones
     q = nx.mul(nx.matmul(x_q, params[f"{prefix}.wq"]), 1.0 / np.sqrt(cfg.head_dim))
     k = nx.matmul(x_kv, params[f"{prefix}.wk"])
     v = nx.matmul(x_kv, params[f"{prefix}.wv"])
+    if kv_index is not None:
+        k, v = nx.gather_rows(k, kv_index), nx.gather_rows(v, kv_index)
     scores = nx.matmul(q, nx.transpose(k))
     if key_bias is not None:
         scores = nx.add(scores, key_bias)
@@ -383,22 +400,29 @@ def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig):
 
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
                  cfg: ModelConfig, trace_layer: int | None = None,
-                 mode: str = "train") -> FusionOutput:
+                 mode: str = "train", image_index=None) -> FusionOutput:
     """Per layer: self-attention over text rows, cross-attention with text
     queries against image keys/values, feed-forward. ``trace_layer`` (1-based)
     captures that layer's attention trace.
 
     Takes one pair, or a batch of pairs: text and image reps with the same
     leading pair axis, as the batched encoders give them or
-    :meth:`EncoderOutput.select` picks them. A text batch's ``pad_bias``
-    keeps its padding out of the text self-attention; image rows are never
-    padded. The fused reps and the trace keep the pair axis."""
+    :meth:`EncoderOutput.select` picks them. Or a batch of texts, a stack of
+    images and ``image_index``, the image of each text (repeats allowed):
+    then every cross layer projects each image's keys and values once and
+    gathers them per pair, which gives the same numbers as the selected
+    images. A text batch's ``pad_bias`` keeps its padding out of the text
+    self-attention; image rows are never padded. The fused reps and the
+    trace keep the pair axis."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
-    if text_out.reps.shape[:-2] != img_out.reps.shape[:-2] or \
-            img_out.pad_bias is not None:
+    index = None if image_index is None else np.asarray(image_index, dtype=np.intp)
+    pairs = img_out.reps.shape[:-2] if index is None else index.shape
+    if text_out.reps.shape[:-2] != pairs or img_out.pad_bias is not None or \
+            (index is not None and img_out.reps.data.ndim != 3):
         raise nx.ShapeError(f"need one unpadded image per text: text "
-                            f"{text_out.reps.shape}, image {img_out.reps.shape}")
+                            f"{text_out.reps.shape}, image {img_out.reps.shape}"
+                            + ("" if index is None else f", index {index.shape}"))
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = text_out.reps
@@ -409,7 +433,8 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
                                                text_out.pad_bias)
             x = _post_norm(x, attn, params, f"{prefix}.ln1")
             cross, a, v = _multi_head_attention(x, img_out.reps, params,
-                                                f"{prefix}.cross", cfg)
+                                                f"{prefix}.cross", cfg,
+                                                kv_index=index)
             if layer + 1 == trace_layer:
                 trace = AttentionTrace(layer + 1, a, v)
             x = _post_norm(x, cross, params, f"{prefix}.ln2")

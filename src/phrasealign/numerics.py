@@ -79,8 +79,11 @@ class Tensor:
         # a finite sum of squares implies finite elements; only a non-finite
         # one (which overflow of finite values can also cause) needs the full
         # scan. vdot costs less than arr.sum() at every size measured and,
-        # unlike it, prints no RuntimeWarning on inf - inf or on overflow
-        if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        # unlike it, prints no RuntimeWarning on inf - inf or on overflow. It
+        # copies an array that is not C-contiguous; ravel in memory order is a
+        # view of the same values for a transposed one
+        flat = arr if arr.flags.c_contiguous else arr.ravel(order="K")
+        if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite values produced by op '{op}'")
         self.data = arr
         self.op = op
@@ -130,7 +133,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # a reshape to the same shape would still make a view, which backward
+    # then copies
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +189,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shared by every leading index and ``(B, 1, L, d) @ (heads, d, w)`` gives
     ``(B, heads, L, w)``.
 
-    For that (B, 1, L, d) @ (heads, d, w) case, backward contracts over all
-    B*L rows at once: (B*L, heads*w) @ (heads*w, d) for ``a`` and
-    (d, B*L) @ (B*L, heads*w) for ``b``, with no (B, heads, d, w) temporary
-    summed over B."""
+    Where one weight is shared by every leading index, backward contracts
+    over all rows at once, with no per-index weight gradient summed over the
+    leading axes: for (B, 1, L, d) @ (heads, d, w), (B*L, heads*w) @
+    (heads*w, d) for ``a`` and (d, B*L) @ (B*L, heads*w) for ``b``; for
+    (..., L, d) @ (d, w), (d, rows) @ (rows, w) for ``b``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -203,9 +209,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bw(g):
             heads, d, w = b.shape
             rows = np.swapaxes(g, 1, 2).reshape(-1, heads * w)
-            ga = rows @ np.swapaxes(b.data, 1, 2).reshape(heads * w, d)
+            ga = np.empty(a.shape)    # owns its buffer, so backward need not copy it
+            np.matmul(rows, np.swapaxes(b.data, 1, 2).reshape(heads * w, d),
+                      out=ga.reshape(-1, d))
             gb = a.data.reshape(-1, d).T @ rows
-            return ga.reshape(a.shape), np.swapaxes(gb.reshape(d, heads, w), 0, 1)
+            return ga, np.swapaxes(gb.reshape(d, heads, w), 0, 1)
+    elif a.data.ndim > 2 and b.data.ndim == 2:
+        def bw(g):
+            d, w = b.shape
+            return g @ b.data.T, a.data.reshape(-1, d).T @ g.reshape(-1, w)
     else:
         def bw(g):
             return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
@@ -394,14 +406,24 @@ def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
     """Entries along the leading axis: ``table[ids]`` for ids of any shape
     (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of
     embedding rows, or for an int the single entry with that axis dropped.
-    Gradients scatter-add back."""
+
+    Gradients scatter-add back as one product: a 0/1 (table entries, ids)
+    matrix times the gradient rows, which adds repeated ids in id order
+    like ``np.add.at`` at a fraction of its cost."""
     if table.data.ndim < 1:
         raise ShapeError("gather_rows needs a leading axis to index")
     idx = ids if isinstance(ids, (int, np.integer)) else np.asarray(ids, dtype=np.intp)
 
     def bw(g):
-        out = np.zeros(table.shape)
-        np.add.at(out, idx, g)
+        if not isinstance(idx, np.ndarray):
+            out = np.zeros(table.shape)
+            out[idx] = g
+            return (out,)
+        n, width = table.shape[0], math.prod(table.shape[1:])
+        hits = np.arange(n)[:, None] == idx.reshape(-1) % n
+        out = np.empty(table.shape)
+        np.matmul(hits.astype(np.float64), g.reshape(idx.size, width),
+                  out=out.reshape(n, width))
         return (out,)
 
     return _result(np.take(table.data, idx, axis=0), "gather_rows", (table,), bw)
@@ -526,15 +548,26 @@ def _toposort(root: Tensor) -> list:
     return order  # inputs before consumers
 
 
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: ``a`` itself or its base."""
+    return a if a.base is None else a.base
+
+
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(node) into the grad slot of every reachable leaf.
 
-    ``root`` must be scalar. An op result gets a slot holding a copy of the
-    first gradient that reaches it (that array may alias another node's
-    buffer), adds later ones into it, and gives the slot up once its backward
-    function has run. Grad slots touched by a previous backward must be reset
-    (``zero_grads``) first; silent accumulation across passes is an error by
-    design.
+    ``root`` must be scalar. An op result's slot is the first gradient that
+    reaches it; later ones are added into it, and the slot is given up once
+    the node's backward function has run. Grad slots touched by a previous
+    backward must be reset (``zero_grads``) first; silent accumulation across
+    passes is an error by design.
+
+    Contract of a backward function: it never returns an array it keeps, so
+    each array it returns is either new or a view of the gradient it was
+    given. The first gradient is therefore taken without a copy when it owns
+    its buffer or views the buffer of the slot being given up, unless a
+    sibling in the same tuple took that buffer first (``add`` and ``sum_n``
+    hand one array to several parents); any other array is copied.
     """
     if root.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
@@ -552,8 +585,10 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue
+        released = _buffer(node.grad)
         grads = node._backward_fn(node.grad)
         node.grad = None
+        taken = set()   # ids of the buffers handed on without a copy
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
@@ -565,13 +600,25 @@ def backward(root: Tensor) -> None:
                 touched.add(id(parent))
                 parent._grad_dirty = True
             if parent.grad is not None:
-                parent.grad += g
-            elif np.shape(g) == parent.data.shape:
-                parent.grad = np.array(g, dtype=np.float64, order="C")
-            else:
+                if taken and id(_buffer(parent.grad)) in taken:
+                    # a parent listed twice: its slot is a buffer taken from
+                    # this tuple, which later siblings may still read
+                    parent.grad = parent.grad + g
+                else:
+                    parent.grad += g
+                continue
+            if np.shape(g) != parent.data.shape:
                 raise ShapeError(f"backward of op '{node.op}' gave a gradient of "
                                  f"shape {np.shape(g)} for an input of shape "
                                  f"{parent.shape}")
+            buffer = _buffer(g) if isinstance(g, np.ndarray) else None
+            if buffer is not None and (buffer is g or buffer is released) and \
+                    id(buffer) not in taken and g.dtype == np.float64 and \
+                    g.flags.writeable:
+                parent.grad = g
+                taken.add(id(buffer))
+            else:
+                parent.grad = np.array(g, dtype=np.float64, order="C")
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

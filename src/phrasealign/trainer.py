@@ -188,9 +188,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     pairs = ([(i, i, 1.0) for i in range(n)]
              + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
              + [(j, i, 0.0) for j, i in enumerate(neg_img)])
-    fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]),
-                            img_out.select([i for _, i, _ in pairs]),
-                            params, model_cfg)
+    fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]), img_out,
+                            params, model_cfg, image_index=[i for _, i, _ in pairs])
     logits = ls.fine_similarity(fused.cls, params["itm.w"])
     itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
@@ -210,10 +209,10 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
         trace_layer = model_cfg.bidiratt_layer if need_trace else None
         masked = [m for _, _, m in items]
-        images = img_out.select([i for i, _, _ in items])
+        image_ids = [i for i, _, _ in items]
         phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-        fused = md.cross_encode(phrases, images, params, model_cfg,
-                                trace_layer=trace_layer)
+        fused = md.cross_encode(phrases, img_out, params, model_cfg,
+                                trace_layer=trace_layer, image_index=image_ids)
         if cfg.enable_biatt:
             # the local stream reads the masked phrases' own pass, or a
             # separate traced pass over the clean phrases
@@ -221,11 +220,13 @@ def train_step(batch: Batch, stage: int, params: md.Params,
             if model_cfg.biatt_phrase == "clean":
                 biatt_phrases = md.encode_text(
                     [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
-                biatt_fused = md.cross_encode(biatt_phrases, images, params,
+                biatt_fused = md.cross_encode(biatt_phrases, img_out, params,
                                               model_cfg,
-                                              trace_layer=model_cfg.bidiratt_layer)
+                                              trace_layer=model_cfg.bidiratt_layer,
+                                              image_index=image_ids)
+            # the pooling reads each pair's image rows
             biatt, weights = local_alignment_loss(
-                images, biatt_phrases, biatt_fused,
+                img_out.select(image_ids), biatt_phrases, biatt_fused,
                 [m.mask_index + 1 for m in masked], params, model_cfg,
                 target_id=[m.target_id for m in masked])
             weight_sums = weights.w.sum(axis=-1).tolist()

@@ -318,6 +318,52 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
         assert close(batch_grads[name], g), name
 
 
+def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
+    """An image index with repeats, one image no pair uses, a padded text
+    batch and a trace layer: the fused reps, the trace, every parameter
+    gradient and the image-rep gradient equal those of the selected image
+    rows."""
+    params = md.init_params(cfg, Rng(5))
+    ids = [pipeline.vocab.encode(words) for words in
+           (["red", "shirt"], ["a", "man", "in", "blue", "pants"], ["black", "hair"],
+            ["white", "shoes"])]
+    index = [2, 0, 2, 2]                # image 1 is unused
+    with nx.no_grad():
+        image_reps = md.encode_image(
+            np.stack([random_patches(cfg, seed) for seed in (3, 4, 5)]), params, cfg).reps
+    probe = Rng(11).normal((len(ids), max(map(len, ids)) + 1, cfg.d))
+
+    def run(indexed):
+        params.zero_grads()
+        texts = md.encode_text(ids, params, cfg)
+        assert texts.pad_bias is not None
+        img = Tensor(image_reps.data, requires_grad=True)
+        if indexed:
+            fused = md.cross_encode(texts, md.EncoderOutput(img), params, cfg,
+                                    trace_layer=cfg.bidiratt_layer, image_index=index)
+        else:
+            fused = md.cross_encode(texts, md.EncoderOutput(img).select(index), params,
+                                    cfg, trace_layer=cfg.bidiratt_layer)
+        nx.backward(nx.sum_all(nx.mul(fused.reps, Tensor(probe))))
+        grads = {name: p.grad.copy() for name, p in params.named()}
+        params.zero_grads()
+        return fused, grads, img.grad
+
+    got, got_grads, got_img = run(indexed=True)
+    want, want_grads, want_img = run(indexed=False)
+
+    def close(a, b):
+        return a.shape == b.shape and np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    assert close(got.reps.data, want.reps.data)
+    assert close(got.trace.attn.data, want.trace.attn.data)
+    assert close(got.trace.values.data, want.trace.values.data)
+    for name, g in want_grads.items():
+        assert close(got_grads[name], g), name
+    assert close(got_img, want_img)
+    assert not got_img[1].any() and got_img[2].any()
+
+
 def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
     img = md.encode_image(random_patches(cfg), params, cfg)
     texts = md.encode_text([[5, 6]] * 2, params, cfg)
@@ -330,6 +376,25 @@ def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
         md.cross_encode(texts, padded, params, cfg)
     with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
         md.cross_encode(texts, img, params, cfg)
+    # an image index needs one entry per text and a stack of images
+    stack = md.encode_image(np.stack([random_patches(cfg)] * 3), params, cfg)
+    for bad in ([0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
+            md.cross_encode(texts, stack, params, cfg, image_index=bad)
+    with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
+        md.cross_encode(texts, img, params, cfg, image_index=[0, 0])
+    with pytest.raises(IndexError):
+        md.cross_encode(texts, stack, params, cfg, image_index=[0, 3])
+
+
+def test_params_substituted_restores_original(params):
+    original = params["itm.w"]
+    probe = Tensor(np.zeros(original.shape))
+    with pytest.raises(RuntimeError):
+        with params.substituted("itm.w", probe):
+            assert params["itm.w"] is probe
+            raise RuntimeError
+    assert params["itm.w"] is original
 
 
 # ---------------------------------------------------------------------------

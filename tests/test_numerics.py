@@ -193,6 +193,38 @@ def test_shared_stack_matmul_backward_matches_broadcast_sum():
     assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
 
 
+def test_shared_matrix_matmul_backward_matches_broadcast_sum():
+    """(..., L, d) @ (d, w): the one-contraction weight gradient equals the
+    per-index products summed back over the leading axes."""
+    rng = nx.Rng(17)
+    for lead in ((5,), (2, 3)):
+        a = t(rng.normal(lead + (3, 4)), grad=True)
+        w = t(rng.normal((4, 6)), grad=True)
+        g = rng.normal(lead + (3, 6))
+        nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
+        want_a = nx._unbroadcast(g @ np.swapaxes(w.data, -1, -2), a.shape)
+        want_w = nx._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, w.shape)
+        assert a.grad.shape == a.shape and w.grad.shape == w.shape
+        assert np.allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
+        assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("ids", [[2, 1, 2, 2], [[1, 3, 1], [1, 1, -1]], 3],
+                         ids=["1-D", "2-D", "int"])
+def test_gather_rows_backward_matches_add_at(ids):
+    """Repeated ids (and a negative one) add their gradient rows into one
+    entry in the same order as np.add.at; unused entries get zero."""
+    rng = nx.Rng(18)
+    table = t(rng.normal((5, 2, 3)), grad=True)
+    picked = nx.gather_rows(table, ids)
+    g = rng.normal(picked.shape)
+    nx.backward(nx.sum_all(nx.mul(picked, t(g))))
+    want = np.zeros(table.shape)
+    np.add.at(want, np.asarray(ids), g)
+    assert np.allclose(table.grad, want, rtol=1e-12, atol=1e-12)
+    assert not table.grad[0].any()
+
+
 # ---------------------------------------------------------------------------
 # row_softmax
 
@@ -329,6 +361,21 @@ def test_nonfinite_element_rejected(values):
         nx.Tensor(values)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.filterwarnings("error")
+def test_nonfinite_element_of_transposed_view_rejected(bad):
+    # a view that is not C-contiguous is screened through its memory-order
+    # ravel, not a copy
+    x = np.arange(24.0).reshape(2, 3, 4)
+    x[1, 2, 0] = bad
+    view = np.swapaxes(x, -1, -2)
+    assert not view.flags.c_contiguous
+    with pytest.raises(nx.NonFiniteError):
+        nx.Tensor(view)
+    x[1, 2, 0] = 0.0
+    assert np.array_equal(nx.Tensor(view).data, view)
+
+
 @pytest.mark.filterwarnings("error")
 def test_finite_values_with_overflowing_sum_accepted():
     x = nx.Tensor([1e308, 1e308])
@@ -348,6 +395,51 @@ def test_interior_slot_released_and_leaf_slots_kept():
     assert h.grad is None
     assert np.array_equal(x.grad, 2.0 * h.data * y.data)
     assert np.array_equal(y.grad, 2.0 * h.data * x.data)
+
+
+def test_gradient_handed_to_several_parents_is_not_shared():
+    """add and sum_n hand one array to each parent: the first may keep it,
+    the others get their own copy, so a later gradient added into one slot
+    does not reach another."""
+    a, b = t([1.0, 2.0], grad=True), t([3.0, -1.0], grad=True)
+    c, d = np.array([0.5, -2.0]), np.array([4.0, 0.25])
+    for order in (1, -1):
+        a.zero_grad()
+        b.zero_grad()
+        x, y = nx.mul(a, 2.0), nx.mul(b, 3.0)
+        # x and y reach the root through add(x, y) and through mul(x, y),
+        # which backward may reach first or second
+        nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.add(x, y), t(c))),
+                              nx.sum_all(nx.mul(nx.mul(x, y), t(d)))][::order]))
+        assert np.allclose(a.grad, 2.0 * (c + d * y.data), rtol=1e-15, atol=0.0)
+        assert np.allclose(b.grad, 3.0 * (c + d * x.data), rtol=1e-15, atol=0.0)
+
+    a.zero_grad()
+    x = nx.mul(a, 2.0)
+    nx.backward(nx.sum_all(nx.mul(nx.add(x, x), t(c))))
+    assert np.array_equal(a.grad, 4.0 * c)
+
+    a.zero_grad()
+    b.zero_grad()
+    x, y = nx.mul(a, 2.0), nx.mul(b, 3.0)
+    nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.sum_n([x, x, y]), t(c))),
+                          nx.sum_all(nx.mul(y, t(d)))]))
+    assert np.array_equal(a.grad, 4.0 * c)
+    assert np.array_equal(b.grad, 3.0 * (c + d))
+
+
+def test_gradient_viewing_another_buffer_is_copied():
+    # only a view of the slot being given up is handed on as it is
+    kept = np.ones(2)
+    a = t([1.0, 2.0], grad=True)
+    for order in (1, -1):
+        a.zero_grad()
+        h = nx.mul(a, 2.0)
+        odd = nx.Tensor([0.0, 0.0], requires_grad=True, op="odd", parents=(h,),
+                        backward_fn=lambda g: (kept[:],))
+        nx.backward(nx.sum_n([nx.sum_all(odd), nx.sum_all(nx.mul(h, 3.0))][::order]))
+        assert np.array_equal(kept, [1.0, 1.0])
+        assert np.array_equal(a.grad, [8.0, 8.0])
 
 
 def test_first_gradient_of_wrong_shape_raises():

@@ -9,6 +9,7 @@ import pytest
 from phrasealign import data, trainer
 from phrasealign import losses as ls
 from phrasealign import model as md
+from phrasealign import numerics as nx
 from phrasealign.numerics import Rng
 from phrasealign.textproc import TextPipeline
 
@@ -70,6 +71,60 @@ def first_step(stage):
     out = trainer.train_step(batch, stage, params, momentum, queue, model_cfg,
                              cfg, Rng(3))
     return batch, queue, out
+
+
+def default_stage2():
+    """The default configs and corpus, and a stage-2 ``train_step`` on its
+    first batch (8 images, 24 image-text and 28 image-phrase pairs) as a
+    zero-argument callable returning the total."""
+    pipeline = TextPipeline()
+    dataset = data.generate_dataset(data.DataConfig(), Rng(0))
+    model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
+    cfg = trainer.TrainConfig()
+    params = md.init_params(model_cfg, Rng(1))
+    momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
+    queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
+    batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
+                              Rng(2))[0]
+    assert len(batch.images) == 8 and sum(map(len, batch.phrase_pairs)) == 28
+
+    def step():
+        total, _, _ = trainer.train_step(batch, 2, params, momentum, queue,
+                                         model_cfg, cfg, Rng(3))
+        return total
+
+    return model_cfg, params, step
+
+
+def test_cross_keys_projected_once_per_distinct_image(monkeypatch):
+    # every cross layer of both streams projects the 8 batch images' keys,
+    # not one image stack per pair
+    model_cfg, params, step = default_stage2()
+    keys = {id(p) for name, p in params.named() if name.endswith(".cross.wk")}
+    rows = []
+    matmul = nx.matmul
+
+    def counting(a, b):
+        if id(b) in keys:
+            rows.append(a.shape)
+        return matmul(a, b)
+
+    monkeypatch.setattr(nx, "matmul", counting)
+    step()
+    assert rows == [(8, 1, model_cfg.n_patches + 1, model_cfg.d)] * \
+        (2 * model_cfg.n_cross_layers)
+
+
+def test_backward_leaves_every_node_value_unchanged():
+    # a gradient handed on without a copy never aliases a node's value
+    _, _, step = default_stage2()
+    total = step()
+    nodes = nx._toposort(total)
+    before = [n.data.copy() for n in nodes]
+    nx.backward(total)
+    assert len(nodes) > 800
+    for node, data in zip(nodes, before):
+        assert np.array_equal(node.data, data), node.op
 
 
 def test_train_step_enqueues_batch_momentum_embeddings():
