@@ -21,7 +21,7 @@ from .local_align import coarse_similarity, local_alignment_loss, weighted_pool
 from .textproc import MaskedPhrase, TextPipeline, MASK_ID
 
 TOLERANCE = 1e-6
-SUITE_EPS = 1e-4  # roundoff dominates the deep graphs at smaller steps
+SUITE_EPS = 1e-3  # roundoff dominates the deep graphs at smaller steps
 
 
 def finite_diff_param(params: model.Params, name: str, build_loss,
@@ -113,8 +113,7 @@ def check_itc(seed: int) -> float:
     def build():
         _, _, img, txt = model.coarse_embeddings(images, texts, params, cfg)
         tau = nx.exp(params["temp.log_tau"])
-        loss, _, _ = losses.itc_loss(img, txt, mom_img, mom_txt, queue, tau)
-        return loss
+        return losses.itc_loss(img, txt, mom_img, mom_txt, queue, tau)
 
     errs = [finite_diff_param(params, "temp.log_tau", build),
             finite_diff_param(params, "txt_self0.ln2.g", build),
@@ -182,8 +181,8 @@ def check_local_align(seed: int) -> float:
     # the projections do not feed the attention trace, so the full loss is
     # checkable through them as-is; the cosine's worst gradient elements are
     # truncation-limited, hence the smaller step
-    errs = [finite_diff_param(params, "proj.txt.w", build, eps=3e-5),
-            finite_diff_param(params, "proj.img.w", build, eps=3e-5)]
+    errs = [finite_diff_param(params, "proj.txt.w", build, eps=3e-4),
+            finite_diff_param(params, "proj.img.w", build, eps=3e-4)]
 
     # encoder parameters do feed the trace; the pooling weights are constants
     # by definition, so the probe holds them at their unperturbed values
@@ -242,9 +241,9 @@ def check_total(seed: int) -> float:
     queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
 
     def build():
-        total, _, _ = trainer.train_step(batch, 2, params, momentum,
-                                         copy.deepcopy(queue), cfg, train_cfg,
-                                         Rng(seed + 4))
+        total, _ = trainer.train_step(batch, 2, params, momentum,
+                                      copy.deepcopy(queue), cfg, train_cfg,
+                                      Rng(seed + 4))
         return total
 
     errs = [finite_diff_param(params, "itm.w", build),

@@ -52,16 +52,6 @@ def forward_attention(trace: AttentionTrace, row_index=0) -> np.ndarray:
     return np.take_along_axis(attn, idx, axis=-2)[..., 0, :]
 
 
-def score_per_head(trace: AttentionTrace, mask_row: int, w_s: Tensor) -> Tensor:
-    """(heads,) masked-token prediction score, on the graph: (A_row V) w_s."""
-    if trace is None:
-        raise ValueError("no attention trace captured; request a trace layer")
-    row = nx.take_row(trace.attn, mask_row)
-    heads, n = row.shape
-    s = nx.matmul(nx.matmul(nx.reshape(row, (heads, 1, n)), trace.values), w_s)
-    return nx.reshape(s, (heads,))
-
-
 def backward_attention(trace: AttentionTrace, heads_ws: np.ndarray) -> np.ndarray:
     """Gradient of the prediction score w.r.t. the attention row, in closed
     form: position j of head h gets sum_k V[h, j, k] * heads_ws[h, k]. No

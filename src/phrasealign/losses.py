@@ -64,22 +64,13 @@ class LossBreakdown:
     biatt: float = 0.0
     mpm: float = 0.0
     total: float = 0.0
-    p_i2t: np.ndarray | None = None
-    p_t2i: np.ndarray | None = None
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
-             mom_txt: np.ndarray, queue: QueueState, tau: Tensor):
+             mom_txt: np.ndarray, queue: QueueState, tau: Tensor) -> Tensor:
     """Symmetric contrastive loss over batch momentum embeddings plus queued
     negatives; the matching batch index is the positive. The queue is only
     read; the caller enqueues the batch's momentum embeddings afterwards.
-
-    Returns (loss, p_i2t, p_t2i); the probability matrices are detached.
     """
     if float(tau.data) <= 0.0:
         raise ValueError(f"temperature must be positive, got {float(tau.data)}")
@@ -92,10 +83,7 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     # the 2n rows, each row's positive at its batch index
     ce = nx.cross_entropy_logits(nx.concat([logits_i2t, logits_t2i], axis=0),
                                  np.tile(np.arange(n), 2))
-    loss = nx.mul(nx.sum_all(ce), 0.5 / n)
-    p_i2t = _softmax_rows(logits_i2t.data)
-    p_t2i = _softmax_rows(logits_t2i.data)
-    return loss, p_i2t, p_t2i
+    return nx.mul(nx.sum_all(ce), 0.5 / n)
 
 
 def fine_similarity(fusion_cls: Tensor, w_o: Tensor) -> Tensor:
@@ -204,12 +192,12 @@ def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
 
 
 def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | None,
-               mpm: Tensor | None, phrase_scale: float = 1.0,
-               p_i2t: np.ndarray | None = None, p_t2i: np.ndarray | None = None):
+               mpm: Tensor | None, phrase_scale: float = 1.0):
     """Sum the loss terms it is given; a term passed as None counts 0.
     ``biatt`` and ``mpm`` hold one value per phrase, summed and scaled by
     ``phrase_scale``. Which terms a training stage builds is decided by
-    ``trainer.train_step``. Returns (total, breakdown)."""
+    ``trainer.train_step``. Returns (total, breakdown): the summed Tensor
+    and each term's value as a float."""
     biatt_t, mpm_t = (None if v is None else nx.mul(nx.sum_all(v), phrase_scale)
                       for v in (biatt, mpm))
     total = nx.sum_n([t for t in (itc, itm, tri, biatt_t, mpm_t) if t is not None])
@@ -221,6 +209,5 @@ def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | Non
         biatt=0.0 if biatt_t is None else float(biatt_t.data),
         mpm=0.0 if mpm_t is None else float(mpm_t.data),
         total=float(total.data),
-        p_i2t=p_i2t, p_t2i=p_t2i,
     )
     return total, breakdown

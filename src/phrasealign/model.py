@@ -102,9 +102,6 @@ class Params:
     def named(self):
         return self._tensors.items()
 
-    def tensors(self):
-        return self._tensors.values()
-
     def zero_grads(self) -> None:
         nx.zero_grads(self._tensors.values())
 

@@ -197,10 +197,6 @@ class Vocabulary:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] if 0 <= i < len(self.id_to_token) else "[UNK]"
-                for i in ids]
-
 
 class TextPipeline:
     """Tokenize -> tag -> chunk -> encode, over one lexicon and vocabulary."""
@@ -210,9 +206,6 @@ class TextPipeline:
         self.lexicon = dict(default_lexicon() if lexicon is None else lexicon)
         words = set(self.lexicon) | set(extra_words) | {".", ","}
         self.vocab = Vocabulary.from_corpus_words(words)
-
-    def tokens(self, text: str) -> list[str]:
-        return tokenize(text)
 
     def tagged(self, text: str) -> list[TaggedToken]:
         return pos_tag(tokenize(text), self.lexicon)

@@ -2,11 +2,12 @@
 
 :func:`train_step` is the one place the training objective is built: stage 1
 optimizes the contrastive and matching terms only; stage 2 adds the triplet,
-local-alignment, and masked-phrase terms. The finite-difference check of the
-total (``gradcheck.check_total``) differentiates this function itself. Each
-stage's learning-rate schedule spans its epochs times the batches
-``make_batches`` gives per epoch. The momentum shadows are updated after
-every optimizer step and are never touched by the optimizer. Runs are
+local-alignment, and masked-phrase terms. It returns the total and its
+per-term breakdown, which :func:`train` logs per step. The finite-difference
+check of the total (``gradcheck.check_total``) differentiates this function
+itself. Each stage's learning-rate schedule spans its epochs times the
+batches ``make_batches`` gives per epoch. The momentum shadows are updated
+after every optimizer step and are never touched by the optimizer. Runs are
 bit-for-bit reproducible from the seed.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import losses as ls
 from . import model as md
 from . import numerics as nx
-from .data import Batch, DataConfig, Dataset, make_batches
+from .data import Batch, Dataset, make_batches
 from .local_align import local_alignment_loss
 from .numerics import Rng
 from .textproc import TextPipeline
@@ -46,7 +47,6 @@ class TrainConfig:
     queue_size: int = 256
     seed: int = 0
     weight_decay: float = 0.01
-    max_grad_norm: float = 0.0   # 0 disables clipping
     triplet_direction: str = "standard"   # or "printed"
     neg_sampling: str = "hard"            # or "uniform"
     enable_triplet: bool = True
@@ -114,19 +114,6 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def clip_gradients(params: md.Params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for _, p in params.named():
-        total += float((p.grad ** 2).sum())
-    norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for _, p in params.named():
-            p.grad *= scale
-    return norm
-
-
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
               warmup_lr: float) -> float:
     """Linear ramp from warmup_lr to base_lr, then cosine decay to zero."""
@@ -144,26 +131,21 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
 
 
 @dataclasses.dataclass
-class StepDiagnostics:
-    weight_sums: list            # per phrase: sum of the pooling weight vector
-
-
-@dataclasses.dataclass
 class TrainResult:
     params: md.Params
     momentum: md.MomentumState
     queue: ls.QueueState
     log_rows: list
-    diagnostics: list
     checkpoints: dict
 
 
 def train_step(batch: Batch, stage: int, params: md.Params,
                momentum: md.MomentumState, queue: ls.QueueState,
                model_cfg: md.ModelConfig, cfg: TrainConfig, rng: Rng):
-    """One forward pass of the training objective; returns (total, breakdown,
-    diagnostics). Both stages build ITC and ITM; stage 2 adds the triplet,
-    local-alignment and masked-phrase terms its ``enable_*`` switches allow.
+    """One forward pass of the training objective; returns (total, breakdown),
+    the loss Tensor and its terms as floats. Both stages build ITC and ITM;
+    stage 2 adds the triplet, local-alignment and masked-phrase terms its
+    ``enable_*`` switches allow.
 
     The queue receives the batch's momentum embeddings. The caller runs
     backward on ``total`` and steps the optimizer.
@@ -176,8 +158,7 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         _, _, mom_img, mom_txt = md.coarse_embeddings(
             batch.images, batch.token_ids, md.Params(momentum.shadow), model_cfg)
     tau = nx.exp(params["temp.log_tau"])
-    itc, p_i2t, p_t2i = ls.itc_loss(img_emb, txt_emb, mom_img.data,
-                                    mom_txt.data, queue, tau)
+    itc = ls.itc_loss(img_emb, txt_emb, mom_img.data, mom_txt.data, queue, tau)
     queue.enqueue(mom_img.data, mom_txt.data)
 
     coarse = img_emb.data @ txt_emb.data.T
@@ -201,7 +182,6 @@ def train_step(batch: Batch, stage: int, params: md.Params,
                                      direction=cfg.triplet_direction)
 
     biatt = mpm = None
-    weight_sums = []
     # (image index, phrase, masked phrase), batch item by item
     items = [(i, phrase, masked) for i in range(n)
              for phrase, masked in batch.phrase_pairs[i]]
@@ -225,19 +205,15 @@ def train_step(batch: Batch, stage: int, params: md.Params,
                                               trace_layer=model_cfg.bidiratt_layer,
                                               image_index=image_ids)
             # the pooling reads each pair's image rows
-            biatt, weights = local_alignment_loss(
+            biatt, _ = local_alignment_loss(
                 img_out.select(image_ids), biatt_phrases, biatt_fused,
                 [m.mask_index + 1 for m in masked], params, model_cfg,
                 target_id=[m.target_id for m in masked])
-            weight_sums = weights.w.sum(axis=-1).tolist()
         if cfg.enable_mpm:
             mpm = ls.masked_phrase_loss(fused, masked, params,
                                         positions=model_cfg.mpm_positions)
 
-    total, breakdown = ls.total_loss(itc, itm, tri, biatt, mpm,
-                                     phrase_scale=1.0 / n,
-                                     p_i2t=p_i2t, p_t2i=p_t2i)
-    return total, breakdown, StepDiagnostics(weight_sums=weight_sums)
+    return ls.total_loss(itc, itm, tri, biatt, mpm, phrase_scale=1.0 / n)
 
 
 def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
@@ -261,7 +237,6 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
     records = dataset.train_records()
     effective_batch = min(cfg.batch_size, len({r.identity for r in records}))
     log_rows: list = []
-    diagnostics: list = []
     checkpoints: dict = {}
     global_step = 0
 
@@ -276,7 +251,7 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                 lr = cosine_lr(stage_step, total_steps, cfg.base_lr, warmup,
                                cfg.warmup_lr)
                 try:
-                    total, breakdown, diag = train_step(
+                    total, breakdown = train_step(
                         batch, stage, params, momentum, queue, model_cfg, cfg,
                         neg_rng)
                 except nx.NonFiniteError as e:
@@ -286,8 +261,6 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                     raise NumericalError(
                         f"non-finite loss at step {global_step}: {breakdown}")
                 nx.backward(total)
-                if cfg.max_grad_norm > 0:
-                    clip_gradients(params, cfg.max_grad_norm)
                 adamw_step(params, optim, lr, cfg.weight_decay)
                 md.momentum_update(params, momentum)
                 params.zero_grads()
@@ -295,7 +268,6 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                                  "itc": breakdown.itc, "itm": breakdown.itm,
                                  "tri": breakdown.tri, "biatt": breakdown.biatt,
                                  "mpm": breakdown.mpm, "total": breakdown.total})
-                diagnostics.append(diag)
                 stage_step += 1
                 global_step += 1
         if out_dir is not None:
@@ -305,8 +277,7 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
 
     if out_dir is not None:
         write_log_csv(Path(out_dir) / "training_log.csv", log_rows)
-    return TrainResult(params, momentum, queue, log_rows, diagnostics,
-                       checkpoints)
+    return TrainResult(params, momentum, queue, log_rows, checkpoints)
 
 
 def write_log_csv(path, log_rows) -> None:

@@ -54,23 +54,32 @@ def test_forward_attention_requires_trace():
 # score
 
 
+def score_per_head(trace: md.AttentionTrace, mask_row: int, w_s: Tensor) -> Tensor:
+    """(heads,) masked-token prediction score, on the graph: (A_row V) w_s;
+    the reference that backward attention's closed form is checked against."""
+    row = nx.take_row(trace.attn, mask_row)
+    heads, n = row.shape
+    s = nx.matmul(nx.matmul(nx.reshape(row, (heads, 1, n)), trace.values), w_s)
+    return nx.reshape(s, (heads,))
+
+
 def test_score_hand_value():
     trace = fake_trace([[1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
-    s = la.score_per_head(trace, 0, Tensor([[1.0], [1.0]]))
+    s = score_per_head(trace, 0, Tensor([[1.0], [1.0]]))
     assert s.item() == pytest.approx(3.0)
 
 
 def test_score_zero_projection():
     trace = fake_trace([[0.3, 0.7]], [[1.0, 2.0], [3.0, 4.0]])
-    s = la.score_per_head(trace, 0, Tensor([[0.0], [0.0]]))
+    s = score_per_head(trace, 0, Tensor([[0.0], [0.0]]))
     assert s.item() == 0.0
 
 
 def test_score_linear_in_projection():
     trace = fake_trace([[0.3, 0.7]], [[1.0, 2.0], [3.0, 4.0]])
     w = Rng(1).normal((2, 1))
-    s1 = la.score_per_head(trace, 0, Tensor(w))
-    s2 = la.score_per_head(trace, 0, Tensor(2.0 * w))
+    s1 = score_per_head(trace, 0, Tensor(w))
+    s2 = score_per_head(trace, 0, Tensor(2.0 * w))
     assert s2.item() == pytest.approx(2.0 * s1.item())
 
 
@@ -98,7 +107,7 @@ def test_backward_attention_equals_autodiff(seed):
     v = Tensor(rng.normal((n_img, dh))[None])
     ws = Tensor(rng.normal((dh, 1)))
     trace = md.AttentionTrace(1, a, v)
-    s = la.score_per_head(trace, 2, ws)
+    s = score_per_head(trace, 2, ws)
     nx.backward(s)
     (closed,) = la.backward_attention(trace, ws.data.reshape(1, -1))
     autodiff = a.grad[0, 2]

@@ -50,15 +50,16 @@ def test_queue_rejects_bad_capacity():
 def test_itc_single_item_empty_queue_zero_loss():
     q = ls.QueueState(8, 2)
     emb = unit_rows(np.array([[1.0, 0.0]]))
-    loss, p_i2t, _ = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
-    assert loss.item() == pytest.approx(0.0)
-    assert p_i2t.shape == (1, 1)
+    loss = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
+    # the positive is the only candidate: an unfilled queue slot would add a
+    # zero logit and a loss of log(1 + 1/e)
+    assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_itc_orthonormal_pair_hand_value():
     q = ls.QueueState(8, 2)
     emb = np.eye(2)
-    loss, _, _ = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
+    loss = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
     expected = -math.log(math.e / (math.e + 1.0))
     assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -69,12 +70,16 @@ def test_itc_queue_entries_are_negatives():
     # fill the queue with vectors identical to the positives: the loss must
     # rise because they enter the denominator as negatives
     q.enqueue(emb, emb)
-    loss_with_queue, p_i2t, _ = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb,
-                                            q, Tensor(1.0))
+    loss_with_queue = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
     q2 = ls.QueueState(8, 2)
-    loss_empty, _, _ = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q2, Tensor(1.0))
+    loss_empty = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q2, Tensor(1.0))
     assert loss_with_queue.item() > loss_empty.item()
-    assert p_i2t.shape == (2, 4)
+    # each row faces its 2 batch candidates plus the 2 filled queue slots,
+    # logits (1, 0, 1, 0), and not the 6 unfilled ones
+    e = math.e
+    assert loss_with_queue.item() == pytest.approx(math.log(2.0 * (e + 1.0) / e),
+                                                   rel=1e-12)
+    assert loss_empty.item() == pytest.approx(math.log((e + 1.0) / e), rel=1e-12)
 
 
 def test_itc_rejects_nonpositive_temperature():
@@ -90,7 +95,7 @@ def test_itc_momentum_side_receives_no_gradient():
     img = Tensor(emb, requires_grad=True)
     txt = Tensor(emb, requires_grad=True)
     tau = Tensor(np.asarray(1.0), requires_grad=True)
-    loss, _, _ = ls.itc_loss(img, txt, emb, emb, q, tau)
+    loss = ls.itc_loss(img, txt, emb, emb, q, tau)
     nx.backward(loss)
     assert img.grad is not None and np.abs(img.grad).max() > 0
     assert txt.grad is not None and tau.grad is not None

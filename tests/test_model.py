@@ -203,7 +203,7 @@ def test_pad_embedding_reaches_no_real_row_or_loss(cfg, pipeline, mpm_positions)
         reps = md.encode_text(ids, params, step_cfg).reps.data
         for texts in (batch.token_ids, phrases):
             assert md.encode_text(texts, params, step_cfg).pad_bias is not None
-        _, breakdown, _ = trainer.train_step(
+        _, breakdown = trainer.train_step(
             batch, 2, params, momentum, ls.QueueState(8, step_cfg.proj_dim), step_cfg,
             trainer.TrainConfig(batch_size=5, queue_size=8), Rng(2))
         return reps, breakdown
