@@ -6,22 +6,22 @@ top, then the upper garment, then the lower garment) plus per-image pixel
 noise, and captions describe the same attributes through small templates, so
 ground-truth alignment between caption phrases and image regions exists by
 construction.
+
+On disk a dataset is the :func:`numerics.save_arrays` container: records and
+splits in ``manifest.json``, every image in one ``images`` tensor.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import struct
-from pathlib import Path
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, load_arrays, save_arrays
 from .textproc import Phrase, MaskedPhrase, TextPipeline, mask_phrase
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2   # 2: records in the manifest, images as one tensor
 _MAGIC = b"PATTR001"
 
 COLOR_RGB = {
@@ -215,43 +215,29 @@ def generate_dataset(cfg: DataConfig, rng: Rng) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: manifest.json + records.bin
+# on-disk format: the numerics.save_arrays container
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``manifest.json`` and ``records.bin`` into directory ``path``.
+    """Write ``manifest.json`` and ``tensors.bin`` into directory ``path``
+    with :func:`numerics.save_arrays`.
 
-    records.bin layout: 8-byte magic, then per record the image as
-    little-endian float64 (rows*cols*patch_pixels values, row-major) followed
-    by a little-endian uint32 byte length and the UTF-8 caption.
+    The manifest holds the config, each record's identity, attributes and
+    caption, and the splits; tensors.bin holds one ``images`` array of shape
+    (records, rows*cols, patch_pixels).
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
     manifest = {
         "format_version": FORMAT_VERSION,
-        "n_identities": cfg.n_identities,
-        "images_per_identity": cfg.images_per_identity,
-        "test_images_per_identity": cfg.test_images_per_identity,
-        "patch_rows": cfg.patch_rows,
-        "patch_cols": cfg.patch_cols,
-        "patch_pixels": cfg.patch_pixels,
-        "noise_sigma": cfg.noise_sigma,
-        "attribute_schema": {k: list(v) for k, v in ATTRIBUTE_SCHEMA.items()},
-        "records": [{"identity": r.identity, "attributes": r.attributes}
-                    for r in dataset.records],
+        **dataclasses.asdict(cfg),
+        "records": [{"identity": r.identity, "attributes": r.attributes,
+                     "caption": r.caption} for r in dataset.records],
         "train_indices": list(dataset.train_indices),
         "test_indices": list(dataset.test_indices),
     }
-    (path / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    with open(path / "records.bin", "wb") as fh:
-        fh.write(_MAGIC)
-        for rec in dataset.records:
-            fh.write(rec.image.astype("<f8").tobytes(order="C"))
-            raw = rec.caption.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    shape = (len(dataset.records), cfg.patch_rows * cfg.patch_cols, cfg.patch_pixels)
+    images = np.reshape([r.image for r in dataset.records], shape)
+    save_arrays(path, _MAGIC, manifest, {"images": images})
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DataConfig))
@@ -259,17 +245,9 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DataConfig))
 
 def load_dataset(path) -> Dataset:
     """Read a directory written by :func:`save_dataset`. A malformed file
-    raises FormatError naming the key, record or split index at fault."""
-    path = Path(path)
-    try:
-        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"unreadable dataset manifest: {e}") from e
-    if not isinstance(manifest, dict):
-        raise FormatError("dataset manifest is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported dataset format version "
-                          f"{manifest.get('format_version')!r}")
+    raises FormatError naming the key, record, tensor or split index at
+    fault."""
+    manifest, arrays = load_arrays(path, _MAGIC, FORMAT_VERSION, FormatError)
     missing = [k for k in _CONFIG_KEYS + ("records", "train_indices", "test_indices")
                if k not in manifest]
     if missing:
@@ -290,18 +268,12 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"dataset manifest entry {key!r} is {value!r}, "
                               f"not {want}")
     cfg = DataConfig(**{k: manifest[k] for k in _CONFIG_KEYS})
-    blob = (path / "records.bin").read_bytes()
-    if blob[:len(_MAGIC)] != _MAGIC:
-        raise FormatError(f"bad magic bytes at offset 0 of records.bin")
-    offset = len(_MAGIC)
-    image_values = cfg.patch_rows * cfg.patch_cols * cfg.patch_pixels
-    image_bytes = image_values * 8
-    records = []
     for i, meta in enumerate(manifest["records"]):
         if not (isinstance(meta, dict) and type(meta.get("identity")) is int
-                and isinstance(meta.get("attributes"), dict)):
-            raise FormatError(f"manifest record {i} needs an integer identity "
-                              f"and an attributes object")
+                and isinstance(meta.get("attributes"), dict)
+                and isinstance(meta.get("caption"), str)):
+            raise FormatError(f"manifest record {i} needs an integer identity, "
+                              f"an attributes object and a caption string")
         attributes = meta["attributes"]
         odd = sorted(set(attributes) ^ set(ATTRIBUTE_SCHEMA))
         if odd:
@@ -311,25 +283,14 @@ def load_dataset(path) -> Dataset:
             if attributes[key] not in allowed:
                 raise FormatError(f"manifest record {i} attribute {key!r} is "
                                   f"{attributes[key]!r}, not one of {allowed}")
-        if offset + image_bytes + 4 > len(blob):
-            raise FormatError(f"records.bin truncated at offset {offset}")
-        image = np.frombuffer(blob, dtype="<f8", count=image_values,
-                              offset=offset).reshape(
-            cfg.patch_rows * cfg.patch_cols, cfg.patch_pixels).copy()
-        offset += image_bytes
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + length > len(blob):
-            raise FormatError(f"records.bin truncated at offset {offset}")
-        try:
-            caption = blob[offset:offset + length].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"caption of record {i} is not valid UTF-8: {e}") from e
-        offset += length
-        records.append(PersonRecord(meta["identity"], dict(meta["attributes"]),
-                                    image, caption))
-    if offset != len(blob):
-        raise FormatError(f"trailing bytes in records.bin at offset {offset}")
+    shape = (len(manifest["records"]), cfg.patch_rows * cfg.patch_cols, cfg.patch_pixels)
+    if list(arrays) != ["images"] or arrays["images"].shape != shape:
+        found = {name: a.shape for name, a in arrays.items()}
+        raise FormatError(f"tensors.bin holds {found}, not one 'images' tensor "
+                          f"of shape {shape}")
+    records = [PersonRecord(meta["identity"], dict(meta["attributes"]), image,
+                            meta["caption"])
+               for meta, image in zip(manifest["records"], arrays["images"])]
     split_of: dict[int, str] = {}
     for split in ("train_indices", "test_indices"):
         for index in manifest[split]:

@@ -39,7 +39,6 @@ class BidirectionalWeights:
     w_fa: np.ndarray        # ([B,] L_img + 1), sums to 1
     w_ba: np.ndarray        # ([B,] L_img + 1), rectified head average
     w: np.ndarray           # ([B,] L_img + 1), nonnegative, sums to 1
-    s_per_head: np.ndarray  # ([B,] heads), masked-token prediction score per head
 
 
 def forward_attention(trace: AttentionTrace, row_index=0) -> np.ndarray:
@@ -91,14 +90,9 @@ def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
     ``row_mode`` selects the row whose attention serves as forward attention:
     the masked token's row (default) or the global [CLS] row.
     """
-    mask_heads = forward_attention(trace, mask_row)
-    fa_heads = mask_heads if row_mode == "mask" else forward_attention(trace, 0)
-    ba_heads = backward_attention(trace, heads_ws)
-    fa, ba = _head_means(fa_heads, ba_heads)
-    # s_h = A_h[mask_row] V_h w_h, and V_h w_h is the backward attention
-    s = np.einsum("...hj,...hj->...h", mask_heads, ba_heads)
-    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=_normalized_product(fa, ba),
-                                s_per_head=s)
+    fa_heads = forward_attention(trace, mask_row if row_mode == "mask" else 0)
+    fa, ba = _head_means(fa_heads, backward_attention(trace, heads_ws))
+    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=_normalized_product(fa, ba))
 
 
 def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:

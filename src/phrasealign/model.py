@@ -1,5 +1,6 @@
 """Unimodal encoders, the multi-head cross-modal encoder with attention
-tracing, momentum shadows of the unimodal weights, and checkpoint files.
+tracing, momentum shadows of the unimodal weights, and checkpoint files in
+the :func:`numerics.save_arrays` container.
 
 The encoders are deliberately small: linear patch/token embeddings plus
 standard post-norm self-attention blocks. The cross-modal encoder runs
@@ -17,9 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
-import math
-from pathlib import Path
 
 import numpy as np
 
@@ -62,6 +60,12 @@ class ModelConfig:
         return self.patch_rows * self.patch_cols
 
     def validate(self) -> None:
+        for field in ("d", "heads", "n_self_layers", "n_cross_layers", "proj_dim",
+                      "patch_rows", "patch_cols", "patch_pixels", "max_text_len",
+                      "ffn_mult"):
+            low = 0 if field == "n_self_layers" else 1
+            if getattr(self, field) < low:
+                raise ValueError(f"{field} must be at least {low}")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by {self.heads} heads")
         if not 1 <= self.bidiratt_layer <= self.n_cross_layers:
@@ -92,9 +96,6 @@ class Params:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def names(self) -> list[str]:
         return list(self._tensors)
@@ -443,77 +444,22 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
 # checkpoints
 
 
-def save_checkpoint(path, named_tensors: dict) -> None:
-    """Write a checkpoint directory: ``manifest.json`` + ``tensors.bin``.
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed or has an unsupported version."""
 
-    tensors.bin layout: 8-byte magic, then each tensor's values as
-    little-endian float64 in manifest order; the manifest records the name,
-    shape, and byte offset of every tensor plus a mandatory version field.
-    """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = len(_CKPT_MAGIC)
-    with open(path / "tensors.bin", "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        for name, tensor in named_tensors.items():
-            arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
-            raw = arr.astype("<f8").tobytes(order="C")
-            entries.append({"name": name, "shape": list(arr.shape),
-                            "offset": offset, "bytes": len(raw)})
-            fh.write(raw)
-            offset += len(raw)
-    manifest = {"format_version": CHECKPOINT_VERSION, "tensors": entries}
-    (path / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+def save_checkpoint(path, named_tensors: dict) -> None:
+    """Write ``named_tensors`` (arrays or Tensors) into directory ``path`` with
+    :func:`numerics.save_arrays`, under the checkpoint magic and version."""
+    nx.save_arrays(path, _CKPT_MAGIC, {"format_version": CHECKPOINT_VERSION},
+                   named_tensors)
 
 
 def load_checkpoint(path) -> dict:
     """Read a directory written by :func:`save_checkpoint` into name -> array.
-    A malformed file raises ValueError, naming the tensor where there is one."""
-    path = Path(path)
-    try:
-        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"unreadable checkpoint manifest: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ValueError("checkpoint manifest is not a JSON object")
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{manifest.get('format_version')!r}")
-    blob = (path / "tensors.bin").read_bytes()
-    if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError("bad magic bytes in tensors.bin")
-    entries = manifest.get("tensors")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("checkpoint manifest has no list of tensor entries")
-    out = {}
-    end = len(_CKPT_MAGIC)  # tensors are stored back to back in manifest order
-    for i, entry in enumerate(entries):
-        missing = [k for k in ("name", "shape", "offset", "bytes") if k not in entry]
-        if missing:
-            raise ValueError(f"manifest entry {i} "
-                             f"({entry.get('name', 'unnamed')!r}) lacks {missing}")
-        name, shape, start, nbytes = (entry[k] for k in ("name", "shape", "offset",
-                                                          "bytes"))
-        if not (isinstance(shape, list) and
-                all(isinstance(n, int) and n >= 0 for n in shape) and
-                nbytes == 8 * math.prod(shape)):
-            raise ValueError(f"tensor {name!r}: {nbytes} bytes do not hold "
-                             f"shape {shape!r}")
-        if start != end:
-            raise ValueError(f"tensor {name!r} starts at offset {start}, "
-                             f"expected {end}")
-        end = start + nbytes
-        if end > len(blob):
-            raise ValueError(f"tensors.bin truncated in tensor {name!r}")
-        out[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
-                                  offset=start).reshape(shape).copy()
-    if end != len(blob):
-        last = f"tensor {entries[-1]['name']!r}" if entries else "the magic bytes"
-        raise ValueError(f"tensors.bin has {len(blob) - end} trailing bytes "
-                         f"after {last}")
-    return out
+    A malformed file raises CheckpointError, naming the tensor where there is
+    one."""
+    return nx.load_arrays(path, _CKPT_MAGIC, CHECKPOINT_VERSION, CheckpointError)[1]
 
 
 def params_state(params: Params, momentum: MomentumState | None = None) -> dict:

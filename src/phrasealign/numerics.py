@@ -15,14 +15,18 @@ Leaf slots accumulate with ``+=`` and must be cleared explicitly through
 ``zero_grads`` between backward passes; reuse without a reset raises.
 
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
-the artifact goes through, and :func:`finite_diff_check`, the central
-difference oracle used to validate every analytic gradient.
+the artifact goes through; :func:`finite_diff_check`, the central
+difference oracle used to validate every analytic gradient; and
+:func:`save_arrays` / :func:`load_arrays`, the one on-disk container that
+datasets and checkpoints are both written in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -704,3 +708,90 @@ class Rng:
     def child(self) -> "Rng":
         """An independent stream derived deterministically from this one."""
         return Rng(int(self._g.integers(0, 2**63 - 1)))
+
+
+# ---------------------------------------------------------------------------
+# on-disk container
+
+
+def save_arrays(path, magic: bytes, manifest: dict, arrays: dict) -> None:
+    """Write ``manifest.json`` and ``tensors.bin`` into directory ``path``.
+
+    tensors.bin holds ``magic``, then each array (or Tensor) of ``arrays`` as
+    little-endian float64, row-major, back to back in mapping order.
+    manifest.json is ``manifest`` plus a ``tensors`` list giving each array's
+    name, shape, byte offset and byte length.
+    """
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    entries = []
+    offset = len(magic)
+    with open(path / "tensors.bin", "wb") as fh:
+        fh.write(magic)
+        for name, value in arrays.items():
+            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+            raw = arr.astype("<f8").tobytes(order="C")
+            entries.append({"name": name, "shape": list(arr.shape),
+                            "offset": offset, "bytes": len(raw)})
+            fh.write(raw)
+            offset += len(raw)
+    (path / "manifest.json").write_text(
+        json.dumps({**manifest, "tensors": entries}, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8")
+
+
+def load_arrays(path, magic: bytes, version: int,
+                error: type[Exception]) -> tuple[dict, dict]:
+    """Read a directory written by :func:`save_arrays` into (manifest, name ->
+    array). The manifest must be a JSON object whose ``format_version`` is
+    ``version``; every array must be finite. Any malformed or unreadable file
+    raises ``error``, naming the tensor where there is one."""
+    path = Path(path)
+    try:
+        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        blob = (path / "tensors.bin").read_bytes()
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
+        raise error(f"unreadable {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise error("manifest is not a JSON object")
+    if manifest.get("format_version") != version:
+        raise error(f"unsupported format version {manifest.get('format_version')!r}, "
+                    f"expected {version}")
+    if blob[:len(magic)] != magic:
+        raise error("bad magic bytes in tensors.bin")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise error("manifest has no list of tensor entries")
+    arrays = {}
+    end = len(magic)  # arrays are stored back to back in manifest order
+    for i, entry in enumerate(entries):
+        missing = [k for k in ("name", "shape", "offset", "bytes") if k not in entry]
+        if missing:
+            raise error(f"manifest entry {i} "
+                        f"({entry.get('name', 'unnamed')!r}) lacks {missing}")
+        name, shape, start, nbytes = (entry[k] for k in ("name", "shape", "offset",
+                                                          "bytes"))
+        if not isinstance(name, str):
+            raise error(f"manifest entry {i} has name {name!r}, not a string")
+        if name in arrays:
+            raise error(f"manifest entry {i} repeats tensor name {name!r}")
+        if not (isinstance(shape, list) and
+                all(type(n) is int and n >= 0 for n in shape) and
+                type(nbytes) is int and nbytes == 8 * math.prod(shape)):
+            raise error(f"tensor {name!r}: {nbytes!r} bytes do not hold "
+                        f"shape {shape!r}")
+        if type(start) is not int or start != end:
+            raise error(f"tensor {name!r} starts at offset {start!r}, "
+                        f"expected {end}")
+        end = start + nbytes
+        if end > len(blob):
+            raise error(f"tensors.bin truncated in tensor {name!r}")
+        values = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
+                               offset=start).reshape(shape)
+        if not np.isfinite(values).all():
+            raise error(f"tensor {name!r} holds NaN or Inf")
+        arrays[name] = values.copy()
+    if end != len(blob):
+        last = f"tensor {entries[-1]['name']!r}" if entries else "the magic bytes"
+        raise error(f"tensors.bin has {len(blob) - end} trailing bytes after {last}")
+    return manifest, arrays

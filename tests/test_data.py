@@ -96,33 +96,34 @@ def test_round_trip_bitwise(dataset, tmp_path):
     assert dt.datasets_equal(dataset, loaded)
     # byte-stable: saving the loaded dataset reproduces identical files
     dt.save_dataset(loaded, tmp_path / "ds2")
-    for name in ("manifest.json", "records.bin"):
+    for name in ("manifest.json", "tensors.bin"):
         assert (tmp_path / "ds" / name).read_bytes() == \
                (tmp_path / "ds2" / name).read_bytes()
 
 
 def test_corrupted_magic_rejected(dataset, tmp_path):
     dt.save_dataset(dataset, tmp_path / "ds")
-    blob = bytearray((tmp_path / "ds" / "records.bin").read_bytes())
+    blob = bytearray((tmp_path / "ds" / "tensors.bin").read_bytes())
     blob[:4] = b"XXXX"
-    (tmp_path / "ds" / "records.bin").write_bytes(bytes(blob))
+    (tmp_path / "ds" / "tensors.bin").write_bytes(bytes(blob))
     with pytest.raises(dt.FormatError, match="magic"):
         dt.load_dataset(tmp_path / "ds")
 
 
 def test_truncated_blob_rejected(dataset, tmp_path):
     dt.save_dataset(dataset, tmp_path / "ds")
-    blob = (tmp_path / "ds" / "records.bin").read_bytes()
-    (tmp_path / "ds" / "records.bin").write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(dt.FormatError, match="offset"):
+    blob = (tmp_path / "ds" / "tensors.bin").read_bytes()
+    (tmp_path / "ds" / "tensors.bin").write_bytes(blob[:len(blob) // 2])
+    with pytest.raises(dt.FormatError, match="truncated"):
         dt.load_dataset(tmp_path / "ds")
 
 
-def test_version_mismatch_rejected(dataset, tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_version_mismatch_rejected(dataset, tmp_path, version):
     dt.save_dataset(dataset, tmp_path / "ds")
     manifest = (tmp_path / "ds" / "manifest.json")
     manifest.write_text(manifest.read_text().replace(
-        '"format_version": 1', '"format_version": 99'))
+        f'"format_version": {dt.FORMAT_VERSION}', f'"format_version": {version}'))
     with pytest.raises(dt.FormatError, match="version"):
         dt.load_dataset(tmp_path / "ds")
 
@@ -131,10 +132,34 @@ def _drop_noise_sigma(manifest, blob):
     del manifest["noise_sigma"]
 
 
-def _bad_utf8_caption(manifest, blob):
-    # record 0's caption starts after the magic, its image and its length
-    cfg = dt.DataConfig()
-    blob[8 + 8 * cfg.patch_rows * cfg.patch_cols * cfg.patch_pixels + 4] = 0xFF
+def _caption_not_string(manifest, blob):
+    manifest["records"][0]["caption"] = 5
+
+
+def _nan_pixel(manifest, blob):
+    # the first pixel follows the 8 magic bytes
+    blob[8:16] = np.float64(np.nan).tobytes()
+
+
+def _raw_file(name, content):
+    # written after the harness re-serializes the manifest; None deletes
+    def corrupt(manifest, blob):
+        return {name: content}
+    return corrupt
+
+
+def _tensor_entry(key, value):
+    def corrupt(manifest, blob):
+        manifest["tensors"][0][key] = value
+    return corrupt
+
+
+def _repeated_entry(manifest, blob):
+    manifest["tensors"].append(dict(manifest["tensors"][0]))
+
+
+def _drop_record(manifest, blob):
+    del manifest["records"][-1]
 
 
 def _overlapping_splits(manifest, blob):
@@ -167,7 +192,7 @@ def _attribute(key, value):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_noise_sigma, "noise_sigma"),
-    (_bad_utf8_caption, "record 0 .*UTF-8"),
+    (_caption_not_string, "record 0 "),
     (_overlapping_splits, "record .* train_indices and again in test_indices"),
     (_index_out_of_range, "999"),
     (_config_value("patch_rows", "8"), "'patch_rows'"),
@@ -178,19 +203,35 @@ def _attribute(key, value):
     (_attribute("nonsense", [1]), "record 2 has an unknown attribute 'nonsense'"),
     (_attribute("accessory_color", None), "record 2 has no attribute 'accessory_color'"),
     (_attribute("top_color", 5), "record 2 attribute 'top_color' is 5"),
-], ids=["missing config key", "caption not utf-8", "splits overlap",
+    (_raw_file("tensors.bin", None), "tensors.bin"),
+    (_raw_file("manifest.json", b'{"format_version": 2, "\xff": 0}'), "utf-8"),
+    (_nan_pixel, "'images' holds NaN"),
+    (_tensor_entry("name", ["images"]), r"entry 0 has name \['images'\]"),
+    (_repeated_entry, "entry 1 repeats tensor name 'images'"),
+    (_tensor_entry("offset", "8"), "'images' starts at offset '8'"),
+    (_tensor_entry("shape", [True, 2048, 48]), r"'images'.*shape \[True"),
+    (_drop_record, r"'images' tensor of shape \(31, 64, 48\)"),
+], ids=["missing config key", "caption not a string", "splits overlap",
         "index out of range", "string patch_rows", "negative patch_rows",
         "string noise_sigma", "float n_identities", "attributes not an object",
-        "unknown attribute", "missing attribute", "attribute outside vocabulary"])
+        "unknown attribute", "missing attribute", "attribute outside vocabulary",
+        "missing blob", "manifest not utf-8", "nan pixel", "tensor name not a string",
+        "repeated tensor name", "string offset", "bool in shape",
+        "images do not match records"])
 def test_malformed_dataset_rejected(dataset, tmp_path, corrupt, message):
     dt.save_dataset(dataset, tmp_path / "ds")
     manifest_path = tmp_path / "ds" / "manifest.json"
-    blob_path = tmp_path / "ds" / "records.bin"
+    blob_path = tmp_path / "ds" / "tensors.bin"
     manifest = json.loads(manifest_path.read_text())
     blob = bytearray(blob_path.read_bytes())
-    corrupt(manifest, blob)
+    raw = corrupt(manifest, blob) or {}
     manifest_path.write_text(json.dumps(manifest))
     blob_path.write_bytes(bytes(blob))
+    for name, content in raw.items():
+        if content is None:
+            (tmp_path / "ds" / name).unlink()
+        else:
+            (tmp_path / "ds" / name).write_bytes(content)
     with pytest.raises(dt.FormatError, match=message):
         dt.load_dataset(tmp_path / "ds")
 

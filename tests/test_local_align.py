@@ -307,7 +307,7 @@ def test_loss_requires_trace():
 def test_heatmap_csv_lines():
     w = la.BidirectionalWeights(
         w_fa=np.linspace(0, 1, 5), w_ba=np.linspace(1, 2, 5),
-        w=np.array([0.0, 0.25, 0.25, 0.25, 0.25]), s_per_head=[0.5])
+        w=np.array([0.0, 0.25, 0.25, 0.25, 0.25]))
     lines = la.heatmap_csv_lines(w, 2, 2)
     assert lines[0] == "patch,row,col,w,w_fa,w_ba"
     assert len(lines) == 5
@@ -391,14 +391,13 @@ def test_batched_phrase_losses_match_batch_of_one_calls(over):
     assert biatt.shape == mpm.shape == (3,)
     grads = probed_grads(params, biatt, mpm, probe)
 
-    want = {"biatt": [], "mpm": [], "w": [], "w_fa": [], "w_ba": [], "s": []}
+    want = {"biatt": [], "mpm": [], "w": [], "w_fa": [], "w_ba": []}
     want_grads = {name: np.zeros_like(g) for name, g in grads.items()}
     for b, m in enumerate(masked):
         one_biatt, one_mpm, one_w = phrase_losses(cfg, params, images, [m], img_of[b:b + 1])
         want["biatt"].append(one_biatt.data[0])
         want["mpm"].append(one_mpm.data[0])
-        for key, got in (("w", one_w.w), ("w_fa", one_w.w_fa), ("w_ba", one_w.w_ba),
-                         ("s", one_w.s_per_head)):
+        for key, got in (("w", one_w.w), ("w_fa", one_w.w_fa), ("w_ba", one_w.w_ba)):
             want[key].append(got[0])
         for name, g in probed_grads(params, one_biatt, one_mpm, probe[:, b:b + 1]).items():
             want_grads[name] += g
@@ -407,8 +406,7 @@ def test_batched_phrase_losses_match_batch_of_one_calls(over):
         return np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     assert close(biatt.data, want["biatt"]) and close(mpm.data, want["mpm"])
-    for key, got in (("w", weights.w), ("w_fa", weights.w_fa), ("w_ba", weights.w_ba),
-                     ("s", weights.s_per_head)):
+    for key, got in (("w", weights.w), ("w_fa", weights.w_fa), ("w_ba", weights.w_ba)):
         assert got.shape[0] == 3 and close(got, np.array(want[key])), key
     for name, g in want_grads.items():
         assert close(grads[name], g), name

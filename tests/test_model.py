@@ -58,6 +58,10 @@ def test_config_validation(pipeline):
         md.ModelConfig(d=30, heads=4, vocab_size=10).validate()
     with pytest.raises(ValueError, match="bidiratt_layer"):
         md.ModelConfig(bidiratt_layer=9, n_cross_layers=6, vocab_size=10).validate()
+    for field, value in (("heads", 0), ("heads", -4), ("d", 0), ("proj_dim", 0),
+                         ("ffn_mult", 0), ("max_text_len", 0), ("n_self_layers", -1)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            md.ModelConfig(vocab_size=10, **{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +467,7 @@ def test_checkpoint_version_enforced(cfg, params, tmp_path):
     manifest = tmp_path / "ckpt" / "manifest.json"
     manifest.write_text(manifest.read_text().replace(
         f'"format_version": {md.CHECKPOINT_VERSION}', '"format_version": 42'))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(md.CheckpointError, match="version"):
         md.load_checkpoint(tmp_path / "ckpt")
 
 
@@ -480,8 +484,22 @@ CHECKPOINT_DEFECTS = {
     "no name": (lambda m: m["tensors"][1].pop("name"), b"", "entry 1.*name"),
     "no tensor list": (lambda m: m.pop("tensors"), b"", "tensor entries"),
     "entry not an object": (lambda m: m["tensors"].insert(0, 3), b"", "tensor entries"),
-    # a string replaces the whole manifest text
-    "manifest not an object": ("[]", b"", "not a JSON object"),
+    "name not a string": (lambda m: m["tensors"][1].update(name=["b"]), b"",
+                          r"entry 1 has name \['b'\]"),
+    "repeated name": (lambda m: m["tensors"][1].update(name="a"), b"",
+                      "entry 1 repeats tensor name 'a'"),
+    "string offset": (lambda m: m["tensors"][0].update(offset="8"), b"",
+                      "'a' starts at offset '8'"),
+    "bool in shape": (lambda m: m["tensors"][1].update(shape=[True, 4]), b"",
+                      r"'b'.*shape \[True"),
+    "nan value": (lambda m: m["tensors"].append(
+        {"name": "c", "shape": [1], "offset": 88, "bytes": 8}),
+        np.float64(np.nan).tobytes(), "'c' holds NaN"),
+    # None deletes tensors.bin
+    "no blob file": (lambda m: None, None, "tensors.bin"),
+    # bytes replace the whole manifest file
+    "manifest not an object": (b"[]", b"", "not a JSON object"),
+    "manifest not utf-8": (b'{"format_version": 2, "\xff": 0}', b"", "utf-8"),
 }
 
 
@@ -490,15 +508,18 @@ def test_checkpoint_rejects_malformed_files(case, tmp_path):
     edit, extra, names = CHECKPOINT_DEFECTS[case]
     path = tmp_path / "ckpt"
     md.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
-    if isinstance(edit, str):
-        (path / "manifest.json").write_text(edit)
+    if isinstance(edit, bytes):
+        (path / "manifest.json").write_bytes(edit)
     else:
         manifest = json.loads((path / "manifest.json").read_text())
         edit(manifest)
         (path / "manifest.json").write_text(json.dumps(manifest))
-    with open(path / "tensors.bin", "ab") as fh:
-        fh.write(extra)
-    with pytest.raises(ValueError, match=names):
+    if extra is None:
+        (path / "tensors.bin").unlink()
+    else:
+        with open(path / "tensors.bin", "ab") as fh:
+            fh.write(extra)
+    with pytest.raises(md.CheckpointError, match=names):
         md.load_checkpoint(path)
 
 
