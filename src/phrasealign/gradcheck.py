@@ -17,7 +17,7 @@ import numpy as np
 from . import data, losses, model, trainer
 from . import numerics as nx
 from .numerics import Rng, Tensor
-from .local_align import coarse_similarity, local_alignment_loss, weighted_pool
+from .local_align import local_alignment_loss, pooled_alignment_loss
 from .textproc import MaskedPhrase, TextPipeline, MASK_ID
 
 TOLERANCE = 1e-6
@@ -191,10 +191,7 @@ def check_local_align(seed: int) -> float:
 
     def build_fixed_w():
         image, phr, _ = phrase_pass()
-        pooled = weighted_pool(frozen.w, image)
-        sim = coarse_similarity(pooled, phr.cls, params["proj.img.w"],
-                                params["proj.txt.w"])
-        return nx.sum_all(nx.sub(Tensor(1.0), sim))
+        return nx.sum_all(pooled_alignment_loss(frozen.w, image, phr, params))
 
     errs.append(finite_diff_param(params, "txt_self0.attn.wv", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ln2.g", build_fixed_w))

@@ -1,22 +1,21 @@
 """Bidirectional attention-weighted local alignment between image patches
-and a text phrase.
+and text phrases, over a batch of image-phrase pairs.
 
 Forward attention is the traced cross-attention row of the phrase over image
-positions. Backward attention is the gradient of the masked-token prediction
-score with respect to those attention weights, which collapses to the closed
-form ``V @ w_s`` per head, so no graph traversal is needed. The two are
-head-averaged (backward rectified first), multiplied, and normalized into a
-weight vector used to pool a phrase-guided image representation.
-
-The weight vector is treated as a constant during differentiation: gradients
-of the alignment loss flow through the pooled patch rows and the coarse
-projections, not through the attention weights themselves.
+positions. Backward attention is the gradient of the score ``(A_row V) w_s``
+with respect to that row, in closed form ``V @ w_s`` per head. By default
+(``tie_score_head=False``) ``w_s`` is ``score.w``, which no loss trains, so
+backward attention is ReLU(V . a fixed random vector), not the gradient of
+the masked-token prediction score; ROADMAP item 4 replaces it. The two are
+head-averaged (backward rectified first), multiplied, and normalized into
+weights that pool a phrase-guided image representation. The weights are
+constants under differentiation: gradients of the alignment loss flow
+through the pooled patch rows and the coarse projections only.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -25,79 +24,44 @@ from . import numerics as nx
 from .numerics import Tensor
 from .model import AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params
 
-log = logging.getLogger(__name__)
-
 _EPS_FALLBACK = 1e-12
 
 
 @dataclasses.dataclass
 class BidirectionalWeights:
     """Head-averaged forward / rectified-backward attention and their
-    normalized product, over [CLS] + patch positions; a batch of pairs adds
-    a leading pair axis to every field."""
+    normalized product over [CLS] + patch positions: (B, L_img + 1) from
+    :func:`compute_weights`, one pair's row each for the heatmap export."""
 
-    w_fa: np.ndarray        # ([B,] L_img + 1), sums to 1
-    w_ba: np.ndarray        # ([B,] L_img + 1), rectified head average
-    w: np.ndarray           # ([B,] L_img + 1), nonnegative, sums to 1
-
-
-def forward_attention(trace: AttentionTrace, row_index=0) -> np.ndarray:
-    """([B,] heads, L_img + 1) attention over image positions from one traced
-    row: one row for all pairs of a batch, or one per pair."""
-    if trace is None:
-        raise ValueError("no attention trace captured; request a trace layer")
-    attn = trace.attn.data
-    idx = np.broadcast_to(row_index, attn.shape[:-3])[..., None, None, None]
-    return np.take_along_axis(attn, idx, axis=-2)[..., 0, :]
-
-
-def backward_attention(trace: AttentionTrace, heads_ws: np.ndarray) -> np.ndarray:
-    """Gradient of the prediction score w.r.t. the attention row, in closed
-    form: position j of head h gets sum_k V[h, j, k] * heads_ws[h, k]. No
-    graph traversal. Returns ([B,] heads, L_img + 1); ``heads_ws`` is
-    (heads, head_dim), shared by all pairs, or one such block per pair."""
-    return np.einsum("...hjk,...hk->...hj", trace.values.data, heads_ws)
-
-
-def _head_means(fa_heads, ba_heads):
-    """Head-averaged forward attention and rectified backward attention."""
-    fa = np.mean(np.asarray(fa_heads, dtype=np.float64), axis=-2)
-    ba = np.mean(np.maximum(np.asarray(ba_heads, dtype=np.float64), 0.0), axis=-2)
-    if fa.shape != ba.shape:
-        raise nx.ShapeError(f"attention length mismatch: {fa.shape} vs {ba.shape}")
-    return fa, ba
-
-
-def _normalized_product(fa: np.ndarray, ba: np.ndarray) -> np.ndarray:
-    raw = fa * ba
-    total = raw.sum(axis=-1, keepdims=True)
-    return np.where(total >= _EPS_FALLBACK, raw / np.maximum(total, _EPS_FALLBACK), fa)
-
-
-def bidirectional_weights(fa_heads, ba_heads) -> np.ndarray:
-    """Normalized product of head-averaged forward and rectified backward
-    attention, each ([B,] heads, L_img + 1); a row falls back to the forward
-    average if rectification removes all its mass."""
-    return _normalized_product(*_head_means(fa_heads, ba_heads))
+    w_fa: np.ndarray        # sums to 1
+    w_ba: np.ndarray        # rectified head average
+    w: np.ndarray           # nonnegative, sums to 1
 
 
 def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
                     row_mode: str = "mask") -> BidirectionalWeights:
-    """Full weight computation for one traced image-phrase pair, or for each
-    pair of a batched trace with one mask row per pair, given the score
-    vectors of :func:`score_vectors`.
-
-    ``row_mode`` selects the row whose attention serves as forward attention:
-    the masked token's row (default) or the global [CLS] row.
-    """
-    fa_heads = forward_attention(trace, mask_row if row_mode == "mask" else 0)
-    fa, ba = _head_means(fa_heads, backward_attention(trace, heads_ws))
-    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=_normalized_product(fa, ba))
+    """Weights of each pair of a batched (B, heads, L_txt, L_img + 1) trace,
+    given one mask row per pair and the :func:`score_vectors`. ``row_mode``
+    picks the forward-attention row: each pair's masked token row (default)
+    or the [CLS] row. Backward attention of head h at position j is
+    sum_k V[h, j, k] * heads_ws[h, k]. A pair whose rectified product has no
+    mass falls back to its forward average."""
+    if trace is None:
+        raise ValueError("no attention trace captured; request a trace layer")
+    attn = trace.attn.data
+    rows = np.broadcast_to(mask_row if row_mode == "mask" else 0, attn.shape[:1])
+    fa = np.mean(attn[np.arange(len(attn)), :, rows], axis=1)
+    ba_heads = np.einsum("...hjk,...hk->...hj", trace.values.data, heads_ws)
+    ba = np.mean(np.maximum(ba_heads, 0.0), axis=1)
+    raw = fa * ba
+    total = raw.sum(axis=1, keepdims=True)
+    w = np.where(total >= _EPS_FALLBACK, raw / np.maximum(total, _EPS_FALLBACK), fa)
+    return BidirectionalWeights(w_fa=fa, w_ba=ba, w=w)
 
 
 def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:
-    """Sum of patch rows weighted by ``w`` renormalized over patches: (d,)
-    from one image's (L_img + 1,) weights, (B, d) from a batch's rows.
+    """(B, d) sums of each pair's patch rows weighted by its row of the
+    (B, L_img + 1) weights, renormalized over patches.
 
     Each weight row covers [CLS] + patches and must sum to 1; the [CLS] share
     is dropped and the remainder rescaled, since pooling runs over patches
@@ -105,44 +69,39 @@ def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:
     """
     w = np.asarray(w, dtype=np.float64)
     reps = image.reps
-    if w.shape != reps.shape[:-1]:
+    if w.ndim != 2 or w.shape != reps.shape[:-1]:
         raise nx.ShapeError(f"weights of shape {w.shape} do not match "
                             f"image rows {reps.shape[:-1]}")
-    sums = w.sum(axis=-1)
+    sums = w.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError(f"weights sum to {sums}, expected 1")
-    patch = w[..., 1:]
-    total = patch.sum(axis=-1, keepdims=True)
+    patch = w[:, 1:]
+    total = patch.sum(axis=1, keepdims=True)
     patch = np.where(total > _EPS_FALLBACK, patch / np.maximum(total, _EPS_FALLBACK),
-                     1.0 / patch.shape[-1])
+                     1.0 / patch.shape[1])
     # the [CLS] row is pooled with weight 0
-    pool = np.concatenate([np.zeros_like(total), patch], axis=-1)
-    pooled = nx.matmul(Tensor(pool[..., None, :]), reps)
-    return nx.reshape(pooled, reps.shape[:-2] + reps.shape[-1:])
+    pool = np.concatenate([np.zeros_like(total), patch], axis=1)
+    pooled = nx.matmul(Tensor(pool[:, None, :]), reps)
+    return nx.reshape(pooled, (len(w), reps.shape[-1]))
 
 
-def coarse_similarity(a: Tensor, b: Tensor, proj_a: Tensor, proj_b: Tensor) -> Tensor:
-    """Cosine of the projected representations: a scalar for two (d,)
-    vectors, (B,) for two batches of (B, d) rows. A pair with a zero
-    projection gets 0 and a zero gradient, and a warning is logged."""
-    pa = nx.matmul(a if a.data.ndim == 2 else nx.as_row(a), proj_a)
-    pb = nx.matmul(b if b.data.ndim == 2 else nx.as_row(b), proj_b)
-    sq_a = nx.row_sums(nx.mul(pa, pa))
-    sq_b = nx.row_sums(nx.mul(pb, pb))
-    zero = (sq_a.data < _EPS_FALLBACK) | (sq_b.data < _EPS_FALLBACK)
-    if zero.any():
-        log.warning("zero vector after coarse projection; similarity set to 0")
-    # a zero pair's squared norms are raised by 1, so that its square root and
-    # division stay finite; the mask then sets its cosine to 0
-    norms = nx.sqrt(nx.mul(nx.add(sq_a, Tensor(zero)), nx.add(sq_b, Tensor(zero))))
-    cos = nx.mul(nx.div(nx.row_sums(nx.mul(pa, pb)), norms), Tensor(~zero))
-    return nx.reshape(cos, a.shape[:-1])
+def pooled_alignment_loss(w: np.ndarray, image: EncoderOutput,
+                          phrase_out: EncoderOutput, params: Params) -> Tensor:
+    """(B,) 1 - cosine between each pair's weight-pooled image rows and its
+    phrase [CLS] row, each projected and normalized into the coarse space as
+    :func:`model.coarse_embeddings` does. A zero projection raises
+    :class:`numerics.NonFiniteError`."""
+    img = nx.l2_normalize_rows(nx.matmul(weighted_pool(w, image), params["proj.img.w"]))
+    txt = nx.l2_normalize_rows(nx.matmul(phrase_out.cls, params["proj.txt.w"]))
+    cos = nx.reshape(nx.row_sums(nx.mul(img, txt)), (len(w),))
+    return nx.sub(Tensor(1.0), cos)
 
 
 def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarray:
-    """(heads, head_dim) score vectors as a plain array: one shared head by
-    default, or the masked token's classifier column split by head when tied,
-    then ([B,] heads, head_dim) for one target id or a batch of them."""
+    """(heads, head_dim) score vectors as a plain array: the untrained
+    ``score.w`` shared by every head and pair by default (see the module
+    docstring), or, when tied, the masked targets' MPM classifier columns
+    split by head, (B, heads, head_dim) for a batch of target ids."""
     if not cfg.tie_score_head:
         w_s = params["score.w"].data.reshape(-1)
         return np.broadcast_to(w_s, (cfg.heads, w_s.size))
@@ -156,19 +115,16 @@ def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarra
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
                          fusion: FusionOutput, mask_row, params: Params,
                          cfg: ModelConfig, target_id=None):
-    """1 - cosine between the weight-pooled image representation and the
-    projected phrase representation. Returns (loss, weights).
+    """(B,) 1 - cosine between the weight-pooled image representation and the
+    projected phrase representation of each pair. Returns (loss, weights).
 
-    Takes one pair, or a batch of pairs (the image rows picked per pair by
+    Takes a batch of pairs: the image rows picked per pair by
     :meth:`model.EncoderOutput.select`, the phrases encoded in one call, and
-    their :func:`model.cross_encode`), with one mask row and one target id
-    per pair; the loss is then a (B,) vector."""
+    their traced :func:`model.cross_encode`, with one mask row and one target
+    id per pair."""
     weights = compute_weights(fusion.trace, score_vectors(params, cfg, target_id),
                               mask_row, cfg.biatt_row)
-    pooled = weighted_pool(weights.w, image)
-    sim = coarse_similarity(pooled, phrase_out.cls, params["proj.img.w"],
-                            params["proj.txt.w"])
-    return nx.sub(Tensor(1.0), sim), weights
+    return pooled_alignment_loss(weights.w, image, phrase_out, params), weights
 
 
 # ---------------------------------------------------------------------------

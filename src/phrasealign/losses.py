@@ -113,12 +113,12 @@ def sample_negatives(identities: list, coarse_sims: np.ndarray, rng: Rng,
     Returns (neg_text_index_per_image, neg_image_index_per_text); empty lists
     for a batch of one.
     """
+    if mode not in ("hard", "uniform"):
+        raise ValueError(f"unknown negative sampling mode {mode!r}")
     n = len(identities)
     if n < 2:
         log.info("batch of one: no negatives, matching loss covers positives only")
         return [], []
-    if mode not in ("hard", "uniform"):
-        raise ValueError(f"unknown negative sampling mode {mode!r}")
 
     def draw(scores: np.ndarray, banned: int) -> int:
         mask = np.ones(n, dtype=bool)

@@ -421,6 +421,9 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         raise nx.ShapeError(f"need one unpadded image per text: text "
                             f"{text_out.reps.shape}, image {img_out.reps.shape}"
                             + ("" if index is None else f", index {index.shape}"))
+    if index is not None and ((index < 0) | (index >= len(img_out.reps.data))).any():
+        raise IndexError(f"image index {index.tolist()} outside "
+                         f"0..{len(img_out.reps.data) - 1}")
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = text_out.reps

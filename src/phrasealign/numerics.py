@@ -107,6 +107,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs one element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:

@@ -152,6 +152,12 @@ def test_negatives_batch_of_one_empty():
     assert neg_txt == [] and neg_img == []
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_negatives_reject_unknown_mode(n):
+    with pytest.raises(ValueError, match="bogus"):
+        ls.sample_negatives(list(range(n)), np.zeros((n, n)), Rng(0), mode="bogus")
+
+
 def test_negatives_uniform_monte_carlo():
     rng = Rng(42)
     counts = {j: 0 for j in range(4) if j != 0}

@@ -387,8 +387,9 @@ def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
             md.cross_encode(texts, stack, params, cfg, image_index=bad)
     with pytest.raises(nx.ShapeError, match="one unpadded image per text"):
         md.cross_encode(texts, img, params, cfg, image_index=[0, 0])
-    with pytest.raises(IndexError):
-        md.cross_encode(texts, stack, params, cfg, image_index=[0, 3])
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError):
+            md.cross_encode(texts, stack, params, cfg, image_index=bad)
 
 
 def test_params_substituted_restores_original(params):

@@ -288,6 +288,12 @@ def test_bce_logit_values():
     assert nx.binary_cross_entropy_logit(t(-500.0), 0.0).item() < 1e-12
 
 
+def test_item_needs_one_element():
+    assert t([[2.5]]).item() == 2.5
+    with pytest.raises(nx.ShapeError, match="one element"):
+        t([1.0, 2.0, 3.0]).item()
+
+
 # ---------------------------------------------------------------------------
 # backward
 
