@@ -31,11 +31,15 @@ _EPS_FALLBACK = 1e-12
 class BidirectionalWeights:
     """Head-averaged forward / rectified-backward attention and their
     normalized product over [CLS] + patch positions: (B, L_img + 1) from
-    :func:`compute_weights`, one pair's row each for the heatmap export."""
+    :func:`compute_weights`, one pair's row each from :meth:`pair`."""
 
     w_fa: np.ndarray        # sums to 1
     w_ba: np.ndarray        # rectified head average
     w: np.ndarray           # nonnegative, sums to 1
+
+    def pair(self, b: int) -> "BidirectionalWeights":
+        """Pair ``b``'s weights, one (L_img + 1,) row each."""
+        return BidirectionalWeights(self.w_fa[b], self.w_ba[b], self.w[b])
 
 
 def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
@@ -131,13 +135,22 @@ def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
 # heatmap export
 
 
+def _one_pair(w, rows: int, cols: int) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (rows * cols + 1,):
+        raise nx.ShapeError(f"need one pair's weights over [CLS] + {rows}x{cols} "
+                            f"patches (see BidirectionalWeights.pair), got {w.shape}")
+    return w
+
+
 def heatmap_csv_lines(weights: BidirectionalWeights, rows: int, cols: int) -> list:
-    """CSV of w / forward / backward attention per patch (row, col)."""
+    """CSV of one pair's w / forward / backward attention per patch (row, col)."""
+    w, w_fa, w_ba = (_one_pair(v, rows, cols) for v in (weights.w, weights.w_fa,
+                                                         weights.w_ba))
     lines = ["patch,row,col,w,w_fa,w_ba"]
     for j in range(1, rows * cols + 1):
         r, c = divmod(j - 1, cols)
-        lines.append(f"{j},{r},{c},{weights.w[j]:.12g},"
-                     f"{weights.w_fa[j]:.12g},{weights.w_ba[j]:.12g}")
+        lines.append(f"{j},{r},{c},{w[j]:.12g},{w_fa[j]:.12g},{w_ba[j]:.12g}")
     return lines
 
 
@@ -147,8 +160,8 @@ def write_heatmap_csv(path, weights: BidirectionalWeights, rows: int, cols: int)
 
 
 def write_pgm(path, w: np.ndarray, rows: int, cols: int) -> None:
-    """8-bit binary PGM of the patch weights, min-max normalized."""
-    patch = np.asarray(w, dtype=np.float64)[1:].reshape(rows, cols)
+    """8-bit binary PGM of one pair's patch weights, min-max normalized."""
+    patch = _one_pair(w, rows, cols)[1:].reshape(rows, cols)
     lo, hi = patch.min(), patch.max()
     scaled = np.zeros_like(patch) if hi - lo < 1e-30 else (patch - lo) / (hi - lo)
     pixels = np.round(scaled * 255.0).astype(np.uint8)

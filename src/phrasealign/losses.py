@@ -75,10 +75,10 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     if float(tau.data) <= 0.0:
         raise ValueError(f"temperature must be positive, got {float(tau.data)}")
     n = img_emb.shape[0]
-    cand_txt = Tensor(np.vstack([mom_txt, queue.text_candidates()]))
-    cand_img = Tensor(np.vstack([mom_img, queue.image_candidates()]))
-    logits_i2t = nx.div(nx.matmul(img_emb, nx.transpose(cand_txt)), tau)
-    logits_t2i = nx.div(nx.matmul(txt_emb, nx.transpose(cand_img)), tau)
+    cand_txt = Tensor(np.vstack([mom_txt, queue.text_candidates()]).T)
+    cand_img = Tensor(np.vstack([mom_img, queue.image_candidates()]).T)
+    logits_i2t = nx.div(nx.matmul(img_emb, cand_txt), tau)
+    logits_t2i = nx.div(nx.matmul(txt_emb, cand_img), tau)
     # both directions have n + queue-fill candidates: one cross-entropy over
     # the 2n rows, each row's positive at its batch index
     ce = nx.cross_entropy_logits(nx.concat([logits_i2t, logits_t2i], axis=0),
@@ -185,8 +185,8 @@ def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
         for j in scored:
             targets[b, j + 1] = originals[j]
             weights[b, j + 1] = 1.0
-    hidden = nx.tanh(nx.add(nx.matmul(fusion.reps, params["mpm.w1"]), params["mpm.b1"]))
-    logits = nx.add(nx.matmul(hidden, params["mpm.w2"]), params["mpm.b2"])
+    hidden = nx.tanh(nx.linear(fusion.reps, params["mpm.w1"], params["mpm.b1"]))
+    logits = nx.linear(hidden, params["mpm.w2"], params["mpm.b2"])
     ce = nx.cross_entropy_logits(logits, targets)
     return nx.reshape(nx.row_sums(nx.mul(ce, Tensor(weights))), (batch,))
 

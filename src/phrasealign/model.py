@@ -295,29 +295,24 @@ def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
     L_kv) attention and the ([B,] heads, L_kv, head_dim) values."""
     x_q = _head_axis(queries_from)
     x_kv = x_q if keys_values_from is queries_from else _head_axis(keys_values_from)
-    # scale q, not the scores: (heads, L, L) temporaries are the costly ones
-    q = nx.mul(nx.matmul(x_q, params[f"{prefix}.wq"]), 1.0 / np.sqrt(cfg.head_dim))
+    q = nx.matmul(x_q, params[f"{prefix}.wq"])
     k = nx.matmul(x_kv, params[f"{prefix}.wk"])
     v = nx.matmul(x_kv, params[f"{prefix}.wv"])
     if kv_index is not None:
         k, v = nx.gather_rows(k, kv_index), nx.gather_rows(v, kv_index)
-    scores = nx.matmul(q, nx.transpose(k))
-    if key_bias is not None:
-        scores = nx.add(scores, key_bias)
-    a = nx.row_softmax(scores)
-    out = nx.add(nx.matmul(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"]),
-                 params[f"{prefix}.out.b"])
+    a = nx.attention_weights(q, k, 1.0 / np.sqrt(cfg.head_dim), key_bias)
+    out = nx.linear(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"],
+                    params[f"{prefix}.out.b"])
     return out, a, v
 
 
 def _ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
-    h = nx.tanh(nx.add(nx.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return nx.add(nx.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = nx.tanh(nx.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return nx.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
-    return nx.layer_norm_rows(nx.add(x, delta), params[f"{prefix}.g"],
-                              params[f"{prefix}.b"])
+    return nx.add_layer_norm(x, delta, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
 def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig,
@@ -345,7 +340,7 @@ def encode_image(patches, params: Params, cfg: ModelConfig,
             f"image, for one image or a stack, got shape {patches.shape}")
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
-        x = nx.add(nx.matmul(patches, params["embed.patch.w"]), params["embed.patch.b"])
+        x = nx.linear(patches, params["embed.patch.w"], params["embed.patch.b"])
         x = nx.prepend_row(params["embed.cls_img"], x)
         x = nx.add(x, params["embed.pos_img"])
         for layer in range(cfg.n_self_layers):

@@ -14,6 +14,12 @@ parents, so no full-size buffer is held for nodes backward never reaches.
 Leaf slots accumulate with ``+=`` and must be cleared explicitly through
 ``zero_grads`` between backward passes; reuse without a reset raises.
 
+Every op costs a call, a Tensor with its finiteness scan, a graph node and a
+backward call, so the layers' op chains are fused ops, one node each with a
+hand-written backward: :func:`attention_weights` replaces a mul, transpose,
+matmul, add and row softmax; :func:`add_layer_norm` a residual add and a
+layer norm; :func:`linear` a matmul and a bias add.
+
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
 the artifact goes through; :func:`finite_diff_check`, the central
 difference oracle used to validate every analytic gradient; and
@@ -42,6 +48,15 @@ class GradientStateError(RuntimeError):
 
 class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether a float64 array holds no NaN or Inf. A finite sum of squares
+    implies it; only a non-finite one (overflow can also cause that) needs
+    the full scan. vdot costs less than arr.sum() and warns on neither
+    inf - inf nor overflow; ravel in memory order views a transposed array."""
+    flat = arr if arr.flags.c_contiguous else arr.ravel(order="K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(arr).all())
 
 
 _grad_enabled = True
@@ -80,14 +95,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
-        # a finite sum of squares implies finite elements; only a non-finite
-        # one (which overflow of finite values can also cause) needs the full
-        # scan. vdot costs less than arr.sum() at every size measured and,
-        # unlike it, prints no RuntimeWarning on inf - inf or on overflow. It
-        # copies an array that is not C-contiguous; ravel in memory order is a
-        # view of the same values for a transposed one
-        flat = arr if arr.flags.c_contiguous else arr.ravel(order="K")
-        if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise NonFiniteError(f"non-finite values produced by op '{op}'")
         self.data = arr
         self.op = op
@@ -198,8 +206,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Where one weight is shared by every leading index, backward contracts
     over all rows at once, with no per-index weight gradient summed over the
     leading axes: for (B, 1, L, d) @ (heads, d, w), (B*L, heads*w) @
-    (heads*w, d) for ``a`` and (d, B*L) @ (B*L, heads*w) for ``b``; for
-    (..., L, d) @ (d, w), (d, rows) @ (rows, w) for ``b``."""
+    (heads*w, d) for ``a`` and (d, B*L) @ (B*L, heads*w) for ``b``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -220,10 +227,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                       out=ga.reshape(-1, d))
             gb = a.data.reshape(-1, d).T @ rows
             return ga, np.swapaxes(gb.reshape(d, heads, w), 0, 1)
-    elif a.data.ndim > 2 and b.data.ndim == 2:
-        def bw(g):
-            d, w = b.shape
-            return g @ b.data.T, a.data.reshape(-1, d).T @ g.reshape(-1, w)
     else:
         def bw(g):
             return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
@@ -232,10 +235,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    return _result(np.swapaxes(a.data, -1, -2), "transpose", (a,),
-                   lambda g: (np.swapaxes(g, -1, -2),))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (..., d) rows, a (d, width) weight and a (width,)
+    bias, as one node; backward contracts all rows at once."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    d, width = w.shape
+    y = x.data @ w.data
+    y += b.data
+
+    def bw(g):
+        return (g @ w.data.T, x.data.reshape(-1, d).T @ g.reshape(-1, width),
+                g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return _result(y, "linear", (x, w, b), bw)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -432,21 +445,30 @@ def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
 # softmax-family ops
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis, computed with max-subtraction."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"row_softmax expects a matrix, got shape {a.shape}")
-    # one buffer: a (4, 65, 65) float64 temporary is past the allocator's
-    # mmap threshold, so each extra one costs fresh page faults
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+def attention_weights(q: Tensor, k: Tensor, scale: float,
+                      key_bias: Tensor | None = None) -> Tensor:
+    """softmax(scale * q k^T + key_bias) along the last axis as one node, for
+    (..., L_q, w) queries and (..., L_k, w) keys with the same leading axes.
+    ``key_bias`` is a constant broadcast to the scores."""
+    if q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention_weights shape mismatch: {q.shape} x {k.shape}")
+    if key_bias is not None and key_bias.requires_grad:
+        raise ValueError("attention_weights takes a constant key bias")
+    # scale q, not the scores, and keep one (..., L_q, L_k) buffer: each
+    # (4, 65, 65) float64 temporary is past the allocator's mmap threshold
+    qs = q.data * scale
+    y = qs @ np.swapaxes(k.data, -1, -2)
+    if key_bias is not None:
+        y += key_bias.data
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        gs = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        return (gs @ k.data) * scale, np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
 
-    return _result(y, "row_softmax", (a,), bw)
+    return _result(y, "attention_weights", (q, k), bw)
 
 
 def cross_entropy_logits(logits: Tensor, target_index) -> Tensor:
@@ -493,27 +515,30 @@ def binary_cross_entropy_logit(logit: Tensor, label) -> Tensor:
     return _result(value, "bce_logit", (logit,), bw)
 
 
-def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis (width n) with learned gain and
-    bias (1-D, width n), for any number of leading axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"layer_norm_rows expects rows, got shape {a.shape}")
-    n = a.shape[-1]
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+def add_layer_norm(x: Tensor, delta: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """Layer normalization of same-shape rows ``x + delta`` over the last axis
+    (width n), with learned (n,) gain and bias, as one node."""
+    n = x.shape[-1]
+    if x.shape != delta.shape or gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"add_layer_norm shape mismatch: {x.shape} + {delta.shape}, "
+                         f"gain {gain.shape}, bias {bias.shape}")
+    # np.mean's and np.var's arithmetic, without their Python wrappers
+    xhat = x.data + delta.data
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
     y = xhat * gain.data + bias.data
 
     def bw(g):
         gh = g * gain.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        ga = (gh - m1 - xhat * m2) * inv
-        return (ga, (g * xhat).reshape(-1, n).sum(axis=0),
+        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
+        gx = (gh - m1 - xhat * m2) * inv
+        return (gx, gx, (g * xhat).reshape(-1, n).sum(axis=0),
                 g.reshape(-1, n).sum(axis=0))
 
-    return _result(y, "layer_norm_rows", (a, gain, bias), bw)
+    return _result(y, "add_layer_norm", (x, delta, gain, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +815,7 @@ def load_arrays(path, magic: bytes, version: int,
             raise error(f"tensors.bin truncated in tensor {name!r}")
         values = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
                                offset=start).reshape(shape)
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise error(f"tensor {name!r} holds NaN or Inf")
         arrays[name] = values.copy()
     if end != len(blob):

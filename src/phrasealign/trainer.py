@@ -101,7 +101,7 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
     bc2 = 1.0 - state.beta2 ** t
     for name, p in params.named():
         g = p.grad
-        if not np.all(np.isfinite(g)):
+        if not nx.all_finite(g):
             raise NumericalError(f"non-finite gradient on parameter {name}")
         if weight_decay and p.data.ndim >= 2:
             p.data *= 1.0 - lr * weight_decay

@@ -339,6 +339,29 @@ def test_heatmap_csv_lines():
     assert lines[4].startswith("4,1,1,0.25,")
 
 
+def test_heatmap_export_takes_one_pair(tmp_path):
+    attn = [[[0.1, 0.2, 0.3, 0.4, 0.0]], [[0.2, 0.2, 0.2, 0.2, 0.2]]]
+    values = [[[1.0], [1.0], [2.0], [3.0], [4.0]], [[1.0], [4.0], [3.0], [2.0], [1.0]]]
+    weights = la.compute_weights(fake_trace(attn, values), np.ones((1, 1)), [0, 0])
+    pair = weights.pair(1)
+    assert np.array_equal(pair.w, weights.w[1])
+    lines = la.heatmap_csv_lines(pair, 2, 2)
+    assert lines[1] == f"1,0,0,{weights.w[1, 1]:.12g},0.2,4"
+    la.write_heatmap_csv(tmp_path / "w.csv", pair, 2, 2)
+    assert (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines() == lines
+    la.write_pgm(tmp_path / "w.pgm", pair.w, 2, 2)
+    assert (tmp_path / "w.pgm").read_bytes().endswith(bytes([255, 170, 85, 0]))
+    with pytest.raises(nx.ShapeError, match="pair"):
+        la.heatmap_csv_lines(weights, 2, 2)
+    with pytest.raises(nx.ShapeError):
+        la.write_heatmap_csv(tmp_path / "batch.csv", weights, 2, 2)
+    with pytest.raises(nx.ShapeError):
+        la.write_pgm(tmp_path / "batch.pgm", weights.w, 2, 2)
+    with pytest.raises(nx.ShapeError):
+        la.write_pgm(tmp_path / "short.pgm", pair.w[:4], 2, 2)
+    assert not (tmp_path / "batch.pgm").exists()
+
+
 def test_pgm_output(tmp_path):
     w = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
     la.write_pgm(tmp_path / "w.pgm", w, 2, 2)

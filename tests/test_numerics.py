@@ -59,15 +59,13 @@ def test_stacked_ops_match_per_head_matrices():
     w = t(rng.normal((3, 6, 2)))
     u = t(rng.normal((2, 5)))
     q = nx.matmul(x, w)
-    scores = nx.matmul(q, nx.transpose(q))
-    soft = nx.row_softmax(scores)
-    assert q.shape == (3, 4, 2) and scores.shape == (3, 4, 4)
+    soft = nx.attention_weights(q, q, 0.5)
+    assert q.shape == (3, 4, 2) and soft.shape == (3, 4, 4)
     for h in range(3):
         qh = x.data @ w.data[h]
         assert np.array_equal(q.data[h], qh)
         assert np.array_equal(nx.matmul(q, u).data[h], qh @ u.data)
-        assert np.array_equal(scores.data[h], qh @ qh.T)
-        assert np.array_equal(soft.data[h], nx.row_softmax(t(scores.data[h])).data)
+        assert np.array_equal(soft.data[h], nx.attention_weights(t(qh), t(qh), 0.5).data)
         assert np.array_equal(nx.take_row(soft, 1).data[h], soft.data[h, 1])
     assert np.array_equal(nx.merge_heads(q).data, np.concatenate(list(q.data), axis=1))
 
@@ -80,7 +78,8 @@ def test_merge_heads_requires_a_stack():
 @pytest.mark.parametrize("probe", ["matrix", "stack", "shared right"])
 def test_finite_diff_stacked_head_ops(probe):
     """A matrix times a stack, stack times stack, stack times a shared matrix,
-    3-D softmax, stacked take_row and merge_heads; each operand probed."""
+    3-D attention weights, stacked take_row and merge_heads; each operand
+    probed."""
     rng = nx.Rng(13)
     leaves = {"matrix": t(rng.normal((4, 6))), "stack": t(rng.normal((3, 6, 2))),
               "shared right": t(rng.normal((2, 5)))}
@@ -88,7 +87,7 @@ def test_finite_diff_stacked_head_ops(probe):
     def f(v):
         x, w, u = (v if name == probe else leaf for name, leaf in leaves.items())
         q = nx.matmul(x, w)
-        a = nx.row_softmax(nx.matmul(q, nx.transpose(q)))
+        a = nx.attention_weights(q, q, 0.5)
         return nx.sum_n([nx.sum_all(nx.tanh(nx.merge_heads(nx.matmul(a, q)))),
                          nx.sum_all(nx.mul(nx.take_row(a, 1), nx.take_row(a, 2))),
                          nx.mean_all(nx.tanh(nx.matmul(q, u)))])
@@ -114,13 +113,13 @@ def test_batched_ops_match_per_item_ops():
     q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
     gain, bias = t(rng.normal(6)), t(rng.normal(6))
     merged = nx.merge_heads(q)
-    normed = nx.layer_norm_rows(merged, gain, bias)
+    normed = nx.add_layer_norm(merged, nx.tanh(merged), gain, bias)
     assert q.shape == (3, 2, 3, 3) and merged.shape == (3, 3, 6)
     for b in range(3):
         assert np.array_equal(q.data[b], nx.matmul(t(x.data[b]), w).data)
         assert np.array_equal(merged.data[b], nx.merge_heads(t(q.data[b])).data)
-        assert np.array_equal(normed.data[b],
-                              nx.layer_norm_rows(t(merged.data[b]), gain, bias).data)
+        assert np.array_equal(normed.data[b], nx.add_layer_norm(
+            t(merged.data[b]), t(np.tanh(merged.data[b])), gain, bias).data)
         assert np.array_equal(nx.gather_rows(x, b).data, x.data[b])
     assert np.array_equal(nx.gather_rows(x, [2, 0, 2]).data, x.data[[2, 0, 2]])
     # losses over the last axis, one target or label per row or element
@@ -151,7 +150,7 @@ def test_batched_ops_match_per_item_ops():
 def test_finite_diff_batched_ops(probe):
     """A zero-padded stack under a shared [CLS] row, (B, 1, L, d) @
     (heads, d, w) (both operands) and (B, heads) @ (B, heads) matmul, batched
-    merge_heads and layer_norm_rows, int and repeated leading-axis indexing,
+    merge_heads and add_layer_norm, int and repeated leading-axis indexing,
     and batched cross-entropy and BCE; each operand probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
@@ -165,8 +164,8 @@ def test_finite_diff_batched_ops(probe):
         stack = nx.reshape(nx.concat([padded, long_, padded], axis=0), (3, 3, 4))
         x = nx.reshape(nx.prepend_row(cls, stack), (3, 1, 4, 4))
         q = nx.matmul(x, w)
-        scores = nx.matmul(q, nx.transpose(nx.tanh(q)))
-        y = nx.layer_norm_rows(nx.merge_heads(nx.tanh(q)), gain, bias)
+        scores = nx.matmul(q, nx.reshape(nx.tanh(q), (3, 2, 3, 4)))
+        y = nx.add_layer_norm(nx.merge_heads(nx.tanh(q)), nx.merge_heads(q), gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
         one = nx.gather_rows(y, 1)
         ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2, 1], [1, 1, 4, 3],
@@ -194,8 +193,8 @@ def test_shared_stack_matmul_backward_matches_broadcast_sum():
 
 
 def test_shared_matrix_matmul_backward_matches_broadcast_sum():
-    """(..., L, d) @ (d, w): the one-contraction weight gradient equals the
-    per-index products summed back over the leading axes."""
+    """(..., L, d) @ (d, w): the weight gradient equals the per-index
+    products summed back over the leading axes."""
     rng = nx.Rng(17)
     for lead in ((5,), (2, 3)):
         a = t(rng.normal(lead + (3, 4)), grad=True)
@@ -226,21 +225,30 @@ def test_gather_rows_backward_matches_add_at(ids):
 
 
 # ---------------------------------------------------------------------------
-# row_softmax
+# fused ops: attention weights, add & layer norm, linear
+
+
+def row_softmax(scores):
+    """Softmax of each row of ``scores`` through attention_weights, with the
+    scores as the key bias of zero queries and keys."""
+    scores = np.asarray(scores, dtype=np.float64)
+    rows, cols = scores.shape
+    return nx.attention_weights(t(np.zeros((rows, 1))), t(np.zeros((cols, 1))), 1.0,
+                                t(scores))
 
 
 def test_row_softmax_uniform():
-    y = nx.row_softmax(t([[0.0, 0.0, 0.0]]))
+    y = row_softmax([[0.0, 0.0, 0.0]])
     assert np.allclose(y.data, 1.0 / 3.0)
 
 
 def test_row_softmax_hand():
-    y = nx.row_softmax(t([[math.log(1.0), math.log(3.0)]]))
+    y = row_softmax([[math.log(1.0), math.log(3.0)]])
     assert np.allclose(y.data, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_row_softmax_no_overflow():
-    y = nx.row_softmax(t([[1000.0, 0.0]]))
+    y = row_softmax([[1000.0, 0.0]])
     assert np.all(np.isfinite(y.data))
     assert y.data[0, 0] > 1.0 - 1e-12
     assert y.data[0, 1] < 1e-12
@@ -251,9 +259,136 @@ def test_row_softmax_no_overflow():
 # beyond that the tails round to exact 0/1 (see the overflow test above)
 @given(hnp.arrays(np.float64, (3, 5), elements=st.floats(-14, 14)))
 def test_row_softmax_rows_are_distributions(x):
-    y = nx.row_softmax(t(x)).data
+    y = row_softmax(x).data
     assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.all(y > 0.0) and np.all(y < 1.0)
+
+
+def test_fused_ops_equal_the_chains_they_replace():
+    """Each fused op's value is bit-for-bit the chain of ops it replaced,
+    written out in numpy."""
+    rng = nx.Rng(19)
+    q, k = rng.normal((3, 2, 4, 5)), rng.normal((3, 2, 6, 5))
+    pad = np.where(np.arange(6) < np.array([[6], [4], [5]]), 0.0, -1e30)[:, None, None, :]
+    scale = 1.0 / np.sqrt(5)
+    for bias in (None, pad):
+        scores = (q * scale) @ np.swapaxes(k, -1, -2)
+        if bias is not None:
+            scores = scores + bias
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        got = nx.attention_weights(t(q), t(k), scale, None if bias is None else t(bias))
+        assert np.array_equal(got.data, e / e.sum(axis=-1, keepdims=True))
+
+    x, delta = rng.normal((3, 4, 6)), rng.normal((3, 4, 6))
+    gain, bias = rng.normal(6) + 1.0, rng.normal(6)
+    s = x + delta
+    want = (s - s.mean(axis=-1, keepdims=True)) * \
+        (1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
+    assert np.array_equal(nx.add_layer_norm(t(x), t(delta), t(gain), t(bias)).data, want)
+
+    w, b = rng.normal((6, 3)), rng.normal(3)
+    for rows in (x, x[0]):
+        assert np.array_equal(nx.linear(t(rows), t(w), t(b)).data, rows @ w + b)
+
+
+@pytest.mark.parametrize("bias", ["none", "pad"])
+@pytest.mark.parametrize("probe", ["rows", "wq", "wk"])
+def test_finite_diff_attention_weights_single_image(probe, bias):
+    """One image's (L, d) rows projected by (heads, d, head_dim) weights,
+    with and without a padding key bias; each operand probed."""
+    rng = nx.Rng(20)
+    leaves = {"rows": t(rng.normal((4, 6))), "wq": t(rng.normal((2, 6, 3))),
+              "wk": t(rng.normal((2, 6, 3)))}
+    key_bias = None if bias == "none" else t([0.0, 0.0, 0.0, -1e30])
+    c = t(rng.normal((2, 4, 4)))
+
+    def f(v):
+        x, wq, wk = (v if name == probe else leaf for name, leaf in leaves.items())
+        a = nx.attention_weights(nx.matmul(x, wq), nx.matmul(x, wk), 0.5, key_bias)
+        return nx.sum_all(nx.mul(a, c))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+@pytest.mark.parametrize("bias", ["none", "pad"])
+@pytest.mark.parametrize("probe", ["q", "k"])
+def test_finite_diff_attention_weights_batch(probe, bias):
+    """(B, heads, L, w) queries against (B, heads, L_k, w) keys, with and
+    without a per-pair padding key bias; each operand probed."""
+    rng = nx.Rng(21)
+    leaves = {"q": t(rng.normal((3, 2, 4, 3))), "k": t(rng.normal((3, 2, 5, 3)))}
+    pad = np.where(np.arange(5) < np.array([[5], [3], [4]]), 0.0, -1e30)
+    key_bias = None if bias == "none" else t(pad[:, None, None, :])
+    c = t(rng.normal((3, 2, 4, 5)))
+
+    def f(v):
+        q, k = (v if name == probe else leaf for name, leaf in leaves.items())
+        return nx.sum_all(nx.mul(nx.attention_weights(q, k, 0.7, key_bias), c))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+@pytest.mark.parametrize("probe", ["x", "delta", "gain", "bias"])
+def test_finite_diff_add_layer_norm(probe):
+    rng = nx.Rng(22)
+    leaves = {"x": t(rng.normal((2, 3, 5))), "delta": t(rng.normal((2, 3, 5))),
+              "gain": t(rng.normal(5, 0.5) + 1.0), "bias": t(rng.normal(5, 0.5))}
+
+    def f(v):
+        x, delta, gain, bias = (v if name == probe else leaf
+                                for name, leaf in leaves.items())
+        return nx.sum_all(nx.tanh(nx.add_layer_norm(x, delta, gain, bias)))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+@pytest.mark.parametrize("lead", [(4,), (2, 4)], ids=["2-D", "3-D"])
+@pytest.mark.parametrize("probe", ["x", "w", "b"])
+def test_finite_diff_linear(probe, lead):
+    rng = nx.Rng(23)
+    leaves = {"x": t(rng.normal(lead + (5,))), "w": t(rng.normal((5, 3), 0.5)),
+              "b": t(rng.normal(3))}
+
+    def f(v):
+        x, w, b = (v if name == probe else leaf for name, leaf in leaves.items())
+        return nx.sum_all(nx.tanh(nx.linear(x, w, b)))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+def test_linear_backward_matches_broadcast_sum():
+    """(..., L, d) rows: the one-contraction weight and bias gradients equal
+    the per-index products summed back over the leading axes."""
+    rng = nx.Rng(24)
+    for lead in ((5,), (2, 3)):
+        x = t(rng.normal(lead + (3, 4)), grad=True)
+        w, b = t(rng.normal((4, 6)), grad=True), t(rng.normal(6), grad=True)
+        g = rng.normal(lead + (3, 6))
+        nx.backward(nx.sum_all(nx.mul(nx.linear(x, w, b), t(g))))
+        assert np.allclose(x.grad, g @ w.data.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(w.grad, nx._unbroadcast(np.swapaxes(x.data, -1, -2) @ g,
+                                                   w.shape), rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, g.reshape(-1, 6).sum(axis=0), rtol=1e-12, atol=1e-12)
+
+
+def test_fused_ops_reject_mismatched_operands():
+    with pytest.raises(nx.ShapeError):
+        nx.attention_weights(t(np.ones((2, 3, 4))), t(np.ones((3, 5, 4))), 1.0)
+    with pytest.raises(nx.ShapeError):
+        nx.attention_weights(t(np.ones((3, 4))), t(np.ones((5, 3))), 1.0)
+    with pytest.raises(ValueError, match="constant key bias"):
+        nx.attention_weights(t(np.ones((3, 4))), t(np.ones((5, 4))), 1.0,
+                             t(np.zeros(5), grad=True))
+    with pytest.raises(nx.ShapeError):
+        nx.add_layer_norm(t(np.ones((2, 3))), t(np.ones((1, 3))), t(np.ones(3)),
+                          t(np.zeros(3)))
+    with pytest.raises(nx.ShapeError):
+        nx.add_layer_norm(t(np.ones((2, 3))), t(np.ones((2, 3))), t(np.ones(2)),
+                          t(np.zeros(3)))
+    with pytest.raises(nx.ShapeError):
+        nx.linear(t(np.ones((2, 3))), t(np.ones((2, 3, 4))), t(np.zeros(4)))
+    with pytest.raises(nx.ShapeError):
+        nx.linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +620,9 @@ def test_finite_diff_layer_norm(seed):
     x = t(rng.normal((3, 5)))
     gain = t(rng.normal(5, 0.5) + 1.0)
     bias = t(rng.normal(5, 0.5))
+    delta = t(rng.normal((3, 5)))
     err = nx.finite_diff_check(
-        lambda v: nx.sum_all(nx.tanh(nx.layer_norm_rows(v, gain, bias))), x)
+        lambda v: nx.sum_all(nx.tanh(nx.add_layer_norm(v, delta, gain, bias))), x)
     assert err < 1e-6
 
 
@@ -495,7 +631,7 @@ def test_finite_diff_composite_ops():
     x = t(rng.normal((4, 3)))
 
     def f(v):
-        y = nx.row_softmax(nx.matmul(v, nx.transpose(v)))
+        y = nx.attention_weights(v, v, 1.0)
         z = nx.l2_normalize_rows(nx.tanh(y))
         return nx.mean_all(nx.mul(z, nx.add(z, 1.0)))
 
@@ -535,10 +671,11 @@ def test_concat_and_sum_n_reject_mismatched_shapes():
 def test_gradcheck_random_small_graphs(seed):
     rng = nx.Rng(100 + seed)
     w = t(rng.normal((6, 4)))
+    keys = t(np.eye(4))     # the scores are h itself
 
     def f(v):
         h = nx.tanh(nx.matmul(v, w))
-        s = nx.row_softmax(h)
+        s = nx.attention_weights(h, keys, 1.0)
         return nx.cross_entropy_logits(nx.take_row(s, 0), seed % 4)
 
     x = t(rng.normal((2, 6)))
