@@ -372,7 +372,7 @@ def encode_text(token_ids, params: Params, cfg: ModelConfig,
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = nx.gather_rows(params["embed.token"], ids if batched else ids[0])
-        x = nx.add(x, nx.slice_rows(params["embed.pos_txt"], 0, max(rows)))
+        x = nx.add(x, nx.gather_rows(params["embed.pos_txt"], np.arange(max(rows))))
         for layer in range(cfg.n_self_layers):
             x = _self_block(x, params, f"txt_self{layer}", cfg, pad_bias)
         return EncoderOutput(x, pad_bias)

@@ -6,13 +6,15 @@ tensors that sit on a differentiable path are recorded on an acyclic graph;
 ``backward`` then accumulates d(root)/d(node) into each node's ``grad`` slot.
 Inside :func:`no_grad` nothing is recorded and no gradient state is allocated.
 
-Only leaves (tensors created with ``requires_grad=True``) own a gradient slot
-from the start: it is zero-initialized and keeps what ``backward`` adds to it.
-An op result gets its slot inside ``backward`` when the first gradient
-reaches it, and loses it again once that gradient has been passed on to its
-parents, so no full-size buffer is held for nodes backward never reaches.
-Leaf slots accumulate with ``+=`` and must be cleared explicitly through
-``zero_grads`` between backward passes; reuse without a reset raises.
+Gradients are values: no gradient array is written once made, except a
+leaf's own slot. Only leaves (tensors created with ``requires_grad=True``)
+own a slot from the start: it is zero-initialized, takes what ``backward``
+adds to it with ``+=`` and is never handed on. An op result's slot is the
+first gradient that reaches it, as it is; each later one replaces it with a
+new sum. The slot is released once passed on to the node's parents, so no
+full-size buffer is held for nodes backward never reaches. Leaf slots must be
+cleared explicitly through ``zero_grads`` between backward passes; reuse
+without a reset raises.
 
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
@@ -82,11 +84,12 @@ class Tensor:
     """A float64 array plus its slot in the differentiation graph.
 
     ``data`` is the value (row-major numpy array). ``grad`` mirrors its shape:
-    a leaf created with ``requires_grad=True`` starts with a zero slot; an op
-    result produced while recording starts with ``None``, holds its gradient
-    only between its first use in :func:`backward` and the call of its
-    backward function, and is ``None`` again afterwards. ``op`` and
-    ``parents`` describe how the tensor was produced.
+    a leaf created with ``requires_grad=True`` starts with a zero slot, the
+    only gradient array :func:`backward` writes in place; an op result
+    produced while recording starts with ``None``, holds its gradient, an
+    array nothing writes, only between its first use in :func:`backward` and
+    the call of its backward function, and is ``None`` again afterwards.
+    ``op`` and ``parents`` describe how the tensor was produced.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "requires_grad",
@@ -147,9 +150,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    # a reshape to the same shape would still make a view, which backward
-    # then copies
-    return grad if grad.shape == shape else grad.reshape(shape)
+    return grad.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +223,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bw(g):
             heads, d, w = b.shape
             rows = np.swapaxes(g, 1, 2).reshape(-1, heads * w)
-            ga = np.empty(a.shape)    # owns its buffer, so backward need not copy it
-            np.matmul(rows, np.swapaxes(b.data, 1, 2).reshape(heads * w, d),
-                      out=ga.reshape(-1, d))
+            ga = rows @ np.swapaxes(b.data, 1, 2).reshape(heads * w, d)
             gb = a.data.reshape(-1, d).T @ rows
-            return ga, np.swapaxes(gb.reshape(d, heads, w), 0, 1)
+            return ga.reshape(a.shape), np.swapaxes(gb.reshape(d, heads, w), 0, 1)
     else:
         def bw(g):
             return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
@@ -315,7 +314,7 @@ def row_sums(a: Tensor) -> Tensor:
         raise ShapeError(f"row_sums expects a matrix, got shape {a.shape}")
 
     def bw(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _result(a.data.sum(axis=1, keepdims=True), "row_sums", (a,), bw)
 
@@ -348,18 +347,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis), "concat",
                    tuple(tensors), bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_rows expects a matrix, got shape {a.shape}")
-
-    def bw(g):
-        out = np.zeros(a.shape)
-        out[start:stop] = g
-        return (out,)
-
-    return _result(a.data[start:stop].copy(), "slice_rows", (a,), bw)
 
 
 def prepend_row(row: Tensor, a: Tensor) -> Tensor:
@@ -432,11 +419,8 @@ def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
             out[idx] = g
             return (out,)
         n, width = table.shape[0], math.prod(table.shape[1:])
-        hits = np.arange(n)[:, None] == idx.reshape(-1) % n
-        out = np.empty(table.shape)
-        np.matmul(hits.astype(np.float64), g.reshape(idx.size, width),
-                  out=out.reshape(n, width))
-        return (out,)
+        hits = (np.arange(n)[:, None] == idx.reshape(-1) % n).astype(np.float64)
+        return ((hits @ g.reshape(idx.size, width)).reshape(table.shape),)
 
     return _result(np.take(table.data, idx, axis=0), "gather_rows", (table,), bw)
 
@@ -572,26 +556,18 @@ def _toposort(root: Tensor) -> list:
     return order  # inputs before consumers
 
 
-def _buffer(a: np.ndarray) -> np.ndarray:
-    """The array that owns ``a``'s memory: ``a`` itself or its base."""
-    return a if a.base is None else a.base
-
-
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(node) into the grad slot of every reachable leaf.
 
-    ``root`` must be scalar. An op result's slot is the first gradient that
-    reaches it; later ones are added into it, and the slot is given up once
-    the node's backward function has run. Grad slots touched by a previous
-    backward must be reset (``zero_grads``) first; silent accumulation across
-    passes is an error by design.
-
-    Contract of a backward function: it never returns an array it keeps, so
-    each array it returns is either new or a view of the gradient it was
-    given. The first gradient is therefore taken without a copy when it owns
-    its buffer or views the buffer of the slot being given up, unless a
-    sibling in the same tuple took that buffer first (``add`` and ``sum_n``
-    hand one array to several parents); any other array is copied.
+    ``root`` must be scalar. No gradient array is written once made, except a
+    leaf's own zero-filled slot, which takes ``+=`` and is never handed on.
+    An op result's slot is the first gradient that reaches it, as it is; each
+    later one replaces it with a new sum, and the slot is given up once the
+    node's backward function has run. A backward function may therefore
+    return views, arrays it keeps, or one array for several parents, but each
+    of the input's own shape. Grad slots touched by a previous backward must
+    be reset (``zero_grads``) first; silent accumulation across passes is an
+    error by design.
     """
     if root.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
@@ -609,10 +585,8 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue
-        released = _buffer(node.grad)
         grads = node._backward_fn(node.grad)
         node.grad = None
-        taken = set()   # ids of the buffers handed on without a copy
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
@@ -623,26 +597,16 @@ def backward(root: Tensor) -> None:
                         "call zero_grads before backward")
                 touched.add(id(parent))
                 parent._grad_dirty = True
-            if parent.grad is not None:
-                if taken and id(_buffer(parent.grad)) in taken:
-                    # a parent listed twice: its slot is a buffer taken from
-                    # this tuple, which later siblings may still read
-                    parent.grad = parent.grad + g
-                else:
-                    parent.grad += g
-                continue
             if np.shape(g) != parent.data.shape:
                 raise ShapeError(f"backward of op '{node.op}' gave a gradient of "
                                  f"shape {np.shape(g)} for an input of shape "
                                  f"{parent.shape}")
-            buffer = _buffer(g) if isinstance(g, np.ndarray) else None
-            if buffer is not None and (buffer is g or buffer is released) and \
-                    id(buffer) not in taken and g.dtype == np.float64 and \
-                    g.flags.writeable:
+            if parent._backward_fn is None:
+                parent.grad += g
+            elif parent.grad is None:
                 parent.grad = g
-                taken.add(id(buffer))
             else:
-                parent.grad = np.array(g, dtype=np.float64, order="C")
+                parent.grad = parent.grad + g
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -27,7 +27,7 @@ from .local_align import local_alignment_loss
 from .numerics import Rng
 from .textproc import TextPipeline
 
-LOG_COLUMNS = ("step", "lr", "itc", "itm", "tri", "biatt", "mpm", "total")
+LOG_COLUMNS = ("step", "lr") + tuple(f.name for f in dataclasses.fields(ls.LossBreakdown))
 
 
 class NumericalError(RuntimeError):
@@ -257,17 +257,12 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                 except nx.NonFiniteError as e:
                     raise NumericalError(
                         f"non-finite loss at step {global_step}: {e}") from e
-                if not math.isfinite(breakdown.total):
-                    raise NumericalError(
-                        f"non-finite loss at step {global_step}: {breakdown}")
                 nx.backward(total)
                 adamw_step(params, optim, lr, cfg.weight_decay)
                 md.momentum_update(params, momentum)
                 params.zero_grads()
                 log_rows.append({"step": global_step, "lr": lr,
-                                 "itc": breakdown.itc, "itm": breakdown.itm,
-                                 "tri": breakdown.tri, "biatt": breakdown.biatt,
-                                 "mpm": breakdown.mpm, "total": breakdown.total})
+                                 **dataclasses.asdict(breakdown)})
                 stage_step += 1
                 global_step += 1
         if out_dir is not None:

@@ -538,10 +538,10 @@ def test_interior_slot_released_and_leaf_slots_kept():
     assert np.array_equal(y.grad, 2.0 * h.data * x.data)
 
 
-def test_gradient_handed_to_several_parents_is_not_shared():
-    """add and sum_n hand one array to each parent: the first may keep it,
-    the others get their own copy, so a later gradient added into one slot
-    does not reach another."""
+def test_gradient_handed_to_several_parents_is_shared_and_never_written():
+    """add and sum_n hand one array to each parent, and every parent's slot
+    may be that very array: a later gradient makes a new sum instead of
+    adding into it, so it never reaches another slot."""
     a, b = t([1.0, 2.0], grad=True), t([3.0, -1.0], grad=True)
     c, d = np.array([0.5, -2.0]), np.array([4.0, 0.25])
     for order in (1, -1):
@@ -569,15 +569,21 @@ def test_gradient_handed_to_several_parents_is_not_shared():
     assert np.array_equal(b.grad, 3.0 * (c + d))
 
 
-def test_gradient_viewing_another_buffer_is_copied():
-    # only a view of the slot being given up is handed on as it is
+@pytest.mark.parametrize("handed_on", ["view", "kept", "read_only"])
+def test_array_handed_on_by_a_backward_function_is_never_written(handed_on):
+    """A backward function may hand on an array it keeps, a view of one, or a
+    read-only view (``row_sums`` returns ``np.broadcast_to``): the op result
+    h takes it as it is, and h's second gradient makes the exact sum in a new
+    array, leaving the handed array unchanged."""
     kept = np.ones(2)
+    handed = {"view": kept[:], "kept": kept,
+              "read_only": np.broadcast_to(kept, (2,))}[handed_on]
     a = t([1.0, 2.0], grad=True)
     for order in (1, -1):
         a.zero_grad()
         h = nx.mul(a, 2.0)
         odd = nx.Tensor([0.0, 0.0], requires_grad=True, op="odd", parents=(h,),
-                        backward_fn=lambda g: (kept[:],))
+                        backward_fn=lambda g: (handed,))
         nx.backward(nx.sum_n([nx.sum_all(odd), nx.sum_all(nx.mul(h, 3.0))][::order]))
         assert np.array_equal(kept, [1.0, 1.0])
         assert np.array_equal(a.grad, [8.0, 8.0])
@@ -589,6 +595,22 @@ def test_first_gradient_of_wrong_shape_raises():
                     backward_fn=lambda g: (np.ones(3),))
     with pytest.raises(nx.ShapeError, match="'bad'.*\\(3,\\).*\\(2,\\)"):
         nx.backward(nx.sum_all(bad))
+
+
+def test_later_or_leaf_gradient_of_wrong_shape_raises():
+    # a broadcastable gradient would otherwise widen an op result's sum or
+    # spread over a leaf's slot
+    x = t([1.0, 2.0], grad=True)
+    for to_leaf in (False, True):
+        for order in (1, -1):
+            x.zero_grad()
+            h = nx.mul(x, 2.0)
+            g = np.ones(1) if to_leaf else np.ones((3, 1))
+            bad = nx.Tensor([1.0, 1.0], requires_grad=True, op="bad",
+                            parents=(x if to_leaf else h,), backward_fn=lambda _: (g,))
+            with pytest.raises(nx.ShapeError, match="'bad'"):
+                nx.backward(nx.sum_n([nx.sum_all(nx.mul(h, 3.0)),
+                                      nx.sum_all(bad)][::order]))
 
 
 # ---------------------------------------------------------------------------
