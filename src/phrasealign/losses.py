@@ -185,8 +185,8 @@ def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
         for j in scored:
             targets[b, j + 1] = originals[j]
             weights[b, j + 1] = 1.0
-    hidden = nx.tanh(nx.linear(fusion.reps, params["mpm.w1"], params["mpm.b1"]))
-    logits = nx.linear(hidden, params["mpm.w2"], params["mpm.b2"])
+    logits = nx.tanh_mlp(fusion.reps, params["mpm.w1"], params["mpm.b1"],
+                         params["mpm.w2"], params["mpm.b2"])
     ce = nx.cross_entropy_logits(logits, targets)
     return nx.reshape(nx.row_sums(nx.mul(ce, Tensor(weights))), (batch,))
 

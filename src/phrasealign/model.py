@@ -6,12 +6,15 @@ The encoders are deliberately small: linear patch/token embeddings plus
 standard post-norm self-attention blocks. The cross-modal encoder runs
 self-attention over the text rows, cross-attention with text queries against
 image keys/values, then a feed-forward, per layer; one layer's attention
-matrices and projected values can be captured as a trace. The same
-cross-modal parameters serve the image-text and image-phrase streams. Heads
-are the leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim).
-Pairs that share an image can share its cross-attention keys and values:
-given an image index per pair, each cross layer projects every distinct
-image once and gathers the projected rows per pair.
+matrices and projected values can be captured as a trace: constant Tensors,
+built for the traced layer only. The same cross-modal parameters serve the
+image-text and image-phrase streams. Heads are the leading array axis:
+``wq``/``wk``/``wv`` are (heads, d, head_dim). Each attention block is one
+:func:`numerics.attention` node and each feed-forward one
+:func:`numerics.tanh_mlp` node. Pairs that share an image can share its
+cross-attention keys and values: given an image index per pair, each cross
+layer projects every distinct image once and gathers the projected rows per
+pair.
 """
 
 from __future__ import annotations
@@ -258,7 +261,9 @@ class EncoderOutput:
 class AttentionTrace:
     """Attention state of one cross-attention layer, head as an axis; a
     batched cross-encode adds a leading pair axis, and padded text rows of a
-    pair hold finite values nothing reads."""
+    pair hold finite values nothing reads. Both are constants, not graph
+    nodes: the attention block is one fused node, and only the traced layer
+    wraps its arrays in Tensors."""
 
     layer: int                  # 1-based
     attn: Tensor                # ([B,] heads, L_text+1, L_img+1), rows sum to 1
@@ -279,36 +284,23 @@ class FusionOutput:
 # blocks
 
 
-def _head_axis(x: Tensor) -> Tensor:
-    """(B, L, d) rows as (B, 1, L, d), so that a (heads, d, w) weight
-    broadcasts over the pairs; a (L, d) matrix already broadcasts."""
-    return x if x.data.ndim == 2 else nx.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-
-
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
                           params: Params, prefix: str, cfg: ModelConfig,
                           key_bias: Tensor | None = None, kv_index=None):
-    """Scaled dot-product attention over all heads (and pairs) at once, with
-    ``key_bias`` added to the scores. With ``kv_index``, keys and values are
-    projected once per entry of ``keys_values_from`` and pair b attends to
-    entry ``kv_index[b]``. Returns the output rows, the ([B,] heads, L_q,
-    L_kv) attention and the ([B,] heads, L_kv, head_dim) values."""
-    x_q = _head_axis(queries_from)
-    x_kv = x_q if keys_values_from is queries_from else _head_axis(keys_values_from)
-    q = nx.matmul(x_q, params[f"{prefix}.wq"])
-    k = nx.matmul(x_kv, params[f"{prefix}.wk"])
-    v = nx.matmul(x_kv, params[f"{prefix}.wv"])
-    if kv_index is not None:
-        k, v = nx.gather_rows(k, kv_index), nx.gather_rows(v, kv_index)
-    a = nx.attention_weights(q, k, 1.0 / np.sqrt(cfg.head_dim), key_bias)
-    out = nx.linear(nx.merge_heads(nx.matmul(a, v)), params[f"{prefix}.out.w"],
-                    params[f"{prefix}.out.b"])
-    return out, a, v
+    """:func:`numerics.attention` with the block's weights: all heads (and
+    pairs) at once, ``key_bias`` added to the scores, and with ``kv_index``
+    keys and values projected once per entry of ``keys_values_from``. Returns
+    the output rows, and the ([B,] heads, L_q, L_kv) attention and ([B,]
+    heads, L_kv, head_dim) values as arrays."""
+    weights = (params[f"{prefix}.{name}"]
+               for name in ("wq", "wk", "wv", "out.w", "out.b"))
+    return nx.attention(queries_from, keys_values_from, *weights,
+                        1.0 / np.sqrt(cfg.head_dim), key_bias, kv_index)
 
 
 def _ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
-    h = nx.tanh(nx.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return nx.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return nx.tanh_mlp(x, *(params[f"{prefix}.{name}"]
+                            for name in ("w1", "b1", "w2", "b2")))
 
 
 def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
@@ -416,9 +408,6 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         raise nx.ShapeError(f"need one unpadded image per text: text "
                             f"{text_out.reps.shape}, image {img_out.reps.shape}"
                             + ("" if index is None else f", index {index.shape}"))
-    if index is not None and ((index < 0) | (index >= len(img_out.reps.data))).any():
-        raise IndexError(f"image index {index.tolist()} outside "
-                         f"0..{len(img_out.reps.data) - 1}")
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = text_out.reps
@@ -432,7 +421,7 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
                                                 f"{prefix}.cross", cfg,
                                                 kv_index=index)
             if layer + 1 == trace_layer:
-                trace = AttentionTrace(layer + 1, a, v)
+                trace = AttentionTrace(layer + 1, Tensor(a), Tensor(v))
             x = _post_norm(x, cross, params, f"{prefix}.ln2")
             x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln3")
         return FusionOutput(x, trace)

@@ -18,9 +18,12 @@ without a reset raises.
 
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
-hand-written backward: :func:`attention_weights` replaces a mul, transpose,
-matmul, add and row softmax; :func:`add_layer_norm` a residual add and a
-layer norm; :func:`linear` a matmul and a bias add.
+hand-written backward: :func:`attention` replaces a whole multi-head
+attention block (the q/k/v projections, the per-pair gather of keys and
+values, the scaled, key-biased row softmax, a . v, the head merge and the
+output projection); :func:`tanh_mlp` a linear, tanh, linear feed-forward;
+:func:`add_layer_norm` a residual add and a layer norm; :func:`linear` a
+matmul and a bias add.
 
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
 the artifact goes through; :func:`finite_diff_check`, the central
@@ -202,12 +205,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading axes broadcast, so a matrix is
     shared by every leading index and ``(B, 1, L, d) @ (heads, d, w)`` gives
-    ``(B, heads, L, w)``.
-
-    Where one weight is shared by every leading index, backward contracts
-    over all rows at once, with no per-index weight gradient summed over the
-    leading axes: for (B, 1, L, d) @ (heads, d, w), (B*L, heads*w) @
-    (heads*w, d) for ``a`` and (d, B*L) @ (B*L, heads*w) for ``b``."""
+    ``(B, heads, L, w)``. Each gradient is summed back over the axes its
+    operand was broadcast along."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -219,17 +218,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         except ValueError:
             raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
 
-    if a.data.ndim == 4 and a.shape[1] == 1 and b.data.ndim == 3:
-        def bw(g):
-            heads, d, w = b.shape
-            rows = np.swapaxes(g, 1, 2).reshape(-1, heads * w)
-            ga = rows @ np.swapaxes(b.data, 1, 2).reshape(heads * w, d)
-            gb = a.data.reshape(-1, d).T @ rows
-            return ga.reshape(a.shape), np.swapaxes(gb.reshape(d, heads, w), 0, 1)
-    else:
-        def bw(g):
-            return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                    _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    def bw(g):
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
@@ -248,6 +239,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g.sum(axis=tuple(range(g.ndim - 1))))
 
     return _result(y, "linear", (x, w, b), bw)
+
+
+def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``tanh(x @ w1 + b1) @ w2 + b2`` for (..., d) rows, a (d, m) and an
+    (m, width) weight and their biases, as one node; backward contracts all
+    rows at once."""
+    if w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1:] != w1.shape[:1] or \
+            b1.shape != w1.shape[1:] or w2.shape[:1] != b1.shape or \
+            b2.shape != w2.shape[1:]:
+        raise ShapeError(f"tanh_mlp shape mismatch: {x.shape} @ {w1.shape} + "
+                         f"{b1.shape}, @ {w2.shape} + {b2.shape}")
+    d, m = w1.shape
+    h = x.data @ w1.data
+    h += b1.data
+    np.tanh(h, out=h)
+    y = h @ w2.data
+    y += b2.data
+
+    def bw(g):
+        lead = tuple(range(g.ndim - 1))
+        gz = g @ w2.data.T
+        gz *= 1.0 - h * h
+        return (gz @ w1.data.T, x.data.reshape(-1, d).T @ gz.reshape(-1, m),
+                gz.sum(axis=lead), h.reshape(-1, m).T @ g.reshape(-1, w2.shape[1]),
+                g.sum(axis=lead))
+
+    return _result(y, "tanh_mlp", (x, w1, b1, w2, b2), bw)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -387,28 +405,12 @@ def as_row(a: Tensor) -> Tensor:
     return reshape(a, (1, a.size))
 
 
-def merge_heads(a: Tensor) -> Tensor:
-    """(..., heads, rows, w) -> (..., rows, heads*w): head blocks side by
-    side, head 0 first."""
-    if a.data.ndim < 3:
-        raise ShapeError(f"merge_heads expects (..., heads, rows, width), got {a.shape}")
-    *lead, heads, rows, width = a.shape
-
-    def bw(g):
-        return (np.swapaxes(g.reshape(*lead, rows, heads, width), -3, -2),)
-
-    return _result(np.swapaxes(a.data, -3, -2).reshape(*lead, rows, heads * width),
-                   "merge_heads", (a,), bw)
-
-
 def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
     """Entries along the leading axis: ``table[ids]`` for ids of any shape
     (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of
     embedding rows, or for an int the single entry with that axis dropped.
 
-    Gradients scatter-add back as one product: a 0/1 (table entries, ids)
-    matrix times the gradient rows, which adds repeated ids in id order
-    like ``np.add.at`` at a fraction of its cost."""
+    Gradients scatter-add back as one product (:func:`_hits`)."""
     if table.data.ndim < 1:
         raise ShapeError("gather_rows needs a leading axis to index")
     idx = ids if isinstance(ids, (int, np.integer)) else np.asarray(ids, dtype=np.intp)
@@ -419,40 +421,128 @@ def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
             out[idx] = g
             return (out,)
         n, width = table.shape[0], math.prod(table.shape[1:])
-        hits = (np.arange(n)[:, None] == idx.reshape(-1) % n).astype(np.float64)
-        return ((hits @ g.reshape(idx.size, width)).reshape(table.shape),)
+        return ((_hits(idx, n) @ g.reshape(idx.size, width)).reshape(table.shape),)
 
     return _result(np.take(table.data, idx, axis=0), "gather_rows", (table,), bw)
 
 
+def _hits(idx: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 (n, idx.size) matrix of which of n entries each id picks.
+    Times the gradient rows of ``np.take(table, idx, axis=0)`` it adds them
+    back into the table, repeated ids in id order like ``np.add.at``, at a
+    fraction of its cost."""
+    return (np.arange(n)[:, None] == idx.reshape(-1) % n).astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
-# softmax-family ops
+# attention and softmax-family ops
 
 
-def attention_weights(q: Tensor, k: Tensor, scale: float,
-                      key_bias: Tensor | None = None) -> Tensor:
-    """softmax(scale * q k^T + key_bias) along the last axis as one node, for
-    (..., L_q, w) queries and (..., L_k, w) keys with the same leading axes.
-    ``key_bias`` is a constant broadcast to the scores."""
-    if q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention_weights shape mismatch: {q.shape} x {k.shape}")
+def _project_back(x: np.ndarray, ws: Sequence[np.ndarray], gs: Sequence[np.ndarray]):
+    """Gradients of the per-head projections ``x[..., None, :, :] @ w`` of
+    (..., L, d) rows by (heads, d, width) weights ``ws``, given their (...,
+    heads, L, width) gradients ``gs``: one contraction over all rows, heads
+    and weights for ``x``, and one for the weights. Returns (x gradient,
+    list of weight gradients)."""
+    n = len(ws)
+    heads, d, width = ws[0].shape
+    rows = np.empty(x.shape[:-1] + (n, heads, width))
+    for i, g in enumerate(gs):
+        rows[..., i, :, :] = np.swapaxes(g, -3, -2)
+    rows = rows.reshape(-1, n * heads * width)
+    gx = rows @ np.concatenate([np.swapaxes(w, 1, 2).reshape(heads * width, d) for w in ws])
+    gw = (x.reshape(-1, d).T @ rows).reshape(d, n, heads, width)
+    return gx.reshape(x.shape), [np.swapaxes(gw[:, i], 0, 1) for i in range(n)]
+
+
+def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor, bo: Tensor, scale: float, key_bias: Tensor | None = None,
+              kv_index=None):
+    """Multi-head attention as one node. The (L_q, d) or (B, L_q, d) query
+    rows and the key/value rows are projected per head by (heads, d, w)
+    weights; softmax(scale * q k^T + key_bias) over the keys weighs the
+    values; the heads' a . v are merged side by side, head 0 first, and
+    projected by a (heads * w, width) weight plus a (width,) bias.
+
+    ``x_kv`` has the queries' leading axes, or, with ``kv_index``, is an
+    (n, L_kv, d) stack whose keys and values are projected once per entry
+    and gathered per query batch entry: b attends to entry ``kv_index[b]``.
+    ``key_bias`` is a constant broadcast to the ([B,] heads, L_q, L_kv)
+    scores. Self-attention passes one tensor as ``x_q`` and ``x_kv``.
+
+    Returns (out, a, v): the ([B,] L_q, width) output and, as plain arrays,
+    the ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, w)
+    values."""
+    if wq.data.ndim != 3:
+        raise ShapeError(f"attention needs (heads, d, w) weights, got {wq.shape}")
+    heads, d, w = wq.shape
+    lead = x_q.shape[:-2]
+    idx = None if kv_index is None else np.asarray(kv_index, dtype=np.intp)
+    kv_ok = x_kv.data.ndim == x_q.data.ndim and x_kv.shape[-1] == d and (
+        x_kv.shape[:-2] == lead if idx is None else idx.shape == lead != ())
+    if not (wk.shape == wv.shape == wq.shape and x_q.data.ndim in (2, 3)
+            and x_q.shape[-1] == d and kv_ok and wo.data.ndim == 2
+            and wo.shape[0] == heads * w and bo.shape == wo.shape[1:]):
+        raise ShapeError(f"attention shape mismatch: queries {x_q.shape}, keys "
+                         f"{x_kv.shape}, index {None if idx is None else idx.shape}, "
+                         f"weights {wq.shape} {wk.shape} {wv.shape}, out {wo.shape} "
+                         f"+ {bo.shape}")
+    if idx is not None and ((idx < 0) | (idx >= x_kv.shape[0])).any():
+        raise IndexError(f"key/value index {idx.tolist()} outside "
+                         f"0..{x_kv.shape[0] - 1}")
     if key_bias is not None and key_bias.requires_grad:
-        raise ValueError("attention_weights takes a constant key bias")
-    # scale q, not the scores, and keep one (..., L_q, L_k) buffer: each
-    # (4, 65, 65) float64 temporary is past the allocator's mmap threshold
-    qs = q.data * scale
-    y = qs @ np.swapaxes(k.data, -1, -2)
+        raise ValueError("attention takes a constant key bias")
+    xq = x_q.data[:, None] if lead else x_q.data
+    xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
+    q = xq @ wq.data
+    k = xkv @ wk.data
+    v = xkv @ wv.data
+    if idx is not None:
+        k, v = np.take(k, idx, axis=0), np.take(v, idx, axis=0)
+    # scale q, not the scores, and keep one ([B,] heads, L_q, L_kv) buffer:
+    # each (4, 65, 65) float64 temporary is past the allocator's mmap threshold
+    q *= scale
+    a = q @ np.swapaxes(k, -1, -2)
     if key_bias is not None:
-        y += key_bias.data
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+        a += key_bias.data
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    merged = np.swapaxes(a @ v, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
+    y = merged @ wo.data
+    y += bo.data
 
     def bw(g):
-        gs = y * (g - (g * y).sum(axis=-1, keepdims=True))
-        return (gs @ k.data) * scale, np.swapaxes(np.swapaxes(qs, -1, -2) @ gs, -1, -2)
+        width = wo.shape[1]
+        gm = g @ wo.data.T
+        gav = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
+        # softmax backward: d(scores) = a * (d(a) - rowdot), where rowdot,
+        # the row sums of d(a) * a, equals those of d(a . v) * (a . v): a sum
+        # over w, not over the keys
+        rowdot = (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1)
+        gs = gav @ np.swapaxes(v, -1, -2)
+        gs -= np.swapaxes(rowdot, -1, -2)[..., None]
+        gs *= a
+        gq = gs @ k
+        gq *= scale
+        gk = np.swapaxes(gs, -1, -2) @ q
+        gv = np.swapaxes(a, -1, -2) @ gav
+        if idx is not None:
+            hits = _hits(idx, x_kv.shape[0])
+            gk, gv = ((hits @ gr.reshape(len(idx), -1)).reshape((-1,) + gr.shape[1:])
+                      for gr in (gk, gv))
+        if x_kv is x_q:
+            gxq, (gwq, gwk, gwv) = _project_back(x_q.data, (wq.data, wk.data, wv.data),
+                                                 (gq, gk, gv))
+            gxkv = None
+        else:
+            gxq, (gwq,) = _project_back(x_q.data, (wq.data,), (gq,))
+            gxkv, (gwk, gwv) = _project_back(x_kv.data, (wk.data, wv.data), (gk, gv))
+        return (gxq, gxkv, gwq, gwk, gwv,
+                merged.reshape(-1, heads * w).T @ g.reshape(-1, width),
+                g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _result(y, "attention_weights", (q, k), bw)
+    return _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo), bw), a, v
 
 
 def cross_entropy_logits(logits: Tensor, target_index) -> Tensor:

@@ -369,6 +369,38 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
     assert not got_img[1].any() and got_img[2].any()
 
 
+def test_trace_is_constants_of_the_unfused_chain(cfg, pipeline, monkeypatch,
+                                                attention_chain):
+    """The traced layer's attention and values equal the arrays of the
+    attention chain before its fusion, and are constants off the graph."""
+    params = md.init_params(cfg, Rng(6))
+    ids = [pipeline.vocab.encode(words) for words in
+           (["red", "shirt"], ["a", "man", "in", "blue", "pants"], ["black", "hair"])]
+    images = md.encode_image(np.stack([random_patches(cfg, s) for s in (7, 8)]),
+                             params, cfg)
+    traced = params[f"cross{cfg.bidiratt_layer - 1}.cross.wk"]
+    inputs = []
+    attention = nx.attention
+
+    def recording(x_q, x_kv, wq, wk, *rest):
+        if wk is traced:
+            inputs.append((x_q.data, x_kv.data))
+        return attention(x_q, x_kv, wq, wk, *rest)
+
+    monkeypatch.setattr(nx, "attention", recording)
+    fused = md.cross_encode(md.encode_text(ids, params, cfg), images, params, cfg,
+                            trace_layer=cfg.bidiratt_layer, image_index=[1, 0, 1])
+    assert len(inputs) == 1 and fused.reps.requires_grad
+    prefix = f"cross{cfg.bidiratt_layer - 1}.cross"
+    _, a, v = attention_chain(*inputs[0], *(params[f"{prefix}.{name}"].data for name in
+                                            ("wq", "wk", "wv", "out.w", "out.b")),
+                              1.0 / np.sqrt(cfg.head_dim), index=[1, 0, 1])
+    assert np.array_equal(fused.trace.attn.data, a)
+    assert np.array_equal(fused.trace.values.data, v)
+    for constant in (fused.trace.attn, fused.trace.values):
+        assert not constant.requires_grad and constant.parents == ()
+
+
 def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
     img = md.encode_image(random_patches(cfg), params, cfg)
     texts = md.encode_text([[5, 6]] * 2, params, cfg)

@@ -58,38 +58,46 @@ def test_stacked_ops_match_per_head_matrices():
     x = t(rng.normal((4, 6)))
     w = t(rng.normal((3, 6, 2)))
     u = t(rng.normal((2, 5)))
+    wo, bo = t(rng.normal((6, 5))), t(rng.normal(5))
     q = nx.matmul(x, w)
-    soft = nx.attention_weights(q, q, 0.5)
-    assert q.shape == (3, 4, 2) and soft.shape == (3, 4, 4)
+    out, a, v = nx.attention(x, x, w, w, w, wo, bo, 0.5)
+    assert q.shape == (3, 4, 2) and a.shape == (3, 4, 4) and v.shape == (3, 4, 2)
     for h in range(3):
         qh = x.data @ w.data[h]
         assert np.array_equal(q.data[h], qh)
+        assert np.array_equal(v[h], qh)
         assert np.array_equal(nx.matmul(q, u).data[h], qh @ u.data)
-        assert np.array_equal(soft.data[h], nx.attention_weights(t(qh), t(qh), 0.5).data)
-        assert np.array_equal(nx.take_row(soft, 1).data[h], soft.data[h, 1])
-    assert np.array_equal(nx.merge_heads(q).data, np.concatenate(list(q.data), axis=1))
+        one = t(w.data[h:h + 1])
+        alone = nx.attention(x, x, one, one, one, t(wo.data[2 * h:2 * h + 2]), bo, 0.5)
+        assert np.array_equal(a[h], alone[1][0])
+        assert np.array_equal(nx.take_row(q, 1).data[h], q.data[h, 1])
+    # the heads' a . v side by side, head 0 first, then the output projection
+    merged = np.concatenate(list(a @ v), axis=1)
+    assert np.array_equal(out.data, merged @ wo.data + bo.data)
 
 
-def test_merge_heads_requires_a_stack():
+def test_attention_requires_a_head_stack():
+    x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
     with pytest.raises(nx.ShapeError):
-        nx.merge_heads(t(np.ones((2, 3))))
+        nx.attention(x, x, w, w, w, t(np.ones((4, 3))), t(np.zeros(3)), 1.0)
 
 
 @pytest.mark.parametrize("probe", ["matrix", "stack", "shared right"])
 def test_finite_diff_stacked_head_ops(probe):
-    """A matrix times a stack, stack times stack, stack times a shared matrix,
-    3-D attention weights, stacked take_row and merge_heads; each operand
-    probed."""
+    """A matrix times a stack, a stack times a shared matrix, attention with
+    one stack as its query, key and value weights, and stacked take_row;
+    each operand probed."""
     rng = nx.Rng(13)
     leaves = {"matrix": t(rng.normal((4, 6))), "stack": t(rng.normal((3, 6, 2))),
               "shared right": t(rng.normal((2, 5)))}
+    wo, bo = t(rng.normal((6, 6), 0.5)), t(rng.normal(6, 0.5))
 
     def f(v):
         x, w, u = (v if name == probe else leaf for name, leaf in leaves.items())
         q = nx.matmul(x, w)
-        a = nx.attention_weights(q, q, 0.5)
-        return nx.sum_n([nx.sum_all(nx.tanh(nx.merge_heads(nx.matmul(a, q)))),
-                         nx.sum_all(nx.mul(nx.take_row(a, 1), nx.take_row(a, 2))),
+        out, _, _ = nx.attention(x, x, w, w, w, wo, bo, 0.5)
+        return nx.sum_n([nx.sum_all(nx.tanh(out)),
+                         nx.sum_all(nx.mul(nx.take_row(q, 1), nx.take_row(q, 2))),
                          nx.mean_all(nx.tanh(nx.matmul(q, u)))])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
@@ -111,15 +119,18 @@ def test_batched_ops_match_per_item_ops():
     for b in range(3):
         assert np.array_equal(top.data[b], nx.prepend_row(row, t(x.data[b])).data)
     q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
+    wo, bo = t(rng.normal((6, 6))), t(rng.normal(6))
     gain, bias = t(rng.normal(6)), t(rng.normal(6))
-    merged = nx.merge_heads(q)
-    normed = nx.add_layer_norm(merged, nx.tanh(merged), gain, bias)
-    assert q.shape == (3, 2, 3, 3) and merged.shape == (3, 3, 6)
+    out, a, v = nx.attention(x, x, w, w, w, wo, bo, 0.5)
+    normed = nx.add_layer_norm(out, nx.tanh(out), gain, bias)
+    assert q.shape == (3, 2, 3, 3) and out.shape == (3, 3, 6)
     for b in range(3):
         assert np.array_equal(q.data[b], nx.matmul(t(x.data[b]), w).data)
-        assert np.array_equal(merged.data[b], nx.merge_heads(t(q.data[b])).data)
+        one = nx.attention(t(x.data[b]), t(x.data[b]), w, w, w, wo, bo, 0.5)
+        assert np.array_equal(out.data[b], one[0].data)
+        assert np.array_equal(a[b], one[1]) and np.array_equal(v[b], one[2])
         assert np.array_equal(normed.data[b], nx.add_layer_norm(
-            t(merged.data[b]), t(np.tanh(merged.data[b])), gain, bias).data)
+            t(out.data[b]), t(np.tanh(out.data[b])), gain, bias).data)
         assert np.array_equal(nx.gather_rows(x, b).data, x.data[b])
     assert np.array_equal(nx.gather_rows(x, [2, 0, 2]).data, x.data[[2, 0, 2]])
     # losses over the last axis, one target or label per row or element
@@ -150,22 +161,24 @@ def test_batched_ops_match_per_item_ops():
 def test_finite_diff_batched_ops(probe):
     """A zero-padded stack under a shared [CLS] row, (B, 1, L, d) @
     (heads, d, w) (both operands) and (B, heads) @ (B, heads) matmul, batched
-    merge_heads and add_layer_norm, int and repeated leading-axis indexing,
+    attention and add_layer_norm, int and repeated leading-axis indexing,
     and batched cross-entropy and BCE; each operand probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
               "cls": t(rng.normal((1, 4))), "weights": t(rng.normal((2, 4, 3))),
               "gain": t(rng.normal(6, 0.5) + 1.0), "bias": t(rng.normal(6, 0.5))}
+    wo, bo = t(rng.normal((6, 6), 0.5)), t(rng.normal(6, 0.5))
 
     def f(v):
         short, long_, cls, w, gain, bias = (v if name == probe else leaf
                                             for name, leaf in leaves.items())
         padded = nx.concat([short, t(np.zeros((1, 4)))], axis=0)
         stack = nx.reshape(nx.concat([padded, long_, padded], axis=0), (3, 3, 4))
-        x = nx.reshape(nx.prepend_row(cls, stack), (3, 1, 4, 4))
-        q = nx.matmul(x, w)
+        rows = nx.prepend_row(cls, stack)
+        q = nx.matmul(nx.reshape(rows, (3, 1, 4, 4)), w)
         scores = nx.matmul(q, nx.reshape(nx.tanh(q), (3, 2, 3, 4)))
-        y = nx.add_layer_norm(nx.merge_heads(nx.tanh(q)), nx.merge_heads(q), gain, bias)
+        out, _, _ = nx.attention(rows, rows, w, w, w, wo, bo, 0.5)
+        y = nx.add_layer_norm(nx.tanh(out), out, gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
         one = nx.gather_rows(y, 1)
         ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2, 1], [1, 1, 4, 3],
@@ -179,14 +192,15 @@ def test_finite_diff_batched_ops(probe):
 
 
 def test_shared_stack_matmul_backward_matches_broadcast_sum():
-    """(B, 1, L, d) @ (heads, d, w): the one-contraction backward equals the
-    per-pair products summed back over the broadcast axes."""
+    """(B, 1, L, d) @ (heads, d, w): each operand's gradient is the per-pair,
+    per-head products summed over the axes it was broadcast along."""
     rng = nx.Rng(16)
     a, w = t(rng.normal((5, 1, 3, 4)), grad=True), t(rng.normal((2, 4, 3)), grad=True)
     g = rng.normal((5, 2, 3, 3))
     nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
-    want_a = nx._unbroadcast(g @ np.swapaxes(w.data, -1, -2), a.shape)
-    want_w = nx._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, w.shape)
+    want_a = sum(g[:, h:h + 1] @ w.data[h].T for h in range(2))
+    want_w = np.stack([sum(a.data[b, 0].T @ g[b, h] for b in range(5))
+                       for h in range(2)])
     assert a.grad.shape == a.shape and w.grad.shape == w.shape
     assert np.allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
     assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
@@ -225,60 +239,117 @@ def test_gather_rows_backward_matches_add_at(ids):
 
 
 # ---------------------------------------------------------------------------
-# fused ops: attention weights, add & layer norm, linear
+# fused ops: attention, tanh MLP, add & layer norm, linear
 
 
 def row_softmax(scores):
-    """Softmax of each row of ``scores`` through attention_weights, with the
-    scores as the key bias of zero queries and keys."""
+    """Softmax of each row of ``scores``: the attention weights of zero
+    queries and keys that take the scores as their key bias."""
     scores = np.asarray(scores, dtype=np.float64)
     rows, cols = scores.shape
-    return nx.attention_weights(t(np.zeros((rows, 1))), t(np.zeros((cols, 1))), 1.0,
-                                t(scores))
+    zero = t(np.zeros((1, 1, 1)))
+    return nx.attention(t(np.zeros((rows, 1))), t(np.zeros((cols, 1))), zero, zero,
+                        zero, t(np.zeros((1, 1))), t(np.zeros(1)), 1.0, t(scores))[1][0]
 
 
 def test_row_softmax_uniform():
     y = row_softmax([[0.0, 0.0, 0.0]])
-    assert np.allclose(y.data, 1.0 / 3.0)
+    assert np.allclose(y, 1.0 / 3.0)
 
 
 def test_row_softmax_hand():
     y = row_softmax([[math.log(1.0), math.log(3.0)]])
-    assert np.allclose(y.data, [[0.25, 0.75]], atol=1e-12)
+    assert np.allclose(y, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_row_softmax_no_overflow():
     y = row_softmax([[1000.0, 0.0]])
-    assert np.all(np.isfinite(y.data))
-    assert y.data[0, 0] > 1.0 - 1e-12
-    assert y.data[0, 1] < 1e-12
-    assert np.all(y.data >= 0.0) and np.all(y.data <= 1.0)
+    assert np.all(np.isfinite(y))
+    assert y[0, 0] > 1.0 - 1e-12
+    assert y[0, 1] < 1e-12
+    assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
 
 # logit gaps below ~30 keep every entry strictly inside (0, 1) at float64;
 # beyond that the tails round to exact 0/1 (see the overflow test above)
 @given(hnp.arrays(np.float64, (3, 5), elements=st.floats(-14, 14)))
 def test_row_softmax_rows_are_distributions(x):
-    y = row_softmax(x).data
+    y = row_softmax(x)
     assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
-def test_fused_ops_equal_the_chains_they_replace():
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo", "bo")
+
+
+def attention_case(case):
+    """Leaves, key bias and key/value index of a small attention: ``self``
+    shares one (B, L, d) x between queries and keys, with a padding key
+    bias; ``cross`` is a batch against an image stack whose index repeats
+    an image; ``pair`` is one (L_q, d) matrix against one (L_kv, d)."""
+    rng = nx.Rng(25)
+    rows = {"self": [(3, 4, 4)], "cross": [(3, 3, 4), (2, 5, 4)],
+            "pair": [(3, 4), (5, 4)]}[case]
+    leaves = dict(zip(("x",) if case == "self" else ("x_q", "x_kv"),
+                      (t(rng.normal(shape)) for shape in rows)))
+    leaves.update({name: t(rng.normal((2, 4, 3))) for name in ATTENTION_WEIGHTS[:3]})
+    leaves.update(wo=t(rng.normal((6, 5), 0.5)), bo=t(rng.normal(5)))
+    pad = np.where(np.arange(4) < np.array([[4], [2], [3]]), 0.0, -1e30)
+    bias = t(pad[:, None, None, :]) if case == "self" else None
+    return leaves, bias, [1, 0, 1] if case == "cross" else None
+
+
+def attention_args(case, leaves):
+    names = ("x", "x") if case == "self" else ("x_q", "x_kv")
+    return [leaves[name] for name in names + ATTENTION_WEIGHTS]
+
+
+@pytest.mark.parametrize("case, probe", [
+    (case, probe) for case in ("self", "cross", "pair")
+    for probe in (("x",) if case == "self" else ("x_q", "x_kv")) + ATTENTION_WEIGHTS])
+def test_finite_diff_attention(case, probe):
+    """Each of the seven inputs probed; the shared x of self-attention fills
+    the query and the key/value input at once."""
+    leaves, bias, index = attention_case(case)
+    x_q = attention_args(case, leaves)[0]
+    c = t(nx.Rng(26).normal(x_q.shape[:-1] + (5,)))
+
+    def f(v):
+        out, _, _ = nx.attention(*attention_args(case, {**leaves, probe: v}), 0.6,
+                                 bias, index)
+        return nx.sum_all(nx.mul(out, c))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+@pytest.mark.parametrize("probe", ["x", "w1", "b1", "w2", "b2"])
+def test_finite_diff_tanh_mlp(probe):
+    rng = nx.Rng(27)
+    leaves = {"x": t(rng.normal((2, 3, 4))), "w1": t(rng.normal((4, 6), 0.5)),
+              "b1": t(rng.normal(6, 0.5)), "w2": t(rng.normal((6, 3))),
+              "b2": t(rng.normal(3))}
+    c = t(rng.normal((2, 3, 3)))
+
+    def f(v):
+        args = (v if name == probe else leaf for name, leaf in leaves.items())
+        return nx.sum_all(nx.mul(nx.tanh_mlp(*args), c))
+
+    assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
+
+
+def test_fused_ops_equal_the_chains_they_replace(attention_chain):
     """Each fused op's value is bit-for-bit the chain of ops it replaced,
     written out in numpy."""
-    rng = nx.Rng(19)
-    q, k = rng.normal((3, 2, 4, 5)), rng.normal((3, 2, 6, 5))
-    pad = np.where(np.arange(6) < np.array([[6], [4], [5]]), 0.0, -1e30)[:, None, None, :]
-    scale = 1.0 / np.sqrt(5)
-    for bias in (None, pad):
-        scores = (q * scale) @ np.swapaxes(k, -1, -2)
-        if bias is not None:
-            scores = scores + bias
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        got = nx.attention_weights(t(q), t(k), scale, None if bias is None else t(bias))
-        assert np.array_equal(got.data, e / e.sum(axis=-1, keepdims=True))
+    for case in ("self", "cross", "pair"):
+        leaves, bias, index = attention_case(case)
+        args = attention_args(case, leaves)
+        got = nx.attention(*args, 0.6, bias, index)
+        want = attention_chain(*(a.data for a in args), 0.6,
+                               None if bias is None else bias.data, index)
+        assert np.array_equal(got[0].data, want[0]), case
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), case
 
+    rng = nx.Rng(19)
     x, delta = rng.normal((3, 4, 6)), rng.normal((3, 4, 6))
     gain, bias = rng.normal(6) + 1.0, rng.normal(6)
     s = x + delta
@@ -287,25 +358,30 @@ def test_fused_ops_equal_the_chains_they_replace():
     assert np.array_equal(nx.add_layer_norm(t(x), t(delta), t(gain), t(bias)).data, want)
 
     w, b = rng.normal((6, 3)), rng.normal(3)
+    w2, b2 = rng.normal((3, 5)), rng.normal(5)
     for rows in (x, x[0]):
         assert np.array_equal(nx.linear(t(rows), t(w), t(b)).data, rows @ w + b)
+        assert np.array_equal(nx.tanh_mlp(t(rows), t(w), t(b), t(w2), t(b2)).data,
+                              np.tanh(rows @ w + b) @ w2 + b2)
 
 
 @pytest.mark.parametrize("bias", ["none", "pad"])
 @pytest.mark.parametrize("probe", ["rows", "wq", "wk"])
 def test_finite_diff_attention_weights_single_image(probe, bias):
-    """One image's (L, d) rows projected by (heads, d, head_dim) weights,
-    with and without a padding key bias; each operand probed."""
+    """One image's (L, d) rows attending to themselves through (heads, d,
+    head_dim) weights, with and without a padding key bias; the rows and the
+    weights that set the attention weights probed."""
     rng = nx.Rng(20)
     leaves = {"rows": t(rng.normal((4, 6))), "wq": t(rng.normal((2, 6, 3))),
               "wk": t(rng.normal((2, 6, 3)))}
     key_bias = None if bias == "none" else t([0.0, 0.0, 0.0, -1e30])
-    c = t(rng.normal((2, 4, 4)))
+    wv, wo, bo = t(rng.normal((2, 6, 3))), t(rng.normal((6, 4))), t(rng.normal(4))
+    c = t(rng.normal((4, 4)))
 
     def f(v):
         x, wq, wk = (v if name == probe else leaf for name, leaf in leaves.items())
-        a = nx.attention_weights(nx.matmul(x, wq), nx.matmul(x, wk), 0.5, key_bias)
-        return nx.sum_all(nx.mul(a, c))
+        out, _, _ = nx.attention(x, x, wq, wk, wv, wo, bo, 0.5, key_bias)
+        return nx.sum_all(nx.mul(out, c))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
@@ -313,17 +389,20 @@ def test_finite_diff_attention_weights_single_image(probe, bias):
 @pytest.mark.parametrize("bias", ["none", "pad"])
 @pytest.mark.parametrize("probe", ["q", "k"])
 def test_finite_diff_attention_weights_batch(probe, bias):
-    """(B, heads, L, w) queries against (B, heads, L_k, w) keys, with and
-    without a per-pair padding key bias; each operand probed."""
+    """(B, L, d) query rows against (B, L_k, d) key rows, with and without a
+    per-pair padding key bias; each side probed."""
     rng = nx.Rng(21)
-    leaves = {"q": t(rng.normal((3, 2, 4, 3))), "k": t(rng.normal((3, 2, 5, 3)))}
+    leaves = {"q": t(rng.normal((3, 4, 3))), "k": t(rng.normal((3, 5, 3)))}
     pad = np.where(np.arange(5) < np.array([[5], [3], [4]]), 0.0, -1e30)
     key_bias = None if bias == "none" else t(pad[:, None, None, :])
-    c = t(rng.normal((3, 2, 4, 5)))
+    wq, wk, wv = (t(rng.normal((2, 3, 2))) for _ in range(3))
+    wo, bo = t(rng.normal((4, 3))), t(rng.normal(3))
+    c = t(rng.normal((3, 4, 3)))
 
     def f(v):
-        q, k = (v if name == probe else leaf for name, leaf in leaves.items())
-        return nx.sum_all(nx.mul(nx.attention_weights(q, k, 0.7, key_bias), c))
+        x_q, x_kv = (v if name == probe else leaf for name, leaf in leaves.items())
+        out, _, _ = nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, 0.7, key_bias)
+        return nx.sum_all(nx.mul(out, c))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
@@ -372,13 +451,36 @@ def test_linear_backward_matches_broadcast_sum():
 
 
 def test_fused_ops_reject_mismatched_operands():
-    with pytest.raises(nx.ShapeError):
-        nx.attention_weights(t(np.ones((2, 3, 4))), t(np.ones((3, 5, 4))), 1.0)
-    with pytest.raises(nx.ShapeError):
-        nx.attention_weights(t(np.ones((3, 4))), t(np.ones((5, 3))), 1.0)
+    leaves, _, _ = attention_case("cross")
+    x_q, x_kv, wq, wk, wv, wo, bo = attention_args("cross", leaves)
+    index = [1, 0, 1]
+
+    def attend(*, x_q=x_q, x_kv=x_kv, wq=wq, wk=wk, wo=wo, bo=bo, bias=None,
+               index=index):
+        return nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, 1.0, bias, index)
+
+    attend()
+    for bad in (dict(wk=t(np.ones((2, 4, 2)))),             # key width
+                dict(x_q=t(np.ones((3, 3, 5)))),            # query width
+                dict(x_kv=t(np.ones((2, 5, 5)))),           # key/value width
+                dict(index=None),                           # keys per pair
+                dict(index=[1, 0]),                         # an entry per pair
+                dict(x_q=t(np.ones((3, 4)))),               # a batch to index
+                dict(wo=t(np.ones((5, 5)))),                # heads * width rows
+                dict(bo=t(np.ones(6)))):
+        with pytest.raises(nx.ShapeError):
+            attend(**bad)
+    for bad in ([1, 0, 2], [1, -1, 0]):
+        with pytest.raises(IndexError, match="index"):
+            attend(index=bad)
     with pytest.raises(ValueError, match="constant key bias"):
-        nx.attention_weights(t(np.ones((3, 4))), t(np.ones((5, 4))), 1.0,
-                             t(np.zeros(5), grad=True))
+        attend(bias=t(np.zeros(5), grad=True))
+    w1, b1, w2, b2 = (t(np.ones(s)) for s in ((4, 6), (6,), (6, 3), (3,)))
+    nx.tanh_mlp(x_q, w1, b1, w2, b2)
+    for bad in ((x_kv, w1, b1, t(np.ones((5, 3))), b2), (x_q, w1, b1, w2, b1),
+                (x_q, w1, t(np.ones(4)), w2, b2), (t(np.ones((3, 5))), w1, b1, w2, b2)):
+        with pytest.raises(nx.ShapeError):
+            nx.tanh_mlp(*bad)
     with pytest.raises(nx.ShapeError):
         nx.add_layer_norm(t(np.ones((2, 3))), t(np.ones((1, 3))), t(np.ones(3)),
                           t(np.zeros(3)))
@@ -652,8 +754,11 @@ def test_finite_diff_composite_ops():
     rng = nx.Rng(11)
     x = t(rng.normal((4, 3)))
 
+    w = t(rng.normal((2, 3, 2)))
+    wo, bo = t(rng.normal((4, 3))), t(rng.normal(3))
+
     def f(v):
-        y = nx.attention_weights(v, v, 1.0)
+        y, _, _ = nx.attention(v, v, w, w, w, wo, bo, 1.0)
         z = nx.l2_normalize_rows(nx.tanh(y))
         return nx.mean_all(nx.mul(z, nx.add(z, 1.0)))
 
@@ -693,11 +798,13 @@ def test_concat_and_sum_n_reject_mismatched_shapes():
 def test_gradcheck_random_small_graphs(seed):
     rng = nx.Rng(100 + seed)
     w = t(rng.normal((6, 4)))
-    keys = t(np.eye(4))     # the scores are h itself
+    # identity keys, projections and output: the scores are h itself and the
+    # output rows are its row softmax
+    eye, stack = t(np.eye(4)), t(np.eye(4)[None])
 
     def f(v):
         h = nx.tanh(nx.matmul(v, w))
-        s = nx.attention_weights(h, keys, 1.0)
+        s, _, _ = nx.attention(h, eye, stack, stack, stack, eye, t(np.zeros(4)), 1.0)
         return nx.cross_entropy_logits(nx.take_row(s, 0), seed % 4)
 
     x = t(rng.normal((2, 6)))
