@@ -305,21 +305,6 @@ def load_dataset(path) -> Dataset:
                    list(manifest["test_indices"]))
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if dataclasses.asdict(a.config) != dataclasses.asdict(b.config):
-        return False
-    if a.train_indices != b.train_indices or a.test_indices != b.test_indices:
-        return False
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.identity != rb.identity or ra.attributes != rb.attributes
-                or ra.caption != rb.caption
-                or not np.array_equal(ra.image, rb.image)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # batching
 

@@ -18,7 +18,7 @@ from . import data, losses, model, trainer
 from . import numerics as nx
 from .numerics import Rng, Tensor
 from .local_align import local_alignment_loss, pooled_alignment_loss
-from .textproc import MaskedPhrase, TextPipeline, MASK_ID
+from .textproc import MaskedPhrase, TextPipeline, mask_phrase
 
 TOLERANCE = 1e-6
 SUITE_EPS = 1e-3  # roundoff dominates the deep graphs at smaller steps
@@ -74,14 +74,8 @@ def _toy_setup(seed: int, max_text_len: int = 12):
 def _masked_phrases(pipeline, rng) -> list[MaskedPhrase]:
     """Two phrases of unequal length, one token of each masked, so that a
     phrase batch carries padding."""
-    out = []
-    for text in ("a red shirt", "a dark blue striped jacket"):
-        ids = list(pipeline.phrases(text)[0].token_ids)
-        pos = rng.integer(len(ids))
-        target = ids[pos]
-        ids[pos] = MASK_ID
-        out.append(MaskedPhrase(tuple(ids), pos, target))
-    return out
+    return [mask_phrase(pipeline.phrases(text)[0], rng)
+            for text in ("a red shirt", "a dark blue striped jacket")]
 
 
 # ---------------------------------------------------------------------------

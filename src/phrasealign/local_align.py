@@ -52,10 +52,10 @@ def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
     mass falls back to its forward average."""
     if trace is None:
         raise ValueError("no attention trace captured; request a trace layer")
-    attn = trace.attn.data
+    attn = trace.attn
     rows = np.broadcast_to(mask_row if row_mode == "mask" else 0, attn.shape[:1])
     fa = np.mean(attn[np.arange(len(attn)), :, rows], axis=1)
-    ba_heads = np.einsum("...hjk,...hk->...hj", trace.values.data, heads_ws)
+    ba_heads = np.einsum("...hjk,...hk->...hj", trace.values, heads_ws)
     ba = np.mean(np.maximum(ba_heads, 0.0), axis=1)
     raw = fa * ba
     total = raw.sum(axis=1, keepdims=True)

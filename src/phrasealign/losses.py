@@ -89,7 +89,8 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
 def fine_similarity(fusion_cls: Tensor, w_o: Tensor) -> Tensor:
     """Matching logit of a fused [CLS] representation: a scalar from a (d,)
     row, or (B,) logits from the (B, d) rows of a batch of pairs."""
-    rows = fusion_cls if fusion_cls.data.ndim == 2 else nx.as_row(fusion_cls)
+    rows = fusion_cls if fusion_cls.data.ndim == 2 else \
+        nx.reshape(fusion_cls, (1, fusion_cls.size))
     return nx.reshape(nx.matmul(rows, w_o), fusion_cls.shape[:-1])
 
 

@@ -6,8 +6,8 @@ The encoders are deliberately small: linear patch/token embeddings plus
 standard post-norm self-attention blocks. The cross-modal encoder runs
 self-attention over the text rows, cross-attention with text queries against
 image keys/values, then a feed-forward, per layer; one layer's attention
-matrices and projected values can be captured as a trace: constant Tensors,
-built for the traced layer only. The same cross-modal parameters serve the
+matrices and projected values can be captured as a trace: plain arrays,
+which differentiation never reaches. The same cross-modal parameters serve the
 image-text and image-phrase streams. Heads are the leading array axis:
 ``wq``/``wk``/``wv`` are (heads, d, head_dim). Each attention block is one
 :func:`numerics.attention` node and each feed-forward one
@@ -231,8 +231,9 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
 # outputs and traces
 
 
-# key bias of padding rows: finite, since Tensor rejects -inf, and far enough
-# below any score that its softmax weight is exactly 0
+# key bias of padding rows: far enough below any score that its softmax weight
+# is exactly 0, and finite, so that a row of padding alone would still give
+# weights rather than inf - inf = NaN
 PAD_BIAS = -1e30
 
 
@@ -240,11 +241,11 @@ PAD_BIAS = -1e30
 class EncoderOutput:
     """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
     padded to the longest, (B, L_max+1, d); row 0 is the global [CLS] row.
-    A batch whose lengths differ carries ``pad_bias``, a constant
-    (B, 1, 1, L_max+1) key bias: 0 on real rows, ``PAD_BIAS`` on padding."""
+    A batch whose lengths differ carries ``pad_bias``, a (B, 1, 1, L_max+1)
+    key-bias array: 0 on real rows, ``PAD_BIAS`` on padding."""
 
     reps: Tensor
-    pad_bias: Tensor | None = None
+    pad_bias: np.ndarray | None = None
 
     @property
     def cls(self) -> Tensor:
@@ -253,7 +254,7 @@ class EncoderOutput:
     def select(self, index) -> "EncoderOutput":
         """Sequences ``index`` of a batch (repeats allowed), in that order,
         with their ``pad_bias`` rows."""
-        bias = None if self.pad_bias is None else Tensor(self.pad_bias.data[index])
+        bias = None if self.pad_bias is None else self.pad_bias[index]
         return EncoderOutput(nx.gather_rows(self.reps, index), bias)
 
 
@@ -261,13 +262,13 @@ class EncoderOutput:
 class AttentionTrace:
     """Attention state of one cross-attention layer, head as an axis; a
     batched cross-encode adds a leading pair axis, and padded text rows of a
-    pair hold finite values nothing reads. Both are constants, not graph
-    nodes: the attention block is one fused node, and only the traced layer
-    wraps its arrays in Tensors."""
+    pair hold finite values nothing reads. Both are plain arrays, as the
+    fused attention node returns them: the local alignment weights they give
+    are constants under differentiation."""
 
     layer: int                  # 1-based
-    attn: Tensor                # ([B,] heads, L_text+1, L_img+1), rows sum to 1
-    values: Tensor              # ([B,] heads, L_img+1, head_dim)
+    attn: np.ndarray            # ([B,] heads, L_text+1, L_img+1), rows sum to 1
+    values: np.ndarray          # ([B,] heads, L_img+1, head_dim)
 
 
 @dataclasses.dataclass
@@ -286,7 +287,7 @@ class FusionOutput:
 
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
                           params: Params, prefix: str, cfg: ModelConfig,
-                          key_bias: Tensor | None = None, kv_index=None):
+                          key_bias: np.ndarray | None = None, kv_index=None):
     """:func:`numerics.attention` with the block's weights: all heads (and
     pairs) at once, ``key_bias`` added to the scores, and with ``kv_index``
     keys and values projected once per entry of ``keys_values_from``. Returns
@@ -308,7 +309,7 @@ def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
 
 
 def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig,
-                key_bias: Tensor | None = None) -> Tensor:
+                key_bias: np.ndarray | None = None) -> Tensor:
     attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg, key_bias)
     x = _post_norm(x, attn, params, f"{prefix}.ln1")
     x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln2")
@@ -359,8 +360,7 @@ def encode_text(token_ids, params: Params, cfg: ModelConfig,
         ids[b, :rows[b]] = [CLS_ID] + [i if 0 <= i < cfg.vocab_size else UNK_ID
                                        for i in t]
     real = np.arange(max(rows)) < np.array(rows)[:, None]
-    pad_bias = None if real.all() else \
-        Tensor(np.where(real, 0.0, PAD_BIAS)[:, None, None, :])
+    pad_bias = None if real.all() else np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = nx.gather_rows(params["embed.token"], ids if batched else ids[0])
@@ -421,7 +421,7 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
                                                 f"{prefix}.cross", cfg,
                                                 kv_index=index)
             if layer + 1 == trace_layer:
-                trace = AttentionTrace(layer + 1, Tensor(a), Tensor(v))
+                trace = AttentionTrace(layer + 1, a, v)
             x = _post_norm(x, cross, params, f"{prefix}.ln2")
             x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln3")
         return FusionOutput(x, trace)
@@ -460,15 +460,20 @@ def params_state(params: Params, momentum: MomentumState | None = None) -> dict:
 def load_params_state(params: Params, momentum: MomentumState | None,
                       state: dict) -> None:
     """Copy ``state`` (names as in :func:`params_state`) into the live and
-    momentum tensors. Nothing is written unless every tensor is present with
-    its exact shape; otherwise ValueError names the first offender."""
+    momentum tensors. Nothing is written unless ``state`` holds exactly the
+    model's tensors, each with its shape; otherwise CheckpointError names
+    the first offender."""
     targets = params_state(params, momentum)
+    surplus = [name for name in state if name not in targets]
+    if surplus:
+        raise CheckpointError(f"state tensor {surplus[0]!r} has no place in the "
+                              f"model ({len(surplus)} such tensors)")
     for name, tensor in targets.items():
         if name not in state:
-            raise ValueError(f"state has no tensor {name!r}")
+            raise CheckpointError(f"state has no tensor {name!r}")
         shape = np.shape(state[name])
         if shape != tensor.data.shape:
-            raise ValueError(f"tensor {name!r} has shape {shape}, "
-                             f"expected {tensor.data.shape}")
+            raise CheckpointError(f"tensor {name!r} has shape {shape}, "
+                                  f"expected {tensor.data.shape}")
     for name, tensor in targets.items():
         tensor.data[...] = state[name]

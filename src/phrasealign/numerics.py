@@ -23,7 +23,9 @@ attention block (the q/k/v projections, the per-pair gather of keys and
 values, the scaled, key-biased row softmax, a . v, the head merge and the
 output projection); :func:`tanh_mlp` a linear, tanh, linear feed-forward;
 :func:`add_layer_norm` a residual add and a layer norm; :func:`linear` a
-matmul and a bias add.
+matmul and a bias add. The ops are those the package calls, and no more:
+``tests/test_public_surface.py`` fails on an op without a caller. Constants,
+such as an attention key bias, are plain arrays, not Tensors.
 
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
 the artifact goes through; :func:`finite_diff_check`, the central
@@ -283,15 +285,6 @@ def relu(a: Tensor) -> Tensor:
     return _result(a.data * mask, "relu", (a,), bw)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def bw(g):
-        return (g * (1.0 - y * y),)
-
-    return _result(y, "tanh", (a,), bw)
-
-
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
 
@@ -400,11 +393,6 @@ def take_row(a: Tensor, index: int) -> Tensor:
     return _result(a.data[..., index, :].copy(), "take_row", (a,), bw)
 
 
-def as_row(a: Tensor) -> Tensor:
-    """View a 1-D vector as a (1, n) matrix."""
-    return reshape(a, (1, a.size))
-
-
 def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
     """Entries along the leading axis: ``table[ids]`` for ids of any shape
     (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of
@@ -456,7 +444,7 @@ def _project_back(x: np.ndarray, ws: Sequence[np.ndarray], gs: Sequence[np.ndarr
 
 
 def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-              wo: Tensor, bo: Tensor, scale: float, key_bias: Tensor | None = None,
+              wo: Tensor, bo: Tensor, scale: float, key_bias: np.ndarray | None = None,
               kv_index=None):
     """Multi-head attention as one node. The (L_q, d) or (B, L_q, d) query
     rows and the key/value rows are projected per head by (heads, d, w)
@@ -467,7 +455,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     ``x_kv`` has the queries' leading axes, or, with ``kv_index``, is an
     (n, L_kv, d) stack whose keys and values are projected once per entry
     and gathered per query batch entry: b attends to entry ``kv_index[b]``.
-    ``key_bias`` is a constant broadcast to the ([B,] heads, L_q, L_kv)
+    ``key_bias`` is an array broadcast to the ([B,] heads, L_q, L_kv)
     scores. Self-attention passes one tensor as ``x_q`` and ``x_kv``.
 
     Returns (out, a, v): the ([B,] L_q, width) output and, as plain arrays,
@@ -490,8 +478,6 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     if idx is not None and ((idx < 0) | (idx >= x_kv.shape[0])).any():
         raise IndexError(f"key/value index {idx.tolist()} outside "
                          f"0..{x_kv.shape[0] - 1}")
-    if key_bias is not None and key_bias.requires_grad:
-        raise ValueError("attention takes a constant key bias")
     xq = x_q.data[:, None] if lead else x_q.data
     xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
     q = xq @ wq.data
@@ -504,7 +490,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     q *= scale
     a = q @ np.swapaxes(k, -1, -2)
     if key_bias is not None:
-        a += key_bias.data
+        a += key_bias
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)

@@ -101,12 +101,12 @@ def pos_tag(tokens: Sequence[str], lexicon: dict[str, str]) -> list[TaggedToken]
 class Phrase:
     """A chunked noun phrase: its words (leading determiner dropped), the tags
     of those words, the (start, end) span in the source token stream (the
-    span keeps the determiner), and vocabulary ids once encoded."""
+    span keeps the determiner), and the words' vocabulary ids."""
 
     words: tuple[str, ...]
     tags: tuple[str, ...]
     span: tuple[int, int]
-    token_ids: tuple[int, ...] = ()
+    token_ids: tuple[int, ...]
 
     def text(self) -> str:
         return " ".join(self.words)
@@ -117,8 +117,9 @@ _NOMINAL_TAGS = {"NN", "NNS"}
 
 
 def chunk_noun_phrases(tagged: Sequence[TaggedToken],
-                       vocab: "Vocabulary | None" = None) -> list[Phrase]:
-    """Maximal non-overlapping ``DT? (JJ|VBG)* (NN|NNS)+`` runs, left to right.
+                       vocab: "Vocabulary") -> list[Phrase]:
+    """Maximal non-overlapping ``DT? (JJ|VBG)* (NN|NNS)+`` runs, left to right,
+    their words encoded by ``vocab``.
 
     The determiner is kept in the span but dropped from the phrase words.
     """
@@ -136,8 +137,7 @@ def chunk_noun_phrases(tagged: Sequence[TaggedToken],
                 j += 1
             words = tuple(t.text for t in tagged[body:j])
             tags = tuple(t.tag for t in tagged[body:j])
-            ids = tuple(vocab.encode(words)) if vocab is not None else ()
-            phrases.append(Phrase(words, tags, (i, j), ids))
+            phrases.append(Phrase(words, tags, (i, j), tuple(vocab.encode(words))))
             i = j
         else:
             i += 1
@@ -165,8 +165,6 @@ class MaskedPhrase:
 
 def mask_phrase(phrase: Phrase, rng: Rng) -> MaskedPhrase:
     """Replace one uniformly chosen phrase token with [MASK]."""
-    if not phrase.token_ids:
-        raise ValueError("phrase has no token ids; encode it with a vocabulary first")
     pos = rng.integer(len(phrase.token_ids))
     ids = list(phrase.token_ids)
     target = ids[pos]
@@ -199,13 +197,12 @@ class Vocabulary:
 
 
 class TextPipeline:
-    """Tokenize -> tag -> chunk -> encode, over one lexicon and vocabulary."""
+    """Tokenize -> tag -> chunk -> encode, over the shipped lexicon and a
+    vocabulary of its words plus the two punctuation tokens."""
 
-    def __init__(self, lexicon: dict[str, str] | None = None,
-                 extra_words: Iterable[str] = ()):
-        self.lexicon = dict(default_lexicon() if lexicon is None else lexicon)
-        words = set(self.lexicon) | set(extra_words) | {".", ","}
-        self.vocab = Vocabulary.from_corpus_words(words)
+    def __init__(self):
+        self.lexicon = default_lexicon()
+        self.vocab = Vocabulary.from_corpus_words(set(self.lexicon) | {".", ","})
 
     def tagged(self, text: str) -> list[TaggedToken]:
         return pos_tag(tokenize(text), self.lexicon)

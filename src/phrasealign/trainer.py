@@ -29,6 +29,10 @@ from .textproc import TextPipeline
 
 LOG_COLUMNS = ("step", "lr") + tuple(f.name for f in dataclasses.fields(ls.LossBreakdown))
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class NumericalError(RuntimeError):
     """Training hit NaN/Inf in a loss or gradient."""
@@ -79,9 +83,6 @@ class OptimState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: md.Params) -> "OptimState":
@@ -97,8 +98,8 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.named():
         g = p.grad
         if not nx.all_finite(g):
@@ -107,11 +108,11 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
             p.data *= 1.0 - lr * weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -90,10 +91,25 @@ def test_slot_of_phrase(pipeline):
 # file round trip
 
 
+def datasets_equal(a: dt.Dataset, b: dt.Dataset) -> bool:
+    if dataclasses.asdict(a.config) != dataclasses.asdict(b.config):
+        return False
+    if a.train_indices != b.train_indices or a.test_indices != b.test_indices:
+        return False
+    if len(a.records) != len(b.records):
+        return False
+    for ra, rb in zip(a.records, b.records):
+        if (ra.identity != rb.identity or ra.attributes != rb.attributes
+                or ra.caption != rb.caption
+                or not np.array_equal(ra.image, rb.image)):
+            return False
+    return True
+
+
 def test_round_trip_bitwise(dataset, tmp_path):
     dt.save_dataset(dataset, tmp_path / "ds")
     loaded = dt.load_dataset(tmp_path / "ds")
-    assert dt.datasets_equal(dataset, loaded)
+    assert datasets_equal(dataset, loaded)
     # byte-stable: saving the loaded dataset reproduces identical files
     dt.save_dataset(loaded, tmp_path / "ds2")
     for name in ("manifest.json", "tensors.bin"):
@@ -239,7 +255,7 @@ def test_malformed_dataset_rejected(dataset, tmp_path, corrupt, message):
 def test_empty_dataset_round_trips(tmp_path):
     empty = dt.Dataset(dt.DataConfig(), [], [], [])
     dt.save_dataset(empty, tmp_path / "ds")
-    assert dt.datasets_equal(empty, dt.load_dataset(tmp_path / "ds"))
+    assert datasets_equal(empty, dt.load_dataset(tmp_path / "ds"))
 
 
 # ---------------------------------------------------------------------------

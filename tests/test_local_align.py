@@ -17,13 +17,11 @@ def stochastic_rows(raw):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def fake_trace(attn, values, heads=1, layer=1, grad=False):
+def fake_trace(attn, values, heads=1, layer=1):
     """Batched trace from per-pair (B, L_txt, L_img + 1) attention and
-    (B, L_img + 1, head_dim) values, identical for every head, optionally
-    graph leaves."""
+    (B, L_img + 1, head_dim) values, identical for every head."""
     def stacked(m):
-        return Tensor(np.repeat(np.asarray(m, dtype=float)[:, None], heads, axis=1),
-                      requires_grad=grad)
+        return np.repeat(np.asarray(m, dtype=float)[:, None], heads, axis=1)
     return md.AttentionTrace(layer, stacked(attn), stacked(values))
 
 
@@ -32,7 +30,7 @@ def head_trace(fa_heads, ba_heads):
     chosen per head, so that ``heads_ws`` of ones gives backward attention
     ``ba_heads``."""
     fa, ba = np.asarray(fa_heads, dtype=float), np.asarray(ba_heads, dtype=float)
-    return md.AttentionTrace(1, Tensor(fa[None, :, None, :]), Tensor(ba[None, :, :, None]))
+    return md.AttentionTrace(1, fa[None, :, None, :], ba[None, :, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +61,34 @@ def test_forward_attention_requires_trace():
 # score
 
 
-def score_per_head(trace: md.AttentionTrace, mask_row: int, w_s: Tensor) -> Tensor:
-    """(heads,) masked-token prediction score of a batch-of-one trace, on the
-    graph: (A_row V) w_s; the reference that backward attention's closed form
-    is checked against."""
-    row = nx.take_row(trace.attn, mask_row)
+def score_per_head(attn: Tensor, values: np.ndarray, mask_row: int,
+                   w_s: Tensor) -> Tensor:
+    """(heads,) masked-token prediction score of a batch-of-one trace's
+    attention, as a Tensor, and values, on the graph: (A_row V) w_s; the
+    reference that backward attention's closed form is checked against."""
+    row = nx.take_row(attn, mask_row)
     _, heads, n = row.shape
-    s = nx.matmul(nx.matmul(nx.reshape(row, (1, heads, 1, n)), trace.values), w_s)
+    s = nx.matmul(nx.matmul(nx.reshape(row, (1, heads, 1, n)), values), w_s)
     return nx.reshape(s, (heads,))
 
 
 def test_score_hand_value():
     trace = fake_trace([[[1.0, 0.0]]], [[[1.0, 2.0], [3.0, 4.0]]])
-    s = score_per_head(trace, 0, Tensor([[1.0], [1.0]]))
+    s = score_per_head(Tensor(trace.attn), trace.values, 0, Tensor([[1.0], [1.0]]))
     assert s.item() == pytest.approx(3.0)
 
 
 def test_score_zero_projection():
     trace = fake_trace([[[0.3, 0.7]]], [[[1.0, 2.0], [3.0, 4.0]]])
-    s = score_per_head(trace, 0, Tensor([[0.0], [0.0]]))
+    s = score_per_head(Tensor(trace.attn), trace.values, 0, Tensor([[0.0], [0.0]]))
     assert s.item() == 0.0
 
 
 def test_score_linear_in_projection():
     trace = fake_trace([[[0.3, 0.7]]], [[[1.0, 2.0], [3.0, 4.0]]])
     w = Rng(1).normal((2, 1))
-    s1 = score_per_head(trace, 0, Tensor(w))
-    s2 = score_per_head(trace, 0, Tensor(2.0 * w))
+    s1, s2 = (score_per_head(Tensor(trace.attn), trace.values, 0, Tensor(scale * w))
+              for scale in (1.0, 2.0))
     assert s2.item() == pytest.approx(2.0 * s1.item())
 
 
@@ -114,15 +113,16 @@ def test_backward_attention_equals_autodiff(seed):
     rng = Rng(seed)
     n_img, dh = 5, 4
     trace = fake_trace([stochastic_rows(rng.normal((3, n_img)))],
-                       rng.normal((1, n_img, dh)), grad=True)
+                       rng.normal((1, n_img, dh)))
+    attn = Tensor(trace.attn, requires_grad=True)
     ws = Tensor(rng.normal((dh, 1)))
-    nx.backward(score_per_head(trace, 2, ws))
+    nx.backward(score_per_head(attn, trace.values, 2, ws))
     ba = la.compute_weights(trace, ws.data.reshape(1, -1), [2]).w_ba
-    autodiff = np.maximum(trace.attn.grad[0, 0, 2], 0.0)
+    autodiff = np.maximum(attn.grad[0, 0, 2], 0.0)
     denom = np.maximum(np.abs(autodiff), 1e-12)
     assert (np.abs(ba[0] - autodiff) / denom).max() < 1e-10
     # rows other than the scored one receive no gradient at all
-    assert np.array_equal(trace.attn.grad[0, 0, 0], np.zeros(n_img))
+    assert np.array_equal(attn.grad[0, 0, 0], np.zeros(n_img))
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def test_batched_encode_text_matches_per_text(cfg):
     batch = md.encode_text(ids, params, cfg)
     assert batch.reps.shape == (4, max(rows), cfg.d)
     for b, n in enumerate(rows):
-        assert not batch.pad_bias.data[b, ..., :n].any()
-        assert (batch.pad_bias.data[b, ..., n:] == md.PAD_BIAS).all()
+        assert not batch.pad_bias[b, ..., :n].any()
+        assert (batch.pad_bias[b, ..., n:] == md.PAD_BIAS).all()
     grads = probed_gradients(params, batch.reps, probe)
     want = {name: np.zeros_like(g) for name, g in grads.items()}
     for b, (i, n) in enumerate(zip(ids, rows)):
@@ -240,7 +240,7 @@ def test_cross_encode_shape_and_trace(cfg, params, pipeline):
     assert fused.trace is not None and fused.trace.layer == cfg.bidiratt_layer
     attn, values = fused.trace.attn, fused.trace.values
     assert attn.shape == (cfg.heads, 3, cfg.n_patches + 1)
-    assert np.abs(attn.data.sum(axis=-1) - 1.0).max() <= 1e-9
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-9
     assert values.shape == (cfg.heads, cfg.n_patches + 1, cfg.head_dim)
 
 
@@ -268,8 +268,7 @@ def pair_of(fused, b, rows):
     """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
     rows: the rows on the graph, the trace as a constant slice."""
     trace = md.AttentionTrace(fused.trace.layer,
-                              Tensor(fused.trace.attn.data[b, :, :rows]),
-                              Tensor(fused.trace.values.data[b]))
+                              fused.trace.attn[b, :, :rows], fused.trace.values[b])
     return md.FusionOutput(nx.gather_rows(nx.gather_rows(fused.reps, b), np.arange(rows)),
                            trace)
 
@@ -317,8 +316,8 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
     assert batch_logits.shape == (3,) and close(batch_logits, pair_logits)
     for got, want in zip(batch_outs, pair_outs):
         assert got.reps.shape == want.reps.shape and close(got.reps.data, want.reps.data)
-        assert close(got.trace.attn.data, want.trace.attn.data)
-        assert close(got.trace.values.data, want.trace.values.data)
+        assert close(got.trace.attn, want.trace.attn)
+        assert close(got.trace.values, want.trace.values)
     for name, g in pair_grads.items():
         assert close(batch_grads[name], g), name
 
@@ -361,8 +360,8 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
         return a.shape == b.shape and np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     assert close(got.reps.data, want.reps.data)
-    assert close(got.trace.attn.data, want.trace.attn.data)
-    assert close(got.trace.values.data, want.trace.values.data)
+    assert close(got.trace.attn, want.trace.attn)
+    assert close(got.trace.values, want.trace.values)
     for name, g in want_grads.items():
         assert close(got_grads[name], g), name
     assert close(got_img, want_img)
@@ -395,10 +394,10 @@ def test_trace_is_constants_of_the_unfused_chain(cfg, pipeline, monkeypatch,
     _, a, v = attention_chain(*inputs[0], *(params[f"{prefix}.{name}"].data for name in
                                             ("wq", "wk", "wv", "out.w", "out.b")),
                               1.0 / np.sqrt(cfg.head_dim), index=[1, 0, 1])
-    assert np.array_equal(fused.trace.attn.data, a)
-    assert np.array_equal(fused.trace.values.data, v)
+    assert np.array_equal(fused.trace.attn, a)
+    assert np.array_equal(fused.trace.values, v)
     for constant in (fused.trace.attn, fused.trace.values):
-        assert not constant.requires_grad and constant.parents == ()
+        assert type(constant) is np.ndarray
 
 
 def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
@@ -588,3 +587,21 @@ def test_load_state_rejects_missing_tensor(params):
     del state["momentum/proj.img.w"]
     with pytest.raises(ValueError, match="momentum/proj.img.w"):
         md.load_params_state(params, momentum, state)
+
+
+def test_load_state_rejects_a_checkpoint_of_a_deeper_model(pipeline, tmp_path):
+    """A checkpoint of the default 6-cross-layer model does not load into a
+    2-cross-layer one: the first of its 80 surplus tensors is named, and
+    nothing is written."""
+    deep = md.ModelConfig(vocab_size=len(pipeline.vocab))
+    params = md.init_params(deep, Rng(1))
+    md.save_checkpoint(tmp_path / "ckpt",
+                       md.params_state(params, md.MomentumState.from_params(params, 0.995)))
+    shallow = md.init_params(dataclasses.replace(deep, n_cross_layers=2,
+                                                 bidiratt_layer=2), Rng(2))
+    momentum = md.MomentumState.from_params(shallow, 0.995)
+    before = {name: t.data.copy() for name, t in md.params_state(shallow, momentum).items()}
+    with pytest.raises(md.CheckpointError, match=r"'cross2\.self\.wq'.*\(80 such"):
+        md.load_params_state(shallow, momentum, md.load_checkpoint(tmp_path / "ckpt"))
+    for name, t in md.params_state(shallow, momentum).items():
+        assert np.array_equal(t.data, before[name]), name

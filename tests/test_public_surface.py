@@ -1,0 +1,134 @@
+"""No public surface without a use.
+
+Every top-level public function and class of a ``phrasealign`` module must be
+referenced somewhere in the package outside its own definition, or in one of
+the benchmark programs under ``perfbench/``. Tests do not count as callers,
+and neither does the benchmark's own self-test. References are resolved
+through each file's imports, so ``np.tanh`` is no use of ``numerics.tanh``.
+
+``ALLOWED`` names each exception together with what will call it. A name
+leaves the list once it has a caller; the list can only shrink.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "phrasealign"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+CALLER_FILES = sorted(PACKAGE.glob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if p.name != "selftest.py")
+
+# "module.name": what will call it
+ALLOWED = {
+    "data.save_dataset": "ROADMAP item 2: the CLI's generate",
+    "data.load_dataset": "ROADMAP item 2: the CLI's train and eval",
+    "data.region_patch_indices": "ROADMAP items 2 and 9: the alignment score",
+    "data.slot_of_phrase": "ROADMAP items 2 and 9: the alignment score",
+    "local_align.write_heatmap_csv": "ROADMAP item 2: the CLI's heatmap",
+    "local_align.write_pgm": "ROADMAP item 2: the CLI's heatmap",
+    "model.load_checkpoint": "ROADMAP item 6: resume",
+    "model.load_params_state": "ROADMAP item 6: resume",
+    "gradcheck.run_suite": "the CI step that runs the finite-difference suite",
+}
+
+
+def public_names(module: str) -> list[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The ``phrasealign`` module an import takes names from: "" for the
+    package itself, None for anything else. Only the package's own modules
+    import relatively."""
+    if node.level:
+        return node.module or ""
+    if node.module == "phrasealign":
+        return ""
+    prefix = "phrasealign."
+    return node.module[len(prefix):] if (node.module or "").startswith(prefix) else None
+
+
+def references(path: Path) -> set[tuple[str, str]]:
+    """(module, name) pairs that ``path`` uses, each outside the top-level
+    definition of that same name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent == PACKAGE else None
+    modules: dict[str, str] = {}          # local alias -> package module
+    names: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _package_module(node)
+            for alias in node.names if source is not None else ():
+                local = alias.asname or alias.name
+                if source == "":
+                    modules[local] = alias.name
+                else:
+                    names[local] = (source, alias.name)
+    if own is not None:
+        names.update({name: (own, name) for name in public_names(own)})
+
+    found = set()
+    for top in tree.body:
+        defined = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                ref = names[node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                ref = (modules[node.value.id], node.attr)
+            else:
+                continue
+            if not (ref[0] == own and ref[1] == defined):
+                found.add(ref)
+    return found
+
+
+@pytest.fixture(scope="module")
+def used() -> set[str]:
+    return {f"{m}.{n}" for path in CALLER_FILES for m, n in references(path)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_caller(module, used):
+    uncalled = [f"{module}.{name}" for name in public_names(module)
+                if f"{module}.{name}" not in used | ALLOWED.keys()]
+    assert not uncalled, (f"public names without a caller in src/ or perfbench/: "
+                          f"{uncalled}; call, delete or allow-list them")
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED))
+def test_allow_listed_name_exists_without_a_caller(name, used):
+    module, attr = name.split(".")
+    assert attr in public_names(module), f"{name} is allow-listed but not defined"
+    assert name not in used, f"{name} now has a caller; take it off the allow-list"
+
+
+def test_references_resolve_through_imports(tmp_path, monkeypatch):
+    """Module aliases and imported names resolve to the package module;
+    ``np.tanh`` is not ``nx.tanh``; a package module's name used only inside
+    its own definition is no reference."""
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from . import numerics as nx\n"
+        "from .data import make_batches as mb\n"
+        "def tanh(x):\n    return tanh(np.tanh(nx.exp(x)))\n"
+        "def helper():\n    return mb(), Used\n"
+        "class Used:\n    pass\n", encoding="utf-8")
+    assert references(tmp_path / "mod.py") == {
+        ("numerics", "exp"), ("data", "make_batches"), ("mod", "Used")}
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "prog.py").write_text(
+        "from phrasealign import model\n"
+        "from phrasealign.textproc import TextPipeline\n"
+        "model.cross_encode(TextPipeline(), tanh)\n", encoding="utf-8")
+    assert references(tmp_path / "bench" / "prog.py") == {
+        ("model", "cross_encode"), ("textproc", "TextPipeline")}

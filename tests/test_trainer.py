@@ -225,7 +225,7 @@ def test_adamw_first_step_is_bias_corrected_sign_step():
     trainer.adamw_step(params, state, lr=0.1, weight_decay=0.0)
     # after one step m/bc1 = g and v/bc2 = g*g, so the update is lr*g/(|g|+eps)
     assert state.step == 1
-    assert np.allclose(params["w"].data, -0.1 * g / (np.abs(g) + state.eps),
+    assert np.allclose(params["w"].data, -0.1 * g / (np.abs(g) + trainer.ADAM_EPS),
                        rtol=1e-12, atol=0.0)
 
 
