@@ -143,7 +143,7 @@ def _one_pair(w, rows: int, cols: int) -> np.ndarray:
     return w
 
 
-def heatmap_csv_lines(weights: BidirectionalWeights, rows: int, cols: int) -> list:
+def write_heatmap_csv(path, weights: BidirectionalWeights, rows: int, cols: int) -> None:
     """CSV of one pair's w / forward / backward attention per patch (row, col)."""
     w, w_fa, w_ba = (_one_pair(v, rows, cols) for v in (weights.w, weights.w_fa,
                                                          weights.w_ba))
@@ -151,12 +151,7 @@ def heatmap_csv_lines(weights: BidirectionalWeights, rows: int, cols: int) -> li
     for j in range(1, rows * cols + 1):
         r, c = divmod(j - 1, cols)
         lines.append(f"{j},{r},{c},{w[j]:.12g},{w_fa[j]:.12g},{w_ba[j]:.12g}")
-    return lines
-
-
-def write_heatmap_csv(path, weights: BidirectionalWeights, rows: int, cols: int) -> None:
-    Path(path).write_text("\n".join(heatmap_csv_lines(weights, rows, cols)) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_pgm(path, w: np.ndarray, rows: int, cols: int) -> None:

@@ -3,18 +3,19 @@ tracing, momentum shadows of the unimodal weights, and checkpoint files in
 the :func:`numerics.save_arrays` container.
 
 The encoders are deliberately small: linear patch/token embeddings plus
-standard post-norm self-attention blocks. The cross-modal encoder runs
-self-attention over the text rows, cross-attention with text queries against
-image keys/values, then a feed-forward, per layer; one layer's attention
-matrices and projected values can be captured as a trace: plain arrays,
-which differentiation never reaches. The same cross-modal parameters serve the
-image-text and image-phrase streams. Heads are the leading array axis:
-``wq``/``wk``/``wv`` are (heads, d, head_dim). Each attention block is one
-:func:`numerics.attention` node and each feed-forward one
-:func:`numerics.tanh_mlp` node. Pairs that share an image can share its
-cross-attention keys and values: given an image index per pair, each cross
-layer projects every distinct image once and gathers the projected rows per
-pair.
+post-norm self-attention blocks, each sublayer LN(x + f(x)). The cross-modal
+encoder runs self-attention over the text rows, cross-attention with text
+queries against image keys/values, then a feed-forward, per layer; one
+layer's attention matrices and projected values can be captured as a trace:
+plain arrays, which differentiation never reaches. The same cross-modal
+parameters serve the image-text and image-phrase streams. Heads are the
+leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim). Each
+residual sublayer, its layer norm included, is one graph node: a
+:func:`numerics.attention` node per attention block and a
+:func:`numerics.tanh_mlp` node per feed-forward. Pairs that share an image
+share its cross-attention keys and values: given an image index per pair,
+each cross layer projects every image once, and the pairs of one image meet
+its keys and values in one product per head.
 """
 
 from __future__ import annotations
@@ -99,9 +100,6 @@ class Params:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def named(self):
         return self._tensors.items()
@@ -262,9 +260,11 @@ class EncoderOutput:
 class AttentionTrace:
     """Attention state of one cross-attention layer, head as an axis; a
     batched cross-encode adds a leading pair axis, and padded text rows of a
-    pair hold finite values nothing reads. Both are plain arrays, as the
-    fused attention node returns them: the local alignment weights they give
-    are constants under differentiation."""
+    pair hold finite values nothing reads. Both are plain arrays, so the
+    local alignment weights they give are constants under differentiation.
+    Only the traced layer makes them per pair: given an image index, the
+    attention node groups the pairs by image and returns the values once per
+    image, and the trace holds the rows the index picks."""
 
     layer: int                  # 1-based
     attn: np.ndarray            # ([B,] heads, L_text+1, L_img+1), rows sum to 1
@@ -286,34 +286,32 @@ class FusionOutput:
 
 
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
-                          params: Params, prefix: str, cfg: ModelConfig,
-                          key_bias: np.ndarray | None = None, kv_index=None):
-    """:func:`numerics.attention` with the block's weights: all heads (and
-    pairs) at once, ``key_bias`` added to the scores, and with ``kv_index``
-    keys and values projected once per entry of ``keys_values_from``. Returns
-    the output rows, and the ([B,] heads, L_q, L_kv) attention and ([B,]
-    heads, L_kv, head_dim) values as arrays."""
+                          params: Params, prefix: str, norm: str, cfg: ModelConfig,
+                          key_bias: np.ndarray | None = None, kv_index=None,
+                          trace: bool = False):
+    """The attention sublayer as one :func:`numerics.attention` node with the
+    block's weights and the layer norm ``norm``: all heads (and pairs) at
+    once, ``key_bias`` added to the scores, and with ``kv_index`` keys and
+    values projected once per entry of ``keys_values_from``. With ``trace``,
+    returns (node, attention, values) as :func:`numerics.attention` does."""
     weights = (params[f"{prefix}.{name}"]
                for name in ("wq", "wk", "wv", "out.w", "out.b"))
-    return nx.attention(queries_from, keys_values_from, *weights,
-                        1.0 / np.sqrt(cfg.head_dim), key_bias, kv_index)
+    return nx.attention(queries_from, keys_values_from, *weights, params[f"{norm}.g"],
+                        params[f"{norm}.b"], 1.0 / np.sqrt(cfg.head_dim), key_bias,
+                        kv_index, trace)
 
 
-def _ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
-    return nx.tanh_mlp(x, *(params[f"{prefix}.{name}"]
-                            for name in ("w1", "b1", "w2", "b2")))
-
-
-def _post_norm(x: Tensor, delta: Tensor, params: Params, prefix: str) -> Tensor:
-    return nx.add_layer_norm(x, delta, params[f"{prefix}.g"], params[f"{prefix}.b"])
+def _ffn(x: Tensor, params: Params, prefix: str, norm: str) -> Tensor:
+    """The feed-forward sublayer, LN(x + tanh_mlp(x)), as one node."""
+    weights = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    return nx.tanh_mlp(x, *weights, params[f"{norm}.g"], params[f"{norm}.b"])
 
 
 def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig,
                 key_bias: np.ndarray | None = None) -> Tensor:
-    attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.attn", cfg, key_bias)
-    x = _post_norm(x, attn, params, f"{prefix}.ln1")
-    x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln2")
-    return x
+    x = _multi_head_attention(x, x, params, f"{prefix}.attn", f"{prefix}.ln1", cfg,
+                              key_bias)
+    return _ffn(x, params, f"{prefix}.ffn", f"{prefix}.ln2")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +393,10 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     :meth:`EncoderOutput.select` picks them. Or a batch of texts, a stack of
     images and ``image_index``, the image of each text (repeats allowed):
     then every cross layer projects each image's keys and values once and
-    gathers them per pair, which gives the same numbers as the selected
-    images. A text batch's ``pad_bias`` keeps its padding out of the text
-    self-attention; image rows are never padded. The fused reps and the
-    trace keep the pair axis."""
+    meets the pairs of each image in one product per head, which gives the
+    same numbers as the selected images. A text batch's ``pad_bias`` keeps
+    its padding out of the text self-attention; image rows are never padded.
+    The fused reps and the trace keep the pair axis."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
     index = None if image_index is None else np.asarray(image_index, dtype=np.intp)
@@ -414,16 +412,19 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         trace = None
         for layer in range(cfg.n_cross_layers):
             prefix = f"cross{layer}"
-            attn, _, _ = _multi_head_attention(x, x, params, f"{prefix}.self", cfg,
-                                               text_out.pad_bias)
-            x = _post_norm(x, attn, params, f"{prefix}.ln1")
-            cross, a, v = _multi_head_attention(x, img_out.reps, params,
-                                                f"{prefix}.cross", cfg,
-                                                kv_index=index)
-            if layer + 1 == trace_layer:
-                trace = AttentionTrace(layer + 1, a, v)
-            x = _post_norm(x, cross, params, f"{prefix}.ln2")
-            x = _post_norm(x, _ffn(x, params, f"{prefix}.ffn"), params, f"{prefix}.ln3")
+            x = _multi_head_attention(x, x, params, f"{prefix}.self", f"{prefix}.ln1", cfg,
+                                      text_out.pad_bias)
+            traced = layer + 1 == trace_layer
+            cross = _multi_head_attention(x, img_out.reps, params, f"{prefix}.cross",
+                                          f"{prefix}.ln2", cfg, kv_index=index,
+                                          trace=traced)
+            if traced:
+                # the values come back per image; the trace holds them per pair
+                x, a, v = cross
+                trace = AttentionTrace(layer + 1, a, v if index is None else v[index])
+            else:
+                x = cross
+            x = _ffn(x, params, f"{prefix}.ffn", f"{prefix}.ln3")
         return FusionOutput(x, trace)
 
 

@@ -18,12 +18,14 @@ without a reset raises.
 
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
-hand-written backward: :func:`attention` replaces a whole multi-head
-attention block (the q/k/v projections, the per-pair gather of keys and
-values, the scaled, key-biased row softmax, a . v, the head merge and the
-output projection); :func:`tanh_mlp` a linear, tanh, linear feed-forward;
-:func:`add_layer_norm` a residual add and a layer norm; :func:`linear` a
-matmul and a bias add. The ops are those the package calls, and no more:
+hand-written backward. :func:`attention` is a whole residual attention
+sublayer: the q/k/v projections, the scaled, key-biased row softmax, a . v,
+the head merge, the output projection, the residual add and the layer norm.
+Given an index of key/value entries per pair it projects each entry once and
+groups the pairs by entry, so no keys or values are copied per pair.
+:func:`tanh_mlp` is a linear, tanh, linear feed-forward, and with a norm's
+gain and bias the residual feed-forward sublayer; :func:`linear` a matmul
+and a bias add. The ops are those the package calls, and no more:
 ``tests/test_public_surface.py`` fails on an op without a caller. Constants,
 such as an attention key bias, are plain arrays, not Tensors.
 
@@ -243,31 +245,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(y, "linear", (x, w, b), bw)
 
 
-def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+             gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """``tanh(x @ w1 + b1) @ w2 + b2`` for (..., d) rows, a (d, m) and an
     (m, width) weight and their biases, as one node; backward contracts all
-    rows at once."""
+    rows at once. Given a (d,) ``gain`` and ``bias``, the node is the whole
+    residual sublayer: the layer norm of ``x + tanh_mlp(x)``."""
+    norm = () if gain is None and bias is None else (gain, bias)
     if w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1:] != w1.shape[:1] or \
             b1.shape != w1.shape[1:] or w2.shape[:1] != b1.shape or \
-            b2.shape != w2.shape[1:]:
+            b2.shape != w2.shape[1:] or norm and not all(
+                t is not None and t.shape == b2.shape == x.shape[-1:] for t in norm):
         raise ShapeError(f"tanh_mlp shape mismatch: {x.shape} @ {w1.shape} + "
-                         f"{b1.shape}, @ {w2.shape} + {b2.shape}")
+                         f"{b1.shape}, @ {w2.shape} + {b2.shape}, norm "
+                         f"{[None if t is None else t.shape for t in norm]}")
     d, m = w1.shape
     h = x.data @ w1.data
     h += b1.data
     np.tanh(h, out=h)
     y = h @ w2.data
     y += b2.data
+    if norm:
+        y, norm_bw = _layer_norm(x.data + y, gain, bias)
 
     def bw(g):
+        if norm:
+            g, ggain, gbias = norm_bw(g)
         lead = tuple(range(g.ndim - 1))
         gz = g @ w2.data.T
         gz *= 1.0 - h * h
-        return (gz @ w1.data.T, x.data.reshape(-1, d).T @ gz.reshape(-1, m),
-                gz.sum(axis=lead), h.reshape(-1, m).T @ g.reshape(-1, w2.shape[1]),
-                g.sum(axis=lead))
+        gx = gz @ w1.data.T
+        if norm:
+            gx += g
+        return (gx, x.data.reshape(-1, d).T @ gz.reshape(-1, m), gz.sum(axis=lead),
+                h.reshape(-1, m).T @ g.reshape(-1, w2.shape[1]),
+                g.sum(axis=lead)) + ((ggain, gbias) if norm else ())
 
-    return _result(y, "tanh_mlp", (x, w1, b1, w2, b2), bw)
+    return _result(y, "tanh_mlp", (x, w1, b1, w2, b2) + norm, bw)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -444,23 +458,26 @@ def _project_back(x: np.ndarray, ws: Sequence[np.ndarray], gs: Sequence[np.ndarr
 
 
 def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-              wo: Tensor, bo: Tensor, scale: float, key_bias: np.ndarray | None = None,
-              kv_index=None):
-    """Multi-head attention as one node. The (L_q, d) or (B, L_q, d) query
-    rows and the key/value rows are projected per head by (heads, d, w)
-    weights; softmax(scale * q k^T + key_bias) over the keys weighs the
-    values; the heads' a . v are merged side by side, head 0 first, and
-    projected by a (heads * w, width) weight plus a (width,) bias.
+              wo: Tensor, bo: Tensor, gain: Tensor, bias: Tensor, scale: float,
+              key_bias: np.ndarray | None = None, kv_index=None, trace: bool = False):
+    """A multi-head attention sublayer as one node: the layer norm, with a
+    (d,) gain and bias, of ``x_q`` plus the attention output. The (L_q, d)
+    or (B, L_q, d) query rows and the key/value rows are projected per head
+    by (heads, d, w) weights; softmax(scale * q k^T + key_bias) over the keys
+    weighs the values; the heads' a . v are merged side by side, head 0
+    first, and projected by a (heads * w, d) weight plus a (d,) bias.
 
     ``x_kv`` has the queries' leading axes, or, with ``kv_index``, is an
-    (n, L_kv, d) stack whose keys and values are projected once per entry
-    and gathered per query batch entry: b attends to entry ``kv_index[b]``.
-    ``key_bias`` is an array broadcast to the ([B,] heads, L_q, L_kv)
-    scores. Self-attention passes one tensor as ``x_q`` and ``x_kv``.
+    (n, L_kv, d) stack: batch entry b attends to entry ``kv_index[b]``. Keys
+    and values are then projected once per entry, and the pairs, sorted by
+    entry, meet them in one product per entry and head. ``key_bias`` is an
+    array broadcast to the ([B,] heads, L_q, L_kv) scores; it takes no
+    ``kv_index``. Self-attention passes one tensor as ``x_q`` and ``x_kv``.
 
-    Returns (out, a, v): the ([B,] L_q, width) output and, as plain arrays,
-    the ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, w)
-    values."""
+    Returns the node, or with ``trace`` (node, a, v), where the plain arrays
+    are the ([B,] heads, L_q, L_kv) attention of each pair and the values:
+    ([B,] heads, L_kv, w), or (n, heads, L_kv, w), one per entry of ``x_kv``,
+    given ``kv_index``."""
     if wq.data.ndim != 3:
         raise ShapeError(f"attention needs (heads, d, w) weights, got {wq.shape}")
     heads, d, w = wq.shape
@@ -469,54 +486,94 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     kv_ok = x_kv.data.ndim == x_q.data.ndim and x_kv.shape[-1] == d and (
         x_kv.shape[:-2] == lead if idx is None else idx.shape == lead != ())
     if not (wk.shape == wv.shape == wq.shape and x_q.data.ndim in (2, 3)
-            and x_q.shape[-1] == d and kv_ok and wo.data.ndim == 2
-            and wo.shape[0] == heads * w and bo.shape == wo.shape[1:]):
+            and x_q.shape[-1] == d and kv_ok and wo.shape == (heads * w, d)
+            and bo.shape == gain.shape == bias.shape == (d,)):
         raise ShapeError(f"attention shape mismatch: queries {x_q.shape}, keys "
                          f"{x_kv.shape}, index {None if idx is None else idx.shape}, "
                          f"weights {wq.shape} {wk.shape} {wv.shape}, out {wo.shape} "
-                         f"+ {bo.shape}")
-    if idx is not None and ((idx < 0) | (idx >= x_kv.shape[0])).any():
-        raise IndexError(f"key/value index {idx.tolist()} outside "
-                         f"0..{x_kv.shape[0] - 1}")
+                         f"+ {bo.shape}, norm {gain.shape} {bias.shape}")
+    if idx is not None:
+        if key_bias is not None:
+            raise ShapeError("attention takes no key bias with a key/value index")
+        if ((idx < 0) | (idx >= x_kv.shape[0])).any():
+            raise IndexError(f"key/value index {idx.tolist()} outside "
+                             f"0..{x_kv.shape[0] - 1}")
     xq = x_q.data[:, None] if lead else x_q.data
     xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
-    q = xq @ wq.data
     k = xkv @ wk.data
     v = xkv @ wv.data
-    if idx is not None:
-        k, v = np.take(k, idx, axis=0), np.take(v, idx, axis=0)
-    # scale q, not the scores, and keep one ([B,] heads, L_q, L_kv) buffer:
-    # each (4, 65, 65) float64 temporary is past the allocator's mmap threshold
+    # the working layout of the per-pair arrays q, a, a . v and their
+    # gradients, and one (query rows, key/value entry) group per product
+    if idx is None:
+        groups = [(..., ...)]
+
+        def part(buf, rows):
+            return buf
+
+        def layout(arr):
+            return arr
+
+        pairs = layout
+    else:
+        # (heads, B, L_q, .) with the pairs sorted by entry: the rows of
+        # entry i's pairs are one (heads, pairs * L_q, .) block of a view
+        order = np.argsort(idx, kind="stable")
+        counts = np.bincount(idx, minlength=x_kv.shape[0])
+        groups = [(slice(end - n, end), i)
+                  for i, (n, end) in enumerate(zip(counts, np.cumsum(counts))) if n]
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+
+        def part(buf, rows):
+            return buf[:, rows].reshape(heads, -1, buf.shape[-1])
+
+        def layout(arr):    # ([B,] heads, L_q, .) in pair order -> working
+            return np.take(np.swapaxes(arr, 0, 1), order, axis=1)
+
+        def pairs(buf):     # working -> pair order
+            return np.take(np.swapaxes(buf, 0, 1), back, axis=0)
+
+    # scale q, not the scores, and keep one buffer of scores: each (4, 65,
+    # 65) float64 temporary is past the allocator's mmap threshold
+    q = layout(xq @ wq.data)
     q *= scale
-    a = q @ np.swapaxes(k, -1, -2)
+    a = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    for rows, i in groups:
+        np.matmul(part(q, rows), np.swapaxes(k[i], -1, -2), out=part(a, rows))
     if key_bias is not None:
         a += key_bias
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
-    merged = np.swapaxes(a @ v, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
+    av = np.empty(q.shape)
+    for rows, i in groups:
+        np.matmul(part(a, rows), v[i], out=part(av, rows))
+    merged = np.swapaxes(pairs(av), -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
     y = merged @ wo.data
     y += bo.data
+    y, norm_bw = _layer_norm(x_q.data + y, gain, bias)
 
     def bw(g):
-        width = wo.shape[1]
+        g, ggain, gbias = norm_bw(g)
         gm = g @ wo.data.T
-        gav = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
+        gav = layout(np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2))
         # softmax backward: d(scores) = a * (d(a) - rowdot), where rowdot,
         # the row sums of d(a) * a, equals those of d(a . v) * (a . v): a sum
         # over w, not over the keys
         rowdot = (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1)
-        gs = gav @ np.swapaxes(v, -1, -2)
-        gs -= np.swapaxes(rowdot, -1, -2)[..., None]
+        gs = np.empty(a.shape)
+        for rows, i in groups:
+            np.matmul(part(gav, rows), np.swapaxes(v[i], -1, -2), out=part(gs, rows))
+        gs -= layout(np.swapaxes(rowdot, -1, -2)[..., None])
         gs *= a
-        gq = gs @ k
+        # key and value gradients sum over an entry's pairs in the product
+        gq, gk, gv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        for rows, i in groups:
+            np.matmul(part(gs, rows), k[i], out=part(gq, rows))
+            np.matmul(np.swapaxes(part(gs, rows), -1, -2), part(q, rows), out=gk[i])
+            np.matmul(np.swapaxes(part(a, rows), -1, -2), part(gav, rows), out=gv[i])
         gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ q
-        gv = np.swapaxes(a, -1, -2) @ gav
-        if idx is not None:
-            hits = _hits(idx, x_kv.shape[0])
-            gk, gv = ((hits @ gr.reshape(len(idx), -1)).reshape((-1,) + gr.shape[1:])
-                      for gr in (gk, gv))
+        gq = pairs(gq)
         if x_kv is x_q:
             gxq, (gwq, gwk, gwv) = _project_back(x_q.data, (wq.data, wk.data, wv.data),
                                                  (gq, gk, gv))
@@ -524,11 +581,36 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         else:
             gxq, (gwq,) = _project_back(x_q.data, (wq.data,), (gq,))
             gxkv, (gwk, gwv) = _project_back(x_kv.data, (wk.data, wv.data), (gk, gv))
+        gxq += g
         return (gxq, gxkv, gwq, gwk, gwv,
-                merged.reshape(-1, heads * w).T @ g.reshape(-1, width),
-                g.sum(axis=tuple(range(g.ndim - 1))))
+                merged.reshape(-1, heads * w).T @ g.reshape(-1, d),
+                g.sum(axis=tuple(range(g.ndim - 1))), ggain, gbias)
 
-    return _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo), bw), a, v
+    out = _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo, gain, bias), bw)
+    return (out, pairs(a), v) if trace else out
+
+
+def _layer_norm(s: np.ndarray, gain: Tensor, bias: Tensor):
+    """The layer norm over the last axis (width n), with (n,) gain and bias,
+    that ends each residual node; ``s``, the node's own residual sum, is
+    normalized in place. Returns (out, backward), where backward maps
+    d(out) to (d(s), d(gain), d(bias))."""
+    n = s.shape[-1]
+    # np.mean's and np.var's arithmetic, without their Python wrappers
+    xhat = s
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + 1e-5)
+    xhat *= inv
+    out = xhat * gain.data + bias.data
+
+    def bw(g):
+        gh = g * gain.data
+        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
+        return ((gh - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, n).sum(axis=0),
+                g.reshape(-1, n).sum(axis=0))
+
+    return out, bw
 
 
 def cross_entropy_logits(logits: Tensor, target_index) -> Tensor:
@@ -573,32 +655,6 @@ def binary_cross_entropy_logit(logit: Tensor, label) -> Tensor:
         return (g * (sig - label),)
 
     return _result(value, "bce_logit", (logit,), bw)
-
-
-def add_layer_norm(x: Tensor, delta: Tensor, gain: Tensor, bias: Tensor,
-                   eps: float = 1e-5) -> Tensor:
-    """Layer normalization of same-shape rows ``x + delta`` over the last axis
-    (width n), with learned (n,) gain and bias, as one node."""
-    n = x.shape[-1]
-    if x.shape != delta.shape or gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"add_layer_norm shape mismatch: {x.shape} + {delta.shape}, "
-                         f"gain {gain.shape}, bias {bias.shape}")
-    # np.mean's and np.var's arithmetic, without their Python wrappers
-    xhat = x.data + delta.data
-    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
-    xhat *= inv
-    y = xhat * gain.data + bias.data
-
-    def bw(g):
-        gh = g * gain.data
-        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
-        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
-        gx = (gh - m1 - xhat * m2) * inv
-        return (gx, gx, (g * xhat).reshape(-1, n).sum(axis=0),
-                g.reshape(-1, n).sum(axis=0))
-
-    return _result(y, "add_layer_norm", (x, delta, gain, bias), bw)
 
 
 # ---------------------------------------------------------------------------

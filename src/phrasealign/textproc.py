@@ -108,9 +108,6 @@ class Phrase:
     span: tuple[int, int]
     token_ids: tuple[int, ...]
 
-    def text(self) -> str:
-        return " ".join(self.words)
-
 
 _MODIFIER_TAGS = {"JJ", "VBG"}
 _NOMINAL_TAGS = {"NN", "NNS"}

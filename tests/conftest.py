@@ -1,19 +1,31 @@
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from phrasealign import numerics as nx
+
 settings.register_profile("default", max_examples=30,
                           deadline=timedelta(seconds=20))
 settings.load_profile("default")
 
 
-def _attention_chain(x_q, x_kv, wq, wk, wv, wo, bo, scale, bias=None, index=None):
+def _layer_norm(s, gain, bias):
+    """Layer norm over the last axis in plain numpy, eps 1e-5."""
+    return (s - s.mean(axis=-1, keepdims=True)) * \
+        (1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
+
+
+def _attention_chain(x_q, x_kv, wq, wk, wv, wo, bo, scale, bias=None, index=None,
+                     norm=None):
     """The attention block as the chain of ops it was before its fusion, in
     plain numpy: per-head projections, the per-pair gather of keys and
     values, the scaled, key-biased row softmax, a . v, the head merge and the
-    output projection. Returns (out, a, v) as arrays."""
+    output projection, and with ``norm``, a (gain, bias) pair, the layer norm
+    of ``x_q`` plus that output. Returns (out, a, v) as arrays, with a and v
+    per pair."""
     def lift(x):
         return x[:, None] if x.ndim == 3 else x
 
@@ -26,9 +38,54 @@ def _attention_chain(x_q, x_kv, wq, wk, wv, wo, bo, scale, bias=None, index=None
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
     merged = np.swapaxes(a @ v, -3, -2).reshape(x_q.shape[:-1] + (-1,))
-    return merged @ wo + bo, a, v
+    out = merged @ wo + bo
+    return (out if norm is None else _layer_norm(x_q + out, *norm)), a, v
+
+
+def _tensors_made(fn):
+    """The number of Tensors constructed while ``fn()`` runs."""
+    made = 0
+    init = nx.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(self, *args, **kwargs)
+
+    nx.Tensor.__init__ = counting
+    try:
+        fn()
+    finally:
+        nx.Tensor.__init__ = init
+    return made
+
+
+def _peak_mib(fn):
+    """The tracemalloc peak, in MiB, of what is allocated while ``fn()``
+    runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def layer_norm():
+    return _layer_norm
 
 
 @pytest.fixture
 def attention_chain():
     return _attention_chain
+
+
+@pytest.fixture
+def tensors_made():
+    return _tensors_made
+
+
+@pytest.fixture
+def peak_mib():
+    return _peak_mib

@@ -42,7 +42,7 @@ def random_patches(cfg, seed=0):
 def test_init_deterministic(cfg):
     a = md.init_params(cfg, Rng(3))
     b = md.init_params(cfg, Rng(3))
-    assert a.names() == b.names()
+    assert list(dict(a.named())) == list(dict(b.named()))
     for (_, ta), (_, tb) in zip(a.named(), b.named()):
         assert np.array_equal(ta.data, tb.data)
 
@@ -257,10 +257,23 @@ def test_cross_encode_trace_layer_out_of_range(cfg, params):
         md.cross_encode(txt, img, params, cfg, trace_layer=cfg.n_cross_layers + 1)
 
 
+def test_infer_cross_encode_makes_one_tensor_per_sublayer(pipeline, tensors_made):
+    """A single pair through the default cross-encoder in infer mode: per
+    layer one Tensor each for the self-attention, the cross-attention and
+    the feed-forward sublayer, their residual norms included."""
+    cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
+    params = md.init_params(cfg, Rng(0))
+    img = md.encode_image(random_patches(cfg), params, cfg, mode="infer")
+    txt = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg,
+                         mode="infer")
+    made = tensors_made(lambda: md.cross_encode(txt, img, params, cfg, mode="infer"))
+    assert made == 3 * cfg.n_cross_layers
+
+
 def test_cross_params_shared_between_streams(cfg, params):
     # the phrase stream and the text stream read the very same tensors
     assert params["cross0.cross.wq"] is params["cross0.cross.wq"]
-    n_cross = sum(1 for name in params.names() if name.startswith("cross"))
+    n_cross = sum(1 for name in dict(params.named()) if name.startswith("cross"))
     assert n_cross > 0  # a single parameter set serves both streams
 
 

@@ -13,11 +13,17 @@ def t(data, grad=False):
     return nx.Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
-def tanh(x):
+def tanh(x, *norm):
     """Elementwise tanh through the op that has one: ``tanh_mlp`` with
-    identity weights and zero biases, which equals np.tanh exactly."""
+    identity weights and zero biases, which equals np.tanh exactly. Given a
+    gain and a bias, the residual node: the layer norm of x + tanh(x)."""
     eye, zero = t(np.eye(x.shape[-1])), t(np.zeros(x.shape[-1]))
-    return nx.tanh_mlp(x, eye, zero, eye, zero)
+    return nx.tanh_mlp(x, eye, zero, eye, zero, *norm)
+
+
+def unit_norm(width):
+    """The gain and bias of a layer norm with no learned scale or shift."""
+    return t(np.ones(width)), t(np.zeros(width))
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +66,15 @@ def test_matmul_associativity():
 # heads as the leading axis
 
 
-def test_stacked_ops_match_per_head_matrices():
+def test_stacked_ops_match_per_head_matrices(layer_norm):
     rng = nx.Rng(8)
     x = t(rng.normal((4, 6)))
     w = t(rng.normal((3, 6, 2)))
     u = t(rng.normal((2, 5)))
-    wo, bo = t(rng.normal((6, 5))), t(rng.normal(5))
+    wo, bo = t(rng.normal((6, 6))), t(rng.normal(6))
+    gain, bias = t(rng.normal(6) + 1.0), t(rng.normal(6))
     q = nx.matmul(x, w)
-    out, a, v = nx.attention(x, x, w, w, w, wo, bo, 0.5)
+    out, a, v = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5, trace=True)
     assert q.shape == (3, 4, 2) and a.shape == (3, 4, 4) and v.shape == (3, 4, 2)
     for h in range(3):
         qh = x.data @ w.data[h]
@@ -75,18 +82,21 @@ def test_stacked_ops_match_per_head_matrices():
         assert np.array_equal(v[h], qh)
         assert np.array_equal(nx.matmul(q, u).data[h], qh @ u.data)
         one = t(w.data[h:h + 1])
-        alone = nx.attention(x, x, one, one, one, t(wo.data[2 * h:2 * h + 2]), bo, 0.5)
+        alone = nx.attention(x, x, one, one, one, t(wo.data[2 * h:2 * h + 2]), bo,
+                             gain, bias, 0.5, trace=True)
         assert np.array_equal(a[h], alone[1][0])
         assert np.array_equal(nx.take_row(q, 1).data[h], q.data[h, 1])
     # the heads' a . v side by side, head 0 first, then the output projection
+    # and the layer norm of the residual sum
     merged = np.concatenate(list(a @ v), axis=1)
-    assert np.array_equal(out.data, merged @ wo.data + bo.data)
+    assert np.array_equal(out.data, layer_norm(x.data + (merged @ wo.data + bo.data),
+                                               gain.data, bias.data))
 
 
 def test_attention_requires_a_head_stack():
     x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
     with pytest.raises(nx.ShapeError):
-        nx.attention(x, x, w, w, w, t(np.ones((4, 3))), t(np.zeros(3)), 1.0)
+        nx.attention(x, x, w, w, w, t(np.ones((4, 3))), t(np.zeros(3)), *unit_norm(3), 1.0)
 
 
 @pytest.mark.parametrize("probe", ["matrix", "stack", "shared right"])
@@ -98,11 +108,12 @@ def test_finite_diff_stacked_head_ops(probe):
     leaves = {"matrix": t(rng.normal((4, 6))), "stack": t(rng.normal((3, 6, 2))),
               "shared right": t(rng.normal((2, 5)))}
     wo, bo = t(rng.normal((6, 6), 0.5)), t(rng.normal(6, 0.5))
+    gain, bias = t(rng.normal(6, 0.5) + 1.0), t(rng.normal(6, 0.5))
 
     def f(v):
         x, w, u = (v if name == probe else leaf for name, leaf in leaves.items())
         q = nx.matmul(x, w)
-        out, _, _ = nx.attention(x, x, w, w, w, wo, bo, 0.5)
+        out = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5)
         return nx.sum_n([nx.sum_all(tanh(out)),
                          nx.sum_all(nx.mul(nx.take_row(q, 1), nx.take_row(q, 2))),
                          nx.mean_all(tanh(nx.matmul(q, u)))])
@@ -128,16 +139,16 @@ def test_batched_ops_match_per_item_ops():
     q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
     wo, bo = t(rng.normal((6, 6))), t(rng.normal(6))
     gain, bias = t(rng.normal(6)), t(rng.normal(6))
-    out, a, v = nx.attention(x, x, w, w, w, wo, bo, 0.5)
-    normed = nx.add_layer_norm(out, tanh(out), gain, bias)
+    out, a, v = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5, trace=True)
+    normed = tanh(out, gain, bias)
     assert q.shape == (3, 2, 3, 3) and out.shape == (3, 3, 6)
     for b in range(3):
         assert np.array_equal(q.data[b], nx.matmul(t(x.data[b]), w).data)
-        one = nx.attention(t(x.data[b]), t(x.data[b]), w, w, w, wo, bo, 0.5)
+        one = nx.attention(t(x.data[b]), t(x.data[b]), w, w, w, wo, bo, gain, bias, 0.5,
+                           trace=True)
         assert np.array_equal(out.data[b], one[0].data)
         assert np.array_equal(a[b], one[1]) and np.array_equal(v[b], one[2])
-        assert np.array_equal(normed.data[b], nx.add_layer_norm(
-            t(out.data[b]), t(np.tanh(out.data[b])), gain, bias).data)
+        assert np.array_equal(normed.data[b], tanh(t(out.data[b]), gain, bias).data)
         assert np.array_equal(nx.gather_rows(x, b).data, x.data[b])
     assert np.array_equal(nx.gather_rows(x, [2, 0, 2]).data, x.data[[2, 0, 2]])
     # losses over the last axis, one target or label per row or element
@@ -168,13 +179,14 @@ def test_batched_ops_match_per_item_ops():
 def test_finite_diff_batched_ops(probe):
     """A zero-padded stack under a shared [CLS] row, (B, 1, L, d) @
     (heads, d, w) (both operands) and (B, heads) @ (B, heads) matmul, batched
-    attention and add_layer_norm, int and repeated leading-axis indexing,
-    and batched cross-entropy and BCE; each operand probed."""
+    attention and a residual tanh node that share one layer norm's gain and
+    bias, int and repeated leading-axis indexing, and batched cross-entropy
+    and BCE; each operand probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
               "cls": t(rng.normal((1, 4))), "weights": t(rng.normal((2, 4, 3))),
-              "gain": t(rng.normal(6, 0.5) + 1.0), "bias": t(rng.normal(6, 0.5))}
-    wo, bo = t(rng.normal((6, 6), 0.5)), t(rng.normal(6, 0.5))
+              "gain": t(rng.normal(4, 0.5) + 1.0), "bias": t(rng.normal(4, 0.5))}
+    wo, bo = t(rng.normal((6, 4), 0.5)), t(rng.normal(4, 0.5))
 
     def f(v):
         short, long_, cls, w, gain, bias = (v if name == probe else leaf
@@ -184,13 +196,13 @@ def test_finite_diff_batched_ops(probe):
         rows = nx.prepend_row(cls, stack)
         q = nx.matmul(nx.reshape(rows, (3, 1, 4, 4)), w)
         scores = nx.matmul(q, nx.reshape(tanh(q), (3, 2, 3, 4)))
-        out, _, _ = nx.attention(rows, rows, w, w, w, wo, bo, 0.5)
-        y = nx.add_layer_norm(tanh(out), out, gain, bias)
+        out = nx.attention(rows, rows, w, w, w, wo, bo, gain, bias, 0.5)
+        y = tanh(out, gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
         one = nx.gather_rows(y, 1)
-        ce = nx.cross_entropy_logits(y, np.array([[0, 5, 2, 1], [1, 1, 4, 3],
-                                                  [3, 0, 5, 2]]))
-        bce = nx.binary_cross_entropy_logit(one, np.eye(4, 6))
+        ce = nx.cross_entropy_logits(y, np.array([[0, 3, 2, 1], [1, 1, 2, 3],
+                                                  [3, 0, 1, 2]]))
+        bce = nx.binary_cross_entropy_logit(one, np.eye(4))
         return nx.sum_n([nx.sum_all(tanh(picked)), nx.mean_all(nx.mul(one, one)),
                          nx.mean_all(tanh(scores)), nx.sum_all(ce),
                          nx.sum_all(bce)])
@@ -246,7 +258,7 @@ def test_gather_rows_backward_matches_add_at(ids):
 
 
 # ---------------------------------------------------------------------------
-# fused ops: attention, tanh MLP, add & layer norm, linear
+# fused ops: attention and tanh MLP sublayers, linear
 
 
 def row_softmax(scores):
@@ -256,7 +268,8 @@ def row_softmax(scores):
     rows, cols = scores.shape
     zero = t(np.zeros((1, 1, 1)))
     return nx.attention(t(np.zeros((rows, 1))), t(np.zeros((cols, 1))), zero, zero,
-                        zero, t(np.zeros((1, 1))), t(np.zeros(1)), 1.0, scores)[1][0]
+                        zero, t(np.zeros((1, 1))), t(np.zeros(1)), *unit_norm(1), 1.0,
+                        scores, trace=True)[1][0]
 
 
 def test_row_softmax_uniform():
@@ -286,24 +299,36 @@ def test_row_softmax_rows_are_distributions(x):
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
-ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo", "bo")
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo", "bo", "gain", "bias")
+
+# image indexes of 4 images: the pairs of an image are not adjacent and
+# images 1 and 3 take one pair each; pairs on images 0 and 3 only; every
+# pair on one image; one pair
+RAGGED = {"unsorted": [2, 0, 3, 0, 2, 1], "unused image": [0, 3, 0],
+          "one image": [1, 1, 1, 1], "single pair": [2]}
 
 
 def attention_case(case):
     """Leaves, key bias and key/value index of a small attention: ``self``
     shares one (B, L, d) x between queries and keys, with a padding key
     bias; ``cross`` is a batch against an image stack whose index repeats
-    an image; ``pair`` is one (L_q, d) matrix against one (L_kv, d)."""
+    an image; ``pair`` is one (L_q, d) matrix against one (L_kv, d); a
+    ``RAGGED`` case is a batch against a stack of 4 images under its index."""
     rng = nx.Rng(25)
-    rows = {"self": [(3, 4, 4)], "cross": [(3, 3, 4), (2, 5, 4)],
-            "pair": [(3, 4), (5, 4)]}[case]
+    if case in RAGGED:
+        index, rows = RAGGED[case], [(len(RAGGED[case]), 3, 4), (4, 5, 4)]
+    else:
+        index = [1, 0, 1] if case == "cross" else None
+        rows = {"self": [(3, 4, 4)], "cross": [(3, 3, 4), (2, 5, 4)],
+                "pair": [(3, 4), (5, 4)]}[case]
     leaves = dict(zip(("x",) if case == "self" else ("x_q", "x_kv"),
                       (t(rng.normal(shape)) for shape in rows)))
     leaves.update({name: t(rng.normal((2, 4, 3))) for name in ATTENTION_WEIGHTS[:3]})
-    leaves.update(wo=t(rng.normal((6, 5), 0.5)), bo=t(rng.normal(5)))
+    leaves.update(wo=t(rng.normal((6, 4), 0.5)), bo=t(rng.normal(4)),
+                  gain=t(rng.normal(4, 0.5) + 1.0), bias=t(rng.normal(4, 0.5)))
     pad = np.where(np.arange(4) < np.array([[4], [2], [3]]), 0.0, -1e30)
-    bias = pad[:, None, None, :] if case == "self" else None
-    return leaves, bias, [1, 0, 1] if case == "cross" else None
+    key_bias = pad[:, None, None, :] if case == "self" else None
+    return leaves, key_bias, index
 
 
 def attention_args(case, leaves):
@@ -311,64 +336,113 @@ def attention_args(case, leaves):
     return [leaves[name] for name in names + ATTENTION_WEIGHTS]
 
 
+def chain_of(case, attention_chain):
+    """The attention chain of ``case`` with its layer norm, as arrays."""
+    leaves, key_bias, index = attention_case(case)
+    args = [a.data for a in attention_args(case, leaves)]
+    return attention_chain(*args[:7], 0.6, key_bias, index, norm=args[7:])
+
+
 @pytest.mark.parametrize("case, probe", [
-    (case, probe) for case in ("self", "cross", "pair")
+    (case, probe) for case in ("self", "cross", "pair", "unsorted")
     for probe in (("x",) if case == "self" else ("x_q", "x_kv")) + ATTENTION_WEIGHTS])
 def test_finite_diff_attention(case, probe):
-    """Each of the seven inputs probed; the shared x of self-attention fills
+    """Each of the nine inputs probed; the shared x of self-attention fills
     the query and the key/value input at once."""
-    leaves, bias, index = attention_case(case)
+    leaves, key_bias, index = attention_case(case)
     x_q = attention_args(case, leaves)[0]
-    c = t(nx.Rng(26).normal(x_q.shape[:-1] + (5,)))
+    c = t(nx.Rng(26).normal(x_q.shape))
 
     def f(v):
-        out, _, _ = nx.attention(*attention_args(case, {**leaves, probe: v}), 0.6,
-                                 bias, index)
+        out = nx.attention(*attention_args(case, {**leaves, probe: v}), 0.6, key_bias,
+                           index)
         return nx.sum_all(nx.mul(out, c))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
 
-@pytest.mark.parametrize("probe", ["x", "w1", "b1", "w2", "b2"])
+@pytest.mark.parametrize("case", list(RAGGED))
+def test_indexed_attention_matches_the_chain(case, attention_chain):
+    """Pairs grouped by image against the chain that gathers keys and values
+    per pair: ``v`` comes back per image, and the rows the index picks are
+    the chain's values; the output and the per-pair attention agree."""
+    leaves, _, index = attention_case(case)
+    out, a, v = nx.attention(*attention_args(case, leaves), 0.6, None, index, trace=True)
+    want_out, want_a, want_v = chain_of(case, attention_chain)
+    assert v.shape == (4, 2, 5, 3) and np.array_equal(v[index], want_v)
+    assert np.array_equal(a, want_a)
+    assert np.array_equal(out.data, want_out)
+
+
+@pytest.mark.parametrize("case", list(RAGGED))
+def test_indexed_attention_gradients_match_the_selected_rows(case):
+    """Every input's gradient through the per-image path equals that of the
+    same attention over the image rows gathered per pair; an image no pair
+    uses gets none."""
+    leaves, _, index = attention_case(case)
+    c = t(nx.Rng(26).normal((len(index), 3, 4)))
+
+    def grads(indexed):
+        fresh = {name: t(leaf.data, grad=True) for name, leaf in leaves.items()}
+        x_q, x_kv, *weights = attention_args(case, fresh)
+        out = nx.attention(x_q, x_kv, *weights, 0.6, None, index) if indexed else \
+            nx.attention(x_q, nx.gather_rows(x_kv, index), *weights, 0.6)
+        nx.backward(nx.sum_all(nx.mul(out, c)))
+        return out.data, {name: leaf.grad for name, leaf in fresh.items()}
+
+    (got, got_grads), (want, want_grads) = grads(True), grads(False)
+    assert np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12), name
+    unused = np.setdiff1d(np.arange(4), index)
+    assert not got_grads["x_kv"][unused].any()
+
+
+@pytest.mark.parametrize("probe", ["x", "w1", "b1", "w2", "b2", "gain", "bias"])
 def test_finite_diff_tanh_mlp(probe):
+    """The plain node and the residual node LN(x + tanh_mlp(x)) on the same
+    weights; each input probed."""
     rng = nx.Rng(27)
     leaves = {"x": t(rng.normal((2, 3, 4))), "w1": t(rng.normal((4, 6), 0.5)),
-              "b1": t(rng.normal(6, 0.5)), "w2": t(rng.normal((6, 3))),
-              "b2": t(rng.normal(3))}
-    c = t(rng.normal((2, 3, 3)))
+              "b1": t(rng.normal(6, 0.5)), "w2": t(rng.normal((6, 4))),
+              "b2": t(rng.normal(4)), "gain": t(rng.normal(4, 0.5) + 1.0),
+              "bias": t(rng.normal(4, 0.5))}
+    c, c_norm = t(rng.normal((2, 3, 4))), t(rng.normal((2, 3, 4)))
 
     def f(v):
-        args = (v if name == probe else leaf for name, leaf in leaves.items())
-        return nx.sum_all(nx.mul(nx.tanh_mlp(*args), c))
+        args = [v if name == probe else leaf for name, leaf in leaves.items()]
+        return nx.sum_n([nx.sum_all(nx.mul(nx.tanh_mlp(*args[:5]), c)),
+                         nx.sum_all(nx.mul(nx.tanh_mlp(*args), c_norm))])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
 
-def test_fused_ops_equal_the_chains_they_replace(attention_chain):
+def test_fused_ops_equal_the_chains_they_replace(attention_chain, layer_norm):
     """Each fused op's value is bit-for-bit the chain of ops it replaced,
     written out in numpy."""
     for case in ("self", "cross", "pair"):
-        leaves, bias, index = attention_case(case)
-        args = attention_args(case, leaves)
-        got = nx.attention(*args, 0.6, bias, index)
-        want = attention_chain(*(a.data for a in args), 0.6, bias, index)
+        leaves, key_bias, index = attention_case(case)
+        got = nx.attention(*attention_args(case, leaves), 0.6, key_bias, index,
+                           trace=True)
+        want = chain_of(case, attention_chain)
+        values = got[2] if index is None else got[2][index]
         assert np.array_equal(got[0].data, want[0]), case
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), case
+        assert np.array_equal(got[1], want[1]) and np.array_equal(values, want[2]), case
 
     rng = nx.Rng(19)
-    x, delta = rng.normal((3, 4, 6)), rng.normal((3, 4, 6))
+    x = rng.normal((3, 4, 6))
     gain, bias = rng.normal(6) + 1.0, rng.normal(6)
-    s = x + delta
-    want = (s - s.mean(axis=-1, keepdims=True)) * \
-        (1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
-    assert np.array_equal(nx.add_layer_norm(t(x), t(delta), t(gain), t(bias)).data, want)
-
     w, b = rng.normal((6, 3)), rng.normal(3)
     w2, b2 = rng.normal((3, 5)), rng.normal(5)
+    w3, b3 = rng.normal((3, 6)), rng.normal(6)
     for rows in (x, x[0]):
         assert np.array_equal(nx.linear(t(rows), t(w), t(b)).data, rows @ w + b)
         assert np.array_equal(nx.tanh_mlp(t(rows), t(w), t(b), t(w2), t(b2)).data,
                               np.tanh(rows @ w + b) @ w2 + b2)
+        residual = nx.tanh_mlp(*(t(a) for a in (rows, w, b, w3, b3, gain, bias)))
+        assert np.array_equal(residual.data,
+                              layer_norm(rows + (np.tanh(rows @ w + b) @ w3 + b3),
+                                         gain, bias))
 
 
 @pytest.mark.parametrize("bias", ["none", "pad"])
@@ -381,12 +455,12 @@ def test_finite_diff_attention_weights_single_image(probe, bias):
     leaves = {"rows": t(rng.normal((4, 6))), "wq": t(rng.normal((2, 6, 3))),
               "wk": t(rng.normal((2, 6, 3)))}
     key_bias = None if bias == "none" else np.array([0.0, 0.0, 0.0, -1e30])
-    wv, wo, bo = t(rng.normal((2, 6, 3))), t(rng.normal((6, 4))), t(rng.normal(4))
-    c = t(rng.normal((4, 4)))
+    wv, wo, bo = t(rng.normal((2, 6, 3))), t(rng.normal((6, 6))), t(rng.normal(6))
+    c = t(rng.normal((4, 6)))
 
     def f(v):
         x, wq, wk = (v if name == probe else leaf for name, leaf in leaves.items())
-        out, _, _ = nx.attention(x, x, wq, wk, wv, wo, bo, 0.5, key_bias)
+        out = nx.attention(x, x, wq, wk, wv, wo, bo, *unit_norm(6), 0.5, key_bias)
         return nx.sum_all(nx.mul(out, c))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
@@ -407,7 +481,7 @@ def test_finite_diff_attention_weights_batch(probe, bias):
 
     def f(v):
         x_q, x_kv = (v if name == probe else leaf for name, leaf in leaves.items())
-        out, _, _ = nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, 0.7, key_bias)
+        out = nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, *unit_norm(3), 0.7, key_bias)
         return nx.sum_all(nx.mul(out, c))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
@@ -415,14 +489,18 @@ def test_finite_diff_attention_weights_batch(probe, bias):
 
 @pytest.mark.parametrize("probe", ["x", "delta", "gain", "bias"])
 def test_finite_diff_add_layer_norm(probe):
+    """The add & layer norm that ends a residual node, alone: with zero
+    weights the residual tanh node is LN(x + delta), its second bias the
+    delta added to every row."""
     rng = nx.Rng(22)
-    leaves = {"x": t(rng.normal((2, 3, 5))), "delta": t(rng.normal((2, 3, 5))),
+    leaves = {"x": t(rng.normal((2, 3, 5))), "delta": t(rng.normal(5)),
               "gain": t(rng.normal(5, 0.5) + 1.0), "bias": t(rng.normal(5, 0.5))}
+    w1, b1, w2 = t(np.zeros((5, 4))), t(np.zeros(4)), t(np.zeros((4, 5)))
 
     def f(v):
         x, delta, gain, bias = (v if name == probe else leaf
                                 for name, leaf in leaves.items())
-        return nx.sum_all(tanh(nx.add_layer_norm(x, delta, gain, bias)))
+        return nx.sum_all(tanh(nx.tanh_mlp(x, w1, b1, w2, delta, gain, bias)))
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
@@ -458,39 +536,46 @@ def test_linear_backward_matches_broadcast_sum():
 
 def test_fused_ops_reject_mismatched_operands():
     leaves, _, _ = attention_case("cross")
-    x_q, x_kv, wq, wk, wv, wo, bo = attention_args("cross", leaves)
+    x_q, x_kv, wq, wk, wv, wo, bo, gain, bias = attention_args("cross", leaves)
     index = [1, 0, 1]
 
-    def attend(*, x_q=x_q, x_kv=x_kv, wq=wq, wk=wk, wo=wo, bo=bo, bias=None,
-               index=index):
-        return nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, 1.0, bias, index)
+    def attend(*, x_q=x_q, x_kv=x_kv, wq=wq, wk=wk, wo=wo, bo=bo, gain=gain,
+               key_bias=None, index=index):
+        return nx.attention(x_q, x_kv, wq, wk, wv, wo, bo, gain, bias, 1.0, key_bias,
+                            index)
 
     attend()
+    attend(x_kv=nx.gather_rows(x_kv, index), index=None, key_bias=np.zeros(5))
     for bad in (dict(wk=t(np.ones((2, 4, 2)))),             # key width
                 dict(x_q=t(np.ones((3, 3, 5)))),            # query width
                 dict(x_kv=t(np.ones((2, 5, 5)))),           # key/value width
                 dict(index=None),                           # keys per pair
                 dict(index=[1, 0]),                         # an entry per pair
                 dict(x_q=t(np.ones((3, 4)))),               # a batch to index
-                dict(wo=t(np.ones((5, 5)))),                # heads * width rows
-                dict(bo=t(np.ones(6)))):
+                dict(wo=t(np.ones((5, 4)))),                # heads * width rows
+                dict(wo=t(np.ones((6, 5)))),                # the residual's width
+                dict(bo=t(np.ones(6))),
+                dict(gain=t(np.ones(5)))):                  # the norm's width
         with pytest.raises(nx.ShapeError):
             attend(**bad)
+    # images are never padded: a key bias takes no index
+    with pytest.raises(nx.ShapeError, match="key bias"):
+        attend(key_bias=np.zeros(5))
     for bad in ([1, 0, 2], [1, -1, 0]):
         with pytest.raises(IndexError, match="index"):
             attend(index=bad)
     w1, b1, w2, b2 = (t(np.ones(s)) for s in ((4, 6), (6,), (6, 3), (3,)))
+    w2_4, b2_4 = t(np.ones((6, 4))), t(np.ones(4))
     nx.tanh_mlp(x_q, w1, b1, w2, b2)
+    nx.tanh_mlp(x_q, w1, b1, w2_4, b2_4, *unit_norm(4))
     for bad in ((x_kv, w1, b1, t(np.ones((5, 3))), b2), (x_q, w1, b1, w2, b1),
-                (x_q, w1, t(np.ones(4)), w2, b2), (t(np.ones((3, 5))), w1, b1, w2, b2)):
+                (x_q, w1, t(np.ones(4)), w2, b2), (t(np.ones((3, 5))), w1, b1, w2, b2),
+                (x_q, w1, b1, w2, b2, *unit_norm(3)),               # residual width
+                (x_q, w1, b1, w2_4, b2_4, t(np.ones(3)), b2_4),     # norm width
+                (x_q, w1, b1, w2_4, b2_4, t(np.ones(4))),           # a gain alone
+                (x_q, w1, b1, w2_4, b2_4, None, b2_4)):             # a bias alone
         with pytest.raises(nx.ShapeError):
             nx.tanh_mlp(*bad)
-    with pytest.raises(nx.ShapeError):
-        nx.add_layer_norm(t(np.ones((2, 3))), t(np.ones((1, 3))), t(np.ones(3)),
-                          t(np.zeros(3)))
-    with pytest.raises(nx.ShapeError):
-        nx.add_layer_norm(t(np.ones((2, 3))), t(np.ones((2, 3))), t(np.ones(2)),
-                          t(np.zeros(3)))
     with pytest.raises(nx.ShapeError):
         nx.linear(t(np.ones((2, 3))), t(np.ones((2, 3, 4))), t(np.zeros(4)))
     with pytest.raises(nx.ShapeError):
@@ -744,13 +829,12 @@ def test_finite_diff_softmax_cross_entropy():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_finite_diff_layer_norm(seed):
+    # the layer norm that ends a residual node, here LN(x + tanh(x))
     rng = nx.Rng(seed)
     x = t(rng.normal((3, 5)))
     gain = t(rng.normal(5, 0.5) + 1.0)
     bias = t(rng.normal(5, 0.5))
-    delta = t(rng.normal((3, 5)))
-    err = nx.finite_diff_check(
-        lambda v: nx.sum_all(tanh(nx.add_layer_norm(v, delta, gain, bias))), x)
+    err = nx.finite_diff_check(lambda v: nx.sum_all(tanh(tanh(v, gain, bias))), x)
     assert err < 1e-6
 
 
@@ -762,7 +846,7 @@ def test_finite_diff_composite_ops():
     wo, bo = t(rng.normal((4, 3))), t(rng.normal(3))
 
     def f(v):
-        y, _, _ = nx.attention(v, v, w, w, w, wo, bo, 1.0)
+        y = nx.attention(v, v, w, w, w, wo, bo, *unit_norm(3), 1.0)
         z = nx.l2_normalize_rows(tanh(y))
         return nx.mean_all(nx.mul(z, nx.add(z, 1.0)))
 
@@ -803,12 +887,13 @@ def test_gradcheck_random_small_graphs(seed):
     rng = nx.Rng(100 + seed)
     w = t(rng.normal((6, 4)))
     # identity keys, projections and output: the scores are h itself and the
-    # output rows are its row softmax
+    # output rows are the layer norm of h plus its row softmax
     eye, stack = t(np.eye(4)), t(np.eye(4)[None])
 
     def f(v):
         h = tanh(nx.matmul(v, w))
-        s, _, _ = nx.attention(h, eye, stack, stack, stack, eye, t(np.zeros(4)), 1.0)
+        s = nx.attention(h, eye, stack, stack, stack, eye, t(np.zeros(4)), *unit_norm(4),
+                         1.0)
         return nx.cross_entropy_logits(nx.take_row(s, 0), seed % 4)
 
     x = t(rng.normal((2, 6)))

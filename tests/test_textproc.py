@@ -74,7 +74,7 @@ def test_pos_tag_punctuation_is_other(pipeline):
 
 
 def phrases_of(pipeline, text):
-    return [p.text() for p in pipeline.phrases(text)]
+    return [" ".join(p.words) for p in pipeline.phrases(text)]
 
 
 @pytest.mark.parametrize("case", FIXTURE, ids=lambda c: c["text"][:32] or "<empty>")
