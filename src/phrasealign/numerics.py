@@ -16,6 +16,12 @@ full-size buffer is held for nodes backward never reaches. Leaf slots must be
 cleared explicitly through ``zero_grads`` between backward passes; reuse
 without a reset raises.
 
+A graph is differentiated once. As ``backward`` passes a node it frees the
+node's backward function and every array that function saved (attention
+weights, projections, a norm's normalized input), and keeps the node's value
+and its ``parents``; a held root keeps only the values of its graph alive.
+Backward through a node it has passed raises, even after ``zero_grads``.
+
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
 hand-written backward. :func:`attention` is a whole residual attention
@@ -39,10 +45,11 @@ datasets and checkpoints are both written in.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -96,7 +103,10 @@ class Tensor:
     produced while recording starts with ``None``, holds its gradient, an
     array nothing writes, only between its first use in :func:`backward` and
     the call of its backward function, and is ``None`` again afterwards.
-    ``op`` and ``parents`` describe how the tensor was produced.
+    ``op`` and ``parents`` describe how the tensor was produced. They and
+    ``data`` stay once :func:`backward` has passed the node; its backward
+    function, and every array that function saved, go: a graph is
+    differentiated once.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "requires_grad",
@@ -123,11 +133,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs one element, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -688,6 +693,13 @@ def _toposort(root: Tensor) -> list:
     return order  # inputs before consumers
 
 
+def _spent(op: str, g) -> NoReturn:
+    """The backward function of a node that :func:`backward` has passed."""
+    raise GradientStateError(f"backward already ran through a node of op '{op}' "
+                             "and freed its saved arrays; a graph is "
+                             "differentiated once")
+
+
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(node) into the grad slot of every reachable leaf.
 
@@ -700,6 +712,11 @@ def backward(root: Tensor) -> None:
     of the input's own shape. Grad slots touched by a previous backward must
     be reset (``zero_grads``) first; silent accumulation across passes is an
     error by design.
+
+    A graph is differentiated once: each node's backward function is freed,
+    with every array it saved, as soon as it has run, and node values and
+    ``parents`` stay. A later backward through such a node raises
+    ``GradientStateError`` naming its op.
     """
     if root.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
@@ -718,7 +735,7 @@ def backward(root: Tensor) -> None:
         if node._backward_fn is None or node.grad is None:
             continue
         grads = node._backward_fn(node.grad)
-        node.grad = None
+        node.grad, node._backward_fn = None, functools.partial(_spent, node.op)
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
@@ -803,12 +820,15 @@ class Rng:
         return self._g.standard_normal(shape) * scale
 
     def truncated_normal(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Normal draws redrawn beyond two standard units, then scaled."""
+        """Normal draws redrawn beyond two standard units, then scaled. Each
+        round redraws the entries still out of range, in memory order, and
+        checks only those."""
         x = self._g.standard_normal(shape)
-        bad = np.abs(x) > 2.0
-        while bad.any():
-            x[bad] = self._g.standard_normal(int(bad.sum()))
-            bad = np.abs(x) > 2.0
+        flat = x.reshape(-1)
+        out = np.flatnonzero(np.abs(flat) > 2.0)
+        while out.size:
+            flat[out] = self._g.standard_normal(out.size)
+            out = out[np.abs(flat[out]) > 2.0]
         return x * scale
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:

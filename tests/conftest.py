@@ -71,6 +71,17 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
+def _held_mib(fn):
+    """The tracemalloc size, in MiB, of what ``fn()`` allocated and still
+    holds when it returns, its return value kept alive."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841
+        return tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def layer_norm():
     return _layer_norm
@@ -89,3 +100,8 @@ def tensors_made():
 @pytest.fixture
 def peak_mib():
     return _peak_mib
+
+
+@pytest.fixture
+def held_mib():
+    return _held_mib

@@ -75,13 +75,13 @@ def score_per_head(attn: Tensor, values: np.ndarray, mask_row: int,
 def test_score_hand_value():
     trace = fake_trace([[[1.0, 0.0]]], [[[1.0, 2.0], [3.0, 4.0]]])
     s = score_per_head(Tensor(trace.attn), trace.values, 0, Tensor([[1.0], [1.0]]))
-    assert s.item() == pytest.approx(3.0)
+    assert s.data.item() == pytest.approx(3.0)
 
 
 def test_score_zero_projection():
     trace = fake_trace([[[0.3, 0.7]]], [[[1.0, 2.0], [3.0, 4.0]]])
     s = score_per_head(Tensor(trace.attn), trace.values, 0, Tensor([[0.0], [0.0]]))
-    assert s.item() == 0.0
+    assert s.data.item() == 0.0
 
 
 def test_score_linear_in_projection():
@@ -89,7 +89,7 @@ def test_score_linear_in_projection():
     w = Rng(1).normal((2, 1))
     s1, s2 = (score_per_head(Tensor(trace.attn), trace.values, 0, Tensor(scale * w))
               for scale in (1.0, 2.0))
-    assert s2.item() == pytest.approx(2.0 * s1.item())
+    assert s2.data.item() == pytest.approx(2.0 * s1.data.item())
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_similarity_identical_is_one():
     img = image_output([np.zeros(3), v])
     loss = la.pooled_alignment_loss(np.array([[0.0, 1.0]]), img, image_output([v]),
                                     projections(np.eye(3), np.eye(3)))
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
+    assert loss.data.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_similarity_orthogonal_is_zero():
@@ -257,7 +257,7 @@ def test_similarity_orthogonal_is_zero():
     loss = la.pooled_alignment_loss(np.array([[0.0, 1.0]]), img,
                                     image_output([[0.0, 1.0]]),
                                     projections(np.eye(2), np.eye(2)))
-    assert loss.item() == pytest.approx(1.0)
+    assert loss.data.item() == pytest.approx(1.0)
 
 
 def test_similarity_scale_invariant():
@@ -268,7 +268,7 @@ def test_similarity_scale_invariant():
     base = la.pooled_alignment_loss(w, image_output(rows), image_output(cls), params)
     scaled = la.pooled_alignment_loss(w, image_output(7.0 * rows),
                                       image_output(0.3 * cls), params)
-    assert scaled.item() == pytest.approx(base.item(), abs=1e-12)
+    assert scaled.data.item() == pytest.approx(base.data.item(), abs=1e-12)
 
 
 def loss_setup(cls_row):
@@ -291,14 +291,14 @@ def loss_setup(cls_row):
 def test_loss_zero_when_aligned():
     img, phrase, fusion, params, cfg = loss_setup([1.0, -2.0, 0.5])
     loss, weights = la.local_alignment_loss(img, phrase, fusion, [1], params, cfg)
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
+    assert loss.data.item() == pytest.approx(0.0, abs=1e-12)
     assert abs(weights.w.sum() - 1.0) <= 1e-9
 
 
 def test_loss_two_when_anti_aligned():
     img, phrase, fusion, params, cfg = loss_setup([-1.0, 2.0, -0.5])
     loss, _ = la.local_alignment_loss(img, phrase, fusion, [1], params, cfg)
-    assert loss.item() == pytest.approx(2.0, abs=1e-12)
+    assert loss.data.item() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_loss_within_range_on_random_setups():
@@ -314,7 +314,7 @@ def test_loss_within_range_on_random_setups():
         cfg = md.ModelConfig(d=3, heads=2, vocab_size=8, patch_rows=2,
                              patch_cols=2, patch_pixels=3, proj_dim=4)
         loss, _ = la.local_alignment_loss(img, phrase, fusion, [1], params, cfg)
-        assert 0.0 <= loss.item() <= 2.0
+        assert 0.0 <= loss.data.item() <= 2.0
 
 
 def test_loss_requires_trace():

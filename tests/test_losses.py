@@ -53,7 +53,7 @@ def test_itc_single_item_empty_queue_zero_loss():
     loss = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
     # the positive is the only candidate: an unfilled queue slot would add a
     # zero logit and a loss of log(1 + 1/e)
-    assert loss.item() == pytest.approx(0.0, abs=1e-15)
+    assert float(loss.data) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_itc_orthonormal_pair_hand_value():
@@ -61,7 +61,7 @@ def test_itc_orthonormal_pair_hand_value():
     emb = np.eye(2)
     loss = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
     expected = -math.log(math.e / (math.e + 1.0))
-    assert loss.item() == pytest.approx(expected, abs=1e-12)
+    assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
 
 def test_itc_queue_entries_are_negatives():
@@ -73,13 +73,13 @@ def test_itc_queue_entries_are_negatives():
     loss_with_queue = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q, Tensor(1.0))
     q2 = ls.QueueState(8, 2)
     loss_empty = ls.itc_loss(Tensor(emb), Tensor(emb), emb, emb, q2, Tensor(1.0))
-    assert loss_with_queue.item() > loss_empty.item()
+    assert float(loss_with_queue.data) > float(loss_empty.data)
     # each row faces its 2 batch candidates plus the 2 filled queue slots,
     # logits (1, 0, 1, 0), and not the 6 unfilled ones
     e = math.e
-    assert loss_with_queue.item() == pytest.approx(math.log(2.0 * (e + 1.0) / e),
+    assert float(loss_with_queue.data) == pytest.approx(math.log(2.0 * (e + 1.0) / e),
                                                    rel=1e-12)
-    assert loss_empty.item() == pytest.approx(math.log((e + 1.0) / e), rel=1e-12)
+    assert float(loss_empty.data) == pytest.approx(math.log((e + 1.0) / e), rel=1e-12)
 
 
 def test_itc_rejects_nonpositive_temperature():
@@ -109,16 +109,16 @@ def test_itc_momentum_side_receives_no_gradient():
 
 def test_itm_logit_zero_is_log2_per_pair():
     loss = ls.itm_loss(Tensor([0.0]), [1.0])
-    assert loss.item() == pytest.approx(math.log(2.0))
+    assert float(loss.data) == pytest.approx(math.log(2.0))
 
 
 def test_itm_saturated_positive():
-    assert ls.itm_loss(Tensor([20.0]), [1.0]).item() < 1e-8
+    assert float(ls.itm_loss(Tensor([20.0]), [1.0]).data) < 1e-8
 
 
 def test_itm_identical_fusion_minimum_at_zero():
     def total(z):
-        return ls.itm_loss(Tensor([z, z]), [1.0, 0.0]).item()
+        return float(ls.itm_loss(Tensor([z, z]), [1.0, 0.0]).data)
 
     assert total(0.0) == pytest.approx(2.0 * math.log(2.0))
     assert total(0.5) > total(0.0)
@@ -127,13 +127,13 @@ def test_itm_identical_fusion_minimum_at_zero():
 
 def test_itm_normalizes_by_positive_count():
     loss = ls.itm_loss(Tensor(np.zeros(4)), [1.0, 1.0, 0.0, 0.0])
-    assert loss.item() == pytest.approx(2.0 * math.log(2.0))
+    assert float(loss.data) == pytest.approx(2.0 * math.log(2.0))
 
 
 def test_fine_similarity_scalar():
     cls = Tensor(np.array([1.0, 2.0]))
     w_o = Tensor(np.array([[0.5], [1.0]]))
-    assert ls.fine_similarity(cls, w_o).item() == pytest.approx(2.5)
+    assert float(ls.fine_similarity(cls, w_o).data) == pytest.approx(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +197,24 @@ def test_negatives_hard_mode_prefers_similar():
 
 def test_triplet_boundary_zero():
     loss = ls.fusion_triplet_loss(Tensor(1.0), Tensor(0.4), Tensor(0.4), margin=0.6)
-    assert loss.item() == pytest.approx(0.0)
+    assert float(loss.data) == pytest.approx(0.0)
 
 
 def test_triplet_hand_value():
     loss = ls.fusion_triplet_loss(Tensor(1.0), Tensor(0.8), Tensor(0.8), margin=0.6)
-    assert loss.item() == pytest.approx(0.32)
+    assert float(loss.data) == pytest.approx(0.32)
 
 
 def test_triplet_satisfied_margin():
     loss = ls.fusion_triplet_loss(Tensor(10.0), Tensor(0.0), Tensor(0.0), margin=0.6)
-    assert loss.item() == 0.0
+    assert float(loss.data) == 0.0
 
 
 def test_triplet_printed_direction_flips_operands():
     loss = ls.fusion_triplet_loss(Tensor(1.0), Tensor(0.8), Tensor(0.8),
                                   margin=0.6, direction="printed")
     # printed operand order penalizes the correct ranking instead
-    assert loss.item() == pytest.approx(2 * (1.0 - 0.8 + 0.6) ** 2)
+    assert float(loss.data) == pytest.approx(2 * (1.0 - 0.8 + 0.6) ** 2)
 
 
 def test_triplet_rejects_bad_margin():
@@ -241,20 +241,20 @@ def mpm_setup(vocab_size=10, d=4, zero=True):
 def test_mpm_uniform_logits_log_vocab():
     params, fusion, masked, v = mpm_setup(zero=True)
     loss = ls.masked_phrase_loss(fusion, [masked], params)
-    assert loss.item() == pytest.approx(math.log(v))
+    assert loss.data.item() == pytest.approx(math.log(v))
 
 
 def test_mpm_saturated_correct():
     params, fusion, masked, v = mpm_setup(zero=True)
     params["mpm.b2"].data[masked.target_id] = 30.0
     loss = ls.masked_phrase_loss(fusion, [masked], params)
-    assert loss.item() < 1e-8
+    assert loss.data.item() < 1e-8
 
 
 def test_mpm_all_positions_mode_sums():
     params, fusion, masked, v = mpm_setup(zero=True)
     loss_all = ls.masked_phrase_loss(fusion, [masked], params, positions="all")
-    assert loss_all.item() == pytest.approx(2 * math.log(v))
+    assert loss_all.data.item() == pytest.approx(2 * math.log(v))
 
 
 def test_mpm_mask_outside_fusion_rejected():
@@ -270,7 +270,7 @@ def test_mpm_mask_outside_fusion_rejected():
 
 def test_total_zero_phrases_is_global_only():
     total, bd = ls.total_loss(Tensor(1.0), Tensor(2.0), Tensor(0.5), None, None)
-    assert total.item() == pytest.approx(3.5)
+    assert float(total.data) == pytest.approx(3.5)
     assert bd.biatt == 0.0 and bd.mpm == 0.0
 
 
@@ -279,7 +279,7 @@ def test_total_phrase_additivity():
                            Tensor([0.3]), Tensor([0.7]))
     two, _ = ls.total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0),
                            Tensor([0.3] * 2), Tensor([0.7] * 2))
-    assert two.item() == pytest.approx(2.0 * one.item())
+    assert float(two.data) == pytest.approx(2.0 * float(one.data))
 
 
 def test_total_breakdown_sums_exactly():
@@ -287,13 +287,13 @@ def test_total_breakdown_sums_exactly():
                               Tensor([0.53, 0.19]), Tensor([2.41, 0.07]),
                               phrase_scale=0.5)
     assert abs(bd.total - (bd.itc + bd.itm + bd.tri + bd.biatt + bd.mpm)) <= 1e-12
-    assert bd.total == pytest.approx(total.item())
+    assert bd.total == pytest.approx(float(total.data))
 
 
 def test_all_losses_nonnegative():
     rng = Rng(5)
     for _ in range(5):
         z = float(rng.normal(()))
-        assert ls.itm_loss(Tensor([z]), [1.0]).item() >= 0.0
-        assert ls.fusion_triplet_loss(Tensor(z), Tensor(z - 1), Tensor(z),
-                                      margin=0.6).item() >= 0.0
+        assert float(ls.itm_loss(Tensor([z]), [1.0]).data) >= 0.0
+        assert float(ls.fusion_triplet_loss(Tensor(z), Tensor(z - 1), Tensor(z),
+                                            margin=0.6).data) >= 0.0

@@ -313,7 +313,8 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
             txts = [md.encode_text(i, params, cfg) for i in ids]
             outs = [md.cross_encode(txts[t], imgs[i], params, cfg,
                                     trace_layer=cfg.bidiratt_layer) for t, i in pairs]
-            logits = [ls.fine_similarity(o.cls, params["itm.w"]).item() for o in outs]
+            logits = [float(ls.fine_similarity(o.cls, params["itm.w"]).data)
+                      for o in outs]
         nx.backward(nx.sum_n([nx.sum_all(nx.mul(o.reps, probe))
                               for o, probe in zip(outs, probes)]))
         grads = {name: p.grad.copy() for name, p in params.named()}

@@ -1,12 +1,15 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from phrasealign import model as md
 from phrasealign import numerics as nx
+from phrasealign.textproc import TextPipeline
 
 
 def t(data, grad=False):
@@ -164,8 +167,8 @@ def test_batched_ops_match_per_item_ops():
                                nx.cross_entropy_logits(row, int(targets[b, r])).data,
                                rtol=1e-15, atol=0.0)
             for j in range(6):
-                assert bce.data[b, r, j] == nx.binary_cross_entropy_logit(
-                    t(normed.data[b, r, j]), labels[b, r, j]).item()
+                assert bce.data[b, r, j] == float(nx.binary_cross_entropy_logit(
+                    t(normed.data[b, r, j]), labels[b, r, j]).data)
     with pytest.raises(nx.ShapeError):
         nx.cross_entropy_logits(normed, targets[0])
     with pytest.raises(nx.ShapeError):
@@ -588,18 +591,18 @@ def test_fused_ops_reject_mismatched_operands():
 
 def test_cross_entropy_hand():
     loss = nx.cross_entropy_logits(t([0.0, 0.0]), 0)
-    assert abs(loss.item() - math.log(2.0)) < 1e-12
+    assert abs(float(loss.data) - math.log(2.0)) < 1e-12
 
 
 def test_cross_entropy_saturated():
     loss = nx.cross_entropy_logits(t([10.0, -10.0]), 0)
-    assert loss.item() < 1e-8
+    assert float(loss.data) < 1e-8
 
 
 def test_cross_entropy_shift_invariance():
     z = np.array([0.3, -1.2, 2.0])
-    a = nx.cross_entropy_logits(t(z), 1).item()
-    b = nx.cross_entropy_logits(t(z + 123.0), 1).item()
+    a = float(nx.cross_entropy_logits(t(z), 1).data)
+    b = float(nx.cross_entropy_logits(t(z + 123.0), 1).data)
     assert abs(a - b) < 1e-9
 
 
@@ -609,15 +612,9 @@ def test_cross_entropy_bad_index():
 
 
 def test_bce_logit_values():
-    assert abs(nx.binary_cross_entropy_logit(t(0.0), 1.0).item() - math.log(2.0)) < 1e-12
-    assert nx.binary_cross_entropy_logit(t(20.0), 1.0).item() < 1e-8
-    assert nx.binary_cross_entropy_logit(t(-500.0), 0.0).item() < 1e-12
-
-
-def test_item_needs_one_element():
-    assert t([[2.5]]).item() == 2.5
-    with pytest.raises(nx.ShapeError, match="one element"):
-        t([1.0, 2.0, 3.0]).item()
+    assert abs(float(nx.binary_cross_entropy_logit(t(0.0), 1.0).data) - math.log(2.0)) < 1e-12
+    assert float(nx.binary_cross_entropy_logit(t(20.0), 1.0).data) < 1e-8
+    assert float(nx.binary_cross_entropy_logit(t(-500.0), 0.0).data) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +649,15 @@ def test_backward_requires_scalar_root():
 
 
 def test_backward_repeat_requires_reset():
+    # a reset clears the root's mark, but an op root's graph is still
+    # differentiated only once
     x = t([1.0, 2.0], grad=True)
     root = nx.sum_all(x)
     nx.backward(root)
     with pytest.raises(nx.GradientStateError):
+        nx.backward(root)
+    nx.zero_grads([x, root])
+    with pytest.raises(nx.GradientStateError, match="'sum_all'.*once"):
         nx.backward(root)
 
 
@@ -667,6 +669,35 @@ def test_backward_stale_leaf_detected():
     nx.zero_grads([x])
     nx.backward(nx.sum_all(nx.mul(x, x)))
     assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_frees_what_a_node_saved_and_keeps_value_and_parents():
+    x = t([1.0, 2.0], grad=True)
+    saved = np.array([3.0, 4.0])
+    freed = weakref.ref(saved)
+    h = nx.Tensor(x.data * saved, requires_grad=True, op="scale", parents=(x,),
+                  backward_fn=lambda g, s=saved: (g * s,))
+    del saved
+    root = nx.sum_all(h)
+    nx.backward(root)
+    assert freed() is None
+    assert h.parents == (x,) and root.parents == (h,)
+    assert np.array_equal(h.data, [3.0, 8.0]) and np.array_equal(x.grad, [3.0, 4.0])
+
+
+def test_backward_through_a_consumed_node_raises():
+    # a new root on a node that backward has passed; once zero_grads clears
+    # the node's mark it still raises, since what the node saved is gone: it
+    # neither passes for a leaf nor differentiates again
+    x = t([1.0, 2.0], grad=True)
+    h = nx.mul(x, x)
+    nx.backward(nx.sum_all(h))
+    x.zero_grad()
+    with pytest.raises(nx.GradientStateError):
+        nx.backward(nx.sum_all(nx.mul(h, 3.0)))
+    nx.zero_grads([x, h])
+    with pytest.raises(nx.GradientStateError, match="'mul'.*once"):
+        nx.backward(nx.sum_all(nx.mul(h, 3.0)))
 
 
 def test_no_grad_allocates_nothing():
@@ -919,3 +950,42 @@ def test_rng_children_deterministic():
 def test_truncated_normal_bounded():
     x = nx.Rng(9).truncated_normal((1000,), scale=0.02)
     assert np.abs(x).max() <= 0.04 + 1e-15
+
+
+def rescanning_truncated_normal(rng, shape, scale=1.0):
+    """``Rng.truncated_normal`` as it was, the reference for its draws: each
+    round re-scans the whole array. Returns (draws, redraw rounds)."""
+    x = rng._g.standard_normal(shape)
+    bad = np.abs(x) > 2.0
+    rounds = 0
+    while bad.any():
+        x[bad] = rng._g.standard_normal(int(bad.sum()))
+        bad = np.abs(x) > 2.0
+        rounds += 1
+    return x * scale, rounds
+
+
+@pytest.mark.parametrize("shape, seed", [((4, 5), 261), ((2, 3, 4), 273)])
+def test_truncated_normal_examples_need_three_redraw_rounds(shape, seed):
+    assert rescanning_truncated_normal(nx.Rng(seed), shape)[1] == 3
+
+
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=24),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 5), seed=261)
+@example(shape=(2, 3, 4), seed=273)
+def test_truncated_normal_matches_the_rescanning_loop(shape, seed):
+    want, _ = rescanning_truncated_normal(nx.Rng(seed), shape, 0.02)
+    assert np.array_equal(nx.Rng(seed).truncated_normal(shape, 0.02), want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_init_params_draws_match_the_rescanning_loop(seed, monkeypatch):
+    cfg = md.ModelConfig(vocab_size=len(TextPipeline().vocab))
+    got = md.init_params(cfg, nx.Rng(seed))
+    monkeypatch.setattr(nx.Rng, "truncated_normal", lambda rng, shape, scale=1.0:
+                        rescanning_truncated_normal(rng, shape, scale)[0])
+    want = md.init_params(cfg, nx.Rng(seed))
+    assert [name for name, _ in got.named()] == [name for name, _ in want.named()]
+    for (name, a), (_, b) in zip(got.named(), want.named()):
+        assert np.array_equal(a.data, b.data), name

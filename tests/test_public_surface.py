@@ -6,6 +6,11 @@ the benchmark programs under ``perfbench/``. Tests do not count as callers,
 and neither does the benchmark's own self-test. References are resolved
 through each file's imports, so ``np.tanh`` is no use of ``numerics.tanh``.
 
+Every public method and property of those modules' classes must be read as
+an attribute (``x.name``) in the same files, outside a definition of that
+name. The receiver's type is not resolved, so an attribute of the same name
+on anything counts: the check can miss a dead method, never flag a used one.
+
 ``ALLOWED`` names each exception together with what will call it. A name
 leaves the list once it has a caller; the list can only shrink.
 """
@@ -23,7 +28,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 CALLER_FILES = sorted(PACKAGE.glob("*.py")) + sorted(
     p for p in (ROOT / "perfbench").glob("*.py") if p.name != "selftest.py")
 
-# "module.name": what will call it
+# "module.name" or "module.Class.member": what will call it
 ALLOWED = {
     "data.save_dataset": "ROADMAP item 2: the CLI's generate",
     "data.load_dataset": "ROADMAP item 2: the CLI's train and eval",
@@ -31,6 +36,8 @@ ALLOWED = {
     "data.slot_of_phrase": "ROADMAP items 2 and 9: the alignment score",
     "local_align.write_heatmap_csv": "ROADMAP item 2: the CLI's heatmap",
     "local_align.write_pgm": "ROADMAP item 2: the CLI's heatmap",
+    "local_align.BidirectionalWeights.pair": "ROADMAP item 2: the CLI's heatmap, "
+                                             "which writes one pair's weights",
     "model.load_checkpoint": "ROADMAP item 6: resume",
     "model.load_params_state": "ROADMAP item 6: resume",
     "gradcheck.run_suite": "the CI step that runs the finite-difference suite",
@@ -41,6 +48,17 @@ def public_names(module: str) -> list[str]:
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def public_members(module: str) -> list[str]:
+    """"Class.member" for each public method and property of the module's
+    public classes."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [f"{cls.name}.{node.name}" for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_")]
 
 
@@ -91,9 +109,32 @@ def references(path: Path) -> set[tuple[str, str]]:
     return found
 
 
+def attribute_reads(path: Path) -> set[str]:
+    """Attribute names that ``path`` reads (``x.name``), each outside any
+    function of that same name, so a method calling itself is no use."""
+    found = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
 @pytest.fixture(scope="module")
 def used() -> set[str]:
     return {f"{m}.{n}" for path in CALLER_FILES for m, n in references(path)}
+
+
+@pytest.fixture(scope="module")
+def read_attributes() -> set[str]:
+    return set().union(*(attribute_reads(path) for path in CALLER_FILES))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -104,11 +145,24 @@ def test_every_public_name_has_a_caller(module, used):
                           f"{uncalled}; call, delete or allow-list them")
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_has_a_caller(module, read_attributes):
+    uncalled = [f"{module}.{member}" for member in public_members(module)
+                if member.split(".")[1] not in read_attributes
+                and f"{module}.{member}" not in ALLOWED]
+    assert not uncalled, (f"public methods and properties never read in src/ or "
+                          f"perfbench/: {uncalled}; call, delete or allow-list them")
+
+
 @pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allow_listed_name_exists_without_a_caller(name, used):
-    module, attr = name.split(".")
-    assert attr in public_names(module), f"{name} is allow-listed but not defined"
-    assert name not in used, f"{name} now has a caller; take it off the allow-list"
+def test_allow_listed_name_exists_without_a_caller(name, used, read_attributes):
+    module, attr = name.split(".", 1)
+    if "." in attr:     # a method or property
+        defined, called = public_members(module), attr.split(".")[1] in read_attributes
+    else:
+        defined, called = public_names(module), name in used
+    assert attr in defined, f"{name} is allow-listed but not defined"
+    assert not called, f"{name} now has a caller; take it off the allow-list"
 
 
 def test_references_resolve_through_imports(tmp_path, monkeypatch):
@@ -132,3 +186,18 @@ def test_references_resolve_through_imports(tmp_path, monkeypatch):
         "model.cross_encode(TextPipeline(), tanh)\n", encoding="utf-8")
     assert references(tmp_path / "bench" / "prog.py") == {
         ("model", "cross_encode"), ("textproc", "TextPipeline")}
+
+
+def test_method_reads_are_attribute_names(tmp_path, monkeypatch):
+    """Public methods and properties of public classes are listed; any
+    ``x.name`` read counts for every member called ``name``, except inside a
+    function of that name."""
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def grow(self):\n        return self.grow(), self.size\n"
+        "    def _hidden(self):\n        self.stored = 0\n        return other.shrink\n"
+        "class _Private:\n    def seen(self):\n        pass\n", encoding="utf-8")
+    assert public_members("mod") == ["Box.size", "Box.grow"]
+    assert attribute_reads(tmp_path / "mod.py") == {"size", "shrink"}
