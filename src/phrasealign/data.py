@@ -311,7 +311,6 @@ def load_dataset(path) -> Dataset:
 
 @dataclasses.dataclass
 class Batch:
-    indices: list
     images: list           # (rows*cols, patch_pixels) arrays
     token_ids: list        # caption token ids, per item
     identities: list
@@ -345,7 +344,6 @@ def make_batches(records, batch_size: int, pipeline: TextPipeline,
             pairs = [(ph, mask_phrase(ph, rng)) for ph in pipeline.phrases(rec.caption)]
             phrase_pairs.append(pairs)
         batches.append(Batch(
-            indices=picked,
             images=[r.image for r in batch_records],
             token_ids=[pipeline.encode(r.caption) for r in batch_records],
             identities=[r.identity for r in batch_records],

@@ -161,15 +161,17 @@ def check_local_align(seed: int) -> float:
     pipeline, cfg, params, rng, images, _ = _toy_setup(seed)
     masked = _masked_phrases(pipeline, rng)
     mask_rows = [m.mask_index + 1 for m in masked]
+    pairs = [0, 1]
 
     def phrase_pass():
         img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
         fused = model.cross_encode(phr, img, params, cfg,
-                                   trace_layer=cfg.bidiratt_layer, image_index=[0, 1])
-        return img.select([0, 1]), phr, fused
+                                   trace_layer=cfg.bidiratt_layer, image_index=pairs)
+        return img, phr, fused
 
     def build():
-        loss, _ = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg)
+        loss, _ = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg,
+                                       image_index=pairs)
         return nx.sum_all(loss)
 
     # the projections do not feed the attention trace, so the full loss is
@@ -181,11 +183,12 @@ def check_local_align(seed: int) -> float:
     # encoder parameters do feed the trace; the pooling weights are constants
     # by definition, so the probe holds them at their unperturbed values
     with nx.no_grad():
-        _, frozen = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg)
+        _, frozen = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg,
+                                         image_index=pairs)
 
     def build_fixed_w():
         image, phr, _ = phrase_pass()
-        return nx.sum_all(pooled_alignment_loss(frozen.w, image, phr, params))
+        return nx.sum_all(pooled_alignment_loss(frozen.w, image, phr, params, pairs))
 
     errs.append(finite_diff_param(params, "txt_self0.attn.wv", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ln2.g", build_fixed_w))

@@ -63,19 +63,27 @@ def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
     return BidirectionalWeights(w_fa=fa, w_ba=ba, w=w)
 
 
-def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:
+def weighted_pool(w: np.ndarray, image: EncoderOutput, image_index=None) -> Tensor:
     """(B, d) sums of each pair's patch rows weighted by its row of the
     (B, L_img + 1) weights, renormalized over patches.
 
-    Each weight row covers [CLS] + patches and must sum to 1; the [CLS] share
-    is dropped and the remainder rescaled, since pooling runs over patches
-    only. A row with no patch mass left pools the patches uniformly.
+    The image rows are a (B, L_img + 1, d) batch, one image per pair, or
+    with ``image_index`` an (n, L_img + 1, d) stack from which pair b reads
+    image ``image_index[b]``. Either way the pooling is one product of a
+    (B, n · (L_img + 1)) weight matrix with the flattened rows, so no image
+    is copied per pair. Each weight row covers [CLS] + patches and must sum
+    to 1; the [CLS] share is dropped and the remainder rescaled, since
+    pooling runs over patches only. A row with no patch mass left pools the
+    patches uniformly.
     """
     w = np.asarray(w, dtype=np.float64)
     reps = image.reps
-    if w.ndim != 2 or w.shape != reps.shape[:-1]:
-        raise nx.ShapeError(f"weights of shape {w.shape} do not match "
-                            f"image rows {reps.shape[:-1]}")
+    index = np.arange(len(w)) if image_index is None else \
+        np.asarray(image_index, dtype=np.intp)
+    if w.ndim != 2 or reps.data.ndim != 3 or w.shape[1] != reps.shape[1] or \
+            index.shape != w.shape[:1] or ((index < 0) | (index >= reps.shape[0])).any():
+        raise nx.ShapeError(f"weights of shape {w.shape} and image index "
+                            f"{index.tolist()} do not match image rows {reps.shape}")
     sums = w.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError(f"weights sum to {sums}, expected 1")
@@ -83,19 +91,23 @@ def weighted_pool(w: np.ndarray, image: EncoderOutput) -> Tensor:
     total = patch.sum(axis=1, keepdims=True)
     patch = np.where(total > _EPS_FALLBACK, patch / np.maximum(total, _EPS_FALLBACK),
                      1.0 / patch.shape[1])
-    # the [CLS] row is pooled with weight 0
-    pool = np.concatenate([np.zeros_like(total), patch], axis=1)
-    pooled = nx.matmul(Tensor(pool[:, None, :]), reps)
-    return nx.reshape(pooled, (len(w), reps.shape[-1]))
+    # the [CLS] row and the other images' rows are pooled with weight 0
+    n, length, d = reps.shape
+    pool = np.zeros((len(w), n, length))
+    pool[np.arange(len(w)), index, 1:] = patch
+    return nx.matmul(Tensor(pool.reshape(len(w), n * length)),
+                     nx.reshape(reps, (n * length, d)))
 
 
 def pooled_alignment_loss(w: np.ndarray, image: EncoderOutput,
-                          phrase_out: EncoderOutput, params: Params) -> Tensor:
-    """(B,) 1 - cosine between each pair's weight-pooled image rows and its
-    phrase [CLS] row, each projected and normalized into the coarse space as
-    :func:`model.coarse_embeddings` does. A zero projection raises
-    :class:`numerics.NonFiniteError`."""
-    img = nx.l2_normalize_rows(nx.matmul(weighted_pool(w, image), params["proj.img.w"]))
+                          phrase_out: EncoderOutput, params: Params,
+                          image_index=None) -> Tensor:
+    """(B,) 1 - cosine between each pair's weight-pooled image rows (see
+    :func:`weighted_pool`) and its phrase [CLS] row, each projected and
+    normalized into the coarse space as :func:`model.coarse_embeddings` does.
+    A zero projection raises :class:`numerics.NonFiniteError`."""
+    pooled = weighted_pool(w, image, image_index)
+    img = nx.l2_normalize_rows(nx.matmul(pooled, params["proj.img.w"]))
     txt = nx.l2_normalize_rows(nx.matmul(phrase_out.cls, params["proj.txt.w"]))
     cos = nx.reshape(nx.row_sums(nx.mul(img, txt)), (len(w),))
     return nx.sub(Tensor(1.0), cos)
@@ -118,17 +130,18 @@ def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarra
 
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
                          fusion: FusionOutput, mask_row, params: Params,
-                         cfg: ModelConfig, target_id=None):
+                         cfg: ModelConfig, target_id=None, image_index=None):
     """(B,) 1 - cosine between the weight-pooled image representation and the
     projected phrase representation of each pair. Returns (loss, weights).
 
-    Takes a batch of pairs: the image rows picked per pair by
-    :meth:`model.EncoderOutput.select`, the phrases encoded in one call, and
-    their traced :func:`model.cross_encode`, with one mask row and one target
-    id per pair."""
+    Takes a batch of pairs: the image rows, one image per pair or a stack
+    and ``image_index`` as for :func:`weighted_pool`, the phrases encoded in
+    one call, and their traced :func:`model.cross_encode`, with one mask row
+    and one target id per pair."""
     weights = compute_weights(fusion.trace, score_vectors(params, cfg, target_id),
                               mask_row, cfg.biatt_row)
-    return pooled_alignment_loss(weights.w, image, phrase_out, params), weights
+    loss = pooled_alignment_loss(weights.w, image, phrase_out, params, image_index)
+    return loss, weights
 
 
 # ---------------------------------------------------------------------------

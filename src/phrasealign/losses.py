@@ -5,7 +5,8 @@ The contrastive term scores each live embedding against the momentum
 embeddings of its batch plus two fixed-capacity queues of past momentum
 embeddings; queue entries are always negatives. Matching and triplet terms
 run on the fused [CLS] scalar logit. The masked-phrase term classifies the
-original token at the masked position of the fused phrase representation.
+original token at the masked position of the fused phrase representation,
+which the cross-encode may have computed alone.
 """
 
 from __future__ import annotations
@@ -161,18 +162,29 @@ def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
 def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
                        params: Params, positions: str = "masked") -> Tensor:
     """Cross-entropy of the classifier against the original tokens, one
-    value per pair of a padded fused batch, (B, L_max + 1, d), with its B
-    masked phrases.
+    value per pair of a fused batch with its B masked phrases.
 
     ``masked`` scores the [MASK] position only; ``all`` sums the original
-    token's cross-entropy over every phrase position. Either way every row is
-    classified, and a 0/1 weight per position selects the scored ones.
+    token's cross-entropy over every phrase position. A padded fused batch
+    of every row, (B, L_max + 1, d), has every row classified, and a 0/1
+    weight per position selects the scored ones; a batch that holds each
+    pair's [MASK] row alone (``fusion.rows``), (B, 1, d), has those B rows.
     """
     if positions not in ("masked", "all"):
         raise ValueError(f"unknown positions mode {positions!r}")
     batch, rows = fusion.reps.shape[:2]
     if len(masked) != batch:
         raise ValueError(f"{len(masked)} masked phrases for {batch} fused pairs")
+    head = (params["mpm.w1"], params["mpm.b1"], params["mpm.w2"], params["mpm.b2"])
+    if fusion.rows is not None:
+        mask_rows = [phrase.mask_index + 1 for phrase in masked]
+        if positions != "masked" or \
+                not np.array_equal(np.broadcast_to(fusion.rows, (batch,)), mask_rows):
+            raise ValueError(f"fusion holds rows {np.asarray(fusion.rows).tolist()}; "
+                             f"{positions} scoring reads rows {mask_rows}")
+        targets = np.array([[phrase.target_id] for phrase in masked])
+        ce = nx.cross_entropy_logits(nx.tanh_mlp(fusion.reps, *head), targets)
+        return nx.reshape(ce, (batch,))
     targets = np.zeros((batch, rows), dtype=np.intp)
     weights = np.zeros((batch, rows))
     for b, phrase in enumerate(masked):
@@ -186,9 +198,7 @@ def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
         for j in scored:
             targets[b, j + 1] = originals[j]
             weights[b, j + 1] = 1.0
-    logits = nx.tanh_mlp(fusion.reps, params["mpm.w1"], params["mpm.b1"],
-                         params["mpm.w2"], params["mpm.b2"])
-    ce = nx.cross_entropy_logits(logits, targets)
+    ce = nx.cross_entropy_logits(nx.tanh_mlp(fusion.reps, *head), targets)
     return nx.reshape(nx.row_sums(nx.mul(ce, Tensor(weights))), (batch,))
 
 

@@ -16,6 +16,16 @@ residual sublayer, its layer norm included, is one graph node: a
 share its cross-attention keys and values: given an image index per pair,
 each cross layer projects every image once, and the pairs of one image meet
 its keys and values in one product per head.
+
+Each encoder's last layer computes only the rows its caller reads. Given
+``rows`` (0 for [CLS], or one row per sequence), the last layer's queries
+are those rows, one :func:`numerics.select_rows` node, while its keys and
+values still come from every row; the output holds one row per sequence.
+Training passes the [CLS] row to the matching cross-encode and to the
+momentum encoders, and each phrase's [MASK] row to the phrase
+cross-encode. A traced cross layer always computes every row, since the
+local alignment reads its mask or [CLS] row; retrieval and the gallery pass
+no rows and compute every row.
 """
 
 from __future__ import annotations
@@ -235,25 +245,39 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
 PAD_BIAS = -1e30
 
 
+def _cls_row(reps: Tensor, rows) -> Tensor:
+    if rows is not None and np.any(rows):
+        raise ValueError(f"the output holds rows {np.asarray(rows).tolist()} of "
+                         "each sequence, not the [CLS] row 0")
+    return nx.take_row(reps, 0)
+
+
 @dataclasses.dataclass
 class EncoderOutput:
     """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
     padded to the longest, (B, L_max+1, d); row 0 is the global [CLS] row.
     A batch whose lengths differ carries ``pad_bias``, a (B, 1, 1, L_max+1)
-    key-bias array: 0 on real rows, ``PAD_BIAS`` on padding."""
+    key-bias array: 0 on real rows, ``PAD_BIAS`` on padding.
+
+    An encoder given ``rows`` computes its last layer for those query rows
+    only: ``reps`` is then (1, d) or (B, 1, d), the row ``rows`` of each
+    sequence (or ``rows[b]`` of sequence b), and carries no ``pad_bias``.
+    ``cls`` raises unless that row is 0."""
 
     reps: Tensor
     pad_bias: np.ndarray | None = None
+    rows: int | np.ndarray | None = None   # None: every row
 
     @property
     def cls(self) -> Tensor:
-        return nx.take_row(self.reps, 0)
+        return _cls_row(self.reps, self.rows)
 
     def select(self, index) -> "EncoderOutput":
         """Sequences ``index`` of a batch (repeats allowed), in that order,
-        with their ``pad_bias`` rows."""
+        with their ``pad_bias`` and ``rows`` entries."""
         bias = None if self.pad_bias is None else self.pad_bias[index]
-        return EncoderOutput(nx.gather_rows(self.reps, index), bias)
+        rows = self.rows if np.ndim(self.rows) == 0 else np.asarray(self.rows)[index]
+        return EncoderOutput(nx.gather_rows(self.reps, index), bias, rows)
 
 
 @dataclasses.dataclass
@@ -266,19 +290,23 @@ class AttentionTrace:
     attention node groups the pairs by image and returns the values once per
     image, and the trace holds the rows the index picks."""
 
-    layer: int                  # 1-based
     attn: np.ndarray            # ([B,] heads, L_text+1, L_img+1), rows sum to 1
     values: np.ndarray          # ([B,] heads, L_img+1, head_dim)
 
 
 @dataclasses.dataclass
 class FusionOutput:
-    reps: Tensor                # ([B,] L_text+1, d), as the text input
+    """Fused text rows, ([B,] L_text+1, d) as the text input, or given
+    ``rows``, only the row of each pair the last cross layer computed:
+    ([B,] 1, d). ``cls`` raises unless that row is 0."""
+
+    reps: Tensor
     trace: AttentionTrace | None = None
+    rows: int | np.ndarray | None = None   # None: every row
 
     @property
     def cls(self) -> Tensor:
-        return nx.take_row(self.reps, 0)
+        return _cls_row(self.reps, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +335,62 @@ def _ffn(x: Tensor, params: Params, prefix: str, norm: str) -> Tensor:
     return nx.tanh_mlp(x, *weights, params[f"{norm}.g"], params[f"{norm}.b"])
 
 
-def _self_block(x: Tensor, params: Params, prefix: str, cfg: ModelConfig,
-                key_bias: np.ndarray | None = None) -> Tensor:
-    x = _multi_head_attention(x, x, params, f"{prefix}.attn", f"{prefix}.ln1", cfg,
-                              key_bias)
-    return _ffn(x, params, f"{prefix}.ffn", f"{prefix}.ln2")
+def _queries(x: Tensor, rows) -> Tensor:
+    """The query rows of a layer: all of ``x``, or given ``rows``, one
+    :func:`numerics.select_rows` node."""
+    return x if rows is None else nx.select_rows(x, rows)
+
+
+def _self_layers(x: Tensor, stream: str, params: Params, cfg: ModelConfig,
+                 rows=None, key_bias: np.ndarray | None = None) -> Tensor:
+    """The self-attention layers of ``stream``, each an attention and a
+    feed-forward sublayer. Given ``rows``, the last layer computes those
+    query rows only, against keys and values of every row; with no layers,
+    they are selected from ``x``."""
+    if not cfg.n_self_layers:
+        return _queries(x, rows)
+    for layer in range(cfg.n_self_layers):
+        prefix = f"{stream}{layer}"
+        q = _queries(x, rows if layer == cfg.n_self_layers - 1 else None)
+        x = _multi_head_attention(q, x, params, f"{prefix}.attn", f"{prefix}.ln1", cfg,
+                                  key_bias)
+        x = _ffn(x, params, f"{prefix}.ffn", f"{prefix}.ln2")
+    return x
+
+
+def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Tensor,
+                 params: Params, cfg: ModelConfig, rows=None, index=None,
+                 trace: bool = False):
+    """Cross layer ``layer`` (0-based): self-attention over the text rows
+    ``x``, whose padding ``text_bias`` keeps out, cross-attention with text
+    queries against the ``image`` rows (given ``index``, image ``index[b]``
+    for pair b), feed-forward. Given ``rows``, the layer computes only those
+    query rows; keys and values still come from every row. Returns (rows
+    out, the layer's :class:`AttentionTrace` with ``trace``, else None)."""
+    prefix = f"cross{layer}"
+    x = _multi_head_attention(_queries(x, rows), x, params, f"{prefix}.self",
+                              f"{prefix}.ln1", cfg, text_bias)
+    cross = _multi_head_attention(x, image, params, f"{prefix}.cross", f"{prefix}.ln2",
+                                  cfg, kv_index=index, trace=trace)
+    captured = None
+    if trace:
+        # the values come back per image; the trace holds them per pair
+        cross, a, v = cross
+        captured = AttentionTrace(a, v if index is None else v[index])
+    return _ffn(cross, params, f"{prefix}.ffn", f"{prefix}.ln3"), captured
 
 
 # ---------------------------------------------------------------------------
 # encoders
 
 
-def encode_image(patches, params: Params, cfg: ModelConfig,
-                 mode: str = "train") -> EncoderOutput:
+def encode_image(patches, params: Params, cfg: ModelConfig, mode: str = "train",
+                 rows=None) -> EncoderOutput:
     """Linear patch embedding + positions + [CLS] + self-attention layers,
     for one image's (n_patches, patch_pixels) patches or a (B, n_patches,
-    patch_pixels) stack of images in one call; images are never padded."""
+    patch_pixels) stack of images in one call; images are never padded.
+    ``rows``: the row the caller reads of each image (0 for [CLS]), or of
+    image b ``rows[b]``; the last layer computes only those, None all."""
     patches = patches if isinstance(patches, Tensor) else Tensor(patches)
     if patches.data.ndim not in (2, 3) or \
             patches.shape[-2:] != (cfg.n_patches, cfg.patch_pixels):
@@ -334,48 +402,48 @@ def encode_image(patches, params: Params, cfg: ModelConfig,
         x = nx.linear(patches, params["embed.patch.w"], params["embed.patch.b"])
         x = nx.prepend_row(params["embed.cls_img"], x)
         x = nx.add(x, params["embed.pos_img"])
-        for layer in range(cfg.n_self_layers):
-            x = _self_block(x, params, f"img_self{layer}", cfg)
-        return EncoderOutput(x)
+        return EncoderOutput(_self_layers(x, "img_self", params, cfg, rows), rows=rows)
 
 
-def encode_text(token_ids, params: Params, cfg: ModelConfig,
-                mode: str = "train") -> EncoderOutput:
+def encode_text(token_ids, params: Params, cfg: ModelConfig, mode: str = "train",
+                rows=None) -> EncoderOutput:
     """Token embedding + positions + [CLS] + self-attention layers, for one
     id list or a sequence of id lists in one call. A batch is padded with
     ``PAD_ID`` to the longest text; if lengths differ it carries
     ``pad_bias``, which gives the padding weight 0 in the self-attention.
+    ``rows`` as for :func:`encode_image`; an output of some rows only
+    carries no ``pad_bias``.
 
     Unknown ids fall back to the [UNK] row. Phrases reuse the text positional
     rows from position 0."""
     batched = len(token_ids) > 0 and not isinstance(token_ids[0], (int, np.integer))
     texts = token_ids if batched else [token_ids]
-    rows = [len(t) + 1 for t in texts]
-    if max(rows) > cfg.max_text_len + 1:
-        raise nx.ShapeError(f"text length {max(rows) - 1} exceeds {cfg.max_text_len}")
-    ids = np.full((len(texts), max(rows)), PAD_ID)
+    lengths = [len(t) + 1 for t in texts]
+    if max(lengths) > cfg.max_text_len + 1:
+        raise nx.ShapeError(f"text length {max(lengths) - 1} exceeds {cfg.max_text_len}")
+    ids = np.full((len(texts), max(lengths)), PAD_ID)
     for b, t in enumerate(texts):
-        ids[b, :rows[b]] = [CLS_ID] + [i if 0 <= i < cfg.vocab_size else UNK_ID
-                                       for i in t]
-    real = np.arange(max(rows)) < np.array(rows)[:, None]
+        ids[b, :lengths[b]] = [CLS_ID] + [i if 0 <= i < cfg.vocab_size else UNK_ID
+                                          for i in t]
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
     pad_bias = None if real.all() else np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = nx.gather_rows(params["embed.token"], ids if batched else ids[0])
-        x = nx.add(x, nx.gather_rows(params["embed.pos_txt"], np.arange(max(rows))))
-        for layer in range(cfg.n_self_layers):
-            x = _self_block(x, params, f"txt_self{layer}", cfg, pad_bias)
-        return EncoderOutput(x, pad_bias)
+        x = nx.add(x, nx.gather_rows(params["embed.pos_txt"], np.arange(max(lengths))))
+        x = _self_layers(x, "txt_self", params, cfg, rows, pad_bias)
+        return EncoderOutput(x, pad_bias if rows is None else None, rows)
 
 
-def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig):
+def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig, rows=None):
     """Encode a batch of images and a batch of texts, one encoder call each,
     and project their [CLS] rows into the coarse space, one unit row per item.
+    ``rows`` goes to both encoders: 0 computes the [CLS] rows alone.
 
     Returns (image output, text output, image embeddings, text embeddings).
     """
-    img_out = encode_image(np.stack(images), params, cfg)
-    txt_out = encode_text(token_ids, params, cfg)
+    img_out = encode_image(np.stack(images), params, cfg, rows=rows)
+    txt_out = encode_text(token_ids, params, cfg, rows=rows)
     return (img_out, txt_out,
             nx.l2_normalize_rows(nx.matmul(img_out.cls, params["proj.img.w"])),
             nx.l2_normalize_rows(nx.matmul(txt_out.cls, params["proj.txt.w"])))
@@ -383,10 +451,11 @@ def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig):
 
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
                  cfg: ModelConfig, trace_layer: int | None = None,
-                 mode: str = "train", image_index=None) -> FusionOutput:
-    """Per layer: self-attention over text rows, cross-attention with text
-    queries against image keys/values, feed-forward. ``trace_layer`` (1-based)
-    captures that layer's attention trace.
+                 mode: str = "train", image_index=None, rows=None) -> FusionOutput:
+    """Per layer (:func:`_cross_layer`): self-attention over text rows,
+    cross-attention with text queries against image keys/values,
+    feed-forward. ``trace_layer`` (1-based) captures that layer's attention
+    trace.
 
     Takes one pair, or a batch of pairs: text and image reps with the same
     leading pair axis, as the batched encoders give them or
@@ -396,7 +465,12 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     meets the pairs of each image in one product per head, which gives the
     same numbers as the selected images. A text batch's ``pad_bias`` keeps
     its padding out of the text self-attention; image rows are never padded.
-    The fused reps and the trace keep the pair axis."""
+    The fused reps and the trace keep the pair axis.
+
+    ``rows``: the text row the caller reads of each pair (0 for [CLS]), or
+    of pair b ``rows[b]``; the last layer computes only those, None all. A
+    traced layer computes every row, so a traced last layer ignores
+    ``rows``."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
     index = None if image_index is None else np.asarray(image_index, dtype=np.intp)
@@ -406,26 +480,20 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         raise nx.ShapeError(f"need one unpadded image per text: text "
                             f"{text_out.reps.shape}, image {img_out.reps.shape}"
                             + ("" if index is None else f", index {index.shape}"))
+    if text_out.rows is not None or img_out.rows is not None:
+        raise nx.ShapeError("cross_encode needs every row of the text and the image")
+    last = cfg.n_cross_layers - 1
+    rows = None if trace_layer == cfg.n_cross_layers else rows
     ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
     with ctx:
         x = text_out.reps
         trace = None
         for layer in range(cfg.n_cross_layers):
-            prefix = f"cross{layer}"
-            x = _multi_head_attention(x, x, params, f"{prefix}.self", f"{prefix}.ln1", cfg,
-                                      text_out.pad_bias)
-            traced = layer + 1 == trace_layer
-            cross = _multi_head_attention(x, img_out.reps, params, f"{prefix}.cross",
-                                          f"{prefix}.ln2", cfg, kv_index=index,
-                                          trace=traced)
-            if traced:
-                # the values come back per image; the trace holds them per pair
-                x, a, v = cross
-                trace = AttentionTrace(layer + 1, a, v if index is None else v[index])
-            else:
-                x = cross
-            x = _ffn(x, params, f"{prefix}.ffn", f"{prefix}.ln3")
-        return FusionOutput(x, trace)
+            x, captured = _cross_layer(layer, x, text_out.pad_bias, img_out.reps, params,
+                                       cfg, rows if layer == last else None, index,
+                                       layer + 1 == trace_layer)
+            trace = trace or captured
+        return FusionOutput(x, trace, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,26 @@ def take_row(a: Tensor, index: int) -> Tensor:
     return _result(a.data[..., index, :].copy(), "take_row", (a,), bw)
 
 
+def select_rows(a: Tensor, rows) -> Tensor:
+    """Row ``rows`` (axis -2) of a matrix or of each stacked matrix, or with
+    one row per matrix of a (B, L, n) stack, row ``rows[b]`` of matrix b;
+    each kept as a one-row matrix: (..., 1, n)."""
+    idx = np.asarray(rows, dtype=np.intp)
+    if a.data.ndim < 2 or idx.ndim and idx.shape != a.shape[:-2]:
+        raise ShapeError(f"select_rows needs one row or one row per matrix: rows "
+                         f"{idx.shape} of shape {a.shape}")
+    if ((idx < 0) | (idx >= a.shape[-2])).any():
+        raise IndexError(f"rows {idx.tolist()} out of range for shape {a.shape}")
+    at = np.broadcast_to(idx, a.shape[:-2])[..., None, None]
+
+    def bw(g):
+        out = np.zeros(a.shape)
+        np.put_along_axis(out, at, g, axis=-2)
+        return (out,)
+
+    return _result(np.take_along_axis(a.data, at, axis=-2), "select_rows", (a,), bw)
+
+
 def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
     """Entries along the leading axis: ``table[ids]`` for ids of any shape
     (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of

@@ -99,12 +99,11 @@ def pos_tag(tokens: Sequence[str], lexicon: dict[str, str]) -> list[TaggedToken]
 
 @dataclasses.dataclass(frozen=True)
 class Phrase:
-    """A chunked noun phrase: its words (leading determiner dropped), the tags
-    of those words, the (start, end) span in the source token stream (the
-    span keeps the determiner), and the words' vocabulary ids."""
+    """A chunked noun phrase: its words (leading determiner dropped), the
+    (start, end) span in the source token stream (the span keeps the
+    determiner), and the words' vocabulary ids."""
 
     words: tuple[str, ...]
-    tags: tuple[str, ...]
     span: tuple[int, int]
     token_ids: tuple[int, ...]
 
@@ -133,8 +132,7 @@ def chunk_noun_phrases(tagged: Sequence[TaggedToken],
             while j < n and tagged[j].tag in _NOMINAL_TAGS:
                 j += 1
             words = tuple(t.text for t in tagged[body:j])
-            tags = tuple(t.tag for t in tagged[body:j])
-            phrases.append(Phrase(words, tags, (i, j), tuple(vocab.encode(words))))
+            phrases.append(Phrase(words, (i, j), tuple(vocab.encode(words))))
             i = j
         else:
             i += 1

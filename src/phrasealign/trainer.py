@@ -58,12 +58,20 @@ class TrainConfig:
     enable_mpm: bool = True
 
     def validate(self) -> None:
+        for field in ("base_lr", "warmup_lr", "warmup_frac", "triplet_margin",
+                      "momentum_coeff", "weight_decay"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if min(self.stage1_epochs, self.stage2_epochs) < 0:
             raise ValueError("epoch counts must be nonnegative")
         if min(self.base_lr, self.warmup_lr) <= 0:
             raise ValueError("learning rates must be positive")
         if self.triplet_margin < 0:
             raise ValueError("triplet margin must be nonnegative")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ValueError("warmup_frac must lie in [0, 1]")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be nonnegative")
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise ValueError("momentum coefficient must lie in [0, 1)")
         if self.queue_size < 1 or self.batch_size < 1:
@@ -135,9 +143,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
 class TrainResult:
     params: md.Params
     momentum: md.MomentumState
-    queue: ls.QueueState
     log_rows: list
-    checkpoints: dict
 
 
 def train_step(batch: Batch, stage: int, params: md.Params,
@@ -157,7 +163,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     with nx.no_grad():
         # the shadows carry the live names of the encoders and projections
         _, _, mom_img, mom_txt = md.coarse_embeddings(
-            batch.images, batch.token_ids, md.Params(momentum.shadow), model_cfg)
+            batch.images, batch.token_ids, md.Params(momentum.shadow), model_cfg,
+            rows=0)
     tau = nx.exp(params["temp.log_tau"])
     itc = ls.itc_loss(img_emb, txt_emb, mom_img.data, mom_txt.data, queue, tau)
     queue.enqueue(mom_img.data, mom_txt.data)
@@ -171,7 +178,8 @@ def train_step(batch: Batch, stage: int, params: md.Params,
              + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
              + [(j, i, 0.0) for j, i in enumerate(neg_img)])
     fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]), img_out,
-                            params, model_cfg, image_index=[i for _, i, _ in pairs])
+                            params, model_cfg, image_index=[i for _, i, _ in pairs],
+                            rows=0)
     logits = ls.fine_similarity(fused.cls, params["itm.w"])
     itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
@@ -191,9 +199,14 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         trace_layer = model_cfg.bidiratt_layer if need_trace else None
         masked = [m for _, _, m in items]
         image_ids = [i for i, _, _ in items]
+        mask_rows = [m.mask_index + 1 for m in masked]
         phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
+        # the masked-phrase loss reads each phrase's [MASK] row, unless it
+        # scores every position
         fused = md.cross_encode(phrases, img_out, params, model_cfg,
-                                trace_layer=trace_layer, image_index=image_ids)
+                                trace_layer=trace_layer, image_index=image_ids,
+                                rows=mask_rows if model_cfg.mpm_positions == "masked"
+                                else None)
         if cfg.enable_biatt:
             # the local stream reads the masked phrases' own pass, or a
             # separate traced pass over the clean phrases
@@ -205,11 +218,9 @@ def train_step(batch: Batch, stage: int, params: md.Params,
                                               model_cfg,
                                               trace_layer=model_cfg.bidiratt_layer,
                                               image_index=image_ids)
-            # the pooling reads each pair's image rows
             biatt, _ = local_alignment_loss(
-                img_out.select(image_ids), biatt_phrases, biatt_fused,
-                [m.mask_index + 1 for m in masked], params, model_cfg,
-                target_id=[m.target_id for m in masked])
+                img_out, biatt_phrases, biatt_fused, mask_rows, params, model_cfg,
+                target_id=[m.target_id for m in masked], image_index=image_ids)
         if cfg.enable_mpm:
             mpm = ls.masked_phrase_loss(fused, masked, params,
                                         positions=model_cfg.mpm_positions)
@@ -238,7 +249,6 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
     records = dataset.train_records()
     effective_batch = min(cfg.batch_size, len({r.identity for r in records}))
     log_rows: list = []
-    checkpoints: dict = {}
     global_step = 0
 
     for stage, epochs in ((1, cfg.stage1_epochs), (2, cfg.stage2_epochs)):
@@ -269,11 +279,10 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
         if out_dir is not None:
             path = Path(out_dir) / f"stage{stage}.ckpt"
             md.save_checkpoint(path, md.params_state(params, momentum))
-            checkpoints[stage] = path
 
     if out_dir is not None:
         write_log_csv(Path(out_dir) / "training_log.csv", log_rows)
-    return TrainResult(params, momentum, queue, log_rows, checkpoints)
+    return TrainResult(params, momentum, log_rows)
 
 
 def write_log_csv(path, log_rows) -> None:

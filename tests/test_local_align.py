@@ -17,12 +17,12 @@ def stochastic_rows(raw):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def fake_trace(attn, values, heads=1, layer=1):
+def fake_trace(attn, values, heads=1):
     """Batched trace from per-pair (B, L_txt, L_img + 1) attention and
     (B, L_img + 1, head_dim) values, identical for every head."""
     def stacked(m):
         return np.repeat(np.asarray(m, dtype=float)[:, None], heads, axis=1)
-    return md.AttentionTrace(layer, stacked(attn), stacked(values))
+    return md.AttentionTrace(stacked(attn), stacked(values))
 
 
 def head_trace(fa_heads, ba_heads):
@@ -30,7 +30,7 @@ def head_trace(fa_heads, ba_heads):
     chosen per head, so that ``heads_ws`` of ones gives backward attention
     ``ba_heads``."""
     fa, ba = np.asarray(fa_heads, dtype=float), np.asarray(ba_heads, dtype=float)
-    return md.AttentionTrace(1, fa[None, :, None, :], ba[None, :, :, None])
+    return md.AttentionTrace(fa[None, :, None, :], ba[None, :, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +379,10 @@ def phrase_batch_setup(**over):
     """A toy model, two images and three masked phrases of 2, 4 and 3 tokens
     (the second at the batch maximum), paired with images 0, 1 and 0."""
     pipeline = TextPipeline()
-    cfg = md.ModelConfig(d=8, heads=2, n_self_layers=1, n_cross_layers=2,
-                         bidiratt_layer=1, proj_dim=4, patch_rows=2, patch_cols=2,
-                         patch_pixels=6, max_text_len=12,
-                         vocab_size=len(pipeline.vocab), **over)
+    cfg = md.ModelConfig(**dict(d=8, heads=2, n_self_layers=1, n_cross_layers=2,
+                                bidiratt_layer=1, proj_dim=4, patch_rows=2, patch_cols=2,
+                                patch_pixels=6, max_text_len=12,
+                                vocab_size=len(pipeline.vocab)) | over)
     params = md.init_params(cfg, Rng(0))
     # widened as in the gradcheck suite, so attention and weights differ by row
     for name, t in params.named():
@@ -426,10 +426,11 @@ def probed_grads(params, biatt, mpm, probe):
     return grads
 
 
-@pytest.mark.parametrize("over", [{}, {"mpm_positions": "all"}, {"tie_score_head": True},
-                                  {"biatt_row": "cls"}],
-                         ids=["default", "mpm_positions=all", "tie_score_head",
-                              "biatt_row=cls"])
+VARIANTS = {"default": {}, "mpm_positions=all": {"mpm_positions": "all"},
+            "tie_score_head": {"tie_score_head": True}, "biatt_row=cls": {"biatt_row": "cls"}}
+
+
+@pytest.mark.parametrize("over", list(VARIANTS.values()), ids=list(VARIANTS))
 def test_batched_phrase_losses_match_batch_of_one_calls(over):
     cfg, params, images, masked, img_of = phrase_batch_setup(**over)
     probe = Rng(7).normal((2, len(masked)))
@@ -462,3 +463,116 @@ def test_zero_phrase_cls_raises_non_finite():
     cfg, params, images, masked, img_of = phrase_batch_setup()
     with pytest.raises(nx.NonFiniteError):
         phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=1)
+
+
+# ---------------------------------------------------------------------------
+# last layers that compute only the rows a loss reads
+
+
+def read_row_terms(cfg, params, images, masked, img_of, read_rows: bool):
+    """The terms of the phrase pairs that read one row of each last layer,
+    built as ``trainer.train_step`` builds them with ``read_rows``, or from
+    every row: ITM logits from the fused [CLS] rows, the per-phrase MPM
+    losses, and the [CLS] embeddings the momentum encoders give ITC."""
+    texts = [m.token_ids for m in masked]
+    image = md.encode_image(np.stack(images), params, cfg)
+    phrase = md.encode_text(texts, params, cfg)
+    cls_rows = 0 if read_rows else None
+    mask_rows = [m.mask_index + 1 for m in masked] \
+        if read_rows and cfg.mpm_positions == "masked" else None
+    itm = md.cross_encode(phrase, image, params, cfg, image_index=img_of, rows=cls_rows)
+    mpm = md.cross_encode(phrase, image, params, cfg, trace_layer=cfg.bidiratt_layer,
+                          image_index=img_of, rows=mask_rows)
+    with nx.no_grad():
+        embeddings = md.coarse_embeddings(images, texts, params, cfg, rows=cls_rows)[2:]
+    return (ls.fine_similarity(itm.cls, params["itm.w"]),
+            ls.masked_phrase_loss(mpm, masked, params, positions=cfg.mpm_positions),
+            [e.data for e in embeddings], mpm)
+
+
+@pytest.mark.parametrize("over", list(VARIANTS.values()), ids=list(VARIANTS))
+def test_last_layers_on_read_rows_match_the_full_pass(over):
+    """ITM logits, per-phrase MPM losses and momentum [CLS] embeddings from
+    last layers that compute only the read rows equal those of the full pass
+    within 1e-12 relative, and so do the parameter gradients of a fixed
+    probe."""
+    cfg, params, images, masked, img_of = phrase_batch_setup(**over)
+    probe = Rng(7).normal((2, len(masked)))
+    got, want = (read_row_terms(cfg, params, images, masked, img_of, read_rows)
+                 for read_rows in (True, False))
+    # a fusion of each [MASK] row alone, unless MPM scores every position
+    assert got[3].reps.shape[1] == \
+        (1 if cfg.mpm_positions == "masked" else want[3].reps.shape[1])
+    assert np.array_equal(got[3].trace.attn, want[3].trace.attn)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for a, b in zip(got[2] + [got[0].data, got[1].data],
+                    want[2] + [want[0].data, want[1].data]):
+        assert a.shape == b.shape and close(a, b)
+    got_grads, want_grads = (probed_grads(params, logits, mpm, probe)
+                             for logits, mpm, _, _ in (got, want))
+    for name, g in want_grads.items():
+        assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12), name
+
+
+def test_mask_rows_cannot_serve_mpm_on_every_position():
+    cfg, params, images, masked, img_of = phrase_batch_setup()
+    image = md.encode_image(np.stack(images), params, cfg)
+    phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
+    mask_rows = [m.mask_index + 1 for m in masked]
+    fused = md.cross_encode(phrase, image, params, cfg, image_index=img_of,
+                            rows=mask_rows)
+    ls.masked_phrase_loss(fused, masked, params)
+    with pytest.raises(ValueError, match="reads rows"):
+        ls.masked_phrase_loss(fused, masked, params, positions="all")
+    with pytest.raises(ValueError, match="reads rows"):
+        ls.masked_phrase_loss(fused, masked[::-1], params)
+
+
+def test_traced_last_layer_gives_the_unpruned_losses():
+    """With the traced layer last, that layer computes every row whatever
+    rows the caller reads: the fused rows and both phrase losses are those
+    of the full pass, bit for bit."""
+    cfg, params, images, masked, img_of = phrase_batch_setup(bidiratt_layer=2)
+    assert cfg.bidiratt_layer == cfg.n_cross_layers
+    mask_rows = [m.mask_index + 1 for m in masked]
+    runs = []
+    for rows in (mask_rows, None):
+        image = md.encode_image(np.stack(images), params, cfg)
+        phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
+        fused = md.cross_encode(phrase, image, params, cfg, trace_layer=cfg.bidiratt_layer,
+                                image_index=img_of, rows=rows)
+        biatt, _ = la.local_alignment_loss(image, phrase, fused, mask_rows, params, cfg,
+                                           image_index=img_of)
+        runs.append((fused, biatt, ls.masked_phrase_loss(fused, masked, params)))
+    (fused, biatt, mpm), (want_fused, want_biatt, want_mpm) = runs
+    assert fused.rows is None
+    assert np.array_equal(fused.reps.data, want_fused.reps.data)
+    assert np.array_equal(biatt.data, want_biatt.data)
+    assert np.array_equal(mpm.data, want_mpm.data)
+
+
+def test_pooling_by_image_index_matches_select_and_pool():
+    """Pooling the image stack by index equals pooling a per-pair copy of
+    the images, in value and in the gradient of the stack, within 1e-12."""
+    rng = Rng(11)
+    stack = Tensor(rng.normal((3, 5, 4)), requires_grad=True)
+    index = [2, 0, 2, 1]
+    w = stochastic_rows(rng.normal((4, 5)))
+    probe = Tensor(rng.normal((4, 4)))
+    pooled = la.weighted_pool(w, md.EncoderOutput(stack), image_index=index)
+    nx.backward(nx.sum_all(nx.mul(pooled, probe)))
+    got_grad = stack.grad.copy()
+    stack.zero_grad()
+    # the per-pair copy, pooled as one product per pair
+    patch = w[:, 1:] / w[:, 1:].sum(axis=1, keepdims=True)
+    pool = np.concatenate([np.zeros((4, 1)), patch], axis=1)[:, None, :]
+    copied = nx.gather_rows(stack, index)
+    want = nx.reshape(nx.matmul(Tensor(pool), copied), (4, 4))
+    nx.backward(nx.sum_all(nx.mul(want, probe)))
+    assert np.allclose(pooled.data, want.data, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_grad, stack.grad, rtol=1e-12, atol=1e-12)
+    with pytest.raises(nx.ShapeError):
+        la.weighted_pool(w, md.EncoderOutput(stack), image_index=[0, 1, 3, 0])

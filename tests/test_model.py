@@ -237,7 +237,7 @@ def test_cross_encode_shape_and_trace(cfg, params, pipeline):
     txt = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg)
     fused = md.cross_encode(txt, img, params, cfg, trace_layer=cfg.bidiratt_layer)
     assert fused.reps.shape == (3, cfg.d)
-    assert fused.trace is not None and fused.trace.layer == cfg.bidiratt_layer
+    assert fused.trace is not None
     attn, values = fused.trace.attn, fused.trace.values
     assert attn.shape == (cfg.heads, 3, cfg.n_patches + 1)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-9
@@ -280,8 +280,7 @@ def test_cross_params_shared_between_streams(cfg, params):
 def pair_of(fused, b, rows):
     """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
     rows: the rows on the graph, the trace as a constant slice."""
-    trace = md.AttentionTrace(fused.trace.layer,
-                              fused.trace.attn[b, :, :rows], fused.trace.values[b])
+    trace = md.AttentionTrace(fused.trace.attn[b, :, :rows], fused.trace.values[b])
     return md.FusionOutput(nx.gather_rows(nx.gather_rows(fused.reps, b), np.arange(rows)),
                            trace)
 
@@ -436,6 +435,45 @@ def test_cross_encode_needs_one_unpadded_image_per_text(cfg, params):
     for bad in ([0, 3], [-1, 0]):
         with pytest.raises(IndexError):
             md.cross_encode(texts, stack, params, cfg, image_index=bad)
+
+
+def test_outputs_of_read_rows_say_what_they_hold(cfg, params, pipeline):
+    """An encoder given ``rows`` returns one row per sequence; ``.cls`` reads
+    it only when it is row 0, a text output of some rows carries no padding
+    bias, and the cross-encoder refuses inputs that lack rows."""
+    texts = [pipeline.vocab.encode(words) for words in
+             (["red", "shirt"], ["a", "man", "in", "blue", "pants"])]
+    full = md.encode_text(texts, params, cfg)
+    cls = md.encode_text(texts, params, cfg, rows=0)
+    assert full.pad_bias is not None and cls.pad_bias is None
+    assert cls.reps.shape == (2, 1, cfg.d)
+    assert np.allclose(cls.cls.data, full.cls.data, rtol=1e-12, atol=0.0)
+    mask_rows = md.encode_text(texts, params, cfg, rows=[1, 2])
+    with pytest.raises(ValueError, match=r"not the \[CLS\] row"):
+        mask_rows.cls
+    images = np.stack([random_patches(cfg, seed) for seed in (1, 2)])
+    img = md.encode_image(images, params, cfg)
+    img_cls = md.encode_image(images, params, cfg, rows=0)
+    assert img_cls.reps.shape == (2, 1, cfg.d)
+    assert np.allclose(img_cls.cls.data, img.cls.data, rtol=1e-12, atol=0.0)
+    fused = md.cross_encode(full, img, params, cfg, rows=[1, 2])
+    assert fused.reps.shape == (2, 1, cfg.d)
+    with pytest.raises(ValueError, match=r"not the \[CLS\] row"):
+        fused.cls
+    for text, image in ((cls, img), (full, img_cls)):
+        with pytest.raises(nx.ShapeError, match="every row"):
+            md.cross_encode(text, image, params, cfg)
+
+
+def test_encoder_without_self_layers_selects_the_read_rows(pipeline):
+    cfg = md.ModelConfig(d=8, heads=2, n_self_layers=0, n_cross_layers=1,
+                         bidiratt_layer=1, patch_rows=2, patch_cols=2,
+                         patch_pixels=6, vocab_size=len(pipeline.vocab))
+    params = md.init_params(cfg, Rng(0))
+    texts = [[5, 6], [7, 8, 9]]
+    full = md.encode_text(texts, params, cfg).reps.data
+    assert np.array_equal(md.encode_text(texts, params, cfg, rows=[2, 3]).reps.data,
+                          full[[0, 1], [2, 3]][:, None])
 
 
 def test_params_substituted_restores_original(params):

@@ -260,6 +260,33 @@ def test_gather_rows_backward_matches_add_at(ids):
     assert not table.grad[0].any()
 
 
+@pytest.mark.parametrize("rows", [1, [2, 0, 2]], ids=["one row", "row per matrix"])
+def test_select_rows_keeps_a_one_row_matrix(rows):
+    """One row of every matrix, or one per matrix, as (B, 1, n); the
+    gradient goes back to the picked rows only."""
+    rng = nx.Rng(19)
+    stack = t(rng.normal((3, 4, 2)), grad=True)
+    picked = nx.select_rows(stack, rows)
+    at = np.broadcast_to(rows, (3,))
+    assert np.array_equal(picked.data, stack.data[np.arange(3), at][:, None])
+    g = rng.normal(picked.shape)
+    nx.backward(nx.sum_all(nx.mul(picked, t(g))))
+    want = np.zeros(stack.shape)
+    want[np.arange(3), at] = g[:, 0]
+    assert np.array_equal(stack.grad, want)
+    assert nx.select_rows(t(stack.data[0]), 3).shape == (1, 2)
+
+
+def test_select_rows_rejects_bad_rows():
+    stack = t(np.zeros((3, 4, 2)))
+    with pytest.raises(nx.ShapeError):
+        nx.select_rows(stack, [0, 1])
+    with pytest.raises(IndexError):
+        nx.select_rows(stack, [0, 4, 1])
+    with pytest.raises(IndexError):
+        nx.select_rows(stack, -1)
+
+
 # ---------------------------------------------------------------------------
 # fused ops: attention and tanh MLP sublayers, linear
 

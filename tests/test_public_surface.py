@@ -1,15 +1,19 @@
 """No public surface without a use.
 
-Every top-level public function and class of a ``phrasealign`` module must be
-referenced somewhere in the package outside its own definition, or in one of
-the benchmark programs under ``perfbench/``. Tests do not count as callers,
-and neither does the benchmark's own self-test. References are resolved
-through each file's imports, so ``np.tanh`` is no use of ``numerics.tanh``.
+Every top-level public function, class and constant of a ``phrasealign``
+module must be referenced somewhere in the package outside its own
+definition, or in one of the benchmark programs under ``perfbench/``. Tests
+do not count as callers, and neither does the benchmark's own self-test.
+References are resolved through each file's imports, so ``np.tanh`` is no
+use of ``numerics.tanh``.
 
-Every public method and property of those modules' classes must be read as
-an attribute (``x.name``) in the same files, outside a definition of that
-name. The receiver's type is not resolved, so an attribute of the same name
-on anything counts: the check can miss a dead method, never flag a used one.
+Every public method and property of those modules' classes, and every public
+field of their dataclasses, must be read as an attribute (``x.name``) in the
+same files, outside a definition of that name. The receiver's type is not
+resolved, so an attribute of the same name on anything counts: the check can
+miss a dead member, never flag a used one. A dataclass passed by name to
+``dataclasses.fields``, ``asdict`` or ``astuple`` has all its fields read.
+An instance passed to them is not resolved to its class.
 
 ``ALLOWED`` names each exception together with what will call it. A name
 leaves the list once it has a caller; the list can only shrink.
@@ -41,25 +45,52 @@ ALLOWED = {
     "model.load_checkpoint": "ROADMAP item 6: resume",
     "model.load_params_state": "ROADMAP item 6: resume",
     "gradcheck.run_suite": "the CI step that runs the finite-difference suite",
+    "gradcheck.TOLERANCE": "the CI step that runs the finite-difference suite",
+    "trainer.TrainResult.momentum": "ROADMAP item 6: resume, which restarts from "
+                                    "a run's momentum shadows",
 }
 
 
+def _assigned(node) -> list[str]:
+    """The plain names an assignment statement binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def public_names(module: str) -> list[str]:
+    """The module's public functions, classes and constants."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        names += _assigned(node)
+    return [name for name in names if not name.startswith("_")]
+
+
+def _public_classes(module: str) -> list[ast.ClassDef]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [cls for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")]
 
 
 def public_members(module: str) -> list[str]:
     """"Class.member" for each public method and property of the module's
     public classes."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return [f"{cls.name}.{node.name}" for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+    return [f"{cls.name}.{node.name}" for cls in _public_classes(module)
             for node in cls.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_")]
+
+
+def public_fields(module: str) -> list[str]:
+    """"Class.field" for each public field of the module's public
+    dataclasses."""
+    return [f"{cls.name}.{name}" for cls in _public_classes(module)
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+            for node in cls.body for name in _assigned(node)
+            if isinstance(node, ast.AnnAssign) and not name.startswith("_")]
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:
@@ -74,9 +105,14 @@ def _package_module(node: ast.ImportFrom) -> str | None:
     return node.module[len(prefix):] if (node.module or "").startswith(prefix) else None
 
 
+# calls that read every field of the dataclass they are given
+WHOLE_READS = ("dataclasses.fields", "dataclasses.asdict", "dataclasses.astuple")
+
+
 def references(path: Path) -> set[tuple[str, str]]:
     """(module, name) pairs that ``path`` uses, each outside the top-level
-    definition of that same name."""
+    definition of that same name, and (module, "Class.*") for each package
+    class whose fields a ``WHOLE_READS`` call reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     own = path.stem if path.parent == PACKAGE else None
     modules: dict[str, str] = {}          # local alias -> package module
@@ -93,18 +129,25 @@ def references(path: Path) -> set[tuple[str, str]]:
     if own is not None:
         names.update({name: (own, name) for name in public_names(own)})
 
+    def resolve(node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return modules[node.value.id], node.attr
+        return None
+
     found = set()
     for top in tree.body:
         defined = getattr(top, "name", None)
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id in names:
-                ref = names[node.id]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in modules:
-                ref = (modules[node.value.id], node.attr)
-            else:
-                continue
-            if not (ref[0] == own and ref[1] == defined):
+            ref = resolve(node)
+            if isinstance(node, ast.Call) and node.args and \
+                    ast.unparse(node.func) in WHOLE_READS:
+                whole = resolve(node.args[0])
+                ref = whole and (whole[0], f"{whole[1]}.*")
+            if ref and not (ref[0] == own and ref[1] == defined):
                 found.add(ref)
     return found
 
@@ -154,10 +197,29 @@ def test_every_public_method_has_a_caller(module, read_attributes):
                           f"perfbench/: {uncalled}; call, delete or allow-list them")
 
 
+def field_is_read(name: str, used: set[str], read_attributes: set[str]) -> bool:
+    """Whether "module.Class.field" is read as an attribute, or with every
+    field of its class."""
+    module, cls, field = name.split(".")
+    return field in read_attributes or f"{module}.{cls}.*" in used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_field_is_read(module, used, read_attributes):
+    unread = [f"{module}.{field}" for field in public_fields(module)
+              if not field_is_read(f"{module}.{field}", used, read_attributes)
+              and f"{module}.{field}" not in ALLOWED]
+    assert not unread, (f"dataclass fields never read in src/ or perfbench/: "
+                        f"{unread}; read, delete or allow-list them")
+
+
 @pytest.mark.parametrize("name", sorted(ALLOWED))
 def test_allow_listed_name_exists_without_a_caller(name, used, read_attributes):
     module, attr = name.split(".", 1)
-    if "." in attr:     # a method or property
+    if attr in public_fields(module):
+        defined, called = public_fields(module), field_is_read(name, used,
+                                                               read_attributes)
+    elif "." in attr:     # a method or property
         defined, called = public_members(module), attr.split(".")[1] in read_attributes
     else:
         defined, called = public_names(module), name in used
@@ -201,3 +263,20 @@ def test_method_reads_are_attribute_names(tmp_path, monkeypatch):
         "class _Private:\n    def seen(self):\n        pass\n", encoding="utf-8")
     assert public_members("mod") == ["Box.size", "Box.grow"]
     assert attribute_reads(tmp_path / "mod.py") == {"size", "shrink"}
+
+
+def test_constants_and_dataclass_fields_are_listed(tmp_path, monkeypatch):
+    """Public module constants are public names; public dataclass fields are
+    listed, and a class passed to ``dataclasses.fields`` has all of them
+    read; an assignment is no use of the name it binds."""
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    (tmp_path / "mod.py").write_text(
+        "import dataclasses\n"
+        "LIMIT = 3\n_HIDDEN = 4\nUNUSED: int = 5\n"
+        "@dataclasses.dataclass\nclass Row:\n    size: int = LIMIT\n    _own: int = 0\n"
+        "class Plain:\n    kind: str = 'x'\n"
+        "COLUMNS = dataclasses.fields(Row)\n", encoding="utf-8")
+    assert public_names("mod") == ["LIMIT", "UNUSED", "Row", "Plain", "COLUMNS"]
+    assert public_fields("mod") == ["Row.size"]
+    assert references(tmp_path / "mod.py") == {("mod", "LIMIT"), ("mod", "Row"),
+                                               ("mod", "Row.*")}
