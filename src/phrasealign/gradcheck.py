@@ -2,10 +2,13 @@
 
 Each per-loss check builds one loss term on a small forward graph;
 :func:`check_total` runs ``trainer.train_step`` itself, so it checks the
-objective training optimizes, whatever terms that step builds. Every check
-replaces one named parameter by the probe tensor and compares the autodiff
-gradient against central differences. The suite backs the finite-difference
-tests (``tests/test_gradcheck.py``).
+objective training optimizes, whatever terms that step builds. Every
+per-loss check replaces one named parameter by the probe tensor and
+compares the autodiff gradient against central differences, entry by entry.
+The directional checks move every parameter at once along a few random
+directions and compare the gradient's inner product with each against the
+same stencil along it, so a tensor no per-entry check probes is covered too.
+The suite backs the finite-difference tests (``tests/test_gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .textproc import MaskedPhrase, TextPipeline, mask_phrase
 
 TOLERANCE = 1e-6
 SUITE_EPS = 1e-3  # roundoff dominates the deep graphs at smaller steps
+DIRECTION_EPS = 3e-4  # a step along v, which is scaled entrywise to theta
+N_DIRECTIONS = 4
 
 
 def finite_diff_param(params: model.Params, name: str, build_loss,
@@ -41,6 +46,46 @@ def finite_diff_param(params: model.Params, name: str, build_loss,
         return nx.finite_diff_check(f, params[name], eps=eps)
     finally:
         params.zero_grads()
+
+
+def finite_diff_directions(params: model.Params, build_loss, rng: Rng) -> float:
+    """Directional check of the gradient over every parameter at once.
+
+    Each of ``N_DIRECTIONS`` directions v draws a normal entry per parameter
+    entry, scaled by max(|theta|, 1e-2), so every tensor moves in proportion
+    to its size. The autodiff value <grad, v> is compared with the
+    fourth-order stencil of :func:`numerics.finite_diff_check` taken along v,
+    the loss evaluated with every parameter set to theta + s v. Returns the
+    max relative error, with the denominator max(|analytic|, |numeric|,
+    1e-8), over the directions. The parameters are restored bit for bit.
+    """
+    tensors = [t for _, t in params.named()]
+    theta = [t.data.copy() for t in tensors]
+    params.zero_grads()
+    nx.backward(build_loss())
+    grads = [t.grad.copy() for t in tensors]
+    params.zero_grads()
+
+    def f(v, s: float) -> float:
+        for t, base, step in zip(tensors, theta, v):
+            t.data[...] = base + s * step
+        with nx.no_grad():
+            return float(build_loss().data)
+
+    h = DIRECTION_EPS
+    worst = 0.0
+    try:
+        for _ in range(N_DIRECTIONS):
+            v = [rng.normal(base.shape) * np.maximum(np.abs(base), 1e-2)
+                 for base in theta]
+            analytic = sum(float(np.vdot(g, step)) for g, step in zip(grads, v))
+            numeric = (8.0 * (f(v, h) - f(v, -h)) - (f(v, 2 * h) - f(v, -2 * h))) / (12 * h)
+            worst = max(worst, abs(analytic - numeric) /
+                        max(abs(analytic), abs(numeric), 1e-8))
+    finally:
+        for t, base in zip(tensors, theta):
+            t.data[...] = base
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +125,10 @@ def _masked_phrases(pipeline, rng) -> list[MaskedPhrase]:
 
 # ---------------------------------------------------------------------------
 # per-loss checks; each returns the max relative error over probed parameters.
-# Every check encodes its images and its texts in one call each, picks the
-# pairs' text rows by index and passes the pairs' image index to
-# ``cross_encode``, as ``trainer.train_step`` does; a repeated image scatters
-# its key and value gradients back to one entry.
+# Every check encodes its images and its texts in one call each and passes
+# the pairs' text and image indices to ``cross_encode``, as
+# ``trainer.train_step`` does; a repeated image scatters its key and value
+# gradients back to one entry, a repeated text its rows' gradients.
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -121,8 +166,8 @@ def check_itm(seed: int) -> float:
 
     def build():
         img, txt = _encode(images, texts, params, cfg)
-        fused = model.cross_encode(txt.select([0, 1]), img, params, cfg,
-                                   image_index=[0, 0])
+        fused = model.cross_encode(txt, img, params, cfg, image_index=[0, 0],
+                                   text_index=[0, 1])
         return losses.itm_loss(losses.fine_similarity(fused.cls, params["itm.w"]),
                                [1.0, 0.0])
 
@@ -143,8 +188,8 @@ def check_triplet(seed: int) -> float:
         # (text, image) pairs: the positive (0, 0), then a negative image
         # (0, 1) and a negative text (1, 0)
         img, txt = _encode(images, texts, params, cfg)
-        fused = model.cross_encode(txt.select([0, 0, 1]), img, params, cfg,
-                                   image_index=[0, 1, 0])
+        fused = model.cross_encode(txt, img, params, cfg, image_index=[0, 1, 0],
+                                   text_index=[0, 0, 1])
         logits = losses.fine_similarity(fused.cls, params["itm.w"])
         pos, neg_i, neg_t = (nx.gather_rows(logits, k) for k in range(3))
         return losses.fusion_triplet_loss(pos, neg_i, neg_t, margin=0.6)
@@ -157,7 +202,10 @@ def check_triplet(seed: int) -> float:
     return max(errs)
 
 
-def check_local_align(seed: int) -> float:
+def _local_align_losses(seed: int):
+    """The local-alignment term of two image-phrase pairs: (params, the
+    full loss builder, the builder with the pooling weights held at their
+    unperturbed values)."""
     pipeline, cfg, params, rng, images, _ = _toy_setup(seed)
     masked = _masked_phrases(pipeline, rng)
     mask_rows = [m.mask_index + 1 for m in masked]
@@ -174,22 +222,27 @@ def check_local_align(seed: int) -> float:
                                        image_index=pairs)
         return nx.sum_all(loss)
 
-    # the projections do not feed the attention trace, so the full loss is
-    # checkable through them as-is; the cosine's worst gradient elements are
-    # truncation-limited, hence the smaller step
-    errs = [finite_diff_param(params, "proj.txt.w", build, eps=3e-4),
-            finite_diff_param(params, "proj.img.w", build, eps=3e-4)]
-
-    # encoder parameters do feed the trace; the pooling weights are constants
-    # by definition, so the probe holds them at their unperturbed values
+    # the pooling weights are constants by definition, so a probe of a
+    # parameter that feeds the trace holds them at their unperturbed values
     with nx.no_grad():
         _, frozen = local_alignment_loss(*phrase_pass(), mask_rows, params, cfg,
                                          image_index=pairs)
 
     def build_fixed_w():
-        image, phr, _ = phrase_pass()
+        image, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
         return nx.sum_all(pooled_alignment_loss(frozen.w, image, phr, params, pairs))
 
+    return params, build, build_fixed_w
+
+
+def check_local_align(seed: int) -> float:
+    params, build, build_fixed_w = _local_align_losses(seed)
+    # the projections do not feed the attention trace, so the full loss is
+    # checkable through them as-is; the cosine's worst gradient elements are
+    # truncation-limited, hence the smaller step
+    errs = [finite_diff_param(params, "proj.txt.w", build, eps=3e-4),
+            finite_diff_param(params, "proj.img.w", build, eps=3e-4)]
+    # encoder parameters do feed the trace
     errs.append(finite_diff_param(params, "txt_self0.attn.wv", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ln2.g", build_fixed_w))
     errs.append(finite_diff_param(params, "img_self0.ffn.b2", build_fixed_w))
@@ -212,21 +265,20 @@ def check_mpm(seed: int) -> float:
     return max(errs)
 
 
-def check_total(seed: int) -> float:
-    """The stage-2 objective as training builds it: ``trainer.train_step`` on
-    one batch of a 3-identity toy corpus, with every term enabled.
+def _train_step_loss(seed: int, stage: int, **train_over):
+    """``trainer.train_step`` of ``stage`` on one batch of a 3-identity toy
+    corpus: (params, a builder of its total).
 
     Each evaluation gets a fresh copy of a pre-filled queue and a fresh
     negative-sampling stream, and uniform sampling keeps the drawn pairs
-    independent of the probe. No probed parameter feeds the traced layer, so
-    the pooling weights, constants by definition, stay fixed.
-    """
+    independent of the parameters."""
     # the corpus captions are longer than the other checks' texts
     pipeline, cfg, params, rng, _, _ = _toy_setup(seed, max_text_len=20)
     corpus = data.generate_dataset(
         data.DataConfig(n_identities=3, patch_rows=cfg.patch_rows,
                         patch_cols=cfg.patch_cols, patch_pixels=cfg.patch_pixels), rng)
-    train_cfg = trainer.TrainConfig(batch_size=3, queue_size=8, neg_sampling="uniform")
+    train_cfg = trainer.TrainConfig(batch_size=3, queue_size=8, neg_sampling="uniform",
+                                    **train_over)
     batch = data.make_batches(corpus.train_records(), train_cfg.batch_size,
                               pipeline, rng)[0]
     momentum = model.MomentumState.from_params(params, train_cfg.momentum_coeff)
@@ -235,16 +287,46 @@ def check_total(seed: int) -> float:
     queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
 
     def build():
-        total, _ = trainer.train_step(batch, 2, params, momentum,
+        total, _ = trainer.train_step(batch, stage, params, momentum,
                                       copy.deepcopy(queue), cfg, train_cfg,
                                       Rng(seed + 4))
         return total
 
+    return params, build
+
+
+def check_total(seed: int) -> float:
+    """The stage-2 objective as training builds it, with every term enabled.
+    No probed parameter feeds the traced layer, so the pooling weights,
+    constants by definition, stay fixed."""
+    params, build = _train_step_loss(seed, 2)
     errs = [finite_diff_param(params, "itm.w", build),
             finite_diff_param(params, "cross1.ln3.g", build),
             finite_diff_param(params, "temp.log_tau", build),
             finite_diff_param(params, "mpm.b2", build)]
     return max(errs)
+
+
+# ---------------------------------------------------------------------------
+# directional checks over every parameter; the directions are drawn from
+# their own stream per seed
+
+
+def check_directions_stage1(seed: int) -> float:
+    return finite_diff_directions(*_train_step_loss(seed, 1), Rng(seed + 5))
+
+
+def check_directions_stage2(seed: int) -> float:
+    """The stage-2 step without the local term: a move of the layers up to
+    the traced one would move its pooling weights, constants by definition,
+    which :func:`check_directions_local_align` holds fixed instead."""
+    return finite_diff_directions(*_train_step_loss(seed, 2, enable_biatt=False),
+                                  Rng(seed + 5))
+
+
+def check_directions_local_align(seed: int) -> float:
+    params, _, build_fixed_w = _local_align_losses(seed)
+    return finite_diff_directions(params, build_fixed_w, Rng(seed + 5))
 
 
 CHECKS = {
@@ -254,6 +336,9 @@ CHECKS = {
     "local_align": check_local_align,
     "mpm": check_mpm,
     "total": check_total,
+    "directions_stage1": check_directions_stage1,
+    "directions_stage2": check_directions_stage2,
+    "directions_local_align": check_directions_local_align,
 }
 
 

@@ -15,7 +15,10 @@ residual sublayer, its layer norm included, is one graph node: a
 :func:`numerics.tanh_mlp` node per feed-forward. Pairs that share an image
 share its cross-attention keys and values: given an image index per pair,
 each cross layer projects every image once, and the pairs of one image meet
-its keys and values in one product per head.
+its keys and values in one product per head. Texts are named by index as
+well: given a text index per pair, cross layer 0's self-attention, the only
+sublayer that reads the text alone, runs once per distinct text, and one
+gather picks each pair's rows; every later sublayer runs per pair.
 
 Each encoder's last layer computes only the rows its caller reads. Given
 ``rows`` (0 for [CLS], or one row per sequence), the last layer's queries
@@ -25,7 +28,8 @@ Training passes the [CLS] row to the matching cross-encode and to the
 momentum encoders, and each phrase's [MASK] row to the phrase
 cross-encode. A traced cross layer always computes every row, since the
 local alignment reads its mask or [CLS] row; retrieval and the gallery pass
-no rows and compute every row.
+no rows and compute every row. A cross-encode whose caller reads its trace
+alone is given empty rows: it stops at the traced layer and builds no graph.
 """
 
 from __future__ import annotations
@@ -272,13 +276,6 @@ class EncoderOutput:
     def cls(self) -> Tensor:
         return _cls_row(self.reps, self.rows)
 
-    def select(self, index) -> "EncoderOutput":
-        """Sequences ``index`` of a batch (repeats allowed), in that order,
-        with their ``pad_bias`` and ``rows`` entries."""
-        bias = None if self.pad_bias is None else self.pad_bias[index]
-        rows = self.rows if np.ndim(self.rows) == 0 else np.asarray(self.rows)[index]
-        return EncoderOutput(nx.gather_rows(self.reps, index), bias, rows)
-
 
 @dataclasses.dataclass
 class AttentionTrace:
@@ -298,11 +295,12 @@ class AttentionTrace:
 class FusionOutput:
     """Fused text rows, ([B,] L_text+1, d) as the text input, or given
     ``rows``, only the row of each pair the last cross layer computed:
-    ([B,] 1, d). ``cls`` raises unless that row is 0."""
+    ([B,] 1, d). ``cls`` raises unless that row is 0. Given empty ``rows``,
+    the trace alone and no ``reps``."""
 
-    reps: Tensor
+    reps: Tensor | None
     trace: AttentionTrace | None = None
-    rows: int | np.ndarray | None = None   # None: every row
+    rows: int | np.ndarray | None = None   # None: every row; empty: none
 
     @property
     def cls(self) -> Tensor:
@@ -360,16 +358,25 @@ def _self_layers(x: Tensor, stream: str, params: Params, cfg: ModelConfig,
 
 def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Tensor,
                  params: Params, cfg: ModelConfig, rows=None, index=None,
-                 trace: bool = False):
+                 trace: bool = False, text_index=None):
     """Cross layer ``layer`` (0-based): self-attention over the text rows
     ``x``, whose padding ``text_bias`` keeps out, cross-attention with text
     queries against the ``image`` rows (given ``index``, image ``index[b]``
-    for pair b), feed-forward. Given ``rows``, the layer computes only those
-    query rows; keys and values still come from every row. Returns (rows
-    out, the layer's :class:`AttentionTrace` with ``trace``, else None)."""
+    for pair b), feed-forward. Given ``text_index``, ``x`` and ``text_bias``
+    hold distinct texts: the self-attention runs once per text, and one
+    gather then picks text ``text_index[b]`` for pair b. Given ``rows``, the
+    layer computes only those query rows; keys and values still come from
+    every row. Returns (rows out, the layer's :class:`AttentionTrace` with
+    ``trace``, else None)."""
     prefix = f"cross{layer}"
-    x = _multi_head_attention(_queries(x, rows), x, params, f"{prefix}.self",
-                              f"{prefix}.ln1", cfg, text_bias)
+    # a row per pair is picked once the pairs' texts are gathered
+    per_pair = text_index is not None and np.ndim(rows) > 0
+    x = _multi_head_attention(_queries(x, None if per_pair else rows), x, params,
+                              f"{prefix}.self", f"{prefix}.ln1", cfg, text_bias)
+    if text_index is not None:
+        x = nx.gather_rows(x, text_index)
+        if per_pair:
+            x = _queries(x, rows)
     cross = _multi_head_attention(x, image, params, f"{prefix}.cross", f"{prefix}.ln2",
                                   cfg, kv_index=index, trace=trace)
     captured = None
@@ -451,49 +458,68 @@ def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig, rows=
 
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
                  cfg: ModelConfig, trace_layer: int | None = None,
-                 mode: str = "train", image_index=None, rows=None) -> FusionOutput:
+                 mode: str = "train", image_index=None, rows=None,
+                 text_index=None) -> FusionOutput:
     """Per layer (:func:`_cross_layer`): self-attention over text rows,
     cross-attention with text queries against image keys/values,
     feed-forward. ``trace_layer`` (1-based) captures that layer's attention
     trace.
 
     Takes one pair, or a batch of pairs: text and image reps with the same
-    leading pair axis, as the batched encoders give them or
-    :meth:`EncoderOutput.select` picks them. Or a batch of texts, a stack of
-    images and ``image_index``, the image of each text (repeats allowed):
-    then every cross layer projects each image's keys and values once and
-    meets the pairs of each image in one product per head, which gives the
-    same numbers as the selected images. A text batch's ``pad_bias`` keeps
-    its padding out of the text self-attention; image rows are never padded.
-    The fused reps and the trace keep the pair axis.
+    leading pair axis, as the batched encoders give them. Texts and images
+    can both be named by index instead, repeats allowed: ``image_index``
+    gives the image of each pair in a stack of images, and then every cross
+    layer projects each image's keys and values once and meets the pairs of
+    each image in one product per head; ``text_index`` gives the text of
+    each pair in a batch of texts, and then cross layer 0's self-attention
+    runs once per text and one gather picks each pair's rows and padding.
+    Either gives the same numbers as a per-pair copy of the rows. A text
+    batch's ``pad_bias`` keeps its padding out of the text self-attention;
+    image rows are never padded. The fused reps and the trace have the pair
+    axis.
 
     ``rows``: the text row the caller reads of each pair (0 for [CLS]), or
     of pair b ``rows[b]``; the last layer computes only those, None all. A
     traced layer computes every row, so a traced last layer ignores
-    ``rows``."""
+    ``rows``. Empty ``rows`` read no row, only the trace: the pass stops at
+    the traced layer, records no graph and returns no reps."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
+    trace_only = rows is not None and np.size(rows) == 0
+    if trace_only and trace_layer is None:
+        raise ValueError("a cross-encode that reads no rows needs a trace layer")
     index = None if image_index is None else np.asarray(image_index, dtype=np.intp)
+    texts = None if text_index is None else np.asarray(text_index, dtype=np.intp)
     pairs = img_out.reps.shape[:-2] if index is None else index.shape
-    if text_out.reps.shape[:-2] != pairs or img_out.pad_bias is not None or \
-            (index is not None and img_out.reps.data.ndim != 3):
+    if (text_out.reps.shape[:-2] if texts is None else texts.shape) != pairs or \
+            img_out.pad_bias is not None or \
+            (index is not None and img_out.reps.data.ndim != 3) or \
+            (texts is not None and text_out.reps.data.ndim != 3):
         raise nx.ShapeError(f"need one unpadded image per text: text "
                             f"{text_out.reps.shape}, image {img_out.reps.shape}"
-                            + ("" if index is None else f", index {index.shape}"))
+                            + ("" if index is None else f", index {index.shape}")
+                            + ("" if texts is None else f", text index {texts.shape}"))
+    if texts is not None and ((texts < 0) | (texts >= text_out.reps.shape[0])).any():
+        raise IndexError(f"text_index {texts.tolist()} outside "
+                         f"0..{text_out.reps.shape[0] - 1}")
     if text_out.rows is not None or img_out.rows is not None:
         raise nx.ShapeError("cross_encode needs every row of the text and the image")
     last = cfg.n_cross_layers - 1
-    rows = None if trace_layer == cfg.n_cross_layers else rows
-    ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
+    layers = trace_layer if trace_only else cfg.n_cross_layers
+    read = None if trace_only or trace_layer == cfg.n_cross_layers else rows
+    # after layer 0, a text index has made the text rows and padding per pair
+    pair_bias = text_out.pad_bias if texts is None or text_out.pad_bias is None \
+        else text_out.pad_bias[texts]
+    ctx = nx.no_grad() if mode == "infer" or trace_only else contextlib.nullcontext()
     with ctx:
-        x = text_out.reps
-        trace = None
-        for layer in range(cfg.n_cross_layers):
-            x, captured = _cross_layer(layer, x, text_out.pad_bias, img_out.reps, params,
-                                       cfg, rows if layer == last else None, index,
-                                       layer + 1 == trace_layer)
-            trace = trace or captured
-        return FusionOutput(x, trace, rows)
+        x, bias, trace = text_out.reps, text_out.pad_bias, None
+        for layer in range(layers):
+            x, captured = _cross_layer(layer, x, bias, img_out.reps, params, cfg,
+                                       read if layer == last else None, index,
+                                       layer + 1 == trace_layer, None if layer else texts)
+            trace, bias = trace or captured, pair_bias
+        return FusionOutput(None, trace, rows) if trace_only else \
+            FusionOutput(x, trace, read)
 
 
 # ---------------------------------------------------------------------------

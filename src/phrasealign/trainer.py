@@ -7,7 +7,9 @@ per-term breakdown, which :func:`train` logs per step. The finite-difference
 check of the total (``gradcheck.check_total``) differentiates this function
 itself. Each stage's learning-rate schedule spans its epochs times the
 batches ``make_batches`` gives per epoch. The momentum shadows are updated
-after every optimizer step and are never touched by the optimizer. Runs are
+after every optimizer step and are never touched by the optimizer. :func:`train`
+holds one step's graph at a time: it drops each step's loss once the optimizer
+step, the momentum update and the gradient reset have run. Runs are
 bit-for-bit reproducible from the seed.
 """
 
@@ -177,9 +179,9 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     pairs = ([(i, i, 1.0) for i in range(n)]
              + [(j, i, 0.0) for i, j in enumerate(neg_txt)]
              + [(j, i, 0.0) for j, i in enumerate(neg_img)])
-    fused = md.cross_encode(txt_out.select([t for t, _, _ in pairs]), img_out,
-                            params, model_cfg, image_index=[i for _, i, _ in pairs],
-                            rows=0)
+    fused = md.cross_encode(txt_out, img_out, params, model_cfg,
+                            image_index=[i for _, i, _ in pairs],
+                            text_index=[t for t, _, _ in pairs], rows=0)
     logits = ls.fine_similarity(fused.cls, params["itm.w"])
     itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
@@ -200,24 +202,28 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         masked = [m for _, _, m in items]
         image_ids = [i for i, _, _ in items]
         mask_rows = [m.mask_index + 1 for m in masked]
-        phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-        # the masked-phrase loss reads each phrase's [MASK] row, unless it
-        # scores every position
-        fused = md.cross_encode(phrases, img_out, params, model_cfg,
-                                trace_layer=trace_layer, image_index=image_ids,
-                                rows=mask_rows if model_cfg.mpm_positions == "masked"
-                                else None)
+        if cfg.enable_mpm or need_trace:
+            phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
+            # the masked-phrase loss reads each phrase's [MASK] row, unless it
+            # scores every position; without it, the pass feeds the local
+            # stream its trace alone, so it reads no rows
+            read = () if not cfg.enable_mpm else \
+                mask_rows if model_cfg.mpm_positions == "masked" else None
+            fused = md.cross_encode(phrases, img_out, params, model_cfg,
+                                    trace_layer=trace_layer, image_index=image_ids,
+                                    rows=read)
         if cfg.enable_biatt:
-            # the local stream reads the masked phrases' own pass, or a
-            # separate traced pass over the clean phrases
-            biatt_phrases, biatt_fused = phrases, fused
-            if model_cfg.biatt_phrase == "clean":
+            # the local stream reads the masked phrases' own pass, or the
+            # trace alone of a separate pass over the clean phrases
+            if need_trace:
+                biatt_phrases, biatt_fused = phrases, fused
+            else:
                 biatt_phrases = md.encode_text(
                     [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
                 biatt_fused = md.cross_encode(biatt_phrases, img_out, params,
                                               model_cfg,
                                               trace_layer=model_cfg.bidiratt_layer,
-                                              image_index=image_ids)
+                                              image_index=image_ids, rows=())
             biatt, _ = local_alignment_loss(
                 img_out, biatt_phrases, biatt_fused, mask_rows, params, model_cfg,
                 target_id=[m.target_id for m in masked], image_index=image_ids)
@@ -272,6 +278,9 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                 adamw_step(params, optim, lr, cfg.weight_decay)
                 md.momentum_update(params, momentum)
                 params.zero_grads()
+                # the next step builds its graph without this one's values
+                # beside it
+                del total
                 log_rows.append({"step": global_step, "lr": lr,
                                  **dataclasses.asdict(breakdown)})
                 stage_step += 1

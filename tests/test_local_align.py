@@ -401,7 +401,8 @@ def phrase_batch_setup(**over):
 def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
     """Both phrase losses of the stacked pairs, with the [CLS] row of pair
     ``zero_cls_of`` (if given) zeroed in the phrase input of the alignment."""
-    image = md.encode_image(np.stack(images), params, cfg).select(img_of)
+    image = md.EncoderOutput(nx.gather_rows(
+        md.encode_image(np.stack(images), params, cfg).reps, img_of))
     phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
     fused = md.cross_encode(phrase, image, params, cfg,
                             trace_layer=cfg.bidiratt_layer)

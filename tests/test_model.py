@@ -277,6 +277,13 @@ def test_cross_params_shared_between_streams(cfg, params):
     assert n_cross > 0  # a single parameter set serves both streams
 
 
+def select(out, index):
+    """Sequences ``index`` of an encoder batch with their padding bias: the
+    per-pair copy that ``cross_encode``'s text and image indices replace."""
+    bias = None if out.pad_bias is None else out.pad_bias[index]
+    return md.EncoderOutput(nx.gather_rows(out.reps, index), bias)
+
+
 def pair_of(fused, b, rows):
     """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
     rows: the rows on the graph, the trace as a constant slice."""
@@ -302,8 +309,8 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
         if batched:
             imgs = md.encode_image(np.stack(images), params, cfg)
             txts = md.encode_text(ids, params, cfg)
-            fused = md.cross_encode(txts.select([t for t, _ in pairs]),
-                                    imgs.select([i for _, i in pairs]),
+            fused = md.cross_encode(select(txts, [t for t, _ in pairs]),
+                                    select(imgs, [i for _, i in pairs]),
                                     params, cfg, trace_layer=cfg.bidiratt_layer)
             logits = ls.fine_similarity(fused.cls, params["itm.w"]).data
             outs = [pair_of(fused, b, len(ids[t]) + 1) for b, (t, _) in enumerate(pairs)]
@@ -359,7 +366,7 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
             fused = md.cross_encode(texts, md.EncoderOutput(img), params, cfg,
                                     trace_layer=cfg.bidiratt_layer, image_index=index)
         else:
-            fused = md.cross_encode(texts, md.EncoderOutput(img).select(index), params,
+            fused = md.cross_encode(texts, select(md.EncoderOutput(img), index), params,
                                     cfg, trace_layer=cfg.bidiratt_layer)
         nx.backward(nx.sum_all(nx.mul(fused.reps, Tensor(probe))))
         grads = {name: p.grad.copy() for name, p in params.named()}
@@ -474,6 +481,106 @@ def test_encoder_without_self_layers_selects_the_read_rows(pipeline):
     full = md.encode_text(texts, params, cfg).reps.data
     assert np.array_equal(md.encode_text(texts, params, cfg, rows=[2, 3]).reps.data,
                           full[[0, 1], [2, 3]][:, None])
+
+
+# (cross layers, trace layer, rows): the default pruned [CLS] read, every row
+# with layer 1 traced, and one cross layer, whose layer 0 is the last, read at
+# row 0 and at a row per pair
+TEXT_INDEX_CASES = [(3, None, 0), (3, 1, None), (1, None, 0), (1, None, [1, 0, 2, 1, 0])]
+
+
+@pytest.mark.parametrize("n_cross, trace_layer, rows", TEXT_INDEX_CASES)
+def test_text_index_matches_selected_texts(cfg, pipeline, n_cross, trace_layer, rows):
+    """Texts named by index, with a repeated text, a text no pair uses and
+    padding: the fused rows, the trace, the ITM logits and loss, and every
+    parameter gradient equal those of a per-pair copy of the texts."""
+    cfg = dataclasses.replace(cfg, n_cross_layers=n_cross, bidiratt_layer=1)
+    params = md.init_params(cfg, Rng(7))
+    ids = [pipeline.vocab.encode(words) for words in
+           (["red", "shirt"], ["a", "man", "in", "blue", "pants"], ["black", "hair"],
+            ["white", "shoes", "and", "a", "bag"])]
+    text_index, image_index = [0, 2, 0, 3, 2], [0, 1, 1, 0, 2]   # text 1 unused
+    labels = [1.0, 0.0, 0.0, 1.0, 0.0]
+    images = np.stack([random_patches(cfg, seed) for seed in (3, 4, 5)])
+
+    def run(indexed):
+        params.zero_grads()
+        img = md.encode_image(images, params, cfg)
+        txt = md.encode_text(ids, params, cfg)
+        assert txt.pad_bias is not None
+        texts = txt if indexed else select(txt, text_index)
+        fused = md.cross_encode(texts, img, params, cfg, trace_layer, image_index=image_index,
+                                text_index=text_index if indexed else None, rows=rows)
+        # row 0 of every row, or the one row of each pair computed
+        logits = ls.fine_similarity(nx.take_row(fused.reps, 0), params["itm.w"])
+        loss = ls.itm_loss(logits, labels)
+        nx.backward(loss)
+        grads = {name: p.grad.copy() for name, p in params.named()}
+        params.zero_grads()
+        return fused, logits.data, float(loss.data), grads
+
+    got, got_logits, got_loss, got_grads = run(indexed=True)
+    want, want_logits, want_loss, want_grads = run(indexed=False)
+
+    def close(a, b):
+        return a.shape == b.shape and np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    assert got.reps.shape == want.reps.shape == \
+        (5, 1 if rows is not None else max(map(len, ids)) + 1, cfg.d)
+    assert close(got.reps.data, want.reps.data)
+    assert close(got_logits, want_logits) and abs(got_loss - want_loss) <= 1e-12 * want_loss
+    assert (got.trace is None) == (want.trace is None) == (trace_layer is None)
+    if trace_layer is not None:
+        assert close(got.trace.attn, want.trace.attn)
+        assert close(got.trace.values, want.trace.values)
+    for name, g in want_grads.items():
+        assert close(got_grads[name], g), name
+    assert not got_grads["embed.token"][ids[1][1]].any()   # "man": only text 1
+
+
+def test_text_index_is_checked(cfg, params):
+    img = md.encode_image(np.stack([random_patches(cfg)] * 2), params, cfg)
+    texts = md.encode_text([[5, 6], [7, 8, 9], [10]], params, cfg)
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError, match=r"text_index \[.*\] outside 0\.\.2"):
+            md.cross_encode(texts, img, params, cfg, image_index=[0, 1], text_index=bad)
+    # one text per pair of the image index, from a batch of texts
+    with pytest.raises(nx.ShapeError, match="text index"):
+        md.cross_encode(texts, img, params, cfg, image_index=[0, 1], text_index=[0, 1, 2])
+    one = md.encode_text([5, 6], params, cfg)
+    with pytest.raises(nx.ShapeError, match="text index"):
+        md.cross_encode(one, img, params, cfg, image_index=[0, 1], text_index=[0, 0])
+
+
+@pytest.mark.parametrize("trace_layer", [1, 2, 3])
+def test_trace_only_cross_encode_stops_at_the_traced_layer(cfg, pipeline, monkeypatch,
+                                                           trace_layer):
+    """Empty rows read the trace alone: bit-equal to the full pass's trace,
+    made by the layers up to the traced one, one Tensor per sublayer, none
+    of them a graph node, though the inputs are on the graph."""
+    params = md.init_params(cfg, Rng(8))
+    img = md.encode_image(np.stack([random_patches(cfg, s) for s in (1, 2)]), params, cfg)
+    phrases = md.encode_text([pipeline.vocab.encode(words) for words in
+                              (["red", "shirt"], ["dark", "blue", "jacket"])], params, cfg)
+    assert img.reps.requires_grad and phrases.reps.requires_grad
+    full = md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0])
+    made = []
+    init = nx.Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.requires_grad)
+
+    monkeypatch.setattr(nx.Tensor, "__init__", recording)
+    only = md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0],
+                           rows=[])
+    monkeypatch.setattr(nx.Tensor, "__init__", init)
+    assert made == [False] * (3 * trace_layer)
+    assert only.reps is None and only.rows == []
+    assert np.array_equal(only.trace.attn, full.trace.attn)
+    assert np.array_equal(only.trace.values, full.trace.values)
+    with pytest.raises(ValueError, match="reads no rows needs a trace layer"):
+        md.cross_encode(phrases, img, params, cfg, image_index=[1, 0], rows=())
 
 
 def test_params_substituted_restores_original(params):

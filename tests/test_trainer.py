@@ -214,6 +214,82 @@ def test_step_memory_with_last_layers_on_read_rows(stage, peak_mib, held_mib):
     assert peak_mib(two_steps) < next_peak
 
 
+# the tracemalloc peak, in MiB, of one train() epoch of the default corpus
+# and configs, stage 1 / stage 2, when train() releases each step's graph
+# before the next is built and the matching cross-encode names its texts by
+# index (21.18 / 25.72), against the last root held while the next step is
+# built and a per-pair copy of the texts (22.87 / 28.68). Each bound lies
+# between.
+TRAIN_EPOCH_MIB = {1: 22.0, 2: 27.2}
+
+
+@pytest.mark.parametrize("stage", list(TRAIN_EPOCH_MIB))
+def test_one_train_epoch_peak_memory(stage, peak_mib):
+    pipeline = TextPipeline()
+    dataset = data.generate_dataset(data.DataConfig(), Rng(0))
+    model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
+    cfg = trainer.TrainConfig(stage1_epochs=int(stage == 1), stage2_epochs=int(stage == 2))
+    assert peak_mib(lambda: trainer.train(model_cfg, cfg, dataset, pipeline)) < \
+        TRAIN_EPOCH_MIB[stage]
+
+
+# (ModelConfig, TrainConfig) overrides whose phrase cross-encodes feed the
+# local stream their trace alone, and per cross-encode of a stage-2 step
+# whether it reads no rows: the matching pass, then the masked-phrase pass
+# unless nothing reads it, then the clean-phrase pass
+TRACE_ONLY_PASSES = [
+    ({"biatt_phrase": "clean"}, {}, [False, False, True]),
+    ({}, {"enable_mpm": False}, [False, True]),
+    ({"biatt_phrase": "clean"}, {"enable_mpm": False}, [False, True]),
+]
+
+
+@pytest.mark.parametrize("model_over, train_over, trace_only", TRACE_ONLY_PASSES,
+                         ids=["biatt_phrase=clean", "enable_mpm=False", "both"])
+def test_trace_only_phrase_passes_keep_losses_and_gradients(
+        monkeypatch, model_over, train_over, trace_only):
+    """A phrase cross-encode the local stream reads for its trace alone reads
+    no rows, so it stops at the traced layer and records no graph; the
+    step's losses and gradients equal those with that pass run in full on
+    the graph."""
+    pipeline, dataset, model_cfg, cfg = tiny_setup(**train_over)
+    model_cfg = dataclasses.replace(model_cfg, **model_over)
+    assert model_cfg.bidiratt_layer < model_cfg.n_cross_layers
+    batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
+                              Rng(2))[0]
+    cross_encode = md.cross_encode
+
+    def run(full):
+        reads_none = []
+
+        def recording(*args, rows=None, **kwargs):
+            reads_none.append(rows is not None and np.size(rows) == 0)
+            return cross_encode(*args, rows=None if full and reads_none[-1] else rows,
+                                **kwargs)
+
+        monkeypatch.setattr(md, "cross_encode", recording)
+        params = md.init_params(model_cfg, Rng(1))
+        for name, t in params.named():
+            if t.data.ndim >= 2 and name != "mpm.w2":
+                t.data *= 12.0
+        momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
+        queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
+        total, breakdown = trainer.train_step(batch, 2, params, momentum, queue,
+                                              model_cfg, cfg, Rng(3))
+        nx.backward(total)
+        return reads_none, breakdown, {name: p.grad for name, p in params.named()}
+
+    reads_none, got, got_grads = run(full=False)
+    _, want, want_grads = run(full=True)
+    assert reads_none == trace_only
+    assert got.biatt > 0.0 and (got.mpm > 0.0) == cfg.enable_mpm
+    for term, value in dataclasses.asdict(want).items():
+        assert abs(getattr(got, term) - value) <= 1e-12 * abs(value), term
+    for name, g in want_grads.items():
+        assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max()), \
+            name
+
+
 @pytest.mark.parametrize("field, value", [
     ("warmup_frac", -0.5), ("warmup_frac", 3.0), ("weight_decay", -1.0),
     ("base_lr", float("nan")), ("warmup_lr", float("inf")),
