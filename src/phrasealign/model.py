@@ -14,11 +14,11 @@ residual sublayer, its layer norm included, is one graph node: a
 :func:`numerics.attention` node per attention block and a
 :func:`numerics.tanh_mlp` node per feed-forward. Pairs that share an image
 share its cross-attention keys and values: given an image index per pair,
-each cross layer projects every image once, and the pairs of one image meet
-its keys and values in one product per head. Texts are named by index as
-well: given a text index per pair, cross layer 0's self-attention, the only
-sublayer that reads the text alone, runs once per distinct text, and one
-gather picks each pair's rows; every later sublayer runs per pair.
+each cross layer projects every image once, and each pair gathers its
+image's keys and values transiently for its products. Texts are named by
+index as well: given a text index per pair, cross layer 0's self-attention,
+the only sublayer that reads the text alone, runs once per distinct text,
+and one gather picks each pair's rows; every later sublayer runs per pair.
 
 Each encoder's last layer computes only the rows its caller reads. Given
 ``rows`` (0 for [CLS], or one row per sequence), the last layer's queries
@@ -29,7 +29,8 @@ momentum encoders, and each phrase's [MASK] row to the phrase
 cross-encode. A traced cross layer always computes every row, since the
 local alignment reads its mask or [CLS] row; retrieval and the gallery pass
 no rows and compute every row. A cross-encode whose caller reads its trace
-alone is given empty rows: it stops at the traced layer and builds no graph.
+alone is given empty rows: it stops at the traced layer's cross-attention
+and builds no graph.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
 PAD_BIAS = -1e30
 
 
-def _cls_row(reps: Tensor, rows) -> Tensor:
+def _cls_row(reps: Tensor | None, rows) -> Tensor:
+    if reps is None:
+        raise ValueError("the pass read no row and holds only the trace")
     if rows is not None and np.any(rows):
         raise ValueError(f"the output holds rows {np.asarray(rows).tolist()} of "
                          "each sequence, not the [CLS] row 0")
@@ -283,9 +286,9 @@ class AttentionTrace:
     batched cross-encode adds a leading pair axis, and padded text rows of a
     pair hold finite values nothing reads. Both are plain arrays, so the
     local alignment weights they give are constants under differentiation.
-    Only the traced layer makes them per pair: given an image index, the
-    attention node groups the pairs by image and returns the values once per
-    image, and the trace holds the rows the index picks."""
+    Both are per pair: given an image index, the values are the traced
+    layer's gather of each pair's image values, which its graph does not
+    keep."""
 
     attn: np.ndarray            # ([B,] heads, L_text+1, L_img+1), rows sum to 1
     values: np.ndarray          # ([B,] heads, L_img+1, head_dim)
@@ -366,9 +369,13 @@ def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Ten
     hold distinct texts: the self-attention runs once per text, and one
     gather then picks text ``text_index[b]`` for pair b. Given ``rows``, the
     layer computes only those query rows; keys and values still come from
-    every row. Returns (rows out, the layer's :class:`AttentionTrace` with
+    every row; empty ``rows`` read the trace alone, so the layer computes
+    every row and stops after its cross-attention. Returns (rows out, or
+    None for empty ``rows``; the layer's :class:`AttentionTrace` with
     ``trace``, else None)."""
     prefix = f"cross{layer}"
+    trace_only = np.size(rows) == 0
+    rows = None if trace_only else rows
     # a row per pair is picked once the pairs' texts are gathered
     per_pair = text_index is not None and np.ndim(rows) > 0
     x = _multi_head_attention(_queries(x, None if per_pair else rows), x, params,
@@ -381,9 +388,10 @@ def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Ten
                                   cfg, kv_index=index, trace=trace)
     captured = None
     if trace:
-        # the values come back per image; the trace holds them per pair
         cross, a, v = cross
-        captured = AttentionTrace(a, v if index is None else v[index])
+        captured = AttentionTrace(a, v)
+    if trace_only:
+        return None, captured
     return _ffn(cross, params, f"{prefix}.ffn", f"{prefix}.ln3"), captured
 
 
@@ -469,10 +477,10 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     leading pair axis, as the batched encoders give them. Texts and images
     can both be named by index instead, repeats allowed: ``image_index``
     gives the image of each pair in a stack of images, and then every cross
-    layer projects each image's keys and values once and meets the pairs of
-    each image in one product per head; ``text_index`` gives the text of
-    each pair in a batch of texts, and then cross layer 0's self-attention
-    runs once per text and one gather picks each pair's rows and padding.
+    layer projects each image's keys and values once, and each pair gathers
+    its image's for its products; ``text_index`` gives the text of each
+    pair in a batch of texts, and then cross layer 0's self-attention runs
+    once per text and one gather picks each pair's rows and padding.
     Either gives the same numbers as a per-pair copy of the rows. A text
     batch's ``pad_bias`` keeps its padding out of the text self-attention;
     image rows are never padded. The fused reps and the trace have the pair
@@ -481,8 +489,9 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     ``rows``: the text row the caller reads of each pair (0 for [CLS]), or
     of pair b ``rows[b]``; the last layer computes only those, None all. A
     traced layer computes every row, so a traced last layer ignores
-    ``rows``. Empty ``rows`` read no row, only the trace: the pass stops at
-    the traced layer, records no graph and returns no reps."""
+    ``rows``. Empty ``rows`` read no row, only the trace: the pass stops
+    after the traced layer's cross-attention, records no graph and returns
+    no reps."""
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
     trace_only = rows is not None and np.size(rows) == 0
@@ -504,9 +513,8 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
                          f"0..{text_out.reps.shape[0] - 1}")
     if text_out.rows is not None or img_out.rows is not None:
         raise nx.ShapeError("cross_encode needs every row of the text and the image")
-    last = cfg.n_cross_layers - 1
     layers = trace_layer if trace_only else cfg.n_cross_layers
-    read = None if trace_only or trace_layer == cfg.n_cross_layers else rows
+    read = None if trace_layer == cfg.n_cross_layers and not trace_only else rows
     # after layer 0, a text index has made the text rows and padding per pair
     pair_bias = text_out.pad_bias if texts is None or text_out.pad_bias is None \
         else text_out.pad_bias[texts]
@@ -515,11 +523,10 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
         x, bias, trace = text_out.reps, text_out.pad_bias, None
         for layer in range(layers):
             x, captured = _cross_layer(layer, x, bias, img_out.reps, params, cfg,
-                                       read if layer == last else None, index,
+                                       read if layer == layers - 1 else None, index,
                                        layer + 1 == trace_layer, None if layer else texts)
             trace, bias = trace or captured, pair_bias
-        return FusionOutput(None, trace, rows) if trace_only else \
-            FusionOutput(x, trace, read)
+        return FusionOutput(x, trace, read)
 
 
 # ---------------------------------------------------------------------------

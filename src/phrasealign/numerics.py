@@ -27,8 +27,9 @@ backward call, so the layers' op chains are fused ops, one node each with a
 hand-written backward. :func:`attention` is a whole residual attention
 sublayer: the q/k/v projections, the scaled, key-biased row softmax, a . v,
 the head merge, the output projection, the residual add and the layer norm.
-Given an index of key/value entries per pair it projects each entry once and
-groups the pairs by entry, so no keys or values are copied per pair.
+Given an index of key/value entries per pair it projects each entry once;
+each pair gathers its entry's keys and values transiently, in forward and
+again in backward, so the graph keeps no per-pair copy of them.
 :func:`tanh_mlp` is a linear, tanh, linear feed-forward, and with a norm's
 gain and bias the residual feed-forward sublayer; :func:`linear` a matmul
 and a bias add. The ops are those the package calls, and no more:
@@ -494,15 +495,16 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
     ``x_kv`` has the queries' leading axes, or, with ``kv_index``, is an
     (n, L_kv, d) stack: batch entry b attends to entry ``kv_index[b]``. Keys
-    and values are then projected once per entry, and the pairs, sorted by
-    entry, meet them in one product per entry and head. ``key_bias`` is an
-    array broadcast to the ([B,] heads, L_q, L_kv) scores; it takes no
-    ``kv_index``. Self-attention passes one tensor as ``x_q`` and ``x_kv``.
+    and values are then projected once per entry; each pair gathers its
+    entry's rows for the products, in forward and again in backward, and the
+    node saves only the per-entry projections. Their gradients sum over each
+    entry's pairs. ``key_bias`` is an array broadcast to the ([B,] heads,
+    L_q, L_kv) scores; it takes no ``kv_index``. Self-attention passes one
+    tensor as ``x_q`` and ``x_kv``.
 
     Returns the node, or with ``trace`` (node, a, v), where the plain arrays
-    are the ([B,] heads, L_q, L_kv) attention of each pair and the values:
-    ([B,] heads, L_kv, w), or (n, heads, L_kv, w), one per entry of ``x_kv``,
-    given ``kv_index``."""
+    are the ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, w)
+    values of each pair."""
     if wq.data.ndim != 3:
         raise ShapeError(f"attention needs (heads, d, w) weights, got {wq.shape}")
     heads, d, w = wq.shape
@@ -527,53 +529,24 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
     k = xkv @ wk.data
     v = xkv @ wv.data
-    # the working layout of the per-pair arrays q, a, a . v and their
-    # gradients, and one (query rows, key/value entry) group per product
-    if idx is None:
-        groups = [(..., ...)]
 
-        def part(buf, rows):
-            return buf
-
-        def layout(arr):
-            return arr
-
-        pairs = layout
-    else:
-        # (heads, B, L_q, .) with the pairs sorted by entry: the rows of
-        # entry i's pairs are one (heads, pairs * L_q, .) block of a view
-        order = np.argsort(idx, kind="stable")
-        counts = np.bincount(idx, minlength=x_kv.shape[0])
-        groups = [(slice(end - n, end), i)
-                  for i, (n, end) in enumerate(zip(counts, np.cumsum(counts))) if n]
-        back = np.empty_like(order)
-        back[order] = np.arange(order.size)
-
-        def part(buf, rows):
-            return buf[:, rows].reshape(heads, -1, buf.shape[-1])
-
-        def layout(arr):    # ([B,] heads, L_q, .) in pair order -> working
-            return np.take(np.swapaxes(arr, 0, 1), order, axis=1)
-
-        def pairs(buf):     # working -> pair order
-            return np.take(np.swapaxes(buf, 0, 1), back, axis=0)
+    # each pair's entry, gathered anew where a product needs it: the graph
+    # keeps k and v per entry, never a copy per pair
+    def per_pair(arr):
+        return arr if idx is None else arr[idx]
 
     # scale q, not the scores, and keep one buffer of scores: each (4, 65,
     # 65) float64 temporary is past the allocator's mmap threshold
-    q = layout(xq @ wq.data)
+    q = xq @ wq.data
     q *= scale
-    a = np.empty(q.shape[:-1] + k.shape[-2:-1])
-    for rows, i in groups:
-        np.matmul(part(q, rows), np.swapaxes(k[i], -1, -2), out=part(a, rows))
+    a = q @ np.swapaxes(per_pair(k), -1, -2)
     if key_bias is not None:
         a += key_bias
     a -= a.max(axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
-    av = np.empty(q.shape)
-    for rows, i in groups:
-        np.matmul(part(a, rows), v[i], out=part(av, rows))
-    merged = np.swapaxes(pairs(av), -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
+    pair_v = per_pair(v)
+    merged = np.swapaxes(a @ pair_v, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
     y = merged @ wo.data
     y += bo.data
     y, norm_bw = _layer_norm(x_q.data + y, gain, bias)
@@ -581,24 +554,22 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     def bw(g):
         g, ggain, gbias = norm_bw(g)
         gm = g @ wo.data.T
-        gav = layout(np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2))
+        gav = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
         # softmax backward: d(scores) = a * (d(a) - rowdot), where rowdot,
         # the row sums of d(a) * a, equals those of d(a . v) * (a . v): a sum
         # over w, not over the keys
         rowdot = (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1)
-        gs = np.empty(a.shape)
-        for rows, i in groups:
-            np.matmul(part(gav, rows), np.swapaxes(v[i], -1, -2), out=part(gs, rows))
-        gs -= layout(np.swapaxes(rowdot, -1, -2)[..., None])
+        gs = gav @ np.swapaxes(per_pair(v), -1, -2)
+        gs -= np.swapaxes(rowdot, -1, -2)[..., None]
         gs *= a
-        # key and value gradients sum over an entry's pairs in the product
-        gq, gk, gv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
-        for rows, i in groups:
-            np.matmul(part(gs, rows), k[i], out=part(gq, rows))
-            np.matmul(np.swapaxes(part(gs, rows), -1, -2), part(q, rows), out=gk[i])
-            np.matmul(np.swapaxes(part(a, rows), -1, -2), part(gav, rows), out=gv[i])
+        gq = gs @ per_pair(k)
         gq *= scale
-        gq = pairs(gq)
+        gk = np.swapaxes(gs, -1, -2) @ q
+        gv = np.swapaxes(a, -1, -2) @ gav
+        if idx is not None:     # each entry sums its pairs' key/value gradients
+            hits = _hits(idx, k.shape[0])
+            gk = (hits @ gk.reshape(idx.size, -1)).reshape(k.shape)
+            gv = (hits @ gv.reshape(idx.size, -1)).reshape(v.shape)
         if x_kv is x_q:
             gxq, (gwq, gwk, gwv) = _project_back(x_q.data, (wq.data, wk.data, wv.data),
                                                  (gq, gk, gv))
@@ -612,7 +583,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                 g.sum(axis=tuple(range(g.ndim - 1))), ggain, gbias)
 
     out = _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo, gain, bias), bw)
-    return (out, pairs(a), v) if trace else out
+    return (out, a, pair_v) if trace else out
 
 
 def _layer_norm(s: np.ndarray, gain: Tensor, bias: Tensor):

@@ -275,7 +275,10 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                     raise NumericalError(
                         f"non-finite loss at step {global_step}: {e}") from e
                 nx.backward(total)
-                adamw_step(params, optim, lr, cfg.weight_decay)
+                try:
+                    adamw_step(params, optim, lr, cfg.weight_decay)
+                except NumericalError as e:
+                    raise NumericalError(f"{e} at step {global_step}") from e
                 md.momentum_update(params, momentum)
                 params.zero_grads()
                 # the next step builds its graph without this one's values

@@ -556,8 +556,9 @@ def test_text_index_is_checked(cfg, params):
 def test_trace_only_cross_encode_stops_at_the_traced_layer(cfg, pipeline, monkeypatch,
                                                            trace_layer):
     """Empty rows read the trace alone: bit-equal to the full pass's trace,
-    made by the layers up to the traced one, one Tensor per sublayer, none
-    of them a graph node, though the inputs are on the graph."""
+    made by the layers up to the traced one's cross-attention, one Tensor
+    per sublayer, none of them a graph node, though the inputs are on the
+    graph."""
     params = md.init_params(cfg, Rng(8))
     img = md.encode_image(np.stack([random_patches(cfg, s) for s in (1, 2)]), params, cfg)
     phrases = md.encode_text([pipeline.vocab.encode(words) for words in
@@ -575,12 +576,21 @@ def test_trace_only_cross_encode_stops_at_the_traced_layer(cfg, pipeline, monkey
     only = md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0],
                            rows=[])
     monkeypatch.setattr(nx.Tensor, "__init__", init)
-    assert made == [False] * (3 * trace_layer)
+    assert made == [False] * (3 * trace_layer - 1)
     assert only.reps is None and only.rows == []
     assert np.array_equal(only.trace.attn, full.trace.attn)
     assert np.array_equal(only.trace.values, full.trace.values)
     with pytest.raises(ValueError, match="reads no rows needs a trace layer"):
         md.cross_encode(phrases, img, params, cfg, image_index=[1, 0], rows=())
+
+
+def test_trace_only_cross_encode_names_its_missing_cls_row(cfg, pipeline):
+    params = md.init_params(cfg, Rng(8))
+    img = md.encode_image(random_patches(cfg, 1), params, cfg)
+    phrase = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg)
+    only = md.cross_encode(phrase, img, params, cfg, trace_layer=1, rows=())
+    with pytest.raises(ValueError, match="read no row and holds only the trace"):
+        only.cls
 
 
 def test_params_substituted_restores_original(params):

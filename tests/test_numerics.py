@@ -393,20 +393,20 @@ def test_finite_diff_attention(case, probe):
 
 @pytest.mark.parametrize("case", list(RAGGED))
 def test_indexed_attention_matches_the_chain(case, attention_chain):
-    """Pairs grouped by image against the chain that gathers keys and values
-    per pair: ``v`` comes back per image, and the rows the index picks are
-    the chain's values; the output and the per-pair attention agree."""
+    """Pairs indexing a stack of images against the chain that gathers keys
+    and values per pair: the output, the attention and the values, which
+    come back per pair, agree bit for bit."""
     leaves, _, index = attention_case(case)
     out, a, v = nx.attention(*attention_args(case, leaves), 0.6, None, index, trace=True)
     want_out, want_a, want_v = chain_of(case, attention_chain)
-    assert v.shape == (4, 2, 5, 3) and np.array_equal(v[index], want_v)
+    assert v.shape == (len(index), 2, 5, 3) and np.array_equal(v, want_v)
     assert np.array_equal(a, want_a)
     assert np.array_equal(out.data, want_out)
 
 
 @pytest.mark.parametrize("case", list(RAGGED))
 def test_indexed_attention_gradients_match_the_selected_rows(case):
-    """Every input's gradient through the per-image path equals that of the
+    """Every input's gradient through the indexed path equals that of the
     same attention over the image rows gathered per pair; an image no pair
     uses gets none."""
     leaves, _, index = attention_case(case)
@@ -426,6 +426,22 @@ def test_indexed_attention_gradients_match_the_selected_rows(case):
         assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12), name
     unused = np.setdiff1d(np.arange(4), index)
     assert not got_grads["x_kv"][unused].any()
+
+
+def test_indexed_attention_keeps_no_per_pair_keys_or_values(held_mib):
+    """64 pairs on 2 entries of 100 keys: while its graph is alive, the node
+    keeps the keys and values per entry, not a copy per pair. What it keeps,
+    output included, stays under half the size of those copies."""
+    rng = nx.Rng(28)
+    pairs, entries, keys, d, heads, w = 64, 2, 100, 32, 4, 8
+    x_q = t(rng.normal((pairs, 2, d)), grad=True)
+    x_kv = t(rng.normal((entries, keys, d)))
+    weights = [t(rng.normal((heads, d, w))) for _ in range(3)] + [
+        t(rng.normal((heads * w, d))), t(np.zeros(d)), *unit_norm(d)]
+    index = np.arange(pairs) % entries
+    copies = 2 * pairs * heads * keys * w * 8 / 2**20
+    held = held_mib(lambda: nx.attention(x_q, x_kv, *weights, 0.5, kv_index=index))
+    assert held < copies / 2
 
 
 @pytest.mark.parametrize("probe", ["x", "w1", "b1", "w2", "b2", "gain", "bias"])
@@ -455,9 +471,8 @@ def test_fused_ops_equal_the_chains_they_replace(attention_chain, layer_norm):
         got = nx.attention(*attention_args(case, leaves), 0.6, key_bias, index,
                            trace=True)
         want = chain_of(case, attention_chain)
-        values = got[2] if index is None else got[2][index]
         assert np.array_equal(got[0].data, want[0]), case
-        assert np.array_equal(got[1], want[1]) and np.array_equal(values, want[2]), case
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), case
 
     rng = nx.Rng(19)
     x = rng.normal((3, 4, 6))

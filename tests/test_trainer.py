@@ -351,6 +351,30 @@ def test_train_names_the_step_of_a_nonfinite_loss(monkeypatch):
     assert len(calls) == 3
 
 
+def test_train_names_the_step_of_a_nonfinite_gradient(monkeypatch):
+    pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=3,
+                                                   stage2_epochs=0)
+    made, calls = [], []
+    init_params, backward = md.init_params, nx.backward
+
+    def recording(*args):
+        made.append(init_params(*args))
+        return made[-1]
+
+    def planting_at_third_call(root):
+        backward(root)
+        calls.append(None)
+        if len(calls) == 3:
+            made[0]["itm.w"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(md, "init_params", recording)
+    monkeypatch.setattr(nx, "backward", planting_at_third_call)
+    with pytest.raises(trainer.NumericalError,
+                       match=r"^non-finite gradient on parameter itm\.w at step 2$"):
+        trainer.train(model_cfg, cfg, dataset, pipeline)
+    assert len(calls) == 3
+
+
 def test_lr_schedule_spans_each_stage_of_batches():
     pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=2, stage2_epochs=1)
     cfg = dataclasses.replace(cfg, batch_size=2)
