@@ -5,8 +5,8 @@ The contrastive term scores each live embedding against the momentum
 embeddings of its batch plus two fixed-capacity queues of past momentum
 embeddings; queue entries are always negatives. Matching and triplet terms
 run on the fused [CLS] scalar logit. The masked-phrase term classifies the
-original token at the masked position of the fused phrase representation,
-which the cross-encode may have computed alone.
+original token at each phrase's [MASK] row alone: the row the cross-encode
+computed alone, or selected from a fusion of every row.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ class QueueState:
     def enqueue(self, img_rows: np.ndarray, txt_rows: np.ndarray) -> None:
         img_rows = self._normalized(np.atleast_2d(img_rows))
         txt_rows = self._normalized(np.atleast_2d(txt_rows))
+        dim = self.q_img.shape[1]
+        if img_rows.shape != txt_rows.shape or img_rows.shape[1] != dim:
+            raise nx.ShapeError(f"enqueue needs matching (n, {dim}) rows: "
+                                f"image {img_rows.shape}, text {txt_rows.shape}")
         for img, txt in zip(img_rows, txt_rows):
             self.q_img[self.cursor] = img
             self.q_txt[self.cursor] = txt
@@ -75,6 +79,9 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     """
     if float(tau.data) <= 0.0:
         raise ValueError(f"temperature must be positive, got {float(tau.data)}")
+    shapes = [img_emb.shape, txt_emb.shape, mom_img.shape, mom_txt.shape]
+    if len(set(shapes)) != 1:
+        raise nx.ShapeError(f"live and momentum embeddings differ in shape: {shapes}")
     n = img_emb.shape[0]
     cand_txt = Tensor(np.vstack([mom_txt, queue.text_candidates()]).T)
     cand_img = Tensor(np.vstack([mom_img, queue.image_candidates()]).T)
@@ -160,46 +167,33 @@ def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
 
 
 def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
-                       params: Params, positions: str = "masked") -> Tensor:
-    """Cross-entropy of the classifier against the original tokens, one
-    value per pair of a fused batch with its B masked phrases.
-
-    ``masked`` scores the [MASK] position only; ``all`` sums the original
-    token's cross-entropy over every phrase position. A padded fused batch
-    of every row, (B, L_max + 1, d), has every row classified, and a 0/1
-    weight per position selects the scored ones; a batch that holds each
-    pair's [MASK] row alone (``fusion.rows``), (B, 1, d), has those B rows.
+                       params: Params) -> Tensor:
+    """Cross-entropy of the classifier against each phrase's original token
+    at its [MASK] row, one value per pair of a fused batch with its B masked
+    phrases. The fusion holds those rows alone (``fusion.rows``), (B, 1, d),
+    or every row, (B, L_max + 1, d), from which the [MASK] rows are selected.
     """
-    if positions not in ("masked", "all"):
-        raise ValueError(f"unknown positions mode {positions!r}")
+    if fusion.reps is None:
+        raise ValueError("the pass read no row and holds only the trace")
     batch, rows = fusion.reps.shape[:2]
     if len(masked) != batch:
         raise ValueError(f"{len(masked)} masked phrases for {batch} fused pairs")
-    head = (params["mpm.w1"], params["mpm.b1"], params["mpm.w2"], params["mpm.b2"])
+    mask_rows = [phrase.mask_index + 1 for phrase in masked]
+    reps = fusion.reps
     if fusion.rows is not None:
-        mask_rows = [phrase.mask_index + 1 for phrase in masked]
-        if positions != "masked" or \
-                not np.array_equal(np.broadcast_to(fusion.rows, (batch,)), mask_rows):
+        if not np.array_equal(np.broadcast_to(fusion.rows, (batch,)), mask_rows):
             raise ValueError(f"fusion holds rows {np.asarray(fusion.rows).tolist()}; "
-                             f"{positions} scoring reads rows {mask_rows}")
-        targets = np.array([[phrase.target_id] for phrase in masked])
-        ce = nx.cross_entropy_logits(nx.tanh_mlp(fusion.reps, *head), targets)
-        return nx.reshape(ce, (batch,))
-    targets = np.zeros((batch, rows), dtype=np.intp)
-    weights = np.zeros((batch, rows))
-    for b, phrase in enumerate(masked):
-        n_tokens = len(phrase.token_ids)
-        if n_tokens + 1 > rows:
+                             f"MPM reads rows {mask_rows}")
+    else:
+        longest = max((len(phrase.token_ids) for phrase in masked), default=0)
+        if longest + 1 > rows:
             raise ValueError(f"fusion rows {rows} do not cover "
-                             f"{n_tokens} phrase tokens")
-        originals = list(phrase.token_ids)
-        originals[phrase.mask_index] = phrase.target_id
-        scored = range(n_tokens) if positions == "all" else [phrase.mask_index]
-        for j in scored:
-            targets[b, j + 1] = originals[j]
-            weights[b, j + 1] = 1.0
-    ce = nx.cross_entropy_logits(nx.tanh_mlp(fusion.reps, *head), targets)
-    return nx.reshape(nx.row_sums(nx.mul(ce, Tensor(weights))), (batch,))
+                             f"{longest} phrase tokens")
+        reps = nx.select_rows(reps, mask_rows)
+    head = (params["mpm.w1"], params["mpm.b1"], params["mpm.w2"], params["mpm.b2"])
+    targets = np.array([[phrase.target_id] for phrase in masked])
+    ce = nx.cross_entropy_logits(nx.tanh_mlp(reps, *head), targets)
+    return nx.reshape(ce, (batch,))
 
 
 def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | None,

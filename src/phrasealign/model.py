@@ -67,7 +67,6 @@ class ModelConfig:
     ffn_mult: int = 2
     biatt_row: str = "mask"       # "mask" or "cls": row read for forward attention
     biatt_phrase: str = "masked"  # "masked" or "clean": phrase fed to the local stream
-    mpm_positions: str = "masked"  # "masked" or "all": positions scored by the MPM loss
     tie_score_head: bool = False
 
     @property
@@ -95,8 +94,7 @@ class ModelConfig:
         if self.vocab_size < 4:
             raise ValueError("vocab_size must include the reserved tokens")
         for field, allowed in (("biatt_row", ("mask", "cls")),
-                               ("biatt_phrase", ("masked", "clean")),
-                               ("mpm_positions", ("masked", "all"))):
+                               ("biatt_phrase", ("masked", "clean"))):
             if getattr(self, field) not in allowed:
                 raise ValueError(f"{field} must be one of {allowed}")
 

@@ -104,16 +104,19 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
                weight_decay: float) -> None:
     """Decoupled weight decay (matrices only), then Adam with bias correction.
 
-    Momentum shadows are not parameters and are never visited here.
+    Momentum shadows are not parameters and are never visited here. A
+    non-finite gradient raises before any parameter, moment or the step
+    count changes.
     """
+    for name, p in params.named():
+        if not nx.all_finite(p.grad):
+            raise NumericalError(f"non-finite gradient on parameter {name}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.named():
         g = p.grad
-        if not nx.all_finite(g):
-            raise NumericalError(f"non-finite gradient on parameter {name}")
         if weight_decay and p.data.ndim >= 2:
             p.data *= 1.0 - lr * weight_decay
         m = state.m[name]
@@ -204,14 +207,13 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         mask_rows = [m.mask_index + 1 for m in masked]
         if cfg.enable_mpm or need_trace:
             phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-            # the masked-phrase loss reads each phrase's [MASK] row, unless it
-            # scores every position; without it, the pass feeds the local
-            # stream its trace alone, so it reads no rows
-            read = () if not cfg.enable_mpm else \
-                mask_rows if model_cfg.mpm_positions == "masked" else None
+            # the masked-phrase loss reads each phrase's [MASK] row alone (a
+            # traced last layer computes every row, and the loss selects
+            # them); without it, the pass feeds the local stream its trace
+            # alone, so it reads no rows
             fused = md.cross_encode(phrases, img_out, params, model_cfg,
                                     trace_layer=trace_layer, image_index=image_ids,
-                                    rows=read)
+                                    rows=mask_rows if cfg.enable_mpm else ())
         if cfg.enable_biatt:
             # the local stream reads the masked phrases' own pass, or the
             # trace alone of a separate pass over the clean phrases
@@ -228,8 +230,7 @@ def train_step(batch: Batch, stage: int, params: md.Params,
                 img_out, biatt_phrases, biatt_fused, mask_rows, params, model_cfg,
                 target_id=[m.target_id for m in masked], image_index=image_ids)
         if cfg.enable_mpm:
-            mpm = ls.masked_phrase_loss(fused, masked, params,
-                                        positions=model_cfg.mpm_positions)
+            mpm = ls.masked_phrase_loss(fused, masked, params)
 
     return ls.total_loss(itc, itm, tri, biatt, mpm, phrase_scale=1.0 / n)
 

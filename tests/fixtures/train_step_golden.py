@@ -35,7 +35,6 @@ VARIANTS = {
     "default": ({}, {}),
     "biatt_row=cls": ({"biatt_row": "cls"}, {}),
     "biatt_phrase=clean": ({"biatt_phrase": "clean"}, {}),
-    "mpm_positions=all": ({"mpm_positions": "all"}, {}),
     "tie_score_head": ({"tie_score_head": True}, {}),
     "triplet_direction=printed": ({}, {"triplet_direction": "printed"}),
     "neg_sampling=uniform": ({}, {"neg_sampling": "uniform"}),

@@ -413,7 +413,7 @@ def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
     biatt, weights = la.local_alignment_loss(
         image, phrase, fused, [m.mask_index + 1 for m in masked], params, cfg,
         target_id=[m.target_id for m in masked])
-    mpm = ls.masked_phrase_loss(fused, masked, params, positions=cfg.mpm_positions)
+    mpm = ls.masked_phrase_loss(fused, masked, params)
     return biatt, mpm, weights
 
 
@@ -427,8 +427,8 @@ def probed_grads(params, biatt, mpm, probe):
     return grads
 
 
-VARIANTS = {"default": {}, "mpm_positions=all": {"mpm_positions": "all"},
-            "tie_score_head": {"tie_score_head": True}, "biatt_row=cls": {"biatt_row": "cls"}}
+VARIANTS = {"default": {}, "tie_score_head": {"tie_score_head": True},
+            "biatt_row=cls": {"biatt_row": "cls"}}
 
 
 @pytest.mark.parametrize("over", list(VARIANTS.values()), ids=list(VARIANTS))
@@ -479,15 +479,14 @@ def read_row_terms(cfg, params, images, masked, img_of, read_rows: bool):
     image = md.encode_image(np.stack(images), params, cfg)
     phrase = md.encode_text(texts, params, cfg)
     cls_rows = 0 if read_rows else None
-    mask_rows = [m.mask_index + 1 for m in masked] \
-        if read_rows and cfg.mpm_positions == "masked" else None
+    mask_rows = [m.mask_index + 1 for m in masked] if read_rows else None
     itm = md.cross_encode(phrase, image, params, cfg, image_index=img_of, rows=cls_rows)
     mpm = md.cross_encode(phrase, image, params, cfg, trace_layer=cfg.bidiratt_layer,
                           image_index=img_of, rows=mask_rows)
     with nx.no_grad():
         embeddings = md.coarse_embeddings(images, texts, params, cfg, rows=cls_rows)[2:]
     return (ls.fine_similarity(itm.cls, params["itm.w"]),
-            ls.masked_phrase_loss(mpm, masked, params, positions=cfg.mpm_positions),
+            ls.masked_phrase_loss(mpm, masked, params),
             [e.data for e in embeddings], mpm)
 
 
@@ -501,9 +500,8 @@ def test_last_layers_on_read_rows_match_the_full_pass(over):
     probe = Rng(7).normal((2, len(masked)))
     got, want = (read_row_terms(cfg, params, images, masked, img_of, read_rows)
                  for read_rows in (True, False))
-    # a fusion of each [MASK] row alone, unless MPM scores every position
-    assert got[3].reps.shape[1] == \
-        (1 if cfg.mpm_positions == "masked" else want[3].reps.shape[1])
+    # a fusion of each [MASK] row alone
+    assert got[3].reps.shape[1] == 1
     assert np.array_equal(got[3].trace.attn, want[3].trace.attn)
 
     def close(a, b):
@@ -518,7 +516,7 @@ def test_last_layers_on_read_rows_match_the_full_pass(over):
         assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12), name
 
 
-def test_mask_rows_cannot_serve_mpm_on_every_position():
+def test_mpm_rejects_fusion_rows_that_are_not_the_mask_rows():
     cfg, params, images, masked, img_of = phrase_batch_setup()
     image = md.encode_image(np.stack(images), params, cfg)
     phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
@@ -526,8 +524,6 @@ def test_mask_rows_cannot_serve_mpm_on_every_position():
     fused = md.cross_encode(phrase, image, params, cfg, image_index=img_of,
                             rows=mask_rows)
     ls.masked_phrase_loss(fused, masked, params)
-    with pytest.raises(ValueError, match="reads rows"):
-        ls.masked_phrase_loss(fused, masked, params, positions="all")
     with pytest.raises(ValueError, match="reads rows"):
         ls.masked_phrase_loss(fused, masked[::-1], params)
 

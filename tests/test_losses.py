@@ -43,6 +43,15 @@ def test_queue_rejects_bad_capacity():
         ls.QueueState(0, 2)
 
 
+def test_queue_rejects_unmatched_rows():
+    q = ls.QueueState(4, 4)
+    for img, txt in ((np.ones((3, 4)), np.ones((2, 4))),
+                     (np.ones((2, 3)), np.ones((2, 3)))):
+        with pytest.raises(nx.ShapeError, match="enqueue needs matching"):
+            q.enqueue(img, txt)
+    assert q.filled == 0 and q.cursor == 0
+
+
 # ---------------------------------------------------------------------------
 # itc
 
@@ -80,6 +89,15 @@ def test_itc_queue_entries_are_negatives():
     assert float(loss_with_queue.data) == pytest.approx(math.log(2.0 * (e + 1.0) / e),
                                                    rel=1e-12)
     assert float(loss_empty.data) == pytest.approx(math.log((e + 1.0) / e), rel=1e-12)
+
+
+def test_itc_rejects_momentum_rows_that_do_not_match():
+    q = ls.QueueState(4, 2)
+    emb = np.eye(2)
+    # three momentum rows for two items would shift every positive's column
+    for mom_img, mom_txt in ((np.eye(3, 2), np.eye(3, 2)), (emb, np.eye(2, 3))):
+        with pytest.raises(nx.ShapeError, match="differ in shape"):
+            ls.itc_loss(Tensor(emb), Tensor(emb), mom_img, mom_txt, q, Tensor(1.0))
 
 
 def test_itc_rejects_nonpositive_temperature():
@@ -251,17 +269,17 @@ def test_mpm_saturated_correct():
     assert loss.data.item() < 1e-8
 
 
-def test_mpm_all_positions_mode_sums():
-    params, fusion, masked, v = mpm_setup(zero=True)
-    loss_all = ls.masked_phrase_loss(fusion, [masked], params, positions="all")
-    assert loss_all.data.item() == pytest.approx(2 * math.log(v))
-
-
 def test_mpm_mask_outside_fusion_rejected():
     params, fusion, masked, _ = mpm_setup()
     bad = MaskedPhrase((5, MASK_ID, 6, 6), 1, 7)
     with pytest.raises(ValueError, match="fusion rows"):
         ls.masked_phrase_loss(fusion, [bad], params)
+
+
+def test_mpm_rejects_a_trace_only_fusion():
+    params, _, masked, _ = mpm_setup()
+    with pytest.raises(ValueError, match="read no row and holds only the trace"):
+        ls.masked_phrase_loss(md.FusionOutput(None, rows=()), [masked], params)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ def test_train_step_matches_golden(variant, golden_records):
     assert_matches(golden.record(variant), golden_records[variant], variant)
 
 
+def test_golden_records_are_the_fixture_variants(golden_records):
+    assert list(golden_records) == list(golden.VARIANTS)
+
+
 def tiny_setup(**train_over):
     geometry = dict(patch_rows=2, patch_cols=2, patch_pixels=6)
     pipeline = TextPipeline()
@@ -434,11 +438,17 @@ def test_adamw_decays_only_tensors_of_two_or_more_axes():
 
 def test_adamw_names_the_parameter_with_a_nan_gradient():
     params = grad_params(a=np.ones(2), b=np.array([[1.0, np.nan]]))
+    state = trainer.OptimState.for_params(params)
+    before = params["a"].data.copy()
     with pytest.raises(trainer.NumericalError,
                        match="non-finite gradient on parameter b"):
-        trainer.adamw_step(params, trainer.OptimState.for_params(params),
-                           lr=0.1, weight_decay=0.01)
+        trainer.adamw_step(params, state, lr=0.1, weight_decay=0.01)
+    # nothing is stepped: not the parameter before the bad one either
+    assert np.array_equal(params["a"].data, before)
     assert np.array_equal(params["b"].data, np.zeros((1, 2)))
+    assert state.step == 0
+    for moments in (state.m, state.v):
+        assert all(np.array_equal(m, np.zeros_like(m)) for m in moments.values())
 
 
 def test_cosine_lr_warmup_endpoints_and_decay_to_zero():
