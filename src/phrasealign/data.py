@@ -62,7 +62,7 @@ class FormatError(ValueError):
 
 
 class GenerationError(ValueError):
-    """Requested corpus cannot be generated (attribute space too small)."""
+    """Requested corpus cannot be generated (bad config, or attribute space too small)."""
 
 
 @dataclasses.dataclass
@@ -74,6 +74,28 @@ class DataConfig:
     patch_cols: int = 8
     patch_pixels: int = 48  # 4x4 pixels x RGB
     noise_sigma: float = 0.05
+
+
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DataConfig))
+
+
+def _check_config(values: dict, error: type, where: str) -> None:
+    """Raise ``error``, its message starting ``where``, at the first
+    :class:`DataConfig` entry of ``values`` (field -> value) that no corpus
+    can have. Generation shares it with :func:`load_dataset`."""
+    for key in _CONFIG_KEYS:
+        value = values[key]
+        if key == "noise_sigma":
+            want = "a finite number >= 0"
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and 0.0 <= value < math.inf
+        else:
+            step = 3 if key == "patch_pixels" else 1   # whole RGB triples
+            low = step if key.startswith("patch_") else 0
+            want = f"an integer >= {low}" if step == 1 else f"a multiple of {step} >= {low}"
+            ok = type(value) is int and value >= low and value % step == 0
+        if not ok:
+            raise error(f"{where} {key!r} is {value!r}, not {want}")
 
 
 @dataclasses.dataclass
@@ -191,6 +213,7 @@ def _sample_attributes(n_identities: int, rng: Rng) -> list[dict]:
 
 
 def generate_dataset(cfg: DataConfig, rng: Rng) -> Dataset:
+    _check_config(dataclasses.asdict(cfg), GenerationError, "config entry")
     if cfg.n_identities < 2:
         raise GenerationError("need at least 2 identities")
     if not 0 < cfg.test_images_per_identity < cfg.images_per_identity:
@@ -240,9 +263,6 @@ def save_dataset(dataset: Dataset, path) -> None:
     save_arrays(path, _MAGIC, manifest, {"images": images})
 
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DataConfig))
-
-
 def load_dataset(path) -> Dataset:
     """Read a directory written by :func:`save_dataset`. A malformed file
     raises FormatError naming the key, record, tensor or split index at
@@ -255,18 +275,7 @@ def load_dataset(path) -> Dataset:
     for key in ("records", "train_indices", "test_indices"):
         if not isinstance(manifest[key], list):
             raise FormatError(f"dataset manifest entry {key!r} is not a list")
-    for key in _CONFIG_KEYS:
-        value = manifest[key]
-        if key == "noise_sigma":
-            want = "a finite number >= 0"
-            ok = type(value) in (int, float) and 0.0 <= value < math.inf
-        else:
-            low = 1 if key.startswith("patch_") else 0
-            want = f"an integer >= {low}"
-            ok = type(value) is int and value >= low
-        if not ok:
-            raise FormatError(f"dataset manifest entry {key!r} is {value!r}, "
-                              f"not {want}")
+    _check_config(manifest, FormatError, "dataset manifest entry")
     cfg = DataConfig(**{k: manifest[k] for k in _CONFIG_KEYS})
     for i, meta in enumerate(manifest["records"]):
         if not (isinstance(meta, dict) and type(meta.get("identity")) is int

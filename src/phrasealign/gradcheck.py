@@ -255,7 +255,8 @@ def check_mpm(seed: int) -> float:
 
     def build():
         img, phr = _encode(images, [m.token_ids for m in masked], params, cfg)
-        fused = model.cross_encode(phr, img, params, cfg, image_index=[0, 1])
+        fused = model.cross_encode(phr, img, params, cfg, image_index=[0, 1],
+                                   rows=[m.mask_index + 1 for m in masked])
         return nx.sum_all(losses.masked_phrase_loss(fused, masked, params))
 
     errs = [finite_diff_param(params, "mpm.b2", build),

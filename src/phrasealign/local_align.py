@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
-from .model import AttentionTrace, EncoderOutput, FusionOutput, ModelConfig, Params
+from .model import AttentionTrace, EncoderOutput, ModelConfig, Params
 
 _EPS_FALLBACK = 1e-12
 
@@ -129,7 +129,7 @@ def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarra
 
 
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
-                         fusion: FusionOutput, mask_row, params: Params,
+                         fusion: EncoderOutput, mask_row, params: Params,
                          cfg: ModelConfig, target_id=None, image_index=None):
     """(B,) 1 - cosine between the weight-pooled image representation and the
     projected phrase representation of each pair. Returns (loss, weights).

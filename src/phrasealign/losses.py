@@ -5,8 +5,8 @@ The contrastive term scores each live embedding against the momentum
 embeddings of its batch plus two fixed-capacity queues of past momentum
 embeddings; queue entries are always negatives. Matching and triplet terms
 run on the fused [CLS] scalar logit. The masked-phrase term classifies the
-original token at each phrase's [MASK] row alone: the row the cross-encode
-computed alone, or selected from a fusion of every row.
+original token at each phrase's [MASK] row, the one row per phrase its
+cross-encode returns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Rng, Tensor
-from .model import FusionOutput, Params
+from .model import EncoderOutput, Params
 from .textproc import MaskedPhrase
 
 log = logging.getLogger(__name__)
@@ -166,34 +166,25 @@ def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
     return nx.mean_all(nx.add(hinge(neg_img), hinge(neg_txt)))
 
 
-def masked_phrase_loss(fusion: FusionOutput, masked: list[MaskedPhrase],
+def masked_phrase_loss(fusion: EncoderOutput, masked: list[MaskedPhrase],
                        params: Params) -> Tensor:
     """Cross-entropy of the classifier against each phrase's original token
     at its [MASK] row, one value per pair of a fused batch with its B masked
-    phrases. The fusion holds those rows alone (``fusion.rows``), (B, 1, d),
-    or every row, (B, L_max + 1, d), from which the [MASK] rows are selected.
+    phrases. The fusion holds exactly those rows (``fusion.rows``), (B, 1, d),
+    as a cross-encode given the phrases' [MASK] rows returns them.
     """
     if fusion.reps is None:
         raise ValueError("the pass read no row and holds only the trace")
-    batch, rows = fusion.reps.shape[:2]
-    if len(masked) != batch:
-        raise ValueError(f"{len(masked)} masked phrases for {batch} fused pairs")
     mask_rows = [phrase.mask_index + 1 for phrase in masked]
-    reps = fusion.reps
-    if fusion.rows is not None:
-        if not np.array_equal(np.broadcast_to(fusion.rows, (batch,)), mask_rows):
-            raise ValueError(f"fusion holds rows {np.asarray(fusion.rows).tolist()}; "
-                             f"MPM reads rows {mask_rows}")
-    else:
-        longest = max((len(phrase.token_ids) for phrase in masked), default=0)
-        if longest + 1 > rows:
-            raise ValueError(f"fusion rows {rows} do not cover "
-                             f"{longest} phrase tokens")
-        reps = nx.select_rows(reps, mask_rows)
+    if fusion.rows is None or not np.array_equal(
+            np.broadcast_to(fusion.rows, fusion.reps.shape[:1]), mask_rows):
+        held = "every row" if fusion.rows is None else \
+            f"rows {np.asarray(fusion.rows).tolist()}"
+        raise ValueError(f"fusion holds {held}; MPM reads rows {mask_rows}")
     head = (params["mpm.w1"], params["mpm.b1"], params["mpm.w2"], params["mpm.b2"])
     targets = np.array([[phrase.target_id] for phrase in masked])
-    ce = nx.cross_entropy_logits(nx.tanh_mlp(reps, *head), targets)
-    return nx.reshape(ce, (batch,))
+    ce = nx.cross_entropy_logits(nx.tanh_mlp(fusion.reps, *head), targets)
+    return nx.reshape(ce, (len(masked),))
 
 
 def total_loss(itc: Tensor, itm: Tensor, tri: Tensor | None, biatt: Tensor | None,

@@ -20,17 +20,17 @@ index as well: given a text index per pair, cross layer 0's self-attention,
 the only sublayer that reads the text alone, runs once per distinct text,
 and one gather picks each pair's rows; every later sublayer runs per pair.
 
-Each encoder's last layer computes only the rows its caller reads. Given
-``rows`` (0 for [CLS], or one row per sequence), the last layer's queries
-are those rows, one :func:`numerics.select_rows` node, while its keys and
-values still come from every row; the output holds one row per sequence.
-Training passes the [CLS] row to the matching cross-encode and to the
-momentum encoders, and each phrase's [MASK] row to the phrase
-cross-encode. A traced cross layer always computes every row, since the
-local alignment reads its mask or [CLS] row; retrieval and the gallery pass
-no rows and compute every row. A cross-encode whose caller reads its trace
-alone is given empty rows: it stops at the traced layer's cross-attention
-and builds no graph.
+Every pass returns exactly the rows its caller reads, in one
+:class:`EncoderOutput`. Given ``rows`` (0 for [CLS], or one row per
+sequence), the last layer's queries are those rows, one
+:func:`numerics.select_rows` node, while its keys and values still come
+from every row. Training passes the [CLS] row to the matching cross-encode
+and to the momentum encoders, and each phrase's [MASK] row to the phrase
+cross-encode. A traced cross layer computes every row, since the local
+alignment reads its mask or [CLS] row; traced last, it selects ``rows``
+after. Retrieval and the gallery pass no rows. A cross-encode whose caller
+reads its trace alone is given empty rows: it stops at the traced layer's
+cross-attention and builds no graph.
 """
 
 from __future__ import annotations
@@ -49,6 +49,18 @@ _CKPT_MAGIC = b"PACKPT01"
 
 INIT_STD = 0.02
 INIT_TEMPERATURE = 0.07
+
+
+def check_counts(config, low: dict) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config``
+    that is declared ``int`` and holds no integer, or that holds less than
+    its entry in ``low``."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("int", int) and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        if field.name in low and value < low[field.name]:
+            raise ValueError(f"{field.name} must be at least {low[field.name]}")
 
 
 @dataclasses.dataclass
@@ -78,12 +90,9 @@ class ModelConfig:
         return self.patch_rows * self.patch_cols
 
     def validate(self) -> None:
-        for field in ("d", "heads", "n_self_layers", "n_cross_layers", "proj_dim",
-                      "patch_rows", "patch_cols", "patch_pixels", "max_text_len",
-                      "ffn_mult"):
-            low = 0 if field == "n_self_layers" else 1
-            if getattr(self, field) < low:
-                raise ValueError(f"{field} must be at least {low}")
+        check_counts(self, {"n_self_layers": 0, **dict.fromkeys(
+            ("d", "heads", "n_cross_layers", "proj_dim", "patch_rows", "patch_cols",
+             "patch_pixels", "max_text_len", "ffn_mult"), 1)})
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by {self.heads} heads")
         if not 1 <= self.bidiratt_layer <= self.n_cross_layers:
@@ -248,36 +257,6 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
 PAD_BIAS = -1e30
 
 
-def _cls_row(reps: Tensor | None, rows) -> Tensor:
-    if reps is None:
-        raise ValueError("the pass read no row and holds only the trace")
-    if rows is not None and np.any(rows):
-        raise ValueError(f"the output holds rows {np.asarray(rows).tolist()} of "
-                         "each sequence, not the [CLS] row 0")
-    return nx.take_row(reps, 0)
-
-
-@dataclasses.dataclass
-class EncoderOutput:
-    """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
-    padded to the longest, (B, L_max+1, d); row 0 is the global [CLS] row.
-    A batch whose lengths differ carries ``pad_bias``, a (B, 1, 1, L_max+1)
-    key-bias array: 0 on real rows, ``PAD_BIAS`` on padding.
-
-    An encoder given ``rows`` computes its last layer for those query rows
-    only: ``reps`` is then (1, d) or (B, 1, d), the row ``rows`` of each
-    sequence (or ``rows[b]`` of sequence b), and carries no ``pad_bias``.
-    ``cls`` raises unless that row is 0."""
-
-    reps: Tensor
-    pad_bias: np.ndarray | None = None
-    rows: int | np.ndarray | None = None   # None: every row
-
-    @property
-    def cls(self) -> Tensor:
-        return _cls_row(self.reps, self.rows)
-
-
 @dataclasses.dataclass
 class AttentionTrace:
     """Attention state of one cross-attention layer, head as an axis; a
@@ -293,19 +272,32 @@ class AttentionTrace:
 
 
 @dataclasses.dataclass
-class FusionOutput:
-    """Fused text rows, ([B,] L_text+1, d) as the text input, or given
-    ``rows``, only the row of each pair the last cross layer computed:
-    ([B,] 1, d). ``cls`` raises unless that row is 0. Given empty ``rows``,
-    the trace alone and no ``reps``."""
+class EncoderOutput:
+    """Encoded rows of one sequence, (L+1, d), or of a batch of sequences
+    padded to the longest, (B, L_max+1, d), from an encoder or a
+    cross-encode; row 0 is the global [CLS] row. A text-encoder batch whose
+    lengths differ carries ``pad_bias``, a (B, 1, 1, L_max+1) key-bias array:
+    0 on real rows, ``PAD_BIAS`` on padding. A traced cross-encode adds its
+    ``trace``.
+
+    A pass given ``rows`` holds exactly those rows: ``reps`` is then (1, d)
+    or (B, 1, d), row ``rows`` of each sequence (or ``rows[b]`` of sequence
+    b), with no ``pad_bias``; given empty ``rows``, ``reps`` is None and the
+    output holds the trace alone. ``cls`` raises unless it holds row 0."""
 
     reps: Tensor | None
-    trace: AttentionTrace | None = None
+    pad_bias: np.ndarray | None = None
     rows: int | np.ndarray | None = None   # None: every row; empty: none
+    trace: AttentionTrace | None = None
 
     @property
     def cls(self) -> Tensor:
-        return _cls_row(self.reps, self.rows)
+        if self.reps is None:
+            raise ValueError("the pass read no row and holds only the trace")
+        if self.rows is not None and np.any(self.rows):
+            raise ValueError(f"the output holds rows {np.asarray(self.rows).tolist()} "
+                             "of each sequence, not the [CLS] row 0")
+        return nx.take_row(self.reps, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +324,14 @@ def _ffn(x: Tensor, params: Params, prefix: str, norm: str) -> Tensor:
     """The feed-forward sublayer, LN(x + tanh_mlp(x)), as one node."""
     weights = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
     return nx.tanh_mlp(x, *weights, params[f"{norm}.g"], params[f"{norm}.b"])
+
+
+def _grad_mode(mode: str):
+    """The context of a pass in ``mode``: ``"train"`` records a graph,
+    ``"infer"`` does not; any other mode raises."""
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    return nx.no_grad() if mode == "infer" else contextlib.nullcontext()
 
 
 def _queries(x: Tensor, rows) -> Tensor:
@@ -410,8 +410,7 @@ def encode_image(patches, params: Params, cfg: ModelConfig, mode: str = "train",
         raise nx.ShapeError(
             f"expected {cfg.n_patches} patches of {cfg.patch_pixels} pixels per "
             f"image, for one image or a stack, got shape {patches.shape}")
-    ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
-    with ctx:
+    with _grad_mode(mode):
         x = nx.linear(patches, params["embed.patch.w"], params["embed.patch.b"])
         x = nx.prepend_row(params["embed.cls_img"], x)
         x = nx.add(x, params["embed.pos_img"])
@@ -440,8 +439,7 @@ def encode_text(token_ids, params: Params, cfg: ModelConfig, mode: str = "train"
                                           for i in t]
     real = np.arange(max(lengths)) < np.array(lengths)[:, None]
     pad_bias = None if real.all() else np.where(real, 0.0, PAD_BIAS)[:, None, None, :]
-    ctx = nx.no_grad() if mode == "infer" else contextlib.nullcontext()
-    with ctx:
+    with _grad_mode(mode):
         x = nx.gather_rows(params["embed.token"], ids if batched else ids[0])
         x = nx.add(x, nx.gather_rows(params["embed.pos_txt"], np.arange(max(lengths))))
         x = _self_layers(x, "txt_self", params, cfg, rows, pad_bias)
@@ -465,7 +463,7 @@ def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig, rows=
 def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
                  cfg: ModelConfig, trace_layer: int | None = None,
                  mode: str = "train", image_index=None, rows=None,
-                 text_index=None) -> FusionOutput:
+                 text_index=None) -> EncoderOutput:
     """Per layer (:func:`_cross_layer`): self-attention over text rows,
     cross-attention with text queries against image keys/values,
     feed-forward. ``trace_layer`` (1-based) captures that layer's attention
@@ -486,10 +484,11 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
 
     ``rows``: the text row the caller reads of each pair (0 for [CLS]), or
     of pair b ``rows[b]``; the last layer computes only those, None all. A
-    traced layer computes every row, so a traced last layer ignores
-    ``rows``. Empty ``rows`` read no row, only the trace: the pass stops
-    after the traced layer's cross-attention, records no graph and returns
-    no reps."""
+    traced layer computes every row for its trace, so a traced last layer
+    then selects ``rows``: the output holds exactly ``rows`` either way.
+    Empty ``rows`` read no row, only the trace: the pass stops after the
+    traced layer's cross-attention, records no graph and returns no reps."""
+    ctx = _grad_mode(mode)
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
     trace_only = rows is not None and np.size(rows) == 0
@@ -512,19 +511,20 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params
     if text_out.rows is not None or img_out.rows is not None:
         raise nx.ShapeError("cross_encode needs every row of the text and the image")
     layers = trace_layer if trace_only else cfg.n_cross_layers
-    read = None if trace_layer == cfg.n_cross_layers and not trace_only else rows
+    select_after = trace_layer == cfg.n_cross_layers and not trace_only
     # after layer 0, a text index has made the text rows and padding per pair
     pair_bias = text_out.pad_bias if texts is None or text_out.pad_bias is None \
         else text_out.pad_bias[texts]
-    ctx = nx.no_grad() if mode == "infer" or trace_only else contextlib.nullcontext()
-    with ctx:
+    with nx.no_grad() if trace_only else ctx:
         x, bias, trace = text_out.reps, text_out.pad_bias, None
         for layer in range(layers):
-            x, captured = _cross_layer(layer, x, bias, img_out.reps, params, cfg,
-                                       read if layer == layers - 1 else None, index,
-                                       layer + 1 == trace_layer, None if layer else texts)
+            x, captured = _cross_layer(
+                layer, x, bias, img_out.reps, params, cfg,
+                None if select_after or layer < layers - 1 else rows, index,
+                layer + 1 == trace_layer, None if layer else texts)
             trace, bias = trace or captured, pair_bias
-        return FusionOutput(x, trace, read)
+        x = _queries(x, rows) if select_after else x
+        return EncoderOutput(x, rows=rows, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,12 @@ class TrainConfig:
     enable_mpm: bool = True
 
     def validate(self) -> None:
+        md.check_counts(self, {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
+                               "queue_size": 1})
         for field in ("base_lr", "warmup_lr", "warmup_frac", "triplet_margin",
                       "momentum_coeff", "weight_decay"):
             if not math.isfinite(getattr(self, field)):
                 raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
-        if min(self.stage1_epochs, self.stage2_epochs) < 0:
-            raise ValueError("epoch counts must be nonnegative")
         if min(self.base_lr, self.warmup_lr) <= 0:
             raise ValueError("learning rates must be positive")
         if self.triplet_margin < 0:
@@ -76,8 +76,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise ValueError("momentum coefficient must lie in [0, 1)")
-        if self.queue_size < 1 or self.batch_size < 1:
-            raise ValueError("queue and batch sizes must be positive")
         if self.triplet_direction not in ("standard", "printed"):
             raise ValueError("triplet_direction must be standard or printed")
         if self.neg_sampling not in ("hard", "uniform"):
@@ -207,10 +205,9 @@ def train_step(batch: Batch, stage: int, params: md.Params,
         mask_rows = [m.mask_index + 1 for m in masked]
         if cfg.enable_mpm or need_trace:
             phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-            # the masked-phrase loss reads each phrase's [MASK] row alone (a
-            # traced last layer computes every row, and the loss selects
-            # them); without it, the pass feeds the local stream its trace
-            # alone, so it reads no rows
+            # the masked-phrase loss reads each phrase's [MASK] row alone;
+            # without it, the pass feeds the local stream its trace alone,
+            # so it reads no rows
             fused = md.cross_encode(phrases, img_out, params, model_cfg,
                                     trace_layer=trace_layer, image_index=image_ids,
                                     rows=mask_rows if cfg.enable_mpm else ())

@@ -13,6 +13,7 @@ record with the current code and compares.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zlib
 from pathlib import Path
@@ -41,6 +42,7 @@ VARIANTS = {
     "enable_triplet=False": ({}, {"enable_triplet": False}),
     "enable_biatt=False": ({}, {"enable_biatt": False}),
     "enable_mpm=False": ({}, {"enable_mpm": False}),
+    "bidiratt_layer=2": ({"bidiratt_layer": 2}, {}),   # traces the last layer
 }
 
 
@@ -72,10 +74,12 @@ def record(variant: str) -> dict:
     pipeline = TextPipeline()
     dataset = generate_dataset(
         DataConfig(n_identities=5, images_per_identity=3, **GEOMETRY), Rng(0))
-    model_cfg = ModelConfig(d=8, heads=2, n_self_layers=1, n_cross_layers=2,
-                            bidiratt_layer=1, proj_dim=4, max_text_len=20,
-                            vocab_size=len(pipeline.vocab), **GEOMETRY,
-                            **model_over)
+    # a variant's overrides replace these base values
+    model_cfg = dataclasses.replace(
+        ModelConfig(d=8, heads=2, n_self_layers=1, n_cross_layers=2, bidiratt_layer=1,
+                    proj_dim=4, max_text_len=20, vocab_size=len(pipeline.vocab),
+                    **GEOMETRY),
+        **model_over)
     cfg = TrainConfig(batch_size=5, queue_size=8, **train_over)
     rng = Rng(cfg.seed)
     init_rng, batch_rng, neg_rng = rng.child(), rng.child(), rng.child()

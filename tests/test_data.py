@@ -117,6 +117,33 @@ def test_round_trip_bitwise(dataset, tmp_path):
                (tmp_path / "ds2" / name).read_bytes()
 
 
+# a small corpus, and overrides of it that generation accepts or rejects
+SMALL = dict(n_identities=2, images_per_identity=2, patch_rows=2, patch_cols=2,
+             patch_pixels=6)
+BAD_CONFIGS = [("noise_sigma", -0.5), ("noise_sigma", float("nan")), ("patch_rows", 0),
+               ("patch_pixels", 47), ("patch_pixels", 0), ("n_identities", 2.0),
+               ("images_per_identity", True)]
+
+
+@pytest.mark.parametrize("over", [{}, {"noise_sigma": 0}, {"patch_pixels": 3},
+                                  {"test_images_per_identity": 2, "images_per_identity": 3}]
+                         + [{field: value} for field, value in BAD_CONFIGS],
+                         ids=repr)
+def test_every_generated_dataset_loads(tmp_path, over):
+    try:
+        generated = dt.generate_dataset(dt.DataConfig(**{**SMALL, **over}), Rng(0))
+    except dt.GenerationError:
+        return
+    dt.save_dataset(generated, tmp_path / "ds")
+    assert datasets_equal(generated, dt.load_dataset(tmp_path / "ds"))
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIGS)
+def test_generation_rejects_a_config_no_file_may_hold(field, value):
+    with pytest.raises(dt.GenerationError, match=f"'{field}' is {value!r}, not"):
+        dt.generate_dataset(dt.DataConfig(**{**SMALL, field: value}), Rng(0))
+
+
 def test_corrupted_magic_rejected(dataset, tmp_path):
     dt.save_dataset(dataset, tmp_path / "ds")
     blob = bytearray((tmp_path / "ds" / "tensors.bin").read_bytes())

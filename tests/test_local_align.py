@@ -280,7 +280,7 @@ def loss_setup(cls_row):
     rng = Rng(0)
     trace = fake_trace([stochastic_rows(rng.normal((2, 5)))], rng.normal((1, 5, 2)),
                        heads=2)
-    fusion = md.FusionOutput(Tensor(np.zeros((1, 2, 3))), trace)
+    fusion = md.EncoderOutput(Tensor(np.zeros((1, 2, 3))), trace=trace)
     params = projections(np.eye(3), np.eye(3))
     params.add("score.w", rng.normal((2, 1)))
     cfg = md.ModelConfig(d=3, heads=2, vocab_size=8, patch_rows=2, patch_cols=2,
@@ -308,7 +308,7 @@ def test_loss_within_range_on_random_setups():
         phrase = image_output(rng.normal((3, 3)))
         trace = fake_trace([stochastic_rows(rng.normal((3, 5)))],
                            rng.normal((1, 5, 2)), heads=2)
-        fusion = md.FusionOutput(Tensor(np.zeros((1, 3, 3))), trace)
+        fusion = md.EncoderOutput(Tensor(np.zeros((1, 3, 3))), trace=trace)
         params = projections(rng.normal((3, 4)), rng.normal((3, 4)))
         params.add("score.w", rng.normal((2, 1)))
         cfg = md.ModelConfig(d=3, heads=2, vocab_size=8, patch_rows=2,
@@ -319,7 +319,7 @@ def test_loss_within_range_on_random_setups():
 
 def test_loss_requires_trace():
     img, phrase, fusion, params, cfg = loss_setup([1.0, -2.0, 0.5])
-    fusion_no_trace = md.FusionOutput(fusion.reps, None)
+    fusion_no_trace = md.EncoderOutput(fusion.reps)
     with pytest.raises(ValueError, match="trace"):
         la.local_alignment_loss(img, phrase, fusion_no_trace, [1], params, cfg)
 
@@ -404,14 +404,15 @@ def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
     image = md.EncoderOutput(nx.gather_rows(
         md.encode_image(np.stack(images), params, cfg).reps, img_of))
     phrase = md.encode_text([m.token_ids for m in masked], params, cfg)
+    mask_rows = [m.mask_index + 1 for m in masked]
     fused = md.cross_encode(phrase, image, params, cfg,
-                            trace_layer=cfg.bidiratt_layer)
+                            trace_layer=cfg.bidiratt_layer, rows=mask_rows)
     if zero_cls_of is not None:
         keep = np.ones(phrase.reps.shape[:-1] + (1,))
         keep[zero_cls_of, 0] = 0.0
         phrase = md.EncoderOutput(nx.mul(phrase.reps, Tensor(keep)))
     biatt, weights = la.local_alignment_loss(
-        image, phrase, fused, [m.mask_index + 1 for m in masked], params, cfg,
+        image, phrase, fused, mask_rows, params, cfg,
         target_id=[m.target_id for m in masked])
     mpm = ls.masked_phrase_loss(fused, masked, params)
     return biatt, mpm, weights
@@ -470,19 +471,27 @@ def test_zero_phrase_cls_raises_non_finite():
 # last layers that compute only the rows a loss reads
 
 
+def selected(fused, rows):
+    """The ``rows`` of a fusion of every row, held as a pass given ``rows``
+    holds them."""
+    return md.EncoderOutput(nx.select_rows(fused.reps, rows), rows=rows, trace=fused.trace)
+
+
 def read_row_terms(cfg, params, images, masked, img_of, read_rows: bool):
     """The terms of the phrase pairs that read one row of each last layer,
     built as ``trainer.train_step`` builds them with ``read_rows``, or from
-    every row: ITM logits from the fused [CLS] rows, the per-phrase MPM
-    losses, and the [CLS] embeddings the momentum encoders give ITC."""
+    every row, the [MASK] rows selected after: ITM logits from the fused
+    [CLS] rows, the per-phrase MPM losses, and the [CLS] embeddings the
+    momentum encoders give ITC."""
     texts = [m.token_ids for m in masked]
     image = md.encode_image(np.stack(images), params, cfg)
     phrase = md.encode_text(texts, params, cfg)
     cls_rows = 0 if read_rows else None
-    mask_rows = [m.mask_index + 1 for m in masked] if read_rows else None
+    mask_rows = [m.mask_index + 1 for m in masked]
     itm = md.cross_encode(phrase, image, params, cfg, image_index=img_of, rows=cls_rows)
     mpm = md.cross_encode(phrase, image, params, cfg, trace_layer=cfg.bidiratt_layer,
-                          image_index=img_of, rows=mask_rows)
+                          image_index=img_of, rows=mask_rows if read_rows else None)
+    mpm = mpm if read_rows else selected(mpm, mask_rows)
     with nx.no_grad():
         embeddings = md.coarse_embeddings(images, texts, params, cfg, rows=cls_rows)[2:]
     return (ls.fine_similarity(itm.cls, params["itm.w"]),
@@ -529,9 +538,10 @@ def test_mpm_rejects_fusion_rows_that_are_not_the_mask_rows():
 
 
 def test_traced_last_layer_gives_the_unpruned_losses():
-    """With the traced layer last, that layer computes every row whatever
-    rows the caller reads: the fused rows and both phrase losses are those
-    of the full pass, bit for bit."""
+    """With the traced layer last, that layer computes every row for its
+    trace and then selects the rows the caller reads: the fusion holds the
+    [MASK] rows, and they and both phrase losses are those of the full pass,
+    bit for bit."""
     cfg, params, images, masked, img_of = phrase_batch_setup(bidiratt_layer=2)
     assert cfg.bidiratt_layer == cfg.n_cross_layers
     mask_rows = [m.mask_index + 1 for m in masked]
@@ -543,12 +553,14 @@ def test_traced_last_layer_gives_the_unpruned_losses():
                                 image_index=img_of, rows=rows)
         biatt, _ = la.local_alignment_loss(image, phrase, fused, mask_rows, params, cfg,
                                            image_index=img_of)
-        runs.append((fused, biatt, ls.masked_phrase_loss(fused, masked, params)))
-    (fused, biatt, mpm), (want_fused, want_biatt, want_mpm) = runs
-    assert fused.rows is None
-    assert np.array_equal(fused.reps.data, want_fused.reps.data)
+        runs.append((fused, biatt))
+    (fused, biatt), (full, want_biatt) = runs
+    want = selected(full, mask_rows)
+    assert fused.rows == mask_rows
+    assert np.array_equal(fused.reps.data, want.reps.data)
     assert np.array_equal(biatt.data, want_biatt.data)
-    assert np.array_equal(mpm.data, want_mpm.data)
+    assert np.array_equal(ls.masked_phrase_loss(fused, masked, params).data,
+                          ls.masked_phrase_loss(want, masked, params).data)
 
 
 def test_pooling_by_image_index_matches_select_and_pool():

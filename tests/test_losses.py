@@ -251,8 +251,9 @@ def mpm_setup(vocab_size=10, d=4, zero=True):
     params.add("mpm.b1", np.zeros(d))
     params.add("mpm.w2", np.zeros((d, vocab_size)) if zero else rng.normal((d, vocab_size)))
     params.add("mpm.b2", np.zeros(vocab_size))
-    fusion = md.FusionOutput(Tensor(Rng(1).normal((1, 3, d))))   # a batch of one
     masked = MaskedPhrase((5, MASK_ID), 1, 7)
+    # a batch of one: the fused [MASK] row
+    fusion = md.EncoderOutput(Tensor(Rng(1).normal((1, 1, d))), rows=[masked.mask_index + 1])
     return params, fusion, masked, vocab_size
 
 
@@ -269,17 +270,17 @@ def test_mpm_saturated_correct():
     assert loss.data.item() < 1e-8
 
 
-def test_mpm_mask_outside_fusion_rejected():
+def test_mpm_rejects_a_fusion_of_every_row():
     params, fusion, masked, _ = mpm_setup()
-    bad = MaskedPhrase((5, MASK_ID, 6, 6), 1, 7)
-    with pytest.raises(ValueError, match="fusion rows"):
-        ls.masked_phrase_loss(fusion, [bad], params)
+    every_row = md.EncoderOutput(Tensor(Rng(1).normal((1, 3, fusion.reps.shape[-1]))))
+    with pytest.raises(ValueError, match="fusion holds every row; MPM reads rows"):
+        ls.masked_phrase_loss(every_row, [masked], params)
 
 
 def test_mpm_rejects_a_trace_only_fusion():
     params, _, masked, _ = mpm_setup()
     with pytest.raises(ValueError, match="read no row and holds only the trace"):
-        ls.masked_phrase_loss(md.FusionOutput(None, rows=()), [masked], params)
+        ls.masked_phrase_loss(md.EncoderOutput(None, rows=()), [masked], params)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ def test_config_validation(pipeline):
             md.ModelConfig(vocab_size=10, **{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [("n_cross_layers", 2.0), ("d", 32.5),
+                                          ("vocab_size", "10"), ("heads", None)])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        md.ModelConfig(**{"vocab_size": 10, field: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # encoders
 
@@ -219,6 +226,17 @@ def test_pad_embedding_reaches_no_real_row_or_loss(cfg, pipeline):
         assert getattr(breakdown, term) == getattr(other, term), term
 
 
+@pytest.mark.parametrize("mode", ["eval", "Infer", ""])
+def test_passes_reject_an_unknown_mode(cfg, params, mode):
+    img = md.encode_image(random_patches(cfg), params, cfg)
+    txt = md.encode_text([5, 6], params, cfg)
+    for run in (lambda: md.encode_image(random_patches(cfg), params, cfg, mode=mode),
+                lambda: md.encode_text([5, 6], params, cfg, mode=mode),
+                lambda: md.cross_encode(txt, img, params, cfg, mode=mode)):
+        with pytest.raises(ValueError, match=f"mode must be 'train' or 'infer', got {mode!r}"):
+            run()
+
+
 def test_inference_mode_allocates_no_gradient_state(cfg, params):
     out = md.encode_image(random_patches(cfg), params, cfg, mode="infer")
     assert out.reps.grad is None
@@ -286,8 +304,8 @@ def pair_of(fused, b, rows):
     """Pair ``b`` of a batched cross-encode cut to its ``rows`` real text
     rows: the rows on the graph, the trace as a constant slice."""
     trace = md.AttentionTrace(fused.trace.attn[b, :, :rows], fused.trace.values[b])
-    return md.FusionOutput(nx.gather_rows(nx.gather_rows(fused.reps, b), np.arange(rows)),
-                           trace)
+    return md.EncoderOutput(nx.gather_rows(nx.gather_rows(fused.reps, b), np.arange(rows)),
+                            trace=trace)
 
 
 def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
@@ -582,7 +600,7 @@ def test_trace_only_cross_encode_stops_at_the_traced_layer(cfg, pipeline, monkey
         md.cross_encode(phrases, img, params, cfg, image_index=[1, 0], rows=())
 
 
-def test_trace_only_cross_encode_names_its_missing_cls_row(cfg, pipeline):
+def test_cls_of_a_trace_only_cross_encode_names_what_is_missing(cfg, pipeline):
     params = md.init_params(cfg, Rng(8))
     img = md.encode_image(random_patches(cfg, 1), params, cfg)
     phrase = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg)

@@ -297,10 +297,19 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
 @pytest.mark.parametrize("field, value", [
     ("warmup_frac", -0.5), ("warmup_frac", 3.0), ("weight_decay", -1.0),
     ("base_lr", float("nan")), ("warmup_lr", float("inf")),
-    ("triplet_margin", float("nan"))])
+    ("triplet_margin", float("nan")), ("stage1_epochs", -1), ("batch_size", 0),
+    ("queue_size", 0)])
 def test_train_config_rejects_bad_values(field, value):
     trainer.TrainConfig().validate()
     with pytest.raises(ValueError, match=field):
+        trainer.TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stage1_epochs", 1.5), ("stage2_epochs", 2.0), ("batch_size", "8"),
+    ("queue_size", 256.0), ("seed", None)])
+def test_train_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         trainer.TrainConfig(**{field: value}).validate()
 
 
