@@ -2,7 +2,8 @@
 
 Each per-loss check builds one loss term on a small forward graph;
 :func:`check_total` runs ``trainer.train_step`` itself, so it checks the
-objective training optimizes, whatever terms that step builds. Every
+objective training optimizes, whatever terms that step builds; every
+evaluation replays the same step on a ``TrainState.replica``. Every
 per-loss check replaces one named parameter by the probe tensor and
 compares the autodiff gradient against central differences, entry by entry.
 The directional checks move every parameter at once along a few random
@@ -12,8 +13,6 @@ The suite backs the finite-difference tests (``tests/test_gradcheck.py``).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -270,9 +269,9 @@ def _train_step_loss(seed: int, stage: int, **train_over):
     """``trainer.train_step`` of ``stage`` on one batch of a 3-identity toy
     corpus: (params, a builder of its total).
 
-    Each evaluation gets a fresh copy of a pre-filled queue and a fresh
-    negative-sampling stream, and uniform sampling keeps the drawn pairs
-    independent of the parameters."""
+    Each evaluation replays the step on a replica of one state with a
+    pre-filled queue, and uniform sampling keeps the drawn pairs independent
+    of the parameters."""
     # the corpus captions are longer than the other checks' texts
     pipeline, cfg, params, rng, _, _ = _toy_setup(seed, max_text_len=20)
     corpus = data.generate_dataset(
@@ -280,17 +279,14 @@ def _train_step_loss(seed: int, stage: int, **train_over):
                         patch_cols=cfg.patch_cols, patch_pixels=cfg.patch_pixels), rng)
     train_cfg = trainer.TrainConfig(batch_size=3, queue_size=8, neg_sampling="uniform",
                                     **train_over)
+    state = trainer.TrainState.for_params(params, cfg, train_cfg, rng, Rng(seed + 4))
     batch = data.make_batches(corpus.train_records(), train_cfg.batch_size,
-                              pipeline, rng)[0]
-    momentum = model.MomentumState.from_params(params, train_cfg.momentum_coeff)
+                              pipeline, state.batch_rng)[0]
     fill = Rng(seed + 3)
-    queue = losses.QueueState(train_cfg.queue_size, cfg.proj_dim)
-    queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
+    state.queue.enqueue(fill.normal((3, cfg.proj_dim)), fill.normal((3, cfg.proj_dim)))
 
     def build():
-        total, _ = trainer.train_step(batch, stage, params, momentum,
-                                      copy.deepcopy(queue), cfg, train_cfg,
-                                      Rng(seed + 4))
+        total, _ = trainer.train_step(batch, stage, state.replica(), cfg, train_cfg)
         return total
 
     return params, build

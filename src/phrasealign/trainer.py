@@ -5,16 +5,18 @@ optimizes the contrastive and matching terms only; stage 2 adds the triplet,
 local-alignment, and masked-phrase terms. It returns the total and its
 per-term breakdown, which :func:`train` logs per step. The finite-difference
 check of the total (``gradcheck.check_total``) differentiates this function
-itself. Each stage's learning-rate schedule spans its epochs times the
-batches ``make_batches`` gives per epoch. The momentum shadows are updated
-after every optimizer step and are never touched by the optimizer. :func:`train`
-holds one step's graph at a time: it drops each step's loss once the optimizer
-step, the momentum update and the gradient reset have run. Runs are
-bit-for-bit reproducible from the seed.
+itself, each time on a :meth:`TrainState.replica`. A :class:`TrainState` is
+all a run reads and changes step by step. Each stage's learning-rate schedule
+spans its epochs times the batches ``make_batches`` gives per epoch. The
+momentum shadows are updated after every optimizer step and are never
+touched by the optimizer. :func:`train` holds one step's graph at a time: it
+drops each step's loss once the optimizer step, the momentum update and the
+gradient reset have run. Runs are bit-for-bit reproducible from the seed.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -61,7 +63,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         md.check_counts(self, {"stage1_epochs": 0, "stage2_epochs": 0, "batch_size": 1,
-                               "queue_size": 1})
+                               "queue_size": 1, "seed": 0})
         for field in ("base_lr", "warmup_lr", "warmup_frac", "triplet_margin",
                       "momentum_coeff", "weight_decay"):
             if not math.isfinite(getattr(self, field)):
@@ -108,7 +110,8 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
     """
     for name, p in params.named():
         if not nx.all_finite(p.grad):
-            raise NumericalError(f"non-finite gradient on parameter {name}")
+            raise NumericalError(f"non-finite gradient on parameter {name} "
+                                 f"at step {state.step}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
@@ -143,37 +146,59 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
 
 
 @dataclasses.dataclass
-class TrainResult:
+class TrainState:
+    """All a run reads and changes step by step; ``optim.step`` and
+    ``log_rows`` count the steps taken."""
     params: md.Params
+    optim: OptimState
     momentum: md.MomentumState
-    log_rows: list
+    queue: ls.QueueState
+    batch_rng: Rng
+    neg_rng: Rng
+    log_rows: list = dataclasses.field(default_factory=list)
+
+    @classmethod
+    def for_params(cls, params: md.Params, model_cfg: md.ModelConfig,
+                   cfg: TrainConfig, batch_rng: Rng, neg_rng: Rng) -> "TrainState":
+        """The state before the first step, its shadows equal to ``params``."""
+        return cls(params, OptimState.for_params(params),
+                   md.MomentumState.from_params(params, cfg.momentum_coeff),
+                   ls.QueueState(cfg.queue_size, model_cfg.proj_dim), batch_rng, neg_rng)
+
+    def replica(self) -> "TrainState":
+        """This state with its own queue and negative-sampling stream: a
+        ``train_step`` on it repeats the next step and leaves this one as is."""
+        return dataclasses.replace(self, queue=copy.deepcopy(self.queue),
+                                   neg_rng=copy.deepcopy(self.neg_rng))
 
 
-def train_step(batch: Batch, stage: int, params: md.Params,
-               momentum: md.MomentumState, queue: ls.QueueState,
-               model_cfg: md.ModelConfig, cfg: TrainConfig, rng: Rng):
+def train_step(batch: Batch, stage: int, state: TrainState,
+               model_cfg: md.ModelConfig, cfg: TrainConfig):
     """One forward pass of the training objective; returns (total, breakdown),
     the loss Tensor and its terms as floats. Both stages build ITC and ITM;
     stage 2 adds the triplet, local-alignment and masked-phrase terms its
     ``enable_*`` switches allow.
 
-    The queue receives the batch's momentum embeddings. The caller runs
-    backward on ``total`` and steps the optimizer.
+    The state's queue receives the batch's momentum embeddings. The caller
+    runs backward on ``total`` and steps the optimizer.
     """
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be 1 or 2, got {stage!r}")
+    params, queue = state.params, state.queue
     n = len(batch.images)
     img_out, txt_out, img_emb, txt_emb = md.coarse_embeddings(
         batch.images, batch.token_ids, params, model_cfg)
     with nx.no_grad():
         # the shadows carry the live names of the encoders and projections
         _, _, mom_img, mom_txt = md.coarse_embeddings(
-            batch.images, batch.token_ids, md.Params(momentum.shadow), model_cfg,
+            batch.images, batch.token_ids, md.Params(state.momentum.shadow), model_cfg,
             rows=0)
     tau = nx.exp(params["temp.log_tau"])
     itc = ls.itc_loss(img_emb, txt_emb, mom_img.data, mom_txt.data, queue, tau)
     queue.enqueue(mom_img.data, mom_txt.data)
 
     coarse = img_emb.data @ txt_emb.data.T
-    neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, rng,
+    neg_txt, neg_img = ls.sample_negatives(batch.identities, coarse, state.neg_rng,
                                            mode=cfg.neg_sampling)
     # (text, image, label): positives, then image i with a non-matching
     # text at n + i, then text j with a non-matching image at 2n + j
@@ -187,7 +212,7 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     itm = ls.itm_loss(logits, [label for _, _, label in pairs])
 
     tri = None
-    if stage != 1 and cfg.enable_triplet and neg_txt:
+    if stage == 2 and cfg.enable_triplet and neg_txt:
         pos, neg_t, neg_i = (nx.gather_rows(logits, range(k * n, (k + 1) * n))
                              for k in range(3))
         tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin,
@@ -197,7 +222,7 @@ def train_step(batch: Batch, stage: int, params: md.Params,
     # (image index, phrase, masked phrase), batch item by item
     items = [(i, phrase, masked) for i in range(n)
              for phrase, masked in batch.phrase_pairs[i]]
-    if stage != 1 and (cfg.enable_biatt or cfg.enable_mpm) and items:
+    if stage == 2 and (cfg.enable_biatt or cfg.enable_mpm) and items:
         need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
         trace_layer = model_cfg.bidiratt_layer if need_trace else None
         masked = [m for _, _, m in items]
@@ -233,9 +258,9 @@ def train_step(batch: Batch, stage: int, params: md.Params,
 
 
 def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
-          pipeline: TextPipeline, out_dir=None) -> TrainResult:
-    """Run both stages; optionally write per-stage checkpoints and the CSV
-    training log under ``out_dir``."""
+          pipeline: TextPipeline, out_dir=None) -> TrainState:
+    """Run both stages and return the final state; optionally write
+    per-stage checkpoints and the CSV training log under ``out_dir``."""
     cfg.validate()
     model_cfg.validate()
     dcfg = dataset.config
@@ -245,20 +270,15 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
 
     rng = Rng(cfg.seed)
     init_rng, batch_rng, neg_rng = rng.child(), rng.child(), rng.child()
-    params = md.init_params(model_cfg, init_rng)
-    momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
-    queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
-    optim = OptimState.for_params(params)
-
+    state = TrainState.for_params(md.init_params(model_cfg, init_rng), model_cfg, cfg,
+                                  batch_rng, neg_rng)
     records = dataset.train_records()
     effective_batch = min(cfg.batch_size, len({r.identity for r in records}))
-    log_rows: list = []
-    global_step = 0
 
     for stage, epochs in ((1, cfg.stage1_epochs), (2, cfg.stage2_epochs)):
         stage_step = 0
         for _ in range(epochs):
-            batches = make_batches(records, effective_batch, pipeline, batch_rng)
+            batches = make_batches(records, effective_batch, pipeline, state.batch_rng)
             # every epoch of a stage has as many batches, whatever the draw
             total_steps = epochs * len(batches)
             warmup = int(round(cfg.warmup_frac * total_steps))
@@ -266,33 +286,27 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                 lr = cosine_lr(stage_step, total_steps, cfg.base_lr, warmup,
                                cfg.warmup_lr)
                 try:
-                    total, breakdown = train_step(
-                        batch, stage, params, momentum, queue, model_cfg, cfg,
-                        neg_rng)
+                    total, breakdown = train_step(batch, stage, state, model_cfg, cfg)
                 except nx.NonFiniteError as e:
                     raise NumericalError(
-                        f"non-finite loss at step {global_step}: {e}") from e
+                        f"non-finite loss at step {state.optim.step}: {e}") from e
                 nx.backward(total)
-                try:
-                    adamw_step(params, optim, lr, cfg.weight_decay)
-                except NumericalError as e:
-                    raise NumericalError(f"{e} at step {global_step}") from e
-                md.momentum_update(params, momentum)
-                params.zero_grads()
+                adamw_step(state.params, state.optim, lr, cfg.weight_decay)
+                md.momentum_update(state.params, state.momentum)
+                state.params.zero_grads()
                 # the next step builds its graph without this one's values
                 # beside it
                 del total
-                log_rows.append({"step": global_step, "lr": lr,
-                                 **dataclasses.asdict(breakdown)})
+                state.log_rows.append({"step": state.optim.step - 1, "lr": lr,
+                                       **dataclasses.asdict(breakdown)})
                 stage_step += 1
-                global_step += 1
         if out_dir is not None:
             path = Path(out_dir) / f"stage{stage}.ckpt"
-            md.save_checkpoint(path, md.params_state(params, momentum))
+            md.save_checkpoint(path, md.params_state(state.params, state.momentum))
 
     if out_dir is not None:
-        write_log_csv(Path(out_dir) / "training_log.csv", log_rows)
-    return TrainResult(params, momentum, log_rows)
+        write_log_csv(Path(out_dir) / "training_log.csv", state.log_rows)
+    return state
 
 
 def write_log_csv(path, log_rows) -> None:

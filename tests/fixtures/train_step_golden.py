@@ -1,9 +1,11 @@
 """Golden values of ``trainer.train_step`` on a tiny config, for the default
 switches and for every non-default value of each switch.
 
-    PYTHONPATH=src python tests/fixtures/train_step_golden.py
+    PYTHONPATH=src python tests/fixtures/train_step_golden.py [VARIANT ...]
 
-rewrites ``train_step_golden.json`` beside this file. Each variant runs one
+rewrites ``train_step_golden.json`` beside this file: the named variants'
+records, or every record when none is named. Every other line of the file is
+kept byte for byte. Each variant runs one
 stage-1 step, one AdamW and momentum update, then one stage-2 step with the
 queue the first step filled. Per step it records the loss breakdown and,
 per parameter, the gradient's L2 norm and its dot product with a fixed probe
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import zlib
 from pathlib import Path
 
@@ -22,11 +25,10 @@ import numpy as np
 
 from phrasealign import numerics as nx
 from phrasealign.data import DataConfig, generate_dataset, make_batches
-from phrasealign.losses import QueueState
-from phrasealign.model import MomentumState, ModelConfig, init_params, momentum_update
+from phrasealign.model import ModelConfig, init_params, momentum_update
 from phrasealign.numerics import Rng
 from phrasealign.textproc import TextPipeline
-from phrasealign.trainer import OptimState, TrainConfig, adamw_step, train_step
+from phrasealign.trainer import TrainConfig, TrainState, adamw_step, train_step
 
 PATH = Path(__file__).with_suffix(".json")
 GEOMETRY = dict(patch_rows=2, patch_cols=2, patch_pixels=6)
@@ -90,27 +92,37 @@ def record(variant: str) -> dict:
     for name, t in params.named():
         if t.data.ndim >= 2 and name != "mpm.w2":
             t.data *= 40.0
-    momentum = MomentumState.from_params(params, cfg.momentum_coeff)
-    queue = QueueState(cfg.queue_size, model_cfg.proj_dim)
-    optim = OptimState.for_params(params)
+    state = TrainState.for_params(params, model_cfg, cfg, batch_rng, neg_rng)
     batches = make_batches(dataset.train_records(), cfg.batch_size, pipeline,
-                           batch_rng)
+                           state.batch_rng)
     out = {}
     for stage, batch in zip((1, 2), batches):
-        total, breakdown = train_step(batch, stage, params, momentum, queue,
-                                      model_cfg, cfg, neg_rng)
+        total, breakdown = train_step(batch, stage, state, model_cfg, cfg)
         nx.backward(total)
         out[f"stage{stage}"] = {
             "loss": {k: getattr(breakdown, k)
                      for k in ("itc", "itm", "tri", "biatt", "mpm", "total")},
             "grads": _grad_records(params),
         }
-        adamw_step(params, optim, 1e-3, cfg.weight_decay)
-        momentum_update(params, momentum)
+        adamw_step(params, state.optim, 1e-3, cfg.weight_decay)
+        momentum_update(params, state.momentum)
         params.zero_grads()
     return out
 
 
-if __name__ == "__main__":
-    lines = [f"{json.dumps(v)}: {json.dumps(record(v))}" for v in VARIANTS]
+def rewrite(names=()) -> None:
+    """Re-record the named variants and any the file lacks, or every variant
+    when none is named; keep every other line of the file byte for byte."""
+    unknown = sorted(set(names) - VARIANTS.keys())
+    if unknown:
+        raise SystemExit(f"unknown variants: {unknown}")
+    kept = {}
+    for line in PATH.read_text(encoding="utf-8").splitlines()[1:-1] if names else ():
+        kept[json.loads(line.partition(": ")[0])] = line.rstrip(",")
+    lines = [kept[v] if v in kept and v not in names else
+             f"{json.dumps(v)}: {json.dumps(record(v))}" for v in VARIANTS]
     PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    rewrite(sys.argv[1:])

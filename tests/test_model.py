@@ -200,21 +200,22 @@ def test_pad_embedding_reaches_no_real_row_or_loss(cfg, pipeline):
     dataset = data.generate_dataset(
         data.DataConfig(n_identities=5, images_per_identity=3, patch_rows=4,
                         patch_cols=4, patch_pixels=12), Rng(0))
-    batch = data.make_batches(dataset.train_records(), 5, pipeline, Rng(1))[0]
-    phrases = [m.token_ids for pairs in batch.phrase_pairs for _, m in pairs]
+    train_cfg = trainer.TrainConfig(batch_size=5, queue_size=8)
     ids = [[7], [5, 9, 11, 6]]
 
     def run(pad_row):
-        params = md.init_params(cfg, Rng(8))
-        momentum = md.MomentumState.from_params(params, 0.995)
-        for table in (params["embed.token"], momentum.shadow["embed.token"]):
+        state = trainer.TrainState.for_params(md.init_params(cfg, Rng(8)), cfg,
+                                              train_cfg, Rng(1), Rng(2))
+        params = state.params
+        for table in (params["embed.token"], state.momentum.shadow["embed.token"]):
             table.data[PAD_ID] = pad_row
         reps = md.encode_text(ids, params, cfg).reps.data
+        batch = data.make_batches(dataset.train_records(), 5, pipeline,
+                                  state.batch_rng)[0]
+        phrases = [m.token_ids for pairs in batch.phrase_pairs for _, m in pairs]
         for texts in (batch.token_ids, phrases):
             assert md.encode_text(texts, params, cfg).pad_bias is not None
-        _, breakdown = trainer.train_step(
-            batch, 2, params, momentum, ls.QueueState(8, cfg.proj_dim), cfg,
-            trainer.TrainConfig(batch_size=5, queue_size=8), Rng(2))
+        _, breakdown = trainer.train_step(batch, 2, state, cfg, train_cfg)
         return reps, breakdown
 
     reps, breakdown = run(np.zeros(cfg.d))

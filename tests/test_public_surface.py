@@ -46,8 +46,6 @@ ALLOWED = {
     "model.load_params_state": "ROADMAP item 6: resume",
     "gradcheck.run_suite": "the CI step that runs the finite-difference suite",
     "gradcheck.TOLERANCE": "the CI step that runs the finite-difference suite",
-    "trainer.TrainResult.momentum": "ROADMAP item 6: resume, which restarts from "
-                                    "a run's momentum shadows",
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -51,6 +52,25 @@ def test_golden_records_are_the_fixture_variants(golden_records):
     assert list(golden_records) == list(golden.VARIANTS)
 
 
+def test_golden_rewrite_of_named_variants_keeps_every_other_line(tmp_path, monkeypatch):
+    path = tmp_path / "golden.json"
+    path.write_bytes(golden.PATH.read_bytes())
+    monkeypatch.setattr(golden, "PATH", path)
+    monkeypatch.setattr(golden, "record", lambda variant: {"stub": variant})
+    before = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    golden.rewrite(["tie_score_head"])
+    after = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    assert len(after) == len(before) and len(changed) == 1
+    assert json.loads(path.read_text(encoding="utf-8"))["tie_score_head"] == \
+        {"stub": "tie_score_head"}
+    golden.rewrite()
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        v: {"stub": v} for v in golden.VARIANTS}
+    with pytest.raises(SystemExit, match="unknown variants"):
+        golden.rewrite(["no_such_variant"])
+
+
 def tiny_setup(**train_over):
     geometry = dict(patch_rows=2, patch_cols=2, patch_pixels=6)
     pipeline = TextPipeline()
@@ -63,18 +83,21 @@ def tiny_setup(**train_over):
     return pipeline, dataset, model_cfg, cfg
 
 
+def tiny_state(pipeline, dataset, model_cfg, cfg):
+    """A state of fresh parameters for the tiny corpus, and its first batch."""
+    state = trainer.TrainState.for_params(md.init_params(model_cfg, Rng(1)), model_cfg,
+                                          cfg, Rng(2), Rng(3))
+    batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
+                              state.batch_rng)[0]
+    return state, batch
+
+
 def first_step(stage):
     """``train_step`` on the first batch of the tiny corpus, every term
     enabled; returns (batch, queue, step outputs)."""
     pipeline, dataset, model_cfg, cfg = tiny_setup()
-    params = md.init_params(model_cfg, Rng(1))
-    momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
-    queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
-    batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
-                              Rng(2))[0]
-    out = trainer.train_step(batch, stage, params, momentum, queue, model_cfg,
-                             cfg, Rng(3))
-    return batch, queue, out
+    state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
+    return batch, state.queue, trainer.train_step(batch, stage, state, model_cfg, cfg)
 
 
 def default_step(stage=2):
@@ -85,19 +108,17 @@ def default_step(stage=2):
     dataset = data.generate_dataset(data.DataConfig(), Rng(0))
     model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
     cfg = trainer.TrainConfig()
-    params = md.init_params(model_cfg, Rng(1))
-    momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
-    queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
+    state = trainer.TrainState.for_params(md.init_params(model_cfg, Rng(1)), model_cfg,
+                                          cfg, Rng(2), Rng(3))
     batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
-                              Rng(2))[0]
+                              state.batch_rng)[0]
     assert len(batch.images) == 8 and sum(map(len, batch.phrase_pairs)) == 28
 
     def step():
-        total, _ = trainer.train_step(batch, stage, params, momentum, queue,
-                                      model_cfg, cfg, Rng(3))
+        total, _ = trainer.train_step(batch, stage, state, model_cfg, cfg)
         return total
 
-    return model_cfg, params, step
+    return model_cfg, state.params, step
 
 
 def test_cross_keys_projected_once_per_distinct_image(monkeypatch):
@@ -259,8 +280,6 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
     pipeline, dataset, model_cfg, cfg = tiny_setup(**train_over)
     model_cfg = dataclasses.replace(model_cfg, **model_over)
     assert model_cfg.bidiratt_layer < model_cfg.n_cross_layers
-    batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
-                              Rng(2))[0]
     cross_encode = md.cross_encode
 
     def run(full):
@@ -276,10 +295,10 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
         for name, t in params.named():
             if t.data.ndim >= 2 and name != "mpm.w2":
                 t.data *= 12.0
-        momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
-        queue = ls.QueueState(cfg.queue_size, model_cfg.proj_dim)
-        total, breakdown = trainer.train_step(batch, 2, params, momentum, queue,
-                                              model_cfg, cfg, Rng(3))
+        state = trainer.TrainState.for_params(params, model_cfg, cfg, Rng(2), Rng(3))
+        batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
+                                  state.batch_rng)[0]
+        total, breakdown = trainer.train_step(batch, 2, state, model_cfg, cfg)
         nx.backward(total)
         return reads_none, breakdown, {name: p.grad for name, p in params.named()}
 
@@ -298,7 +317,7 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
     ("warmup_frac", -0.5), ("warmup_frac", 3.0), ("weight_decay", -1.0),
     ("base_lr", float("nan")), ("warmup_lr", float("inf")),
     ("triplet_margin", float("nan")), ("stage1_epochs", -1), ("batch_size", 0),
-    ("queue_size", 0)])
+    ("queue_size", 0), ("seed", -1)])
 def test_train_config_rejects_bad_values(field, value):
     trainer.TrainConfig().validate()
     with pytest.raises(ValueError, match=field):
@@ -316,6 +335,45 @@ def test_train_config_rejects_non_integer_counts(field, value):
 def test_train_step_enqueues_batch_momentum_embeddings():
     batch, queue, _ = first_step(1)
     assert queue.filled == len(batch.images)
+
+
+@pytest.mark.parametrize("stage", [0, 3])
+def test_train_step_rejects_an_unknown_stage(stage):
+    pipeline, dataset, model_cfg, cfg = tiny_setup()
+    state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
+    with pytest.raises(ValueError, match="stage must be 1 or 2"):
+        trainer.train_step(batch, stage, state, model_cfg, cfg)
+
+
+def test_steps_on_replicas_repeat_the_step_and_leave_the_state():
+    pipeline, dataset, model_cfg, cfg = tiny_setup()
+    state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
+    trainer.train_step(batch, 1, state, model_cfg, cfg)    # a non-empty queue
+    queue = copy.deepcopy(state.queue)
+    neg_rng = copy.deepcopy(state.neg_rng)
+    runs = []
+    for _ in range(2):
+        replica = state.replica()
+        total, _ = trainer.train_step(batch, 2, replica, model_cfg, cfg)
+        nx.backward(total)
+        runs.append((float(total.data),
+                     {name: p.grad.copy() for name, p in state.params.named()}))
+        state.params.zero_grads()
+        assert replica.queue.filled > queue.filled
+    (total_a, grads_a), (total_b, grads_b) = runs
+    assert total_a == total_b
+    for name, g in grads_a.items():
+        assert np.array_equal(g, grads_b[name]), name
+    for field in ("q_img", "q_txt", "cursor", "filled"):
+        assert np.array_equal(getattr(state.queue, field), getattr(queue, field)), field
+    assert np.array_equal(state.neg_rng.uniform(16), neg_rng.uniform(16))
+
+
+def test_train_returns_its_state_one_optimizer_step_per_log_row():
+    pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=1, stage2_epochs=1)
+    state = trainer.train(model_cfg, cfg, dataset, pipeline)
+    assert state.optim.step == len(state.log_rows) > 0
+    assert [row["step"] for row in state.log_rows] == list(range(state.optim.step))
 
 
 def test_stage1_step_builds_no_stage2_term(monkeypatch):
