@@ -16,11 +16,18 @@ full-size buffer is held for nodes backward never reaches. Leaf slots must be
 cleared explicitly through ``zero_grads`` between backward passes; reuse
 without a reset raises.
 
+A node's backward function saves only what it cannot cheaply rebuild: the
+softmax weights, the merged heads, and a norm's normalized input and scale.
+It recomputes its projections and hidden rows from its parents' values, by
+the ops the forward pass ran, so the gradients equal those from saved arrays
+bit for bit. Backward reads parent values and weights as they are when it
+runs, so nothing may write them between a forward pass and its backward.
+
 A graph is differentiated once. As ``backward`` passes a node it frees the
-node's backward function and every array that function saved (attention
-weights, projections, a norm's normalized input), and keeps the node's value
-and its ``parents``; a held root keeps only the values of its graph alive.
-Backward through a node it has passed raises, even after ``zero_grads``.
+node's backward function and every array that function saved, and keeps the
+node's value and its ``parents``; a held root keeps only the values of its
+graph alive. Backward through a node it has passed raises, even after
+``zero_grads``.
 
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
@@ -29,7 +36,7 @@ sublayer: the q/k/v projections, the scaled, key-biased row softmax, a . v,
 the head merge, the output projection, the residual add and the layer norm.
 Given an index of key/value entries per pair it projects each entry once;
 each pair gathers its entry's keys and values transiently, in forward and
-again in backward, so the graph keeps no per-pair copy of them.
+again in backward.
 :func:`tanh_mlp` is a linear, tanh, linear feed-forward, and with a norm's
 gain and bias the residual feed-forward sublayer; :func:`linear` a matmul
 and a bias add. The ops are those the package calls, and no more:
@@ -107,7 +114,8 @@ class Tensor:
     ``op`` and ``parents`` describe how the tensor was produced. They and
     ``data`` stay once :func:`backward` has passed the node; its backward
     function, and every array that function saved, go: a graph is
-    differentiated once.
+    differentiated once. A backward function recomputes what it did not save
+    from the parents' ``data``, which nothing may write in between.
     """
 
     __slots__ = ("data", "grad", "op", "parents", "requires_grad",
@@ -256,7 +264,9 @@ def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     """``tanh(x @ w1 + b1) @ w2 + b2`` for (..., d) rows, a (d, m) and an
     (m, width) weight and their biases, as one node; backward contracts all
     rows at once. Given a (d,) ``gain`` and ``bias``, the node is the whole
-    residual sublayer: the layer norm of ``x + tanh_mlp(x)``."""
+    residual sublayer: the layer norm of ``x + tanh_mlp(x)``. The node saves
+    no hidden rows: backward recomputes ``tanh(x @ w1 + b1)`` from the
+    parents' values by the ops the forward pass ran."""
     norm = () if gain is None and bias is None else (gain, bias)
     if w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1:] != w1.shape[:1] or \
             b1.shape != w1.shape[1:] or w2.shape[:1] != b1.shape or \
@@ -266,10 +276,13 @@ def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                          f"{b1.shape}, @ {w2.shape} + {b2.shape}, norm "
                          f"{[None if t is None else t.shape for t in norm]}")
     d, m = w1.shape
-    h = x.data @ w1.data
-    h += b1.data
-    np.tanh(h, out=h)
-    y = h @ w2.data
+
+    def hidden():
+        h = x.data @ w1.data
+        h += b1.data
+        return np.tanh(h, out=h)
+
+    y = hidden() @ w2.data
     y += b2.data
     if norm:
         y, norm_bw = _layer_norm(x.data + y, gain, bias)
@@ -278,6 +291,7 @@ def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         if norm:
             g, ggain, gbias = norm_bw(g)
         lead = tuple(range(g.ndim - 1))
+        h = hidden()
         gz = g @ w2.data.T
         gz *= 1.0 - h * h
         gx = gz @ w1.data.T
@@ -496,11 +510,14 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     ``x_kv`` has the queries' leading axes, or, with ``kv_index``, is an
     (n, L_kv, d) stack: batch entry b attends to entry ``kv_index[b]``. Keys
     and values are then projected once per entry; each pair gathers its
-    entry's rows for the products, in forward and again in backward, and the
-    node saves only the per-entry projections. Their gradients sum over each
-    entry's pairs. ``key_bias`` is an array broadcast to the ([B,] heads,
-    L_q, L_kv) scores; it takes no ``kv_index``. Self-attention passes one
-    tensor as ``x_q`` and ``x_kv``.
+    entry's rows for the products, in forward and again in backward. Their
+    gradients sum over each entry's pairs. ``key_bias`` is an array broadcast
+    to the ([B,] heads, L_q, L_kv) scores; it takes no ``kv_index``.
+    Self-attention passes one tensor as ``x_q`` and ``x_kv``.
+
+    The node saves the softmax weights, the merged heads and the norm's
+    arrays, and no projection: backward recomputes q, k and v from the
+    parents' values by the ops the forward pass ran.
 
     Returns the node, or with ``trace`` (node, a, v), where the plain arrays
     are the ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, w)
@@ -527,18 +544,24 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                              f"0..{x_kv.shape[0] - 1}")
     xq = x_q.data[:, None] if lead else x_q.data
     xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
-    k = xkv @ wk.data
-    v = xkv @ wv.data
 
-    # each pair's entry, gathered anew where a product needs it: the graph
-    # keeps k and v per entry, never a copy per pair
+    # the projections, by the same ops in forward and in backward, so the
+    # graph keeps none of them. Scale q, not the scores, and keep one buffer
+    # of scores: each (4, 65, 65) float64 temporary is past the allocator's
+    # mmap threshold
+    def projections():
+        k = xkv @ wk.data
+        v = xkv @ wv.data
+        q = xq @ wq.data
+        q *= scale
+        return q, k, v
+
+    # each pair's entry, gathered where a product needs it, never a copy per
+    # pair kept
     def per_pair(arr):
         return arr if idx is None else arr[idx]
 
-    # scale q, not the scores, and keep one buffer of scores: each (4, 65,
-    # 65) float64 temporary is past the allocator's mmap threshold
-    q = xq @ wq.data
-    q *= scale
+    q, k, v = projections()
     a = q @ np.swapaxes(per_pair(k), -1, -2)
     if key_bias is not None:
         a += key_bias
@@ -553,6 +576,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
     def bw(g):
         g, ggain, gbias = norm_bw(g)
+        q, k, v = projections()
         gm = g @ wo.data.T
         gav = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
         # softmax backward: d(scores) = a * (d(a) - rowdot), where rowdot,

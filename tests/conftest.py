@@ -60,26 +60,35 @@ def _tensors_made(fn):
     return made
 
 
+def _traced_mib(fn):
+    """(size, peak), in MiB, of what tracemalloc traces while ``fn()`` runs,
+    both above the traced size at entry, its return value kept alive: what
+    ``fn()`` still holds when it returns, and the most it held at once. A
+    trace that is already running goes on; one started here is stopped."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        kept = fn()  # noqa: F841
+        size, peak = tracemalloc.get_traced_memory()
+        return (size - base) / 2**20, (peak - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _peak_mib(fn):
     """The tracemalloc peak, in MiB, of what is allocated while ``fn()``
     runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    return _traced_mib(fn)[1]
 
 
 def _held_mib(fn):
     """The tracemalloc size, in MiB, of what ``fn()`` allocated and still
     holds when it returns, its return value kept alive."""
-    tracemalloc.start()
-    try:
-        kept = fn()  # noqa: F841
-        return tracemalloc.get_traced_memory()[0] / 2**20
-    finally:
-        tracemalloc.stop()
+    return _traced_mib(fn)[0]
 
 
 @pytest.fixture

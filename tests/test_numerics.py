@@ -430,8 +430,8 @@ def test_indexed_attention_gradients_match_the_selected_rows(case):
 
 def test_indexed_attention_keeps_no_per_pair_keys_or_values(held_mib):
     """64 pairs on 2 entries of 100 keys: while its graph is alive, the node
-    keeps the keys and values per entry, not a copy per pair. What it keeps,
-    output included, stays under half the size of those copies."""
+    keeps no copy of the keys and values per pair. What it keeps, output
+    included, stays under half the size of those copies."""
     rng = nx.Rng(28)
     pairs, entries, keys, d, heads, w = 64, 2, 100, 32, 4, 8
     x_q = t(rng.normal((pairs, 2, d)), grad=True)

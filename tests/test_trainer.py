@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,14 +249,65 @@ def test_step_memory_with_last_layers_on_read_rows(stage, peak_mib, held_mib):
 TRAIN_EPOCH_MIB = {1: 22.0, 2: 27.2}
 
 
-@pytest.mark.parametrize("stage", list(TRAIN_EPOCH_MIB))
-def test_one_train_epoch_peak_memory(stage, peak_mib):
+def train_epoch(stage):
+    """One ``train()`` epoch of ``stage`` on the default corpus and configs,
+    as a zero-argument callable."""
     pipeline = TextPipeline()
     dataset = data.generate_dataset(data.DataConfig(), Rng(0))
     model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
     cfg = trainer.TrainConfig(stage1_epochs=int(stage == 1), stage2_epochs=int(stage == 2))
-    assert peak_mib(lambda: trainer.train(model_cfg, cfg, dataset, pipeline)) < \
-        TRAIN_EPOCH_MIB[stage]
+    return lambda: trainer.train(model_cfg, cfg, dataset, pipeline)
+
+
+@pytest.mark.parametrize("stage", list(TRAIN_EPOCH_MIB))
+def test_one_train_epoch_peak_memory(stage, peak_mib):
+    assert peak_mib(train_epoch(stage)) < TRAIN_EPOCH_MIB[stage]
+
+
+# tracemalloc peaks of a default step, in MiB, stage 1 / stage 2, when
+# backward recomputes the attention projections and feed-forward hidden rows
+# from the nodes' parents, against the graph keeping them: a step and its
+# backward (12.79 / 14.99 against 16.78 / 21.30), a second step built while
+# the first root is held (13.50 / 16.64 against 18.18 / 23.64), and one
+# train() epoch (17.05 / 19.26 against 21.20 / 25.73). Each bound lies
+# between.
+RECOMPUTED_MIB = {1: (14.5, 15.5, 19.0), 2: (18.0, 20.0, 22.5)}
+
+
+@pytest.mark.parametrize("stage", list(RECOMPUTED_MIB))
+def test_step_memory_with_projections_recomputed_in_backward(stage, peak_mib):
+    _, params, step = default_step(stage)
+    peak, next_peak, epoch = RECOMPUTED_MIB[stage]
+
+    def two_steps():
+        total = step()
+        nx.backward(total)
+        step()
+
+    assert peak_mib(lambda: nx.backward(step())) < peak
+    params.zero_grads()
+    assert peak_mib(two_steps) < next_peak
+    assert peak_mib(train_epoch(stage)) < epoch
+
+
+def test_memory_helpers_measure_from_entry_and_leave_a_running_trace(peak_mib,
+                                                                      held_mib):
+    # 8 MiB (2**20 float64 entries) allocated inside each measure, with as
+    # much again traced before it in a trace the helpers must neither count
+    # nor stop
+    n = 2**20
+    was_tracing = tracemalloc.is_tracing()
+    assert 7.9 < peak_mib(lambda: np.ones(n)) < 8.5
+    assert tracemalloc.is_tracing() == was_tracing
+    tracemalloc.start()  # does nothing if a trace is running
+    try:
+        before = np.ones(n)  # noqa: F841
+        assert 7.9 < peak_mib(lambda: np.ones(n)) < 8.5
+        assert 7.9 < held_mib(lambda: np.ones(n)) < 8.5
+        assert tracemalloc.is_tracing()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 # (ModelConfig, TrainConfig) overrides whose phrase cross-encodes feed the
