@@ -253,7 +253,9 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
 
 # key bias of padding rows: far enough below any score that its softmax weight
 # is exactly 0, and finite, so that a row of padding alone would still give
-# weights rather than inf - inf = NaN
+# weights rather than inf - inf = NaN. Key 0 is the [CLS] row and is never
+# padded: the attention shifts each score row by its key-0 score, and that
+# key's weight exp(0) = 1 keeps every row sum at least 1
 PAD_BIAS = -1e30
 
 

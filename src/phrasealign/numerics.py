@@ -17,10 +17,13 @@ cleared explicitly through ``zero_grads`` between backward passes; reuse
 without a reset raises.
 
 A node's backward function saves only what it cannot cheaply rebuild: the
-softmax weights, the merged heads, and a norm's normalized input and scale.
+softmax exponentials and the reciprocals of their row sums (not the
+normalized weights), the merged heads, and a norm's normalized input and
+scale.
 It recomputes its projections and hidden rows from its parents' values, by
 the ops the forward pass ran, so the gradients equal those from saved arrays
-bit for bit. Backward reads parent values and weights as they are when it
+bit for bit; the one exception, attention keys without the forward pass's
+shift by key 0, carries no gradient. Backward reads parent values and weights as they are when it
 runs, so nothing may write them between a forward pass and its backward.
 
 A graph is differentiated once. As ``backward`` passes a node it frees the
@@ -34,6 +37,10 @@ backward call, so the layers' op chains are fused ops, one node each with a
 hand-written backward. :func:`attention` is a whole residual attention
 sublayer: the q/k/v projections, the scaled, key-biased row softmax, a . v,
 the head merge, the output projection, the residual add and the layer norm.
+Its softmax makes no pass per row: each row is shifted by its score against
+key 0, inside the key product, and normalized through the value product,
+whose column of ones gives the row sums; the layer norm takes its row means
+as products with a column of 1/n.
 Given an index of key/value entries per pair it projects each entry once;
 each pair gathers its entry's keys and values transiently, in forward and
 again in backward.
@@ -497,6 +504,13 @@ def _project_back(x: np.ndarray, ws: Sequence[np.ndarray], gs: Sequence[np.ndarr
     return gx.reshape(x.shape), [np.swapaxes(gw[:, i], 0, 1) for i in range(n)]
 
 
+# a shifted score above this exponent could overflow exp; a normalizer below
+# this floor (key 0 biased down) could have underflowed. Either redoes the
+# softmax with each row shifted by its own maximum
+_EXP_BOUND = 300.0
+_SUM_FLOOR = 1e-280
+
+
 def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
               wo: Tensor, bo: Tensor, gain: Tensor, bias: Tensor, scale: float,
               key_bias: np.ndarray | None = None, kv_index=None, trace: bool = False):
@@ -511,17 +525,28 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     (n, L_kv, d) stack: batch entry b attends to entry ``kv_index[b]``. Keys
     and values are then projected once per entry; each pair gathers its
     entry's rows for the products, in forward and again in backward. Their
-    gradients sum over each entry's pairs. ``key_bias`` is an array broadcast
-    to the ([B,] heads, L_q, L_kv) scores; it takes no ``kv_index``.
+    gradients sum over each entry's pairs. ``key_bias`` is an array of one
+    value per key, broadcast to the ([B,] heads, L_q, L_kv) scores without
+    enlarging them, and with a query axis of 1; it takes no ``kv_index``.
     Self-attention passes one tensor as ``x_q`` and ``x_kv``.
 
-    The node saves the softmax weights, the merged heads and the norm's
-    arrays, and no projection: backward recomputes q, k and v from the
-    parents' values by the ops the forward pass ran.
+    The softmax runs no pass per row. Each row is shifted by its score
+    against key 0, inside the key product: forward projects the key/value
+    rows less row 0, so q k^T gives the shifted scores. Their exponentials
+    ``e`` are normalized through the output: ``e @ [v | 1]`` gives the
+    weighted values and each row's sum ``s``, and the (L_q, w) output rows,
+    not the weights, are divided by ``s``. Key 0's exponential is 1 unless
+    the key bias moves it. A shifted score above ``_EXP_BOUND`` or a
+    normalizer below ``_SUM_FLOOR`` redoes the exponentials with each row's
+    own maximum as the shift.
+
+    The node saves ``e``, ``1/s``, the merged heads and the norm's arrays,
+    and no projection: backward recomputes q, k and v from the parents'
+    values by the ops the forward pass ran, the keys without the shift.
 
     Returns the node, or with ``trace`` (node, a, v), where the plain arrays
-    are the ([B,] heads, L_q, L_kv) attention and the ([B,] heads, L_kv, w)
-    values of each pair."""
+    are the ([B,] heads, L_q, L_kv) attention, ``e / s``, and the ([B,]
+    heads, L_kv, w) values of each pair."""
     if wq.data.ndim != 3:
         raise ShapeError(f"attention needs (heads, d, w) weights, got {wq.shape}")
     heads, d, w = wq.shape
@@ -542,16 +567,26 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         if ((idx < 0) | (idx >= x_kv.shape[0])).any():
             raise IndexError(f"key/value index {idx.tolist()} outside "
                              f"0..{x_kv.shape[0] - 1}")
+    if key_bias is not None:
+        scores, kb = lead + (heads, x_q.shape[-2], x_kv.shape[-2]), np.shape(key_bias)
+        if len(kb) > len(scores) or len(kb) > 1 and kb[-2] != 1 or any(
+                n != 1 and n != m for n, m in zip(kb[::-1], scores[::-1])):
+            raise ShapeError(f"key bias {kb} is not one value per key of the "
+                             f"scores {scores}")
     xq = x_q.data[:, None] if lead else x_q.data
     xkv = xq if x_kv is x_q else x_kv.data[:, None] if lead else x_kv.data
 
     # the projections, by the same ops in forward and in backward, so the
     # graph keeps none of them. Scale q, not the scores, and keep one buffer
     # of scores: each (4, 65, 65) float64 temporary is past the allocator's
-    # mmap threshold
-    def projections():
-        k = xkv @ wk.data
-        v = xkv @ wv.data
+    # mmap threshold. The values carry a column of ones: [v | 1]. Forward
+    # shifts the keys by key 0 in the rows the key product reads: (x - x_0)
+    # wk is k - k_0, and its row 0 is exactly 0
+    def projections(shift: bool):
+        k = (xkv - xkv[..., :1, :] if shift else xkv) @ wk.data
+        v = np.empty(k.shape[:-1] + (w + 1,))
+        np.matmul(xkv, wv.data, out=v[..., :w])
+        v[..., w] = 1.0
         q = xq @ wq.data
         q *= scale
         return q, k, v
@@ -561,39 +596,57 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     def per_pair(arr):
         return arr if idx is None else arr[idx]
 
-    q, k, v = projections()
-    a = q @ np.swapaxes(per_pair(k), -1, -2)
-    if key_bias is not None:
-        a += key_bias
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    def exponentials(row_max: bool):
+        e = q @ np.swapaxes(per_pair(k), -1, -2)
+        if key_bias is not None:
+            e += key_bias
+        if row_max or not e.max() <= _EXP_BOUND:
+            e -= e.max(axis=-1, keepdims=True)
+        return np.exp(e, out=e)
+
+    q, k, v = projections(True)
+    e = exponentials(False)
     pair_v = per_pair(v)
-    merged = np.swapaxes(a @ pair_v, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
+    av = e @ pair_v
+    # without a key bias, key 0's exponential is 1 and no sum is below 1
+    if key_bias is not None and not av[..., w:].min() >= _SUM_FLOOR:
+        e = exponentials(True)
+        av = e @ pair_v
+    sums, heads_out = av[..., w:], av[..., :w]
+    heads_out /= sums
+    merged = np.swapaxes(heads_out, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
+    # backward reads 1/s from a fresh array, not from a view that keeps av
+    inv = 1.0 / sums if _grad_enabled else None
+    attn = e / sums if trace else None
     y = merged @ wo.data
     y += bo.data
     y, norm_bw = _layer_norm(x_q.data + y, gain, bias)
 
     def bw(g):
         g, ggain, gbias = norm_bw(g)
-        q, k, v = projections()
+        q, k, v = projections(False)
         gm = g @ wo.data.T
-        gav = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
         # softmax backward: d(scores) = a * (d(a) - rowdot), where rowdot,
         # the row sums of d(a) * a, equals those of d(a . v) * (a . v): a sum
-        # over w, not over the keys
-        rowdot = (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1)
+        # over w, not over the keys. With a = e / s that is
+        # e * ([d(a . v) | -rowdot] / s) . [v | 1], one product
+        gav = np.empty(e.shape[:-1] + (w + 1,))
+        gav[..., :w] = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
+        gav[..., w] = -np.swapaxes(
+            (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1), -1, -2)
+        gav *= inv
         gs = gav @ np.swapaxes(per_pair(v), -1, -2)
-        gs -= np.swapaxes(rowdot, -1, -2)[..., None]
-        gs *= a
+        gs *= e
+        # each row of d(scores) sums to 0, so the shift by key 0 carries no
+        # gradient: q and k take those of the unshifted keys
         gq = gs @ per_pair(k)
         gq *= scale
         gk = np.swapaxes(gs, -1, -2) @ q
-        gv = np.swapaxes(a, -1, -2) @ gav
+        gv = np.swapaxes(e, -1, -2) @ gav[..., :w]
         if idx is not None:     # each entry sums its pairs' key/value gradients
             hits = _hits(idx, k.shape[0])
             gk = (hits @ gk.reshape(idx.size, -1)).reshape(k.shape)
-            gv = (hits @ gv.reshape(idx.size, -1)).reshape(v.shape)
+            gv = (hits @ gv.reshape(idx.size, -1)).reshape(k.shape)
         if x_kv is x_q:
             gxq, (gwq, gwk, gwv) = _project_back(x_q.data, (wq.data, wk.data, wv.data),
                                                  (gq, gk, gv))
@@ -607,28 +660,41 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                 g.sum(axis=tuple(range(g.ndim - 1))), ggain, gbias)
 
     out = _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo, gain, bias), bw)
-    return (out, a, pair_v) if trace else out
+    return (out, attn, pair_v[..., :w]) if trace else out
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_column(n: int) -> np.ndarray:
+    """The (n, 1) column of 1/n: a row's mean as one product. Read-only, as
+    every caller shares it."""
+    col = np.full((n, 1), 1.0 / n)
+    col.flags.writeable = False
+    return col
 
 
 def _layer_norm(s: np.ndarray, gain: Tensor, bias: Tensor):
     """The layer norm over the last axis (width n), with (n,) gain and bias,
     that ends each residual node; ``s``, the node's own residual sum, is
-    normalized in place. Returns (out, backward), where backward maps
-    d(out) to (d(s), d(gain), d(bias))."""
+    normalized in place. The row means, of ``s`` and of its centred squares
+    in forward and of two gradient terms in backward, are each one product
+    of all rows with a column of 1/n, not a reduction per row. Returns (out,
+    backward), where backward maps d(out) to (d(s), d(gain), d(bias))."""
     n = s.shape[-1]
-    # np.mean's and np.var's arithmetic, without their Python wrappers
+    col, rows = _mean_column(n), s.shape[:-1] + (1,)
+
+    def mean(x):
+        return (x.reshape(-1, n) @ col).reshape(rows)
+
     xhat = s
-    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + 1e-5)
+    xhat -= mean(xhat)
+    inv = 1.0 / np.sqrt(mean(xhat * xhat) + 1e-5)
     xhat *= inv
     out = xhat * gain.data + bias.data
 
     def bw(g):
         gh = g * gain.data
-        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
-        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
-        return ((gh - m1 - xhat * m2) * inv, (g * xhat).reshape(-1, n).sum(axis=0),
-                g.reshape(-1, n).sum(axis=0))
+        return ((gh - mean(gh) - xhat * mean(gh * xhat)) * inv,
+                (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
 
     return out, bw
 

@@ -42,6 +42,21 @@ def _attention_chain(x_q, x_kv, wq, wk, wv, wo, bo, scale, bias=None, index=None
     return (out if norm is None else _layer_norm(x_q + out, *norm)), a, v
 
 
+# how far a fused op may be from its chain: the fused softmax shifts each row
+# by its key-0 score and normalizes the output, the layer norm takes its row
+# means as products, and the chain does neither. The worst deviation
+# measured is 1.0e-15 of the largest entry; this is ten times that
+CHAIN_RTOL = 1e-14
+
+
+def _near(got, want, rtol=CHAIN_RTOL):
+    """Whether ``got`` has ``want``'s shape and lies within ``rtol`` of
+    want's largest magnitude everywhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and \
+        bool(np.abs(got - want).max() <= rtol * np.abs(want).max())
+
+
 def _tensors_made(fn):
     """The number of Tensors constructed while ``fn()`` runs."""
     made = 0
@@ -99,6 +114,11 @@ def layer_norm():
 @pytest.fixture
 def attention_chain():
     return _attention_chain
+
+
+@pytest.fixture
+def near():
+    return _near
 
 
 @pytest.fixture

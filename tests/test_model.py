@@ -406,9 +406,10 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
 
 
 def test_trace_is_constants_of_the_unfused_chain(cfg, pipeline, monkeypatch,
-                                                attention_chain):
-    """The traced layer's attention and values equal the arrays of the
-    attention chain before its fusion, and are constants off the graph."""
+                                                attention_chain, near):
+    """The traced layer's values equal the arrays of the attention chain
+    before its fusion, and its attention those within ``CHAIN_RTOL``; both
+    are constants off the graph."""
     params = md.init_params(cfg, Rng(6))
     ids = [pipeline.vocab.encode(words) for words in
            (["red", "shirt"], ["a", "man", "in", "blue", "pants"], ["black", "hair"])]
@@ -431,7 +432,7 @@ def test_trace_is_constants_of_the_unfused_chain(cfg, pipeline, monkeypatch,
     _, a, v = attention_chain(*inputs[0], *(params[f"{prefix}.{name}"].data for name in
                                             ("wq", "wk", "wv", "out.w", "out.b")),
                               1.0 / np.sqrt(cfg.head_dim), index=[1, 0, 1])
-    assert np.array_equal(fused.trace.attn, a)
+    assert near(fused.trace.attn, a)
     assert np.array_equal(fused.trace.values, v)
     for constant in (fused.trace.attn, fused.trace.values):
         assert type(constant) is np.ndarray

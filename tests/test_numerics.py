@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_matmul_associativity():
 # heads as the leading axis
 
 
-def test_stacked_ops_match_per_head_matrices(layer_norm):
+def test_stacked_ops_match_per_head_matrices(layer_norm, near):
     rng = nx.Rng(8)
     x = t(rng.normal((4, 6)))
     w = t(rng.normal((3, 6, 2)))
@@ -92,8 +93,32 @@ def test_stacked_ops_match_per_head_matrices(layer_norm):
     # the heads' a . v side by side, head 0 first, then the output projection
     # and the layer norm of the residual sum
     merged = np.concatenate(list(a @ v), axis=1)
-    assert np.array_equal(out.data, layer_norm(x.data + (merged @ wo.data + bo.data),
-                                               gain.data, bias.data))
+    assert near(out.data, layer_norm(x.data + (merged @ wo.data + bo.data), gain.data,
+                                     bias.data))
+
+
+def test_attention_rejects_a_key_bias_that_is_not_one_value_per_key():
+    """A key bias broadcasts to the ([B,] heads, L_q, L_kv) scores without
+    enlarging them, and its query axis is 1: softmax ignores a bias per
+    query row. Any other raises ShapeError, before any arithmetic. The
+    model's (B, 1, 1, L) padding bias and its gather per pair pass."""
+    rng = nx.Rng(29)
+    x, w = t(rng.normal((4, 3))), t(rng.normal((2, 3, 2)))
+    rest = (t(rng.normal((4, 3))), t(np.zeros(3)), *unit_norm(3), 1.0)
+    for shape in ((4,), (1, 4), (1, 1, 4), (2, 1, 4)):     # scores (2, 4, 4)
+        nx.attention(x, x, w, w, w, *rest, np.zeros(shape))
+    for shape in ((3,), (5, 2, 4, 4), (4, 1), (2, 4), (2, 4, 4), (1, 1, 1, 4)):
+        with pytest.raises(nx.ShapeError, match="key bias"):
+            nx.attention(x, x, w, w, w, *rest, np.zeros(shape))
+    batch = t(rng.normal((3, 4, 3)))
+    pad = np.where(np.arange(4) < np.array([[4], [2], [3]]), 0.0,
+                   md.PAD_BIAS)[:, None, None, :]
+    nx.attention(batch, batch, w, w, w, *rest, pad)
+    texts = nx.gather_rows(batch, [2, 0, 2, 1])
+    nx.attention(texts, texts, w, w, w, *rest, pad[[2, 0, 2, 1]])
+    for bad in (pad[:2], pad[..., :3], pad[:, :, [0, 0]]):
+        with pytest.raises(nx.ShapeError, match="key bias"):
+            nx.attention(batch, batch, w, w, w, *rest, bad)
 
 
 def test_attention_requires_a_head_stack():
@@ -292,14 +317,15 @@ def test_select_rows_rejects_bad_rows():
 
 
 def row_softmax(scores):
-    """Softmax of each row of ``scores``: the attention weights of zero
-    queries and keys that take the scores as their key bias."""
+    """Softmax of each row of ``scores``: the attention weights of a batch of
+    one zero query per row against zero keys, each pair taking its row of
+    the scores as its key bias."""
     scores = np.asarray(scores, dtype=np.float64)
     rows, cols = scores.shape
     zero = t(np.zeros((1, 1, 1)))
-    return nx.attention(t(np.zeros((rows, 1))), t(np.zeros((cols, 1))), zero, zero,
-                        zero, t(np.zeros((1, 1))), t(np.zeros(1)), *unit_norm(1), 1.0,
-                        scores, trace=True)[1][0]
+    return nx.attention(t(np.zeros((rows, 1, 1))), t(np.zeros((rows, cols, 1))), zero,
+                        zero, zero, t(np.zeros((1, 1))), t(np.zeros(1)), *unit_norm(1),
+                        1.0, scores[:, None, None, :], trace=True)[1][:, 0, 0]
 
 
 def test_row_softmax_uniform():
@@ -312,12 +338,55 @@ def test_row_softmax_hand():
     assert np.allclose(y, [[0.25, 0.75]], atol=1e-12)
 
 
-def test_row_softmax_no_overflow():
+def test_row_softmax_no_overflow(attention_chain, near):
+    """Rows that the shift by the key-0 score would take out of exp's range
+    are redone with the row maximum as the shift: key 0 biased up by 1,000,
+    so its exponential would overflow; key 0 masked with ``PAD_BIAS`` and
+    every other key biased 800 below it, so every exponential and the row
+    sum would underflow to 0; and query and key rows of norms that put the
+    shifted scores past the exponent bound. Each matches the chain, and
+    nothing warns."""
     y = row_softmax([[1000.0, 0.0]])
     assert np.all(np.isfinite(y))
     assert y[0, 0] > 1.0 - 1e-12
     assert y[0, 1] < 1e-12
     assert np.all(y >= 0.0) and np.all(y <= 1.0)
+    args = [leaf.data for leaf in attention_args("pair", attention_case("pair")[0])]
+    # keys 1-4 close together, key 0 opposite them: a query row puts its
+    # weight on one side, and spreads it over keys 1-4 on theirs
+    x_q, x_kv = args[:2]
+    wide = [12.0 * x_q, 12.0 * np.vstack([-x_kv[:1], x_kv[:1] + 0.02 * x_kv[1:]])]
+    wide += args[2:]
+    for arrays, key_bias, tol in (
+            (args, np.array([1000.0, 0.0, 3.0, -2.0, 1.0]), {}),
+            (args, np.array([md.PAD_BIAS, -800.0, -801.0, -805.0, -800.0]),
+             {"rtol": LARGE_SCORES_RTOL}),
+            (wide, None, {"rtol": LARGE_SCORES_RTOL})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, a, v = nx.attention(*(t(x) for x in arrays), 0.6, key_bias, trace=True)
+        want_out, want_a, want_v = attention_chain(*arrays[:7], 0.6, key_bias,
+                                                   norm=arrays[7:])
+        assert near(out.data, want_out, **tol) and near(a, want_a, **tol)
+        assert np.array_equal(v, want_v)
+    scores = 0.6 * (wide[0] @ wide[2]) @ np.swapaxes(wide[1] @ wide[3], -1, -2)
+    assert (scores - scores[..., :1]).max() > 710.0     # exp would overflow
+    assert 0.1 < a[0, 1, 1:].max() < 0.9                # and a row spreads
+
+
+def test_finite_diff_attention_through_the_guard():
+    """The gradient of a softmax redone with the row maximum: key 0 masked
+    and the other keys biased 800 below it, so every exponential of the
+    shift by key 0 underflows."""
+    leaves, _, _ = attention_case("pair")
+    key_bias = np.array([md.PAD_BIAS, -800.0, -801.0, -805.0, -800.0])
+    c = t(nx.Rng(26).normal((3, 4)))
+
+    def f(v):
+        out = nx.attention(*attention_args("pair", {**leaves, "wq": v}), 0.6, key_bias)
+        return nx.sum_all(nx.mul(out, c))
+
+    assert nx.finite_diff_check(f, leaves["wq"]) < 1e-6
 
 
 # logit gaps below ~30 keep every entry strictly inside (0, 1) at float64;
@@ -328,6 +397,11 @@ def test_row_softmax_rows_are_distributions(x):
     assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
+
+# how far a softmax over scores of magnitude up to about 2e3 may be from the
+# chain: a weight's relative error is the absolute error of its score, about
+# 1.1e-16 of that magnitude; the worst measured is 2.6e-14
+LARGE_SCORES_RTOL = 1e-12
 
 ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo", "bo", "gain", "bias")
 
@@ -392,16 +466,16 @@ def test_finite_diff_attention(case, probe):
 
 
 @pytest.mark.parametrize("case", list(RAGGED))
-def test_indexed_attention_matches_the_chain(case, attention_chain):
+def test_indexed_attention_matches_the_chain(case, attention_chain, near):
     """Pairs indexing a stack of images against the chain that gathers keys
-    and values per pair: the output, the attention and the values, which
-    come back per pair, agree bit for bit."""
+    and values per pair: the values, which come back per pair, agree bit for
+    bit, the output and the attention within ``CHAIN_RTOL``."""
     leaves, _, index = attention_case(case)
     out, a, v = nx.attention(*attention_args(case, leaves), 0.6, None, index, trace=True)
     want_out, want_a, want_v = chain_of(case, attention_chain)
     assert v.shape == (len(index), 2, 5, 3) and np.array_equal(v, want_v)
-    assert np.array_equal(a, want_a)
-    assert np.array_equal(out.data, want_out)
+    assert near(a, want_a)
+    assert near(out.data, want_out)
 
 
 @pytest.mark.parametrize("case", list(RAGGED))
@@ -463,16 +537,17 @@ def test_finite_diff_tanh_mlp(probe):
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
 
-def test_fused_ops_equal_the_chains_they_replace(attention_chain, layer_norm):
-    """Each fused op's value is bit-for-bit the chain of ops it replaced,
-    written out in numpy."""
+def test_fused_ops_equal_the_chains_they_replace(attention_chain, layer_norm, near):
+    """Each fused op's value is the chain of ops it replaced, written out in
+    numpy: bit for bit where the op runs the chain's arithmetic, within
+    ``CHAIN_RTOL`` where it has a softmax or a layer norm."""
     for case in ("self", "cross", "pair"):
         leaves, key_bias, index = attention_case(case)
         got = nx.attention(*attention_args(case, leaves), 0.6, key_bias, index,
                            trace=True)
         want = chain_of(case, attention_chain)
-        assert np.array_equal(got[0].data, want[0]), case
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), case
+        assert near(got[0].data, want[0]), case
+        assert near(got[1], want[1]) and np.array_equal(got[2], want[2]), case
 
     rng = nx.Rng(19)
     x = rng.normal((3, 4, 6))
@@ -485,9 +560,8 @@ def test_fused_ops_equal_the_chains_they_replace(attention_chain, layer_norm):
         assert np.array_equal(nx.tanh_mlp(t(rows), t(w), t(b), t(w2), t(b2)).data,
                               np.tanh(rows @ w + b) @ w2 + b2)
         residual = nx.tanh_mlp(*(t(a) for a in (rows, w, b, w3, b3, gain, bias)))
-        assert np.array_equal(residual.data,
-                              layer_norm(rows + (np.tanh(rows @ w + b) @ w3 + b3),
-                                         gain, bias))
+        assert near(residual.data,
+                    layer_norm(rows + (np.tanh(rows @ w + b) @ w3 + b3), gain, bias))
 
 
 @pytest.mark.parametrize("bias", ["none", "pad"])
