@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 
 import numpy as np
 
@@ -315,17 +316,18 @@ def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
     once, ``key_bias`` added to the scores, and with ``kv_index`` keys and
     values projected once per entry of ``keys_values_from``. With ``trace``,
     returns (node, attention, values) as :func:`numerics.attention` does."""
-    weights = (params[f"{prefix}.{name}"]
-               for name in ("wq", "wk", "wv", "out.w", "out.b"))
-    return nx.attention(queries_from, keys_values_from, *weights, params[f"{norm}.g"],
-                        params[f"{norm}.b"], 1.0 / np.sqrt(cfg.head_dim), key_bias,
-                        kv_index, trace)
+    return nx.attention(queries_from, keys_values_from, params[prefix + ".wq"],
+                        params[prefix + ".wk"], params[prefix + ".wv"],
+                        params[prefix + ".out.w"], params[prefix + ".out.b"],
+                        params[norm + ".g"], params[norm + ".b"],
+                        1.0 / math.sqrt(cfg.head_dim), key_bias, kv_index, trace)
 
 
 def _ffn(x: Tensor, params: Params, prefix: str, norm: str) -> Tensor:
     """The feed-forward sublayer, LN(x + tanh_mlp(x)), as one node."""
-    weights = (params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2"))
-    return nx.tanh_mlp(x, *weights, params[f"{norm}.g"], params[f"{norm}.b"])
+    return nx.tanh_mlp(x, params[prefix + ".w1"], params[prefix + ".b1"],
+                       params[prefix + ".w2"], params[prefix + ".b2"],
+                       params[norm + ".g"], params[norm + ".b"])
 
 
 def _grad_mode(mode: str):
@@ -374,7 +376,7 @@ def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Ten
     None for empty ``rows``; the layer's :class:`AttentionTrace` with
     ``trace``, else None)."""
     prefix = f"cross{layer}"
-    trace_only = np.size(rows) == 0
+    trace_only = rows is not None and np.size(rows) == 0
     rows = None if trace_only else rows
     # a row per pair is picked once the pairs' texts are gathered
     per_pair = text_index is not None and np.ndim(rows) > 0

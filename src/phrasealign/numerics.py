@@ -18,8 +18,9 @@ without a reset raises.
 
 A node's backward function saves only what it cannot cheaply rebuild: the
 softmax exponentials and the reciprocals of their row sums (not the
-normalized weights), the merged heads, and a norm's normalized input and
-scale.
+normalized weights; a traced attention, which hands its weights out, keeps
+the exponentials normalized in place instead), the merged heads, and a
+norm's normalized input and scale.
 It recomputes its projections and hidden rows from its parents' values, by
 the ops the forward pass ran, so the gradients equal those from saved arrays
 bit for bit; the one exception, attention keys without the forward pass's
@@ -40,7 +41,7 @@ the head merge, the output projection, the residual add and the layer norm.
 Its softmax makes no pass per row: each row is shifted by its score against
 key 0, inside the key product, and normalized through the value product,
 whose column of ones gives the row sums; the layer norm takes its row means
-as products with a column of 1/n.
+as products of one (rows, n) view of its residual sum with a column of 1/n.
 Given an index of key/value entries per pair it projects each entry once;
 each pair gathers its entry's keys and values transiently, in forward and
 again in backward.
@@ -49,6 +50,14 @@ gain and bias the residual feed-forward sublayer; :func:`linear` a matmul
 and a bias add. The ops are those the package calls, and no more:
 ``tests/test_public_surface.py`` fails on an op without a caller. Constants,
 such as an attention key bias, are plain arrays, not Tensors.
+
+At the model's sizes Python overhead, not arithmetic, sets the cost of a
+call: an infer-mode cross-encode of one pair with every array shrunk to a
+few entries still takes about three quarters of its default-size time. So
+a fused op reads each operand's shape once, into locals, not through
+``Tensor`` properties, and calls ndarray methods and ufunc reductions, not
+numpy's Python-level wrappers; the model's blocks fetch their weights by
+direct lookups, with no generator, and compute no constant through numpy.
 
 Also here: :class:`Rng`, a seeded PCG64 generator every stochastic choice in
 the artifact goes through; :func:`finite_diff_check`, the central
@@ -275,37 +284,38 @@ def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     no hidden rows: backward recomputes ``tanh(x @ w1 + b1)`` from the
     parents' values by the ops the forward pass ran."""
     norm = () if gain is None and bias is None else (gain, bias)
-    if w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1:] != w1.shape[:1] or \
-            b1.shape != w1.shape[1:] or w2.shape[:1] != b1.shape or \
-            b2.shape != w2.shape[1:] or norm and not all(
-                t is not None and t.shape == b2.shape == x.shape[-1:] for t in norm):
-        raise ShapeError(f"tanh_mlp shape mismatch: {x.shape} @ {w1.shape} + "
-                         f"{b1.shape}, @ {w2.shape} + {b2.shape}, norm "
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if w1d.ndim != 2 or w2d.ndim != 2 or xd.shape[-1:] != w1d.shape[:1] or \
+            b1.data.shape != w1d.shape[1:] or w2d.shape[:1] != b1.data.shape or \
+            b2.data.shape != w2d.shape[1:] or norm and (None in norm or not
+                gain.data.shape == bias.data.shape == b2.data.shape == xd.shape[-1:]):
+        raise ShapeError(f"tanh_mlp shape mismatch: {xd.shape} @ {w1d.shape} + "
+                         f"{b1.shape}, @ {w2d.shape} + {b2.shape}, norm "
                          f"{[None if t is None else t.shape for t in norm]}")
-    d, m = w1.shape
+    d, m = w1d.shape
 
     def hidden():
-        h = x.data @ w1.data
+        h = xd @ w1d
         h += b1.data
         return np.tanh(h, out=h)
 
-    y = hidden() @ w2.data
+    y = hidden() @ w2d
     y += b2.data
     if norm:
-        y, norm_bw = _layer_norm(x.data + y, gain, bias)
+        y, norm_bw = _layer_norm(xd + y, gain, bias)
 
     def bw(g):
         if norm:
             g, ggain, gbias = norm_bw(g)
         lead = tuple(range(g.ndim - 1))
         h = hidden()
-        gz = g @ w2.data.T
+        gz = g @ w2d.T
         gz *= 1.0 - h * h
-        gx = gz @ w1.data.T
+        gx = gz @ w1d.T
         if norm:
             gx += g
-        return (gx, x.data.reshape(-1, d).T @ gz.reshape(-1, m), gz.sum(axis=lead),
-                h.reshape(-1, m).T @ g.reshape(-1, w2.shape[1]),
+        return (gx, xd.reshape(-1, d).T @ gz.reshape(-1, m), gz.sum(axis=lead),
+                h.reshape(-1, m).T @ g.reshape(-1, w2d.shape[1]),
                 g.sum(axis=lead)) + ((ggain, gbias) if norm else ())
 
     return _result(y, "tanh_mlp", (x, w1, b1, w2, b2) + norm, bw)
@@ -543,32 +553,35 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     The node saves ``e``, ``1/s``, the merged heads and the norm's arrays,
     and no projection: backward recomputes q, k and v from the parents'
     values by the ops the forward pass ran, the keys without the shift.
+    A traced node saves ``e`` normalized in place, ``e / s``, and no
+    ``1/s``.
 
     Returns the node, or with ``trace`` (node, a, v), where the plain arrays
-    are the ([B,] heads, L_q, L_kv) attention, ``e / s``, and the ([B,]
-    heads, L_kv, w) values of each pair."""
-    if wq.data.ndim != 3:
-        raise ShapeError(f"attention needs (heads, d, w) weights, got {wq.shape}")
-    heads, d, w = wq.shape
-    lead = x_q.shape[:-2]
+    are the ([B,] heads, L_q, L_kv) attention, the node's own read-only
+    ``e / s``, and the ([B,] heads, L_kv, w) values of each pair."""
+    q_shape, kv_shape, ws = x_q.data.shape, x_kv.data.shape, wq.data.shape
+    if len(ws) != 3:
+        raise ShapeError(f"attention needs (heads, d, w) weights, got {ws}")
+    heads, d, w = ws
+    lead = q_shape[:-2]
     idx = None if kv_index is None else np.asarray(kv_index, dtype=np.intp)
-    kv_ok = x_kv.data.ndim == x_q.data.ndim and x_kv.shape[-1] == d and (
-        x_kv.shape[:-2] == lead if idx is None else idx.shape == lead != ())
-    if not (wk.shape == wv.shape == wq.shape and x_q.data.ndim in (2, 3)
-            and x_q.shape[-1] == d and kv_ok and wo.shape == (heads * w, d)
-            and bo.shape == gain.shape == bias.shape == (d,)):
-        raise ShapeError(f"attention shape mismatch: queries {x_q.shape}, keys "
-                         f"{x_kv.shape}, index {None if idx is None else idx.shape}, "
-                         f"weights {wq.shape} {wk.shape} {wv.shape}, out {wo.shape} "
+    kv_ok = len(kv_shape) == len(q_shape) and kv_shape[-1] == d and (
+        kv_shape[:-2] == lead if idx is None else idx.shape == lead != ())
+    if not (wk.data.shape == wv.data.shape == ws and len(q_shape) in (2, 3)
+            and q_shape[-1] == d and kv_ok and wo.data.shape == (heads * w, d)
+            and bo.data.shape == gain.data.shape == bias.data.shape == (d,)):
+        raise ShapeError(f"attention shape mismatch: queries {q_shape}, keys "
+                         f"{kv_shape}, index {None if idx is None else idx.shape}, "
+                         f"weights {ws} {wk.shape} {wv.shape}, out {wo.shape} "
                          f"+ {bo.shape}, norm {gain.shape} {bias.shape}")
     if idx is not None:
         if key_bias is not None:
             raise ShapeError("attention takes no key bias with a key/value index")
-        if ((idx < 0) | (idx >= x_kv.shape[0])).any():
+        if ((idx < 0) | (idx >= kv_shape[0])).any():
             raise IndexError(f"key/value index {idx.tolist()} outside "
-                             f"0..{x_kv.shape[0] - 1}")
+                             f"0..{kv_shape[0] - 1}")
     if key_bias is not None:
-        scores, kb = lead + (heads, x_q.shape[-2], x_kv.shape[-2]), np.shape(key_bias)
+        scores, kb = lead + (heads, q_shape[-2], kv_shape[-2]), np.shape(key_bias)
         if len(kb) > len(scores) or len(kb) > 1 and kb[-2] != 1 or any(
                 n != 1 and n != m for n, m in zip(kb[::-1], scores[::-1])):
             raise ShapeError(f"key bias {kb} is not one value per key of the "
@@ -597,11 +610,11 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         return arr if idx is None else arr[idx]
 
     def exponentials(row_max: bool):
-        e = q @ np.swapaxes(per_pair(k), -1, -2)
+        e = q @ per_pair(k).swapaxes(-1, -2)
         if key_bias is not None:
             e += key_bias
-        if row_max or not e.max() <= _EXP_BOUND:
-            e -= e.max(axis=-1, keepdims=True)
+        if row_max or not np.maximum.reduce(e, axis=None) <= _EXP_BOUND:
+            e -= np.maximum.reduce(e, axis=-1, keepdims=True)
         return np.exp(e, out=e)
 
     q, k, v = projections(True)
@@ -614,10 +627,14 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         av = e @ pair_v
     sums, heads_out = av[..., w:], av[..., :w]
     heads_out /= sums
-    merged = np.swapaxes(heads_out, -3, -2).reshape(x_q.shape[:-1] + (heads * w,))
-    # backward reads 1/s from a fresh array, not from a view that keeps av
-    inv = 1.0 / sums if _grad_enabled else None
-    attn = e / sums if trace else None
+    merged = heads_out.swapaxes(-3, -2).reshape(q_shape[:-1] + (heads * w,))
+    # a trace hands out the weights the node keeps: e normalized in place,
+    # read-only, whose 1/s backward reads as 1. Otherwise backward reads 1/s
+    # from a fresh array, not from a view that keeps av
+    if trace:
+        e /= sums
+        e.flags.writeable = False
+    inv = 1.0 if trace else 1.0 / sums if _grad_enabled else None
     y = merged @ wo.data
     y += bo.data
     y, norm_bw = _layer_norm(x_q.data + y, gain, bias)
@@ -631,18 +648,18 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         # over w, not over the keys. With a = e / s that is
         # e * ([d(a . v) | -rowdot] / s) . [v | 1], one product
         gav = np.empty(e.shape[:-1] + (w + 1,))
-        gav[..., :w] = np.swapaxes(gm.reshape(x_q.shape[:-1] + (heads, w)), -3, -2)
-        gav[..., w] = -np.swapaxes(
-            (gm * merged).reshape(x_q.shape[:-1] + (heads, w)).sum(axis=-1), -1, -2)
+        gav[..., :w] = gm.reshape(q_shape[:-1] + (heads, w)).swapaxes(-3, -2)
+        gav[..., w] = -(gm * merged).reshape(q_shape[:-1] + (heads, w)).sum(
+            axis=-1).swapaxes(-1, -2)
         gav *= inv
-        gs = gav @ np.swapaxes(per_pair(v), -1, -2)
+        gs = gav @ per_pair(v).swapaxes(-1, -2)
         gs *= e
         # each row of d(scores) sums to 0, so the shift by key 0 carries no
         # gradient: q and k take those of the unshifted keys
         gq = gs @ per_pair(k)
         gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ q
-        gv = np.swapaxes(e, -1, -2) @ gav[..., :w]
+        gk = gs.swapaxes(-1, -2) @ q
+        gv = e.swapaxes(-1, -2) @ gav[..., :w]
         if idx is not None:     # each entry sums its pairs' key/value gradients
             hits = _hits(idx, k.shape[0])
             gk = (hits @ gk.reshape(idx.size, -1)).reshape(k.shape)
@@ -660,7 +677,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                 g.sum(axis=tuple(range(g.ndim - 1))), ggain, gbias)
 
     out = _result(y, "attention", (x_q, x_kv, wq, wk, wv, wo, bo, gain, bias), bw)
-    return (out, attn, pair_v[..., :w]) if trace else out
+    return (out, e, pair_v[..., :w]) if trace else out
 
 
 @functools.lru_cache(maxsize=None)
@@ -674,29 +691,28 @@ def _mean_column(n: int) -> np.ndarray:
 
 def _layer_norm(s: np.ndarray, gain: Tensor, bias: Tensor):
     """The layer norm over the last axis (width n), with (n,) gain and bias,
-    that ends each residual node; ``s``, the node's own residual sum, is
-    normalized in place. The row means, of ``s`` and of its centred squares
+    that ends each residual node. It works on one (rows, n) matrix of ``s``:
+    a view of ``s``, the node's own residual sum, normalized in place, or
+    for a sum whose rows cannot be viewed so, a copy that every later step
+    reads in its place. The row means, of ``s`` and of its centred squares
     in forward and of two gradient terms in backward, are each one product
     of all rows with a column of 1/n, not a reduction per row. Returns (out,
     backward), where backward maps d(out) to (d(s), d(gain), d(bias))."""
-    n = s.shape[-1]
-    col, rows = _mean_column(n), s.shape[:-1] + (1,)
-
-    def mean(x):
-        return (x.reshape(-1, n) @ col).reshape(rows)
-
-    xhat = s
-    xhat -= mean(xhat)
-    inv = 1.0 / np.sqrt(mean(xhat * xhat) + 1e-5)
+    shape = s.shape
+    col = _mean_column(shape[-1])
+    xhat = s.reshape(-1, shape[-1])
+    xhat -= xhat @ col
+    inv = 1.0 / np.sqrt((xhat * xhat) @ col + 1e-5)
     xhat *= inv
     out = xhat * gain.data + bias.data
 
     def bw(g):
+        g = g.reshape(xhat.shape)
         gh = g * gain.data
-        return ((gh - mean(gh) - xhat * mean(gh * xhat)) * inv,
-                (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+        return (((gh - gh @ col - xhat * ((gh * xhat) @ col)) * inv).reshape(shape),
+                (g * xhat).sum(axis=0), g.sum(axis=0))
 
-    return out, bw
+    return out.reshape(shape), bw
 
 
 def cross_entropy_logits(logits: Tensor, target_index) -> Tensor:

@@ -274,17 +274,44 @@ def test_cross_encode_trace_layer_out_of_range(cfg, params):
         md.cross_encode(txt, img, params, cfg, trace_layer=cfg.n_cross_layers + 1)
 
 
-def test_infer_cross_encode_makes_one_tensor_per_sublayer(pipeline, tensors_made):
+# Tensors an infer-mode pass of the default model constructs: the image
+# encoder wraps its patches, embeds them (linear, [CLS] row, positions) and
+# runs one attention and one feed-forward node per self layer; the text
+# encoder looks up tokens and positions, adds them and runs the same layers;
+# a single-pair cross-encode makes one node per sublayer, three per layer.
+# Each costs an op's call, a finiteness scan and the glue around them: a
+# pass that makes more has grown per-call overhead
+INFER_TENSORS = {"encode_image": 6, "encode_text": 5, "cross_encode": 18}
+
+
+@pytest.fixture(scope="module")
+def default_model(pipeline):
+    cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
+    return cfg, md.init_params(cfg, Rng(0))
+
+
+@pytest.mark.parametrize("encoder", ["encode_image", "encode_text"])
+def test_infer_encoders_make_one_tensor_per_op(encoder, default_model, pipeline,
+                                               tensors_made):
+    cfg, params = default_model
+    inputs = {"encode_image": random_patches(cfg),
+              "encode_text": pipeline.vocab.encode(["red", "shirt"])}
+    made = tensors_made(lambda: getattr(md, encoder)(inputs[encoder], params, cfg,
+                                                     mode="infer"))
+    assert made == INFER_TENSORS[encoder]
+
+
+def test_infer_cross_encode_makes_one_tensor_per_sublayer(default_model, pipeline,
+                                                          tensors_made):
     """A single pair through the default cross-encoder in infer mode: per
     layer one Tensor each for the self-attention, the cross-attention and
     the feed-forward sublayer, their residual norms included."""
-    cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
-    params = md.init_params(cfg, Rng(0))
+    cfg, params = default_model
     img = md.encode_image(random_patches(cfg), params, cfg, mode="infer")
     txt = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg,
                          mode="infer")
     made = tensors_made(lambda: md.cross_encode(txt, img, params, cfg, mode="infer"))
-    assert made == 3 * cfg.n_cross_layers
+    assert made == INFER_TENSORS["cross_encode"] == 3 * cfg.n_cross_layers
 
 
 def test_cross_params_shared_between_streams(cfg, params):

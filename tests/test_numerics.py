@@ -518,6 +518,102 @@ def test_indexed_attention_keeps_no_per_pair_keys_or_values(held_mib):
     assert held < copies / 2
 
 
+def kept_by(node, name):
+    """The array ``name`` that the node's backward function keeps."""
+    fn = node._backward_fn
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+@pytest.mark.parametrize("case", ["self", "cross", "pair"])
+def test_traced_attention_hands_out_the_weights_its_node_keeps(case, near):
+    """A traced call keeps one array of weights: the exponentials its
+    backward reads, normalized in place, are the attention it hands out,
+    read-only, with rows that sum to 1. The output is that of an untraced
+    call bit for bit, and every input's gradient lies within 1e-12 of the
+    untraced one's largest entry."""
+    leaves, key_bias, index = attention_case(case)
+    c = t(nx.Rng(26).normal(attention_args(case, leaves)[0].shape))
+
+    def run(trace):
+        fresh = {name: t(leaf.data, grad=True) for name, leaf in leaves.items()}
+        got = nx.attention(*attention_args(case, fresh), 0.6, key_bias, index,
+                           trace=trace)
+        out = got[0] if trace else got
+        kept = kept_by(out, "e")
+        nx.backward(nx.sum_all(nx.mul(out, c)))
+        return got, kept, {name: leaf.grad for name, leaf in fresh.items()}
+
+    (out, a, _), kept, grads = run(True)
+    plain, _, want_grads = run(False)
+    assert a is kept and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[..., 0] = 0.0
+    assert np.abs(a.sum(axis=-1) - 1.0).max() <= 1e-12
+    assert np.array_equal(out.data, plain.data)
+    for name, g in want_grads.items():
+        assert near(grads[name], g, rtol=1e-12), name
+
+
+def layer_norm_by_reshapes(s, gain, bias):
+    """The fused layer norm as it was before it worked on one (rows, n)
+    matrix, in plain numpy: each row mean a reshape of all rows to (rows,
+    n), a product with the column of 1/n, and a reshape back. Returns (out,
+    backward) as ``numerics._layer_norm`` does; ``s`` is left as it is."""
+    n = s.shape[-1]
+    col, rows = np.full((n, 1), 1.0 / n), s.shape[:-1] + (1,)
+
+    def mean(x):
+        return (x.reshape(-1, n) @ col).reshape(rows)
+
+    xhat = s - mean(s)
+    inv = 1.0 / np.sqrt(mean(xhat * xhat) + 1e-5)
+    xhat *= inv
+
+    def bw(g):
+        gh = g * gain
+        return ((gh - mean(gh) - xhat * mean(gh * xhat)) * inv,
+                (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+    return xhat * gain + bias, bw
+
+
+def strided(a):
+    """``a``'s values in an array whose last axis skips every other entry."""
+    out = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))[..., ::2]
+    out[...] = a
+    return out
+
+
+def leading_axes_swapped(a):
+    """``a``'s values in an array whose first two axes cannot be merged into
+    one: its rows cannot be viewed as one (rows, n) matrix."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 5, 6), (2, 3, 4, 6)],
+                         ids=["2-D", "3-D", "4-D"])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, strided, leading_axes_swapped])
+def test_layer_norm_on_its_rows_view_equals_the_reshape_chain(shape, layout):
+    """The layer norm that works on one (rows, n) matrix of the residual sum
+    equals the chain that reshapes for each row mean, bit for bit, forward
+    and backward, on 2-D to 4-D sums, contiguous or not. A sum whose leading
+    axes cannot be merged has no such matrix as a view: it is normalized in
+    a copy, and what the layer norm returns and what its backward reads are
+    that copy, never the sum it was not written into."""
+    rng = nx.Rng(29)
+    values, g = rng.normal(shape, 3.0) + 1.0, rng.normal(shape)
+    gain, bias = t(rng.normal(6) + 1.0), t(rng.normal(6))
+    s = layout(values)
+    assert np.array_equal(s, values)
+    if layout is leading_axes_swapped and len(shape) > 2:
+        assert not np.shares_memory(s.reshape(-1, 6), s)
+    want, want_bw = layer_norm_by_reshapes(layout(values), gain.data, bias.data)
+    got, got_bw = nx._layer_norm(s, gain, bias)
+    assert got.shape == shape and np.array_equal(got, want)
+    for got_g, want_g in zip(got_bw(layout(g)), want_bw(layout(g))):
+        assert got_g.shape == want_g.shape and np.array_equal(got_g, want_g)
+
+
 @pytest.mark.parametrize("probe", ["x", "w1", "b1", "w2", "b2", "gain", "bias"])
 def test_finite_diff_tanh_mlp(probe):
     """The plain node and the residual node LN(x + tanh_mlp(x)) on the same
