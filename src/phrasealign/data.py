@@ -132,8 +132,13 @@ def region_row_bounds(rows: int) -> dict[str, tuple[int, int]]:
 
 
 def region_patch_indices(slot: str, rows: int, cols: int) -> set[int]:
-    """1-based patch indices (matching attention positions) of a band."""
+    """1-based patch indices (matching attention positions) of a band. A
+    grid too small to hold the band (no rows of it inside the grid) raises
+    ``ValueError``."""
     r0, r1 = region_row_bounds(rows)[slot]
+    if not r0 < r1 <= rows:
+        raise ValueError(f"a grid of {rows} patch rows is too small for the "
+                         f"{slot!r} band")
     return {r * cols + c + 1 for r in range(r0, r1) for c in range(cols)}
 
 

@@ -127,9 +127,6 @@ class Params:
     def named(self):
         return self._tensors.items()
 
-    def zero_grads(self) -> None:
-        nx.zero_grads(self._tensors.values())
-
     @contextlib.contextmanager
     def substituted(self, name: str, tensor: Tensor):
         """``tensor`` in place of the parameter ``name`` for the length of the

@@ -3,18 +3,16 @@
 The whole artifact computes on one value type: a float64 numpy array wrapped
 in :class:`Tensor`. While gradients are enabled (the default), operations on
 tensors that sit on a differentiable path are recorded on an acyclic graph;
-``backward`` then accumulates d(root)/d(node) into each node's ``grad`` slot.
-Inside :func:`no_grad` nothing is recorded and no gradient state is allocated.
+``backward`` then returns d(root)/d(leaf) for every leaf (a tensor created
+with ``requires_grad=True``) the root reaches, keyed by the leaf. Inside
+:func:`no_grad` nothing is recorded.
 
-Gradients are values: no gradient array is written once made, except a
-leaf's own slot. Only leaves (tensors created with ``requires_grad=True``)
-own a slot from the start: it is zero-initialized, takes what ``backward``
-adds to it with ``+=`` and is never handed on. An op result's slot is the
-first gradient that reaches it, as it is; each later one replaces it with a
-new sum. The slot is released once passed on to the node's parents, so no
-full-size buffer is held for nodes backward never reaches. Leaf slots must be
-cleared explicitly through ``zero_grads`` between backward passes; reuse
-without a reset raises.
+Gradients are values, and no tensor holds one: no gradient array is written
+once made. A node's gradient is the first one that reaches it, as it is;
+each later one replaces it with a new sum. An op result's gradient lives in
+the pass alone and is dropped once passed on to the node's parents, so no
+full-size buffer is held for a node backward has passed or never reaches.
+Two passes share no gradient state, so nothing is reset between them.
 
 A node's backward function saves only what it cannot cheaply rebuild: the
 softmax exponentials and the reciprocals of their row sums (not the
@@ -30,8 +28,7 @@ runs, so nothing may write them between a forward pass and its backward.
 A graph is differentiated once. As ``backward`` passes a node it frees the
 node's backward function and every array that function saved, and keeps the
 node's value and its ``parents``; a held root keeps only the values of its
-graph alive. Backward through a node it has passed raises, even after
-``zero_grads``.
+graph alive. Backward through a node it has passed raises.
 
 Every op costs a call, a Tensor with its finiteness scan, a graph node and a
 backward call, so the layers' op chains are fused ops, one node each with a
@@ -73,7 +70,7 @@ import functools
 import json
 import math
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -83,7 +80,7 @@ class ShapeError(ValueError):
 
 
 class GradientStateError(RuntimeError):
-    """Gradient slots were reused without an explicit reset."""
+    """Backward ran through a node a second time."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -104,7 +101,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording. Ops inside allocate no gradient state."""
+    """Disable graph recording."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -119,14 +116,11 @@ def is_grad_enabled() -> bool:
 
 
 class Tensor:
-    """A float64 array plus its slot in the differentiation graph.
+    """A float64 array plus its place in the differentiation graph.
 
-    ``data`` is the value (row-major numpy array). ``grad`` mirrors its shape:
-    a leaf created with ``requires_grad=True`` starts with a zero slot, the
-    only gradient array :func:`backward` writes in place; an op result
-    produced while recording starts with ``None``, holds its gradient, an
-    array nothing writes, only between its first use in :func:`backward` and
-    the call of its backward function, and is ``None`` again afterwards.
+    ``data`` is the value (row-major numpy array). ``requires_grad`` marks a
+    leaf :func:`backward` differentiates with respect to, or an op result
+    recorded from one; the tensor holds no gradient itself.
     ``op`` and ``parents`` describe how the tensor was produced. They and
     ``data`` stay once :func:`backward` has passed the node; its backward
     function, and every array that function saved, go: a graph is
@@ -134,8 +128,7 @@ class Tensor:
     from the parents' ``data``, which nothing may write in between.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "requires_grad",
-                 "_backward_fn", "_grad_dirty")
+    __slots__ = ("data", "op", "parents", "requires_grad", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward_fn=None):
@@ -147,9 +140,6 @@ class Tensor:
         self.parents = parents
         self.requires_grad = bool(requires_grad)
         self._backward_fn = backward_fn
-        self.grad = np.zeros_like(arr) if self.requires_grad and backward_fn is None \
-            else None
-        self._grad_dirty = False
 
     @property
     def shape(self) -> tuple:
@@ -158,11 +148,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-        self._grad_dirty = False
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -797,18 +782,18 @@ def _spent(op: str, g) -> NoReturn:
                              "differentiated once")
 
 
-def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into the grad slot of every reachable leaf.
+def backward(root: Tensor) -> dict:
+    """d(root)/d(leaf) for every ``requires_grad`` leaf ``root`` reaches, as a
+    mapping from the leaf to an array of its shape; empty for a root that
+    needs no gradient.
 
-    ``root`` must be scalar. No gradient array is written once made, except a
-    leaf's own zero-filled slot, which takes ``+=`` and is never handed on.
-    An op result's slot is the first gradient that reaches it, as it is; each
-    later one replaces it with a new sum, and the slot is given up once the
-    node's backward function has run. A backward function may therefore
-    return views, arrays it keeps, or one array for several parents, but each
-    of the input's own shape. Grad slots touched by a previous backward must
-    be reset (``zero_grads``) first; silent accumulation across passes is an
-    error by design.
+    ``root`` must be scalar. No gradient array is written once made: a node's
+    gradient is the first one that reaches it, as it is, and each later one
+    replaces it with a new sum. A backward function may therefore return
+    views, arrays it keeps, or one array for several parents, but each of
+    the input's own shape; the returned arrays may be such views or shared,
+    and are read, not written. An op result's gradient is dropped once its
+    backward function has run.
 
     A graph is differentiated once: each node's backward function is freed,
     with every array it saved, as soon as it has run, and node values and
@@ -817,70 +802,50 @@ def backward(root: Tensor) -> None:
     """
     if root.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
-    if root._grad_dirty:
-        raise GradientStateError(
-            "backward already ran through this root; reset gradients first")
     if not root.requires_grad:
-        return
-    order = _toposort(root)
-    touched = {id(root)}
-    if root.grad is not None and root.grad.any():
-        raise GradientStateError("root gradient is stale; call zero_grads first")
-    root.grad = np.ones_like(root.data)
-    root._grad_dirty = True
-    for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
+        return {}
+    grads = {root: np.ones_like(root.data)}
+    for node in reversed(_toposort(root)):
+        if node._backward_fn is None or node not in grads:
             continue
-        grads = node._backward_fn(node.grad)
-        node.grad, node._backward_fn = None, functools.partial(_spent, node.op)
-        for parent, g in zip(node.parents, grads):
+        parent_grads = node._backward_fn(grads.pop(node))
+        node._backward_fn = functools.partial(_spent, node.op)
+        for parent, g in zip(node.parents, parent_grads):
             if g is None or not parent.requires_grad:
                 continue
-            if id(parent) not in touched:
-                if parent._grad_dirty:
-                    raise GradientStateError(
-                        f"stale gradient on tensor from op '{parent.op}'; "
-                        "call zero_grads before backward")
-                touched.add(id(parent))
-                parent._grad_dirty = True
             if np.shape(g) != parent.data.shape:
                 raise ShapeError(f"backward of op '{node.op}' gave a gradient of "
                                  f"shape {np.shape(g)} for an input of shape "
                                  f"{parent.shape}")
-            if parent._backward_fn is None:
-                parent.grad += g
-            elif parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
+            grads[parent] = grads[parent] + g if parent in grads else g
+    # every op result's entry was popped as its backward ran: leaves remain
+    return grads
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
 
+def central_difference(f: Callable[[float], float], h: float) -> float:
+    """The fourth-order stencil (8 (f(h) - f(-h)) - (f(2h) - f(-2h))) / 12h
+    of f' at 0, whose truncation error falls as h^4, so a step large enough
+    to keep roundoff down still resolves small gradient elements of deep
+    graphs."""
+    return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
+
+
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
                       eps: float = 1e-5) -> float:
     """Max relative error between f's autodiff gradient and central differences.
 
-    The numeric gradient is the fourth-order stencil
-    (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h, whose truncation error
-    falls as h^4, so a step large enough to keep roundoff down still
-    resolves small gradient elements of deep graphs. ``f`` must be a
-    deterministic scalar-valued function. Relative error uses the
+    The numeric gradient takes :func:`central_difference` per entry. ``f``
+    must be a deterministic scalar-valued function. Relative error uses the
     denominator max(|analytic|, |numeric|, 1e-8) per element.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     leaf = Tensor(x.data.copy(), requires_grad=True)
-    out = f(leaf)
-    backward(out)
-    analytic = leaf.grad.copy()
+    analytic = backward(f(leaf)).get(leaf, np.zeros(x.shape))
 
     flat = x.data.reshape(-1).copy()
     numeric = np.zeros_like(flat)
@@ -892,10 +857,8 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            near = at(i, orig + eps) - at(i, orig - eps)
-            far = at(i, orig + 2.0 * eps) - at(i, orig - 2.0 * eps)
+            numeric[i] = central_difference(lambda s: at(i, orig + s), eps)
             flat[i] = orig
-            numeric[i] = (8.0 * near - far) / (12.0 * eps)
     numeric = numeric.reshape(x.shape)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

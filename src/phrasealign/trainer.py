@@ -9,9 +9,11 @@ itself, each time on a :meth:`TrainState.replica`. A :class:`TrainState` is
 all a run reads and changes step by step. Each stage's learning-rate schedule
 spans its epochs times the batches ``make_batches`` gives per epoch. The
 momentum shadows are updated after every optimizer step and are never
-touched by the optimizer. :func:`train` holds one step's graph at a time: it
-drops each step's loss once the optimizer step, the momentum update and the
-gradient reset have run. Runs are bit-for-bit reproducible from the seed.
+touched by the optimizer, which takes the gradients as the mapping
+``numerics.backward`` returns; nothing is reset between steps. :func:`train`
+holds one step's graph at a time: it drops each step's loss once the
+optimizer step and the momentum update have run. Runs are bit-for-bit
+reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -100,16 +102,18 @@ class OptimState:
                    v={n: np.zeros_like(t.data) for n, t in params.named()})
 
 
-def adamw_step(params: md.Params, state: OptimState, lr: float,
+def adamw_step(params: md.Params, grads: dict, state: OptimState, lr: float,
                weight_decay: float) -> None:
     """Decoupled weight decay (matrices only), then Adam with bias correction.
 
+    ``grads`` maps parameter tensors to their gradients, as ``backward``
+    returns them; a parameter without an entry takes a zero gradient.
     Momentum shadows are not parameters and are never visited here. A
     non-finite gradient raises before any parameter, moment or the step
     count changes.
     """
     for name, p in params.named():
-        if not nx.all_finite(p.grad):
+        if p in grads and not nx.all_finite(grads[p]):
             raise NumericalError(f"non-finite gradient on parameter {name} "
                                  f"at step {state.step}")
     state.step += 1
@@ -117,7 +121,8 @@ def adamw_step(params: md.Params, state: OptimState, lr: float,
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.named():
-        g = p.grad
+        # a scalar zero updates the moments as a zero array would, bit for bit
+        g = grads.get(p, 0.0)
         if weight_decay and p.data.ndim >= 2:
             p.data *= 1.0 - lr * weight_decay
         m = state.m[name]
@@ -180,7 +185,7 @@ def train_step(batch: Batch, stage: int, state: TrainState,
     ``enable_*`` switches allow.
 
     The state's queue receives the batch's momentum embeddings. The caller
-    runs backward on ``total`` and steps the optimizer.
+    hands ``numerics.backward(total)`` to :func:`adamw_step`.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage!r}")
@@ -290,10 +295,9 @@ def train(model_cfg: md.ModelConfig, cfg: TrainConfig, dataset: Dataset,
                 except nx.NonFiniteError as e:
                     raise NumericalError(
                         f"non-finite loss at step {state.optim.step}: {e}") from e
-                nx.backward(total)
-                adamw_step(state.params, state.optim, lr, cfg.weight_decay)
+                adamw_step(state.params, nx.backward(total), state.optim, lr,
+                           cfg.weight_decay)
                 md.momentum_update(state.params, state.momentum)
-                state.params.zero_grads()
                 # the next step builds its graph without this one's values
                 # beside it
                 del total

@@ -106,6 +106,13 @@ def _held_mib(fn):
     return _traced_mib(fn)[0]
 
 
+def _param_grads(params, root):
+    """``backward(root)`` by parameter name, with zeros for each parameter
+    the root does not reach: the gradient each optimizer step reads."""
+    grads = nx.backward(root)
+    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.named()}
+
+
 @pytest.fixture
 def layer_norm():
     return _layer_norm
@@ -134,3 +141,8 @@ def peak_mib():
 @pytest.fixture
 def held_mib():
     return _held_mib
+
+
+@pytest.fixture
+def param_grads():
+    return _param_grads

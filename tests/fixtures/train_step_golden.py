@@ -52,23 +52,27 @@ def _probe(name: str, shape) -> np.ndarray:
     return np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape)
 
 
-def _grad_records(params) -> dict:
-    """[L2 norm, probe dot] of each parameter's gradient. Head h of a stacked
+def _grad_records(params, grads) -> dict:
+    """[L2 norm, probe dot] of each parameter's gradient, zero where
+    ``grads``, as ``backward`` returns them, holds none. Head h of a stacked
     ``{block}.wq``/``wk``/``wv`` is recorded as ``{block}.h{h}.wq`` etc., in
     per-head q, k, v order, the keys and order of the per-head layout the
     fixture was recorded with."""
-    grads = {}
+    def grad(name):
+        return grads.get(params[name], np.zeros(params[name].shape))
+
+    out = {}
     for name, p in params.named():
         block, _, kind = name.rpartition(".")
         if kind in ("wk", "wv"):
             continue
-        heads = ([(f"{block}.h{h}.{k}", params[f"{block}.{k}"].grad[h])
-                  for h in range(p.grad.shape[0]) for k in ("wq", "wk", "wv")]
-                 if kind == "wq" else [(name, p.grad)])
+        heads = ([(f"{block}.h{h}.{k}", grad(f"{block}.{k}")[h])
+                  for h in range(p.shape[0]) for k in ("wq", "wk", "wv")]
+                 if kind == "wq" else [(name, grad(name))])
         for key, g in heads:
-            grads[key] = [float(np.linalg.norm(g)),
-                          float(np.sum(g * _probe(key, g.shape)))]
-    return grads
+            out[key] = [float(np.linalg.norm(g)),
+                        float(np.sum(g * _probe(key, g.shape)))]
+    return out
 
 
 def record(variant: str) -> dict:
@@ -98,15 +102,14 @@ def record(variant: str) -> dict:
     out = {}
     for stage, batch in zip((1, 2), batches):
         total, breakdown = train_step(batch, stage, state, model_cfg, cfg)
-        nx.backward(total)
+        grads = nx.backward(total)
         out[f"stage{stage}"] = {
             "loss": {k: getattr(breakdown, k)
                      for k in ("itc", "itm", "tri", "biatt", "mpm", "total")},
-            "grads": _grad_records(params),
+            "grads": _grad_records(params, grads),
         }
-        adamw_step(params, state.optim, 1e-3, cfg.weight_decay)
+        adamw_step(params, grads, state.optim, 1e-3, cfg.weight_decay)
         momentum_update(params, state.momentum)
-        params.zero_grads()
     return out
 
 

@@ -78,6 +78,14 @@ def test_region_layout_default_grid():
     assert min(top) == 17 and max(top) == 40 and len(top) == 24
 
 
+@pytest.mark.parametrize("rows, slot", [(1, "top"), (1, "bottom"), (2, "bottom")])
+def test_region_outside_a_small_grid_raises(rows, slot):
+    # a 1-row grid has no top or bottom band and a 2-row grid no bottom
+    # band: the band's rows fall past the grid or span none
+    with pytest.raises(ValueError, match=f"{rows} patch rows.*'{slot}'"):
+        dt.region_patch_indices(slot, rows, 2)
+
+
 def test_slot_of_phrase(pipeline):
     (p1, p2, p3) = pipeline.phrases("a red shirt and blue pants and a green hat")
     assert dt.slot_of_phrase(p1) == "top"

@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
+
 from phrasealign import gradcheck
+from phrasealign import model as md
 from phrasealign import numerics as nx
 
 
@@ -31,3 +36,33 @@ def test_directional_checks_catch_an_unprobed_tensor_off_the_graph(monkeypatch):
     assert gradcheck.check_itc(0) < gradcheck.TOLERANCE
     for name in ("directions_stage1", "directions_stage2", "directions_local_align"):
         assert gradcheck.CHECKS[name](0) > 1e-2, name
+
+
+def test_nan_error_on_a_later_probe_is_reported(monkeypatch):
+    # Python's max keeps an earlier value over a later NaN
+    errs = iter([1e-9, float("nan"), 1e-9, 1e-9])
+    monkeypatch.setattr(gradcheck, "finite_diff_param", lambda *a, **k: next(errs))
+    assert math.isnan(gradcheck.check_itc(0))
+
+
+def test_nan_error_on_a_later_seed_is_reported(monkeypatch):
+    monkeypatch.setattr(gradcheck, "CHECKS",
+                        {"probe": lambda seed: [1e-9, float("nan")][seed]})
+    assert math.isnan(gradcheck.run_suite([0, 1])["probe"])
+
+
+def test_nan_gradient_in_a_directional_check_is_reported(monkeypatch):
+    params = md.Params()
+    w = params.add("w", np.array([1.0, 2.0]))
+    backward = nx.backward
+
+    def nan_gradient(root):
+        grads = backward(root)
+        grads[w] = np.array([1.0, np.nan])
+        return grads
+
+    monkeypatch.setattr(nx, "backward", nan_gradient)
+    err = gradcheck.finite_diff_directions(
+        params, lambda: nx.sum_all(nx.mul(params["w"], params["w"])), nx.Rng(0))
+    assert math.isnan(err)
+    assert np.array_equal(w.data, [1.0, 2.0])

@@ -116,13 +116,13 @@ def test_backward_attention_equals_autodiff(seed):
                        rng.normal((1, n_img, dh)))
     attn = Tensor(trace.attn, requires_grad=True)
     ws = Tensor(rng.normal((dh, 1)))
-    nx.backward(score_per_head(attn, trace.values, 2, ws))
+    grad = nx.backward(score_per_head(attn, trace.values, 2, ws))[attn]
     ba = la.compute_weights(trace, ws.data.reshape(1, -1), [2]).w_ba
-    autodiff = np.maximum(attn.grad[0, 0, 2], 0.0)
+    autodiff = np.maximum(grad[0, 0, 2], 0.0)
     denom = np.maximum(np.abs(autodiff), 1e-12)
     assert (np.abs(ba[0] - autodiff) / denom).max() < 1e-10
     # rows other than the scored one receive no gradient at all
-    assert np.array_equal(attn.grad[0, 0, 0], np.zeros(n_img))
+    assert np.array_equal(grad[0, 0, 0], np.zeros(n_img))
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +419,11 @@ def phrase_losses(cfg, params, images, masked, img_of, zero_cls_of=None):
 
 
 def probed_grads(params, biatt, mpm, probe):
-    """Every parameter gradient of a fixed combination of the loss rows."""
-    params.zero_grads()
-    nx.backward(nx.add(nx.sum_all(nx.mul(biatt, Tensor(probe[0, :biatt.size]))),
-                       nx.sum_all(nx.mul(mpm, Tensor(probe[1, :mpm.size])))))
-    grads = {name: p.grad.copy() for name, p in params.named()}
-    params.zero_grads()
-    return grads
+    """Every parameter gradient of a fixed combination of the loss rows, zero
+    where none."""
+    grads = nx.backward(nx.add(nx.sum_all(nx.mul(biatt, Tensor(probe[0, :biatt.size]))),
+                               nx.sum_all(nx.mul(mpm, Tensor(probe[1, :mpm.size])))))
+    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.named()}
 
 
 VARIANTS = {"default": {}, "tie_score_head": {"tie_score_head": True},
@@ -572,16 +570,14 @@ def test_pooling_by_image_index_matches_select_and_pool():
     w = stochastic_rows(rng.normal((4, 5)))
     probe = Tensor(rng.normal((4, 4)))
     pooled = la.weighted_pool(w, md.EncoderOutput(stack), image_index=index)
-    nx.backward(nx.sum_all(nx.mul(pooled, probe)))
-    got_grad = stack.grad.copy()
-    stack.zero_grad()
+    got_grad = nx.backward(nx.sum_all(nx.mul(pooled, probe)))[stack]
     # the per-pair copy, pooled as one product per pair
     patch = w[:, 1:] / w[:, 1:].sum(axis=1, keepdims=True)
     pool = np.concatenate([np.zeros((4, 1)), patch], axis=1)[:, None, :]
     copied = nx.gather_rows(stack, index)
     want = nx.reshape(nx.matmul(Tensor(pool), copied), (4, 4))
-    nx.backward(nx.sum_all(nx.mul(want, probe)))
+    want_grad = nx.backward(nx.sum_all(nx.mul(want, probe)))[stack]
     assert np.allclose(pooled.data, want.data, rtol=1e-12, atol=1e-12)
-    assert np.allclose(got_grad, stack.grad, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12)
     with pytest.raises(nx.ShapeError):
         la.weighted_pool(w, md.EncoderOutput(stack), image_index=[0, 1, 3, 0])

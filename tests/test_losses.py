@@ -114,9 +114,9 @@ def test_itc_momentum_side_receives_no_gradient():
     txt = Tensor(emb, requires_grad=True)
     tau = Tensor(np.asarray(1.0), requires_grad=True)
     loss = ls.itc_loss(img, txt, emb, emb, q, tau)
-    nx.backward(loss)
-    assert img.grad is not None and np.abs(img.grad).max() > 0
-    assert txt.grad is not None and tau.grad is not None
+    grads = nx.backward(loss)
+    assert np.abs(grads[img]).max() > 0
+    assert txt in grads and tau in grads
     # queue holds plain arrays; nothing in the graph points at them
     assert q.q_img.base is None
 

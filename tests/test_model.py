@@ -97,12 +97,9 @@ def test_encode_image_rejects_malformed_stack(cfg, params, shape):
 
 
 def probed_gradients(params, reps, probe):
-    """Every parameter gradient of sum(reps * probe), then reset."""
-    params.zero_grads()
-    nx.backward(nx.sum_all(nx.mul(reps, Tensor(probe))))
-    grads = {name: p.grad.copy() for name, p in params.named()}
-    params.zero_grads()
-    return grads
+    """Every parameter gradient of sum(reps * probe), zero where none."""
+    grads = nx.backward(nx.sum_all(nx.mul(reps, Tensor(probe))))
+    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.named()}
 
 
 def close(a, b):
@@ -240,7 +237,6 @@ def test_passes_reject_an_unknown_mode(cfg, params, mode):
 
 def test_inference_mode_allocates_no_gradient_state(cfg, params):
     out = md.encode_image(random_patches(cfg), params, cfg, mode="infer")
-    assert out.reps.grad is None
     assert out.reps.parents == ()
     assert not out.reps.requires_grad
 
@@ -336,7 +332,7 @@ def pair_of(fused, b, rows):
                             trace=trace)
 
 
-def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
+def test_batched_cross_encode_matches_per_pair(cfg, pipeline, param_grads):
     """Texts of unequal length (one at the batch maximum), a repeated image
     and a trace layer: each pair's real rows, trace and ITM logit, and every
     parameter gradient of a fixed probe, equal the per-pair calls."""
@@ -349,7 +345,6 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
               for b, (t, _) in enumerate(pairs)]
 
     def run(batched):
-        params.zero_grads()
         if batched:
             imgs = md.encode_image(np.stack(images), params, cfg)
             txts = md.encode_text(ids, params, cfg)
@@ -365,10 +360,8 @@ def test_batched_cross_encode_matches_per_pair(cfg, pipeline):
                                     trace_layer=cfg.bidiratt_layer) for t, i in pairs]
             logits = [float(ls.fine_similarity(o.cls, params["itm.w"]).data)
                       for o in outs]
-        nx.backward(nx.sum_n([nx.sum_all(nx.mul(o.reps, probe))
-                              for o, probe in zip(outs, probes)]))
-        grads = {name: p.grad.copy() for name, p in params.named()}
-        params.zero_grads()
+        grads = param_grads(params, nx.sum_n([nx.sum_all(nx.mul(o.reps, probe))
+                                              for o, probe in zip(outs, probes)]))
         return outs, np.asarray(logits), grads
 
     batch_outs, batch_logits, batch_grads = run(batched=True)
@@ -402,7 +395,6 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
     probe = Rng(11).normal((len(ids), max(map(len, ids)) + 1, cfg.d))
 
     def run(indexed):
-        params.zero_grads()
         texts = md.encode_text(ids, params, cfg)
         assert texts.pad_bias is not None
         img = Tensor(image_reps.data, requires_grad=True)
@@ -412,10 +404,9 @@ def test_indexed_cross_encode_matches_selected_images(cfg, pipeline):
         else:
             fused = md.cross_encode(texts, select(md.EncoderOutput(img), index), params,
                                     cfg, trace_layer=cfg.bidiratt_layer)
-        nx.backward(nx.sum_all(nx.mul(fused.reps, Tensor(probe))))
-        grads = {name: p.grad.copy() for name, p in params.named()}
-        params.zero_grads()
-        return fused, grads, img.grad
+        grads = nx.backward(nx.sum_all(nx.mul(fused.reps, Tensor(probe))))
+        return fused, {name: grads.get(p, np.zeros_like(p.data))
+                       for name, p in params.named()}, grads[img]
 
     got, got_grads, got_img = run(indexed=True)
     want, want_grads, want_img = run(indexed=False)
@@ -535,7 +526,8 @@ TEXT_INDEX_CASES = [(3, None, 0), (3, 1, None), (1, None, 0), (1, None, [1, 0, 2
 
 
 @pytest.mark.parametrize("n_cross, trace_layer, rows", TEXT_INDEX_CASES)
-def test_text_index_matches_selected_texts(cfg, pipeline, n_cross, trace_layer, rows):
+def test_text_index_matches_selected_texts(cfg, pipeline, n_cross, trace_layer, rows,
+                                         param_grads):
     """Texts named by index, with a repeated text, a text no pair uses and
     padding: the fused rows, the trace, the ITM logits and loss, and every
     parameter gradient equal those of a per-pair copy of the texts."""
@@ -549,7 +541,6 @@ def test_text_index_matches_selected_texts(cfg, pipeline, n_cross, trace_layer, 
     images = np.stack([random_patches(cfg, seed) for seed in (3, 4, 5)])
 
     def run(indexed):
-        params.zero_grads()
         img = md.encode_image(images, params, cfg)
         txt = md.encode_text(ids, params, cfg)
         assert txt.pad_bias is not None
@@ -559,10 +550,7 @@ def test_text_index_matches_selected_texts(cfg, pipeline, n_cross, trace_layer, 
         # row 0 of every row, or the one row of each pair computed
         logits = ls.fine_similarity(nx.take_row(fused.reps, 0), params["itm.w"])
         loss = ls.itm_loss(logits, labels)
-        nx.backward(loss)
-        grads = {name: p.grad.copy() for name, p in params.named()}
-        params.zero_grads()
-        return fused, logits.data, float(loss.data), grads
+        return fused, logits.data, float(loss.data), param_grads(params, loss)
 
     got, got_logits, got_loss, got_grads = run(indexed=True)
     want, want_logits, want_loss, want_grads = run(indexed=False)

@@ -244,13 +244,13 @@ def test_shared_stack_matmul_backward_matches_broadcast_sum():
     rng = nx.Rng(16)
     a, w = t(rng.normal((5, 1, 3, 4)), grad=True), t(rng.normal((2, 4, 3)), grad=True)
     g = rng.normal((5, 2, 3, 3))
-    nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
+    grads = nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
     want_a = sum(g[:, h:h + 1] @ w.data[h].T for h in range(2))
     want_w = np.stack([sum(a.data[b, 0].T @ g[b, h] for b in range(5))
                        for h in range(2)])
-    assert a.grad.shape == a.shape and w.grad.shape == w.shape
-    assert np.allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
-    assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
+    assert grads[a].shape == a.shape and grads[w].shape == w.shape
+    assert np.allclose(grads[a], want_a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(grads[w], want_w, rtol=1e-12, atol=1e-12)
 
 
 def test_shared_matrix_matmul_backward_matches_broadcast_sum():
@@ -261,12 +261,12 @@ def test_shared_matrix_matmul_backward_matches_broadcast_sum():
         a = t(rng.normal(lead + (3, 4)), grad=True)
         w = t(rng.normal((4, 6)), grad=True)
         g = rng.normal(lead + (3, 6))
-        nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
+        grads = nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
         want_a = nx._unbroadcast(g @ np.swapaxes(w.data, -1, -2), a.shape)
         want_w = nx._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, w.shape)
-        assert a.grad.shape == a.shape and w.grad.shape == w.shape
-        assert np.allclose(a.grad, want_a, rtol=1e-12, atol=1e-12)
-        assert np.allclose(w.grad, want_w, rtol=1e-12, atol=1e-12)
+        assert grads[a].shape == a.shape and grads[w].shape == w.shape
+        assert np.allclose(grads[a], want_a, rtol=1e-12, atol=1e-12)
+        assert np.allclose(grads[w], want_w, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("ids", [[2, 1, 2, 2], [[1, 3, 1], [1, 1, -1]], 3],
@@ -278,11 +278,11 @@ def test_gather_rows_backward_matches_add_at(ids):
     table = t(rng.normal((5, 2, 3)), grad=True)
     picked = nx.gather_rows(table, ids)
     g = rng.normal(picked.shape)
-    nx.backward(nx.sum_all(nx.mul(picked, t(g))))
+    got = nx.backward(nx.sum_all(nx.mul(picked, t(g))))[table]
     want = np.zeros(table.shape)
     np.add.at(want, np.asarray(ids), g)
-    assert np.allclose(table.grad, want, rtol=1e-12, atol=1e-12)
-    assert not table.grad[0].any()
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert not got[0].any()
 
 
 @pytest.mark.parametrize("rows", [1, [2, 0, 2]], ids=["one row", "row per matrix"])
@@ -295,10 +295,10 @@ def test_select_rows_keeps_a_one_row_matrix(rows):
     at = np.broadcast_to(rows, (3,))
     assert np.array_equal(picked.data, stack.data[np.arange(3), at][:, None])
     g = rng.normal(picked.shape)
-    nx.backward(nx.sum_all(nx.mul(picked, t(g))))
+    got = nx.backward(nx.sum_all(nx.mul(picked, t(g))))[stack]
     want = np.zeros(stack.shape)
     want[np.arange(3), at] = g[:, 0]
-    assert np.array_equal(stack.grad, want)
+    assert np.array_equal(got, want)
     assert nx.select_rows(t(stack.data[0]), 3).shape == (1, 2)
 
 
@@ -491,8 +491,8 @@ def test_indexed_attention_gradients_match_the_selected_rows(case):
         x_q, x_kv, *weights = attention_args(case, fresh)
         out = nx.attention(x_q, x_kv, *weights, 0.6, None, index) if indexed else \
             nx.attention(x_q, nx.gather_rows(x_kv, index), *weights, 0.6)
-        nx.backward(nx.sum_all(nx.mul(out, c)))
-        return out.data, {name: leaf.grad for name, leaf in fresh.items()}
+        got = nx.backward(nx.sum_all(nx.mul(out, c)))
+        return out.data, {name: got[leaf] for name, leaf in fresh.items()}
 
     (got, got_grads), (want, want_grads) = grads(True), grads(False)
     assert np.array_equal(got, want)
@@ -540,8 +540,8 @@ def test_traced_attention_hands_out_the_weights_its_node_keeps(case, near):
                            trace=trace)
         out = got[0] if trace else got
         kept = kept_by(out, "e")
-        nx.backward(nx.sum_all(nx.mul(out, c)))
-        return got, kept, {name: leaf.grad for name, leaf in fresh.items()}
+        grads = nx.backward(nx.sum_all(nx.mul(out, c)))
+        return got, kept, {name: grads[leaf] for name, leaf in fresh.items()}
 
     (out, a, _), kept, grads = run(True)
     plain, _, want_grads = run(False)
@@ -742,11 +742,12 @@ def test_linear_backward_matches_broadcast_sum():
         x = t(rng.normal(lead + (3, 4)), grad=True)
         w, b = t(rng.normal((4, 6)), grad=True), t(rng.normal(6), grad=True)
         g = rng.normal(lead + (3, 6))
-        nx.backward(nx.sum_all(nx.mul(nx.linear(x, w, b), t(g))))
-        assert np.allclose(x.grad, g @ w.data.T, rtol=1e-12, atol=1e-12)
-        assert np.allclose(w.grad, nx._unbroadcast(np.swapaxes(x.data, -1, -2) @ g,
-                                                   w.shape), rtol=1e-12, atol=1e-12)
-        assert np.allclose(b.grad, g.reshape(-1, 6).sum(axis=0), rtol=1e-12, atol=1e-12)
+        grads = nx.backward(nx.sum_all(nx.mul(nx.linear(x, w, b), t(g))))
+        assert np.allclose(grads[x], g @ w.data.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(grads[w], nx._unbroadcast(np.swapaxes(x.data, -1, -2) @ g,
+                                                     w.shape), rtol=1e-12, atol=1e-12)
+        assert np.allclose(grads[b], g.reshape(-1, 6).sum(axis=0), rtol=1e-12,
+                           atol=1e-12)
 
 
 def test_fused_ops_reject_mismatched_operands():
@@ -835,23 +836,24 @@ def test_bce_logit_values():
 
 def test_backward_sum_gives_ones():
     x = t([1.0, 2.0, 3.0], grad=True)
-    nx.backward(nx.sum_all(x))
-    assert np.array_equal(x.grad, np.ones(3))
+    assert np.array_equal(nx.backward(nx.sum_all(x))[x], np.ones(3))
 
 
 def test_backward_product_rule():
     x = t([1.0, 2.0], grad=True)
     y = t([3.0, 4.0], grad=True)
-    nx.backward(nx.sum_all(nx.mul(x, y)))
-    assert np.array_equal(x.grad, [3.0, 4.0])
-    assert np.array_equal(y.grad, [1.0, 2.0])
+    grads = nx.backward(nx.sum_all(nx.mul(x, y)))
+    assert np.array_equal(grads[x], [3.0, 4.0])
+    assert np.array_equal(grads[y], [1.0, 2.0])
 
 
-def test_backward_unreachable_node_stays_zero():
+def test_backward_unreached_leaf_has_no_entry():
     x = t([1.0, 2.0], grad=True)
     other = t([5.0], grad=True)
-    nx.backward(nx.sum_all(x))
-    assert np.array_equal(other.grad, [0.0])
+    grads = nx.backward(nx.sum_all(x))
+    assert list(grads) == [x]
+    # a root that needs no gradient reaches no leaf
+    assert nx.backward(nx.sum_all(t([1.0, 2.0]))) == {}
 
 
 def test_backward_requires_scalar_root():
@@ -860,27 +862,37 @@ def test_backward_requires_scalar_root():
         nx.backward(nx.mul(x, x))
 
 
-def test_backward_repeat_requires_reset():
-    # a reset clears the root's mark, but an op root's graph is still
-    # differentiated only once
+def test_backward_repeat_through_the_root_raises():
+    # an op root's graph is differentiated once
     x = t([1.0, 2.0], grad=True)
     root = nx.sum_all(x)
     nx.backward(root)
-    with pytest.raises(nx.GradientStateError):
-        nx.backward(root)
-    nx.zero_grads([x, root])
     with pytest.raises(nx.GradientStateError, match="'sum_all'.*once"):
         nx.backward(root)
 
 
-def test_backward_stale_leaf_detected():
-    x = t([1.0, 2.0], grad=True)
-    nx.backward(nx.sum_all(x))
-    with pytest.raises(nx.GradientStateError):
-        nx.backward(nx.sum_all(nx.mul(x, x)))
-    nx.zero_grads([x])
-    nx.backward(nx.sum_all(nx.mul(x, x)))
-    assert np.array_equal(x.grad, [2.0, 4.0])
+def test_backward_passes_over_shared_leaves_are_independent():
+    """Two graphs from the same leaves, each differentiated with no reset in
+    between, in either order: each mapping equals that of its graph alone,
+    and the second pass leaves the first one's arrays as they were."""
+    def graphs():
+        x, y = t([1.0, 2.0], grad=True), t([3.0, -1.0], grad=True)
+        return x, y, [nx.sum_all(nx.mul(x, y)), nx.sum_all(nx.mul(nx.mul(x, x), y))]
+
+    want = [{"x": [3.0, -1.0], "y": [1.0, 2.0]}, {"x": [6.0, -4.0], "y": [1.0, 4.0]}]
+    for order in ((0, 1), (1, 0)):
+        x, y, roots = graphs()
+        got, kept = {}, {}
+        for i in order:
+            got[i] = nx.backward(roots[i])
+            kept[i] = {leaf: g.copy() for leaf, g in got[i].items()}
+        for i in order:
+            assert set(got[i]) == {x, y}
+            assert np.array_equal(got[i][x], want[i]["x"])
+            assert np.array_equal(got[i][y], want[i]["y"])
+            for leaf, g in kept[i].items():
+                assert np.array_equal(got[i][leaf], g)
+        assert not set(map(id, got[0].values())) & set(map(id, got[1].values()))
 
 
 def test_backward_frees_what_a_node_saved_and_keeps_value_and_parents():
@@ -891,23 +903,19 @@ def test_backward_frees_what_a_node_saved_and_keeps_value_and_parents():
                   backward_fn=lambda g, s=saved: (g * s,))
     del saved
     root = nx.sum_all(h)
-    nx.backward(root)
+    grads = nx.backward(root)
     assert freed() is None
     assert h.parents == (x,) and root.parents == (h,)
-    assert np.array_equal(h.data, [3.0, 8.0]) and np.array_equal(x.grad, [3.0, 4.0])
+    assert np.array_equal(h.data, [3.0, 8.0]) and np.array_equal(grads[x], [3.0, 4.0])
 
 
 def test_backward_through_a_consumed_node_raises():
-    # a new root on a node that backward has passed; once zero_grads clears
-    # the node's mark it still raises, since what the node saved is gone: it
-    # neither passes for a leaf nor differentiates again
+    # a new root on a node that backward has passed raises, since what the
+    # node saved is gone: it neither passes for a leaf nor differentiates
+    # again
     x = t([1.0, 2.0], grad=True)
     h = nx.mul(x, x)
     nx.backward(nx.sum_all(h))
-    x.zero_grad()
-    with pytest.raises(nx.GradientStateError):
-        nx.backward(nx.sum_all(nx.mul(h, 3.0)))
-    nx.zero_grads([x, h])
     with pytest.raises(nx.GradientStateError, match="'mul'.*once"):
         nx.backward(nx.sum_all(nx.mul(h, 3.0)))
 
@@ -916,7 +924,8 @@ def test_no_grad_allocates_nothing():
     x = t([1.0, 2.0], grad=True)
     with nx.no_grad():
         y = nx.sum_all(nx.mul(x, x))
-    assert y.parents == () and y.grad is None and not y.requires_grad
+    assert y.parents == () and not y.requires_grad
+    assert nx.backward(y) == {}
 
 
 def test_nonfinite_rejected():
@@ -958,49 +967,58 @@ def test_finite_values_with_overflowing_sum_accepted():
 
 
 # ---------------------------------------------------------------------------
-# gradient slots
+# gradients as values
 
 
-def test_interior_slot_released_and_leaf_slots_kept():
+def test_backward_returns_the_leaves_gradients_only():
     x = t([1.0, 2.0], grad=True)
     y = t([3.0, 4.0], grad=True)
     h = nx.mul(x, y)
-    assert h.grad is None and x.grad is not None
-    nx.backward(nx.sum_all(nx.mul(h, h)))
-    assert h.grad is None
-    assert np.array_equal(x.grad, 2.0 * h.data * y.data)
-    assert np.array_equal(y.grad, 2.0 * h.data * x.data)
+    grads = nx.backward(nx.sum_all(nx.mul(h, h)))
+    assert set(grads) == {x, y}
+    assert np.array_equal(grads[x], 2.0 * h.data * y.data)
+    assert np.array_equal(grads[y], 2.0 * h.data * x.data)
 
 
 def test_gradient_handed_to_several_parents_is_shared_and_never_written():
-    """add and sum_n hand one array to each parent, and every parent's slot
-    may be that very array: a later gradient makes a new sum instead of
-    adding into it, so it never reaches another slot."""
+    """add and sum_n hand one array to each parent, and every parent's
+    gradient, leaf or not, may be that very array: a later gradient makes a
+    new sum instead of adding into it, so it never reaches another entry."""
     a, b = t([1.0, 2.0], grad=True), t([3.0, -1.0], grad=True)
     c, d = np.array([0.5, -2.0]), np.array([4.0, 0.25])
     for order in (1, -1):
-        a.zero_grad()
-        b.zero_grad()
         x, y = nx.mul(a, 2.0), nx.mul(b, 3.0)
         # x and y reach the root through add(x, y) and through mul(x, y),
         # which backward may reach first or second
-        nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.add(x, y), t(c))),
-                              nx.sum_all(nx.mul(nx.mul(x, y), t(d)))][::order]))
-        assert np.allclose(a.grad, 2.0 * (c + d * y.data), rtol=1e-15, atol=0.0)
-        assert np.allclose(b.grad, 3.0 * (c + d * x.data), rtol=1e-15, atol=0.0)
+        grads = nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.add(x, y), t(c))),
+                                      nx.sum_all(nx.mul(nx.mul(x, y), t(d)))][::order]))
+        assert np.allclose(grads[a], 2.0 * (c + d * y.data), rtol=1e-15, atol=0.0)
+        assert np.allclose(grads[b], 3.0 * (c + d * x.data), rtol=1e-15, atol=0.0)
 
-    a.zero_grad()
     x = nx.mul(a, 2.0)
-    nx.backward(nx.sum_all(nx.mul(nx.add(x, x), t(c))))
-    assert np.array_equal(a.grad, 4.0 * c)
+    assert np.array_equal(nx.backward(nx.sum_all(nx.mul(nx.add(x, x), t(c))))[a],
+                          4.0 * c)
 
-    a.zero_grad()
-    b.zero_grad()
     x, y = nx.mul(a, 2.0), nx.mul(b, 3.0)
-    nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.sum_n([x, x, y]), t(c))),
-                          nx.sum_all(nx.mul(y, t(d)))]))
-    assert np.array_equal(a.grad, 4.0 * c)
-    assert np.array_equal(b.grad, 3.0 * (c + d))
+    grads = nx.backward(nx.sum_n([nx.sum_all(nx.mul(nx.sum_n([x, x, y]), t(c))),
+                                  nx.sum_all(nx.mul(y, t(d)))]))
+    assert np.array_equal(grads[a], 4.0 * c)
+    assert np.array_equal(grads[b], 3.0 * (c + d))
+
+
+@pytest.mark.parametrize("add", [nx.add, lambda a, b: nx.sum_n([a, b])],
+                         ids=["add", "sum_n"])
+def test_array_handed_to_two_leaves_is_shared_and_never_written(add):
+    """Two leaves fed straight into add or sum_n get the one array the op
+    hands on; a later gradient of one leaf is a new sum, leaving the other's
+    entry as it was."""
+    a, b = t([1.0, 2.0], grad=True), t([3.0, -1.0], grad=True)
+    c = np.array([0.5, -2.0])
+    grads = nx.backward(nx.sum_all(nx.mul(add(a, b), t(c))))
+    assert np.shares_memory(grads[a], grads[b]) and np.array_equal(grads[a], c)
+    grads = nx.backward(nx.sum_n([nx.sum_all(nx.mul(add(a, b), t(c))),
+                                  nx.sum_all(nx.mul(a, 3.0))]))
+    assert np.array_equal(grads[b], c) and np.array_equal(grads[a], c + 3.0)
 
 
 @pytest.mark.parametrize("handed_on", ["view", "kept", "read_only"])
@@ -1014,13 +1032,13 @@ def test_array_handed_on_by_a_backward_function_is_never_written(handed_on):
               "read_only": np.broadcast_to(kept, (2,))}[handed_on]
     a = t([1.0, 2.0], grad=True)
     for order in (1, -1):
-        a.zero_grad()
         h = nx.mul(a, 2.0)
         odd = nx.Tensor([0.0, 0.0], requires_grad=True, op="odd", parents=(h,),
                         backward_fn=lambda g: (handed,))
-        nx.backward(nx.sum_n([nx.sum_all(odd), nx.sum_all(nx.mul(h, 3.0))][::order]))
+        grads = nx.backward(nx.sum_n([nx.sum_all(odd),
+                                      nx.sum_all(nx.mul(h, 3.0))][::order]))
         assert np.array_equal(kept, [1.0, 1.0])
-        assert np.array_equal(a.grad, [8.0, 8.0])
+        assert np.array_equal(grads[a], [8.0, 8.0])
 
 
 def test_first_gradient_of_wrong_shape_raises():
@@ -1032,12 +1050,11 @@ def test_first_gradient_of_wrong_shape_raises():
 
 
 def test_later_or_leaf_gradient_of_wrong_shape_raises():
-    # a broadcastable gradient would otherwise widen an op result's sum or
-    # spread over a leaf's slot
+    # a broadcastable gradient would otherwise widen an op result's or a
+    # leaf's sum
     x = t([1.0, 2.0], grad=True)
     for to_leaf in (False, True):
         for order in (1, -1):
-            x.zero_grad()
             h = nx.mul(x, 2.0)
             g = np.ones(1) if to_leaf else np.ones((3, 1))
             bad = nx.Tensor([1.0, 1.0], requires_grad=True, op="bad",
@@ -1061,6 +1078,22 @@ def test_finite_diff_constant():
     x = t([1.0, 2.0])
     err = nx.finite_diff_check(lambda v: nx.mul(nx.sum_all(v), 0.0), x)
     assert err == 0.0
+
+
+def test_finite_diff_of_a_function_that_ignores_its_input():
+    # backward reaches another leaf but not the probe, so the analytic
+    # gradient is zero, as is the numeric one
+    x = t([1.0, 2.0])
+    assert nx.finite_diff_check(lambda v: nx.sum_all(t([3.0, 4.0], grad=True)), x) == 0.0
+
+
+def test_central_difference_is_exact_on_a_quartic():
+    # the fourth-order stencil differentiates polynomials up to degree 4
+    # exactly, here up to roundoff; a second-order one misses by 5 h^2 = 0.05
+    def f(s):
+        return 2.0 + s - 3.0 * s**2 + 5.0 * s**3 - 7.0 * s**4
+
+    assert abs(nx.central_difference(f, 0.1) - 1.0) < 1e-12
 
 
 def test_finite_diff_softmax_cross_entropy():

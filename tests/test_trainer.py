@@ -221,7 +221,7 @@ READ_ROWS_MIB = {1: (18.4, 2.55, 19.5), 2: (23.2, 3.35, 25.8)}
 
 @pytest.mark.parametrize("stage", list(READ_ROWS_MIB))
 def test_step_memory_with_last_layers_on_read_rows(stage, peak_mib, held_mib):
-    _, params, step = default_step(stage)
+    _, _, step = default_step(stage)
     peak, held, next_peak = READ_ROWS_MIB[stage]
 
     def differentiated():
@@ -234,9 +234,7 @@ def test_step_memory_with_last_layers_on_read_rows(stage, peak_mib, held_mib):
         step()
 
     assert peak_mib(lambda: nx.backward(step())) < peak
-    params.zero_grads()
     assert held_mib(differentiated) < held
-    params.zero_grads()
     assert peak_mib(two_steps) < next_peak
 
 
@@ -276,7 +274,7 @@ RECOMPUTED_MIB = {1: (14.5, 15.5, 19.0), 2: (18.0, 20.0, 22.5)}
 
 @pytest.mark.parametrize("stage", list(RECOMPUTED_MIB))
 def test_step_memory_with_projections_recomputed_in_backward(stage, peak_mib):
-    _, params, step = default_step(stage)
+    _, _, step = default_step(stage)
     peak, next_peak, epoch = RECOMPUTED_MIB[stage]
 
     def two_steps():
@@ -285,7 +283,6 @@ def test_step_memory_with_projections_recomputed_in_backward(stage, peak_mib):
         step()
 
     assert peak_mib(lambda: nx.backward(step())) < peak
-    params.zero_grads()
     assert peak_mib(two_steps) < next_peak
     assert peak_mib(train_epoch(stage)) < epoch
 
@@ -324,7 +321,7 @@ TRACE_ONLY_PASSES = [
 @pytest.mark.parametrize("model_over, train_over, trace_only", TRACE_ONLY_PASSES,
                          ids=["biatt_phrase=clean", "enable_mpm=False", "both"])
 def test_trace_only_phrase_passes_keep_losses_and_gradients(
-        monkeypatch, model_over, train_over, trace_only):
+        monkeypatch, model_over, train_over, trace_only, param_grads):
     """A phrase cross-encode the local stream reads for its trace alone reads
     no rows, so it stops at the traced layer and records no graph; the
     step's losses and gradients equal those with that pass run in full on
@@ -351,8 +348,7 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
         batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
                                   state.batch_rng)[0]
         total, breakdown = trainer.train_step(batch, 2, state, model_cfg, cfg)
-        nx.backward(total)
-        return reads_none, breakdown, {name: p.grad for name, p in params.named()}
+        return reads_none, breakdown, param_grads(params, total)
 
     reads_none, got, got_grads = run(full=False)
     _, want, want_grads = run(full=True)
@@ -397,7 +393,7 @@ def test_train_step_rejects_an_unknown_stage(stage):
         trainer.train_step(batch, stage, state, model_cfg, cfg)
 
 
-def test_steps_on_replicas_repeat_the_step_and_leave_the_state():
+def test_steps_on_replicas_repeat_the_step_and_leave_the_state(param_grads):
     pipeline, dataset, model_cfg, cfg = tiny_setup()
     state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
     trainer.train_step(batch, 1, state, model_cfg, cfg)    # a non-empty queue
@@ -407,10 +403,7 @@ def test_steps_on_replicas_repeat_the_step_and_leave_the_state():
     for _ in range(2):
         replica = state.replica()
         total, _ = trainer.train_step(batch, 2, replica, model_cfg, cfg)
-        nx.backward(total)
-        runs.append((float(total.data),
-                     {name: p.grad.copy() for name, p in state.params.named()}))
-        state.params.zero_grads()
+        runs.append((float(total.data), param_grads(state.params, total)))
         assert replica.queue.filled > queue.filled
     (total_a, grads_a), (total_b, grads_b) = runs
     assert total_a == total_b
@@ -485,10 +478,11 @@ def test_train_names_the_step_of_a_nonfinite_gradient(monkeypatch):
         return made[-1]
 
     def planting_at_third_call(root):
-        backward(root)
+        grads = backward(root)
         calls.append(None)
         if len(calls) == 3:
-            made[0]["itm.w"].grad[0, 0] = np.nan
+            grads[made[0]["itm.w"]][0, 0] = np.nan
+        return grads
 
     monkeypatch.setattr(md, "init_params", recording)
     monkeypatch.setattr(nx, "backward", planting_at_third_call)
@@ -524,18 +518,17 @@ def test_lr_schedule_spans_each_stage_of_batches():
 
 
 def grad_params(**grads):
-    """Params holding zeros with the given gradients, one per name."""
+    """Params holding zeros, and the given gradients keyed by parameter, one
+    per name."""
     params = md.Params()
-    for name, g in grads.items():
-        params.add(name, np.zeros_like(g)).grad[...] = g
-    return params
+    return params, {params.add(name, np.zeros_like(g)): g for name, g in grads.items()}
 
 
 def test_adamw_first_step_is_bias_corrected_sign_step():
     g = np.array([[0.5, -2.0], [1e-3, 0.0]])
-    params = grad_params(w=g)
+    params, grads = grad_params(w=g)
     state = trainer.OptimState.for_params(params)
-    trainer.adamw_step(params, state, lr=0.1, weight_decay=0.0)
+    trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
     # after one step m/bc1 = g and v/bc2 = g*g, so the update is lr*g/(|g|+eps)
     assert state.step == 1
     assert np.allclose(params["w"].data, -0.1 * g / (np.abs(g) + trainer.ADAM_EPS),
@@ -543,11 +536,11 @@ def test_adamw_first_step_is_bias_corrected_sign_step():
 
 
 def test_adamw_decays_only_tensors_of_two_or_more_axes():
-    params = grad_params(bias=np.zeros(3), matrix=np.zeros((2, 3)),
-                         stacked=np.zeros((2, 3, 4)))
+    params, grads = grad_params(bias=np.zeros(3), matrix=np.zeros((2, 3)),
+                                stacked=np.zeros((2, 3, 4)))
     for _, p in params.named():
         p.data[...] = 1.0
-    trainer.adamw_step(params, trainer.OptimState.for_params(params), lr=0.1,
+    trainer.adamw_step(params, grads, trainer.OptimState.for_params(params), lr=0.1,
                        weight_decay=0.5)
     # zero gradients leave only the decoupled decay, 1 - lr * decay
     assert np.array_equal(params["bias"].data, np.ones(3))
@@ -556,18 +549,70 @@ def test_adamw_decays_only_tensors_of_two_or_more_axes():
 
 
 def test_adamw_names_the_parameter_with_a_nan_gradient():
-    params = grad_params(a=np.ones(2), b=np.array([[1.0, np.nan]]))
+    params, grads = grad_params(a=np.ones(2), b=np.array([[1.0, np.nan]]))
     state = trainer.OptimState.for_params(params)
     before = params["a"].data.copy()
     with pytest.raises(trainer.NumericalError,
                        match="non-finite gradient on parameter b"):
-        trainer.adamw_step(params, state, lr=0.1, weight_decay=0.01)
+        trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
     # nothing is stepped: not the parameter before the bad one either
     assert np.array_equal(params["a"].data, before)
     assert np.array_equal(params["b"].data, np.zeros((1, 2)))
     assert state.step == 0
     for moments in (state.m, state.v):
         assert all(np.array_equal(m, np.zeros_like(m)) for m in moments.values())
+
+
+def test_adamw_steps_a_parameter_without_a_gradient_as_with_a_zero_one():
+    """A parameter with no entry in the gradients takes, bit for bit, the
+    step a zero gradient gives it: weight decay, decaying moments and an
+    update from what they held."""
+    rng = Rng(7)
+    init = {"reached": rng.normal((2, 3)), "unreached": rng.normal((3, 2)),
+            "bias": rng.normal(3)}
+    runs = []
+    for missing in (False, True):
+        params = md.Params()
+        for name, value in init.items():
+            params.add(name, value.copy())
+        state = trainer.OptimState.for_params(params)
+        for step in range(3):
+            # the first step reaches every parameter, so the moments are
+            # not zero once the gradients go missing
+            grads = {p: Rng(step).normal(p.shape) if step == 0 or name == "reached"
+                     else np.zeros(p.shape) for name, p in params.named()}
+            if missing and step:
+                grads = {params["reached"]: grads[params["reached"]]}
+            trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+        runs.append((params, state))
+    (want, want_state), (got, got_state) = runs
+    for name in init:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+        assert got_state.m[name].tobytes() == want_state.m[name].tobytes(), name
+        assert got_state.v[name].tobytes() == want_state.v[name].tobytes(), name
+
+
+def test_train_steps_the_parameters_no_term_reaches():
+    """``score.w`` feeds no loss, and the masked-phrase head none in stage 1:
+    backward gives them no entry, and train() steps them as with a zero
+    gradient: their moments stay zero, a matrix only decays and a vector
+    keeps its value."""
+    pipeline, dataset, model_cfg, cfg = tiny_setup(stage1_epochs=1, stage2_epochs=0)
+    state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
+    total, _ = trainer.train_step(batch, 1, state, model_cfg, cfg)
+    grads = nx.backward(total)
+    unreached = sorted(name for name, p in state.params.named() if p not in grads)
+    assert unreached == ["mpm.b1", "mpm.b2", "mpm.w1", "mpm.w2", "score.w"]
+    init = md.init_params(model_cfg, Rng(cfg.seed).child())
+    trained = trainer.train(model_cfg, cfg, dataset, pipeline)
+    decay = np.prod([1.0 - row["lr"] * cfg.weight_decay for row in trained.log_rows])
+    for name in unreached:
+        assert not trained.optim.m[name].any() and not trained.optim.v[name].any()
+        value, start = trained.params[name].data, init[name].data
+        if start.ndim >= 2:
+            assert np.allclose(value, start * decay, rtol=1e-14, atol=0.0), name
+        else:
+            assert np.array_equal(value, start), name
 
 
 def test_cosine_lr_warmup_endpoints_and_decay_to_zero():
