@@ -34,22 +34,28 @@ def _worst(errs) -> float:
     return float(np.max(errs))
 
 
-def finite_diff_param(params: model.Params, name: str, build_loss,
+def finite_diff_param(params: dict, name: str, build_loss,
                       eps: float = SUITE_EPS) -> float:
     """Central-difference check of d(loss)/d(params[name]).
 
     ``build_loss`` is a zero-argument callable that constructs the scalar
-    loss from the current parameters; the named parameter is temporarily
-    replaced by the probe leaf on every evaluation.
+    loss from the current parameters; the named parameter is replaced by
+    the probe leaf for each evaluation and restored after it, even when
+    ``build_loss`` raises.
     """
+    original = params[name]
+
     def f(x: Tensor) -> Tensor:
-        with params.substituted(name, x):
+        params[name] = x
+        try:
             return build_loss()
+        finally:
+            params[name] = original
 
-    return nx.finite_diff_check(f, params[name], eps=eps)
+    return nx.finite_diff_check(f, original, eps=eps)
 
 
-def finite_diff_directions(params: model.Params, build_loss, rng: Rng) -> float:
+def finite_diff_directions(params: dict, build_loss, rng: Rng) -> float:
     """Directional check of the gradient over every parameter at once.
 
     Each of ``N_DIRECTIONS`` directions v draws a normal entry per parameter
@@ -60,7 +66,7 @@ def finite_diff_directions(params: model.Params, build_loss, rng: Rng) -> float:
     with the denominator max(|analytic|, |numeric|, 1e-8), over the
     directions. The parameters are restored bit for bit.
     """
-    tensors = [t for _, t in params.named()]
+    tensors = list(params.values())
     theta = [t.data.copy() for t in tensors]
     grads = nx.backward(build_loss())
 
@@ -105,7 +111,7 @@ def _toy_setup(seed: int, max_text_len: int = 12):
     # widen the init so gradients sit comfortably above the FD noise floor;
     # the vocabulary classifier stays at init scale or its softmax saturates
     # and the tail gradients fall back into the noise
-    for name, t in params.named():
+    for name, t in params.items():
         if t.data.ndim >= 2 and name != "mpm.w2":
             t.data *= 12.0
     images = [rng.uniform((cfg.n_patches, cfg.patch_pixels)) for _ in range(2)]

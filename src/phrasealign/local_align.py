@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Tensor
-from .model import AttentionTrace, EncoderOutput, ModelConfig, Params
+from .model import AttentionTrace, EncoderOutput, ModelConfig
 
 _EPS_FALLBACK = 1e-12
 
@@ -95,25 +95,25 @@ def weighted_pool(w: np.ndarray, image: EncoderOutput, image_index=None) -> Tens
     n, length, d = reps.shape
     pool = np.zeros((len(w), n, length))
     pool[np.arange(len(w)), index, 1:] = patch
-    return nx.matmul(Tensor(pool.reshape(len(w), n * length)),
+    return nx.linear(Tensor(pool.reshape(len(w), n * length)),
                      nx.reshape(reps, (n * length, d)))
 
 
 def pooled_alignment_loss(w: np.ndarray, image: EncoderOutput,
-                          phrase_out: EncoderOutput, params: Params,
+                          phrase_out: EncoderOutput, params: dict,
                           image_index=None) -> Tensor:
     """(B,) 1 - cosine between each pair's weight-pooled image rows (see
     :func:`weighted_pool`) and its phrase [CLS] row, each projected and
     normalized into the coarse space as :func:`model.coarse_embeddings` does.
     A zero projection raises :class:`numerics.NonFiniteError`."""
     pooled = weighted_pool(w, image, image_index)
-    img = nx.l2_normalize_rows(nx.matmul(pooled, params["proj.img.w"]))
-    txt = nx.l2_normalize_rows(nx.matmul(phrase_out.cls, params["proj.txt.w"]))
+    img = nx.l2_normalize_rows(nx.linear(pooled, params["proj.img.w"]))
+    txt = nx.l2_normalize_rows(nx.linear(phrase_out.cls, params["proj.txt.w"]))
     cos = nx.reshape(nx.row_sums(nx.mul(img, txt)), (len(w),))
     return nx.sub(Tensor(1.0), cos)
 
 
-def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarray:
+def score_vectors(params: dict, cfg: ModelConfig, target_id=None) -> np.ndarray:
     """(heads, head_dim) score vectors as a plain array: the untrained
     ``score.w`` shared by every head and pair by default (see the module
     docstring), or, when tied, the masked targets' MPM classifier columns
@@ -129,7 +129,7 @@ def score_vectors(params: Params, cfg: ModelConfig, target_id=None) -> np.ndarra
 
 
 def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
-                         fusion: EncoderOutput, mask_row, params: Params,
+                         fusion: EncoderOutput, mask_row, params: dict,
                          cfg: ModelConfig, target_id=None, image_index=None):
     """(B,) 1 - cosine between the weight-pooled image representation and the
     projected phrase representation of each pair. Returns (loss, weights).

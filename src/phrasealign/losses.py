@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .numerics import Rng, Tensor
-from .model import EncoderOutput, Params
+from .model import EncoderOutput
 from .textproc import MaskedPhrase
 
 log = logging.getLogger(__name__)
@@ -85,11 +85,11 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
     n = img_emb.shape[0]
     cand_txt = Tensor(np.vstack([mom_txt, queue.text_candidates()]).T)
     cand_img = Tensor(np.vstack([mom_img, queue.image_candidates()]).T)
-    logits_i2t = nx.div(nx.matmul(img_emb, cand_txt), tau)
-    logits_t2i = nx.div(nx.matmul(txt_emb, cand_img), tau)
+    logits_i2t = nx.div(nx.linear(img_emb, cand_txt), tau)
+    logits_t2i = nx.div(nx.linear(txt_emb, cand_img), tau)
     # both directions have n + queue-fill candidates: one cross-entropy over
     # the 2n rows, each row's positive at its batch index
-    ce = nx.cross_entropy_logits(nx.concat([logits_i2t, logits_t2i], axis=0),
+    ce = nx.cross_entropy_logits(nx.concat([logits_i2t, logits_t2i]),
                                  np.tile(np.arange(n), 2))
     return nx.mul(nx.sum_all(ce), 0.5 / n)
 
@@ -97,9 +97,7 @@ def itc_loss(img_emb: Tensor, txt_emb: Tensor, mom_img: np.ndarray,
 def fine_similarity(fusion_cls: Tensor, w_o: Tensor) -> Tensor:
     """Matching logit of a fused [CLS] representation: a scalar from a (d,)
     row, or (B,) logits from the (B, d) rows of a batch of pairs."""
-    rows = fusion_cls if fusion_cls.data.ndim == 2 else \
-        nx.reshape(fusion_cls, (1, fusion_cls.size))
-    return nx.reshape(nx.matmul(rows, w_o), fusion_cls.shape[:-1])
+    return nx.reshape(nx.linear(fusion_cls, w_o), fusion_cls.shape[:-1])
 
 
 def itm_loss(logits: Tensor, labels) -> Tensor:
@@ -167,7 +165,7 @@ def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
 
 
 def masked_phrase_loss(fusion: EncoderOutput, masked: list[MaskedPhrase],
-                       params: Params) -> Tensor:
+                       params: dict) -> Tensor:
     """Cross-entropy of the classifier against each phrase's original token
     at its [MASK] row, one value per pair of a fused batch with its B masked
     phrases. The fusion holds exactly those rows (``fusion.rows``), (B, 1, d),

@@ -7,9 +7,12 @@ post-norm self-attention blocks, each sublayer LN(x + f(x)). The cross-modal
 encoder runs self-attention over the text rows, cross-attention with text
 queries against image keys/values, then a feed-forward, per layer; one
 layer's attention matrices and projected values can be captured as a trace:
-plain arrays, which differentiation never reaches. The same cross-modal
-parameters serve the image-text and image-phrase streams. Heads are the
-leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim). Each
+plain arrays, which differentiation never reaches. Parameters are a plain
+``dict`` from name to leaf Tensor, in :func:`init_params`'s creation order;
+a pass reads its weights from the dict it is given by name, so the momentum
+shadows, a dict of the mirrored names, run the same passes. The same
+cross-modal parameters serve the image-text and image-phrase streams. Heads
+are the leading array axis: ``wq``/``wk``/``wv`` are (heads, d, head_dim). Each
 residual sublayer, its layer norm included, is one graph node: a
 :func:`numerics.attention` node per attention block and a
 :func:`numerics.tanh_mlp` node per feed-forward. Pairs that share an image
@@ -54,11 +57,12 @@ INIT_TEMPERATURE = 0.07
 
 def check_counts(config, low: dict) -> None:
     """Raise ValueError naming the first field of the dataclass ``config``
-    that is declared ``int`` and holds no integer, or that holds less than
-    its entry in ``low``."""
+    that is declared ``int`` and holds no integer (a bool is none), or that
+    holds less than its entry in ``low``."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if field.type in ("int", int) and not isinstance(value, (int, np.integer)):
+        if field.type in ("int", int) and (isinstance(value, bool) or
+                                            not isinstance(value, (int, np.integer))):
             raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if field.name in low and value < low[field.name]:
             raise ValueError(f"{field.name} must be at least {low[field.name]}")
@@ -109,36 +113,6 @@ class ModelConfig:
                 raise ValueError(f"{field} must be one of {allowed}")
 
 
-class Params:
-    """Named parameter tensors in a fixed creation order, optionally starting
-    from an existing name -> tensor mapping."""
-
-    def __init__(self, tensors: dict[str, Tensor] | None = None):
-        self._tensors: dict[str, Tensor] = dict(tensors or {})
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True, op=f"param:{name}")
-        self._tensors[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def named(self):
-        return self._tensors.items()
-
-    @contextlib.contextmanager
-    def substituted(self, name: str, tensor: Tensor):
-        """``tensor`` in place of the parameter ``name`` for the length of the
-        ``with`` block; the original is restored on exit."""
-        original = self._tensors[name]
-        self._tensors[name] = tensor
-        try:
-            yield
-        finally:
-            self._tensors[name] = original
-
-
 # momentum shadows mirror the unimodal encoders and the coarse projections
 _MOMENTUM_PREFIXES = ("embed.", "img_self", "txt_self", "proj.")
 
@@ -153,15 +127,15 @@ class MomentumState:
     alpha: float
 
     @classmethod
-    def from_params(cls, params: Params, alpha: float) -> "MomentumState":
+    def from_params(cls, params: dict, alpha: float) -> "MomentumState":
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"momentum coefficient {alpha} outside [0, 1)")
         shadow = {name: Tensor(t.data.copy(), op=f"momentum:{name}")
-                  for name, t in params.named() if is_momentum_mirrored(name)}
+                  for name, t in params.items() if is_momentum_mirrored(name)}
         return cls(shadow=shadow, alpha=alpha)
 
 
-def momentum_update(live: Params, state: MomentumState) -> None:
+def momentum_update(live: dict, state: MomentumState) -> None:
     """shadow <- alpha * shadow + (1 - alpha) * live, elementwise."""
     a = state.alpha
     for name, shadow in state.shadow.items():
@@ -177,20 +151,23 @@ def momentum_update(live: Params, state: MomentumState) -> None:
 # initialization
 
 
-def init_params(cfg: ModelConfig, rng: Rng) -> Params:
+def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, Tensor]:
     """Truncated-normal weights (std 0.02), zero biases, temperature 0.07."""
     cfg.validate()
-    p = Params()
+    p = {}
     d, dh, v = cfg.d, cfg.head_dim, cfg.vocab_size
 
+    def add(name, data):
+        p[name] = Tensor(data, requires_grad=True, op=f"param:{name}")
+
     def w(name, *shape):
-        p.add(name, rng.truncated_normal(shape, INIT_STD))
+        add(name, rng.truncated_normal(shape, INIT_STD))
 
     def zeros(name, *shape):
-        p.add(name, np.zeros(shape))
+        add(name, np.zeros(shape))
 
     def ones(name, *shape):
-        p.add(name, np.ones(shape))
+        add(name, np.ones(shape))
 
     w("embed.patch.w", cfg.patch_pixels, d)
     zeros("embed.patch.b", d)
@@ -204,7 +181,7 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
         draws = [[rng.truncated_normal((d, dh), INIT_STD) for _ in range(3)]
                  for _ in range(cfg.heads)]
         for name, per_head in zip(("wq", "wk", "wv"), zip(*draws)):
-            p.add(f"{prefix}.{name}", np.stack(per_head))
+            add(f"{prefix}.{name}", np.stack(per_head))
         w(f"{prefix}.out.w", d, d)
         zeros(f"{prefix}.out.b", d)
 
@@ -241,7 +218,7 @@ def init_params(cfg: ModelConfig, rng: Rng) -> Params:
     zeros("mpm.b1", d)
     w("mpm.w2", d, v)
     zeros("mpm.b2", v)
-    p.add("temp.log_tau", np.log(INIT_TEMPERATURE))
+    add("temp.log_tau", np.log(INIT_TEMPERATURE))
     return p
 
 
@@ -305,7 +282,7 @@ class EncoderOutput:
 
 
 def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
-                          params: Params, prefix: str, norm: str, cfg: ModelConfig,
+                          params: dict, prefix: str, norm: str, cfg: ModelConfig,
                           key_bias: np.ndarray | None = None, kv_index=None,
                           trace: bool = False):
     """The attention sublayer as one :func:`numerics.attention` node with the
@@ -320,7 +297,7 @@ def _multi_head_attention(queries_from: Tensor, keys_values_from: Tensor,
                         1.0 / math.sqrt(cfg.head_dim), key_bias, kv_index, trace)
 
 
-def _ffn(x: Tensor, params: Params, prefix: str, norm: str) -> Tensor:
+def _ffn(x: Tensor, params: dict, prefix: str, norm: str) -> Tensor:
     """The feed-forward sublayer, LN(x + tanh_mlp(x)), as one node."""
     return nx.tanh_mlp(x, params[prefix + ".w1"], params[prefix + ".b1"],
                        params[prefix + ".w2"], params[prefix + ".b2"],
@@ -341,7 +318,7 @@ def _queries(x: Tensor, rows) -> Tensor:
     return x if rows is None else nx.select_rows(x, rows)
 
 
-def _self_layers(x: Tensor, stream: str, params: Params, cfg: ModelConfig,
+def _self_layers(x: Tensor, stream: str, params: dict, cfg: ModelConfig,
                  rows=None, key_bias: np.ndarray | None = None) -> Tensor:
     """The self-attention layers of ``stream``, each an attention and a
     feed-forward sublayer. Given ``rows``, the last layer computes those
@@ -359,7 +336,7 @@ def _self_layers(x: Tensor, stream: str, params: Params, cfg: ModelConfig,
 
 
 def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Tensor,
-                 params: Params, cfg: ModelConfig, rows=None, index=None,
+                 params: dict, cfg: ModelConfig, rows=None, index=None,
                  trace: bool = False, text_index=None):
     """Cross layer ``layer`` (0-based): self-attention over the text rows
     ``x``, whose padding ``text_bias`` keeps out, cross-attention with text
@@ -398,7 +375,7 @@ def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Ten
 # encoders
 
 
-def encode_image(patches, params: Params, cfg: ModelConfig, mode: str = "train",
+def encode_image(patches, params: dict, cfg: ModelConfig, mode: str = "train",
                  rows=None) -> EncoderOutput:
     """Linear patch embedding + positions + [CLS] + self-attention layers,
     for one image's (n_patches, patch_pixels) patches or a (B, n_patches,
@@ -418,7 +395,7 @@ def encode_image(patches, params: Params, cfg: ModelConfig, mode: str = "train",
         return EncoderOutput(_self_layers(x, "img_self", params, cfg, rows), rows=rows)
 
 
-def encode_text(token_ids, params: Params, cfg: ModelConfig, mode: str = "train",
+def encode_text(token_ids, params: dict, cfg: ModelConfig, mode: str = "train",
                 rows=None) -> EncoderOutput:
     """Token embedding + positions + [CLS] + self-attention layers, for one
     id list or a sequence of id lists in one call. A batch is padded with
@@ -447,7 +424,7 @@ def encode_text(token_ids, params: Params, cfg: ModelConfig, mode: str = "train"
         return EncoderOutput(x, pad_bias if rows is None else None, rows)
 
 
-def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig, rows=None):
+def coarse_embeddings(images, token_ids, params: dict, cfg: ModelConfig, rows=None):
     """Encode a batch of images and a batch of texts, one encoder call each,
     and project their [CLS] rows into the coarse space, one unit row per item.
     ``rows`` goes to both encoders: 0 computes the [CLS] rows alone.
@@ -457,11 +434,11 @@ def coarse_embeddings(images, token_ids, params: Params, cfg: ModelConfig, rows=
     img_out = encode_image(np.stack(images), params, cfg, rows=rows)
     txt_out = encode_text(token_ids, params, cfg, rows=rows)
     return (img_out, txt_out,
-            nx.l2_normalize_rows(nx.matmul(img_out.cls, params["proj.img.w"])),
-            nx.l2_normalize_rows(nx.matmul(txt_out.cls, params["proj.txt.w"])))
+            nx.l2_normalize_rows(nx.linear(img_out.cls, params["proj.img.w"])),
+            nx.l2_normalize_rows(nx.linear(txt_out.cls, params["proj.txt.w"])))
 
 
-def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: Params,
+def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: dict,
                  cfg: ModelConfig, trace_layer: int | None = None,
                  mode: str = "train", image_index=None, rows=None,
                  text_index=None) -> EncoderOutput:
@@ -550,15 +527,15 @@ def load_checkpoint(path) -> dict:
     return nx.load_arrays(path, _CKPT_MAGIC, CHECKPOINT_VERSION, CheckpointError)[1]
 
 
-def params_state(params: Params, momentum: MomentumState | None = None) -> dict:
-    state = dict(params.named())
+def params_state(params: dict, momentum: MomentumState | None = None) -> dict:
+    state = dict(params)
     if momentum is not None:
         for name, tensor in momentum.shadow.items():
             state[f"momentum/{name}"] = tensor
     return state
 
 
-def load_params_state(params: Params, momentum: MomentumState | None,
+def load_params_state(params: dict, momentum: MomentumState | None,
                       state: dict) -> None:
     """Copy ``state`` (names as in :func:`params_state`) into the live and
     momentum tensors. Nothing is written unless ``state`` holds exactly the

@@ -43,8 +43,18 @@ Given an index of key/value entries per pair it projects each entry once;
 each pair gathers its entry's keys and values transiently, in forward and
 again in backward.
 :func:`tanh_mlp` is a linear, tanh, linear feed-forward, and with a norm's
-gain and bias the residual feed-forward sublayer; :func:`linear` a matmul
-and a bias add. The ops are those the package calls, and no more:
+gain and bias the residual feed-forward sublayer.
+
+The differentiable ops are the elementwise :func:`add`, :func:`sub`,
+:func:`mul`, :func:`div`, :func:`relu`, :func:`exp` and :func:`sqrt`; the
+sums :func:`sum_all`, :func:`mean_all`, :func:`row_sums` and :func:`sum_n`;
+the row ops :func:`reshape`, :func:`concat` (row stacking),
+:func:`prepend_row`, :func:`take_row`, :func:`select_rows` and
+:func:`gather_rows`; :func:`linear`, the one product of rows with a weight,
+its bias optional; the fused :func:`tanh_mlp` and :func:`attention`; the
+losses :func:`cross_entropy_logits` and :func:`binary_cross_entropy_logit`;
+and the composite :func:`l2_normalize_rows`. They are the ops the package
+calls, each in the modes it calls, and no more:
 ``tests/test_public_surface.py`` fails on an op without a caller. Constants,
 such as an attention key bias, are plain arrays, not Tensors.
 
@@ -221,43 +231,24 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, "div", (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes; leading axes broadcast, so a matrix is
-    shared by every leading index and ``(B, 1, L, d) @ (heads, d, w)`` gives
-    ``(B, heads, L, w)``. Each gradient is summed back over the axes its
-    operand was broadcast along."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    # broadcast_shapes costs more than a small matmul: only call it when the
-    # leading axes differ
-    if a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        try:
-            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        except ValueError:
-            raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}") from None
-
-    def bw(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _result(a.data @ b.data, "matmul", (a, b), bw)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for (..., d) rows, a (d, width) weight and a (width,)
-    bias, as one node; backward contracts all rows at once."""
-    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus the (width,) bias ``b`` if given, for (..., d) rows
+    and a (d, width) weight, as one node: the package's one product of rows
+    with a weight. Backward contracts all rows at once."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or \
+            b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape} + "
+                         f"{None if b is None else b.shape}")
     d, width = w.shape
     y = x.data @ w.data
-    y += b.data
+    if b is not None:
+        y += b.data
 
     def bw(g):
-        return (g @ w.data.T, x.data.reshape(-1, d).T @ g.reshape(-1, width),
-                g.sum(axis=tuple(range(g.ndim - 1))))
+        grads = (g @ w.data.T, x.data.reshape(-1, d).T @ g.reshape(-1, width))
+        return grads if b is None else grads + (g.sum(axis=tuple(range(g.ndim - 1))),)
 
-    return _result(y, "linear", (x, w, b), bw)
+    return _result(y, "linear", (x, w) if b is None else (x, w, b), bw)
 
 
 def tanh_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -380,19 +371,18 @@ def sum_n(tensors: Sequence[Tensor]) -> Tensor:
     return _result(out, "sum_n", tuple(tensors), lambda g: (g,) * len(tensors))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Matrices joined along ``axis`` (0: stack rows, 1: join columns)."""
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Matrices of equal width stacked row-wise, the first on top."""
     tensors = [_as_tensor(t) for t in tensors]
-    if any(t.data.ndim != 2 for t in tensors) or \
-            len({t.shape[1 - axis] for t in tensors}) != 1:
-        raise ShapeError(f"concat along axis {axis} needs matrices of equal "
-                         f"extent on the other axis: {[t.shape for t in tensors]}")
-    sizes = [t.shape[axis] for t in tensors]
+    if any(t.data.ndim != 2 for t in tensors) or len({t.shape[1] for t in tensors}) != 1:
+        raise ShapeError(f"concat needs matrices of equal width: "
+                         f"{[t.shape for t in tensors]}")
+    sizes = [t.shape[0] for t in tensors]
 
     def bw(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1]))
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+    return _result(np.concatenate([t.data for t in tensors]), "concat",
                    tuple(tensors), bw)
 
 
@@ -449,21 +439,18 @@ def select_rows(a: Tensor, rows) -> Tensor:
     return _result(np.take_along_axis(a.data, at, axis=-2), "select_rows", (a,), bw)
 
 
-def gather_rows(table: Tensor, ids: int | Sequence[int]) -> Tensor:
+def gather_rows(table: Tensor, ids) -> Tensor:
     """Entries along the leading axis: ``table[ids]`` for ids of any shape
     (duplicates allowed), so a (B, L) id matrix looks up a (B, L, d) batch of
-    embedding rows, or for an int the single entry with that axis dropped.
+    embedding rows, and an int, a 0-d id, the single entry with that axis
+    dropped.
 
     Gradients scatter-add back as one product (:func:`_hits`)."""
     if table.data.ndim < 1:
         raise ShapeError("gather_rows needs a leading axis to index")
-    idx = ids if isinstance(ids, (int, np.integer)) else np.asarray(ids, dtype=np.intp)
+    idx = np.asarray(ids, dtype=np.intp)
 
     def bw(g):
-        if not isinstance(idx, np.ndarray):
-            out = np.zeros(table.shape)
-            out[idx] = g
-            return (out,)
         n, width = table.shape[0], math.prod(table.shape[1:])
         return ((_hits(idx, n) @ g.reshape(idx.size, width)).reshape(table.shape),)
 

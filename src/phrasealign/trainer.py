@@ -12,8 +12,9 @@ momentum shadows are updated after every optimizer step and are never
 touched by the optimizer, which takes the gradients as the mapping
 ``numerics.backward`` returns; nothing is reset between steps. :func:`train`
 holds one step's graph at a time: it drops each step's loss once the
-optimizer step and the momentum update have run. Runs are bit-for-bit
-reproducible from the seed.
+optimizer step and the momentum update have run. At a fixed BLAS thread
+count, runs are bit-for-bit reproducible from the seed; across thread counts
+a product may sum in another order, so gradients can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +70,10 @@ class TrainConfig:
                                "queue_size": 1, "seed": 0})
         for field in ("base_lr", "warmup_lr", "warmup_frac", "triplet_margin",
                       "momentum_coeff", "weight_decay"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or \
+                    not math.isfinite(value):
+                raise ValueError(f"{field} must be a finite number, got {value!r}")
         if min(self.base_lr, self.warmup_lr) <= 0:
             raise ValueError("learning rates must be positive")
         if self.triplet_margin < 0:
@@ -97,12 +101,12 @@ class OptimState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: md.Params) -> "OptimState":
-        return cls(m={n: np.zeros_like(t.data) for n, t in params.named()},
-                   v={n: np.zeros_like(t.data) for n, t in params.named()})
+    def for_params(cls, params: dict) -> "OptimState":
+        return cls(m={n: np.zeros_like(t.data) for n, t in params.items()},
+                   v={n: np.zeros_like(t.data) for n, t in params.items()})
 
 
-def adamw_step(params: md.Params, grads: dict, state: OptimState, lr: float,
+def adamw_step(params: dict, grads: dict, state: OptimState, lr: float,
                weight_decay: float) -> None:
     """Decoupled weight decay (matrices only), then Adam with bias correction.
 
@@ -112,7 +116,7 @@ def adamw_step(params: md.Params, grads: dict, state: OptimState, lr: float,
     non-finite gradient raises before any parameter, moment or the step
     count changes.
     """
-    for name, p in params.named():
+    for name, p in params.items():
         if p in grads and not nx.all_finite(grads[p]):
             raise NumericalError(f"non-finite gradient on parameter {name} "
                                  f"at step {state.step}")
@@ -120,7 +124,7 @@ def adamw_step(params: md.Params, grads: dict, state: OptimState, lr: float,
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.named():
+    for name, p in params.items():
         # a scalar zero updates the moments as a zero array would, bit for bit
         g = grads.get(p, 0.0)
         if weight_decay and p.data.ndim >= 2:
@@ -154,7 +158,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int,
 class TrainState:
     """All a run reads and changes step by step; ``optim.step`` and
     ``log_rows`` count the steps taken."""
-    params: md.Params
+    params: dict
     optim: OptimState
     momentum: md.MomentumState
     queue: ls.QueueState
@@ -163,7 +167,7 @@ class TrainState:
     log_rows: list = dataclasses.field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: md.Params, model_cfg: md.ModelConfig,
+    def for_params(cls, params: dict, model_cfg: md.ModelConfig,
                    cfg: TrainConfig, batch_rng: Rng, neg_rng: Rng) -> "TrainState":
         """The state before the first step, its shadows equal to ``params``."""
         return cls(params, OptimState.for_params(params),
@@ -196,7 +200,7 @@ def train_step(batch: Batch, stage: int, state: TrainState,
     with nx.no_grad():
         # the shadows carry the live names of the encoders and projections
         _, _, mom_img, mom_txt = md.coarse_embeddings(
-            batch.images, batch.token_ids, md.Params(state.momentum.shadow), model_cfg,
+            batch.images, batch.token_ids, state.momentum.shadow, model_cfg,
             rows=0)
     tau = nx.exp(params["temp.log_tau"])
     itc = ls.itc_loss(img_emb, txt_emb, mom_img.data, mom_txt.data, queue, tau)

@@ -110,7 +110,7 @@ def _param_grads(params, root):
     """``backward(root)`` by parameter name, with zeros for each parameter
     the root does not reach: the gradient each optimizer step reads."""
     grads = nx.backward(root)
-    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.named()}
+    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def _grad_records(params, grads) -> dict:
         return grads.get(params[name], np.zeros(params[name].shape))
 
     out = {}
-    for name, p in params.named():
+    for name, p in params.items():
         block, _, kind = name.rpartition(".")
         if kind in ("wk", "wv"):
             continue
@@ -93,7 +93,7 @@ def record(variant: str) -> dict:
     # widen the init so similarities, logits and attention differ enough for
     # every switch to change the numbers; the vocabulary classifier stays at
     # init scale so its softmax does not saturate
-    for name, t in params.named():
+    for name, t in params.items():
         if t.data.ndim >= 2 and name != "mpm.w2":
             t.data *= 40.0
     state = TrainState.for_params(params, model_cfg, cfg, batch_rng, neg_rng)

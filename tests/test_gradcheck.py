@@ -1,9 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
 from phrasealign import gradcheck
-from phrasealign import model as md
 from phrasealign import numerics as nx
 
 
@@ -52,8 +52,8 @@ def test_nan_error_on_a_later_seed_is_reported(monkeypatch):
 
 
 def test_nan_gradient_in_a_directional_check_is_reported(monkeypatch):
-    params = md.Params()
-    w = params.add("w", np.array([1.0, 2.0]))
+    w = nx.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    params = {"w": w}
     backward = nx.backward
 
     def nan_gradient(root):
@@ -66,3 +66,22 @@ def test_nan_gradient_in_a_directional_check_is_reported(monkeypatch):
         params, lambda: nx.sum_all(nx.mul(params["w"], params["w"])), nx.Rng(0))
     assert math.isnan(err)
     assert np.array_equal(w.data, [1.0, 2.0])
+
+
+def test_finite_diff_param_restores_the_parameter_even_when_the_loss_raises():
+    w = nx.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    params = {"w": w}
+    seen = []
+
+    def failing():
+        seen.append(params["w"])
+        raise RuntimeError("no loss")
+
+    with pytest.raises(RuntimeError, match="no loss"):
+        gradcheck.finite_diff_param(params, "w", failing)
+    # the probe stood in for the parameter, and the parameter is back
+    assert seen and seen[0] is not w
+    assert params["w"] is w
+    assert gradcheck.finite_diff_param(
+        params, "w", lambda: nx.sum_all(nx.mul(params["w"], params["w"]))) < 1e-6
+    assert params["w"] is w

@@ -68,8 +68,10 @@ def score_per_head(attn: Tensor, values: np.ndarray, mask_row: int,
     reference that backward attention's closed form is checked against."""
     row = nx.take_row(attn, mask_row)
     _, heads, n = row.shape
-    s = nx.matmul(nx.matmul(nx.reshape(row, (1, heads, 1, n)), values), w_s)
-    return nx.reshape(s, (heads,))
+    rows = nx.reshape(row, (heads, n))
+    s = [nx.reshape(nx.linear(nx.linear(nx.take_row(rows, h), Tensor(values[0, h])), w_s),
+                    (1, 1)) for h in range(heads)]
+    return nx.reshape(nx.concat(s), (heads,))
 
 
 def test_score_hand_value():
@@ -238,10 +240,8 @@ def test_pool_in_convex_hull():
 
 
 def projections(proj_img, proj_txt):
-    params = md.Params()
-    params.add("proj.img.w", proj_img)
-    params.add("proj.txt.w", proj_txt)
-    return params
+    return {"proj.img.w": Tensor(proj_img, requires_grad=True),
+            "proj.txt.w": Tensor(proj_txt, requires_grad=True)}
 
 
 def test_similarity_identical_is_one():
@@ -282,7 +282,7 @@ def loss_setup(cls_row):
                        heads=2)
     fusion = md.EncoderOutput(Tensor(np.zeros((1, 2, 3))), trace=trace)
     params = projections(np.eye(3), np.eye(3))
-    params.add("score.w", rng.normal((2, 1)))
+    params["score.w"] = Tensor(rng.normal((2, 1)), requires_grad=True)
     cfg = md.ModelConfig(d=3, heads=2, vocab_size=8, patch_rows=2, patch_cols=2,
                          patch_pixels=3)
     return img, phrase, fusion, params, cfg
@@ -310,7 +310,7 @@ def test_loss_within_range_on_random_setups():
                            rng.normal((1, 5, 2)), heads=2)
         fusion = md.EncoderOutput(Tensor(np.zeros((1, 3, 3))), trace=trace)
         params = projections(rng.normal((3, 4)), rng.normal((3, 4)))
-        params.add("score.w", rng.normal((2, 1)))
+        params["score.w"] = Tensor(rng.normal((2, 1)), requires_grad=True)
         cfg = md.ModelConfig(d=3, heads=2, vocab_size=8, patch_rows=2,
                              patch_cols=2, patch_pixels=3, proj_dim=4)
         loss, _ = la.local_alignment_loss(img, phrase, fusion, [1], params, cfg)
@@ -385,7 +385,7 @@ def phrase_batch_setup(**over):
                                 vocab_size=len(pipeline.vocab)) | over)
     params = md.init_params(cfg, Rng(0))
     # widened as in the gradcheck suite, so attention and weights differ by row
-    for name, t in params.named():
+    for name, t in params.items():
         if t.data.ndim >= 2 and name != "mpm.w2":
             t.data *= 12.0
     images = [Rng(seed).uniform((cfg.n_patches, cfg.patch_pixels)) for seed in (1, 2)]
@@ -423,7 +423,7 @@ def probed_grads(params, biatt, mpm, probe):
     where none."""
     grads = nx.backward(nx.add(nx.sum_all(nx.mul(biatt, Tensor(probe[0, :biatt.size]))),
                                nx.sum_all(nx.mul(mpm, Tensor(probe[1, :mpm.size])))))
-    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.named()}
+    return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
 
 
 VARIANTS = {"default": {}, "tie_score_head": {"tie_score_head": True},
@@ -573,9 +573,9 @@ def test_pooling_by_image_index_matches_select_and_pool():
     got_grad = nx.backward(nx.sum_all(nx.mul(pooled, probe)))[stack]
     # the per-pair copy, pooled as one product per pair
     patch = w[:, 1:] / w[:, 1:].sum(axis=1, keepdims=True)
-    pool = np.concatenate([np.zeros((4, 1)), patch], axis=1)[:, None, :]
-    copied = nx.gather_rows(stack, index)
-    want = nx.reshape(nx.matmul(Tensor(pool), copied), (4, 4))
+    pool = np.concatenate([np.zeros((4, 1)), patch], axis=1)
+    want = nx.concat([nx.linear(Tensor(pool[b:b + 1]), nx.gather_rows(stack, i))
+                      for b, i in enumerate(index)])
     want_grad = nx.backward(nx.sum_all(nx.mul(want, probe)))[stack]
     assert np.allclose(pooled.data, want.data, rtol=1e-12, atol=1e-12)
     assert np.allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12)

@@ -245,12 +245,12 @@ def test_triplet_rejects_bad_margin():
 
 
 def mpm_setup(vocab_size=10, d=4, zero=True):
-    params = md.Params()
     rng = Rng(0)
-    params.add("mpm.w1", np.zeros((d, d)) if zero else rng.normal((d, d)))
-    params.add("mpm.b1", np.zeros(d))
-    params.add("mpm.w2", np.zeros((d, vocab_size)) if zero else rng.normal((d, vocab_size)))
-    params.add("mpm.b2", np.zeros(vocab_size))
+    params = {name: Tensor(value, requires_grad=True) for name, value in (
+        ("mpm.w1", np.zeros((d, d)) if zero else rng.normal((d, d))),
+        ("mpm.b1", np.zeros(d)),
+        ("mpm.w2", np.zeros((d, vocab_size)) if zero else rng.normal((d, vocab_size))),
+        ("mpm.b2", np.zeros(vocab_size)))}
     masked = MaskedPhrase((5, MASK_ID), 1, 7)
     # a batch of one: the fused [MASK] row
     fusion = md.EncoderOutput(Tensor(Rng(1).normal((1, 1, d))), rows=[masked.mask_index + 1])

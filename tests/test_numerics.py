@@ -31,39 +31,64 @@ def unit_norm(width):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matmul: linear, the one product of rows with a weight
 
 
 def test_matmul_identity():
     m = t([[2.0, -1.0], [0.5, 3.0]])
     eye = t(np.eye(2))
-    assert np.array_equal(nx.matmul(eye, m).data, m.data)
+    assert np.array_equal(nx.linear(m, eye).data, m.data)
 
 
 def test_matmul_hand():
-    y = nx.matmul(t([[1.0, 2.0], [3.0, 4.0]]), t([[1.0], [1.0]]))
+    y = nx.linear(t([[1.0, 2.0], [3.0, 4.0]]), t([[1.0], [1.0]]))
     assert np.array_equal(y.data, [[3.0], [7.0]])
 
 
 def test_matmul_zeros():
-    y = nx.matmul(t(np.zeros((3, 4))), t(np.ones((4, 2))))
+    y = nx.linear(t(np.zeros((3, 4))), t(np.ones((4, 2))))
     assert np.array_equal(y.data, np.zeros((3, 2)))
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(nx.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        nx.matmul(t(np.ones((2, 3))), t(np.ones((2, 2))))
-    # stacked operands must agree on the leading (head) axis
+        nx.linear(t(np.ones((2, 3))), t(np.ones((2, 2))))
+    # the weight is one matrix, never a stack
     with pytest.raises(nx.ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
-        nx.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 5))))
+        nx.linear(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 5))))
 
 
 def test_matmul_associativity():
     rng = nx.Rng(7)
     a, b, c = (t(rng.normal((4, 5))), t(rng.normal((5, 6))), t(rng.normal((6, 3))))
-    left = nx.matmul(nx.matmul(a, b), c).data
-    right = nx.matmul(a, nx.matmul(b, c)).data
+    left = nx.linear(nx.linear(a, b), c).data
+    right = nx.linear(a, nx.linear(b, c)).data
     assert np.abs(left - right).max() < 1e-10
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["(d,)", "(B, d)", "(B, L, d)"])
+def test_linear_without_bias(lead):
+    """Without a bias the node is ``x @ w`` with parents (x, w) alone, on a
+    row, a matrix or a batch of matrices; its gradients are numpy's
+    products, the weight's summed over every row, and pass central
+    differences."""
+    rng = nx.Rng(25)
+    x, w = t(rng.normal(lead + (4,)), grad=True), t(rng.normal((4, 6), 0.5), grad=True)
+    y = nx.linear(x, w)
+    assert np.array_equal(y.data, x.data @ w.data)
+    assert y.parents == (x, w)
+    g = rng.normal(y.shape)
+    grads = nx.backward(nx.sum_all(nx.mul(y, t(g))))
+    assert set(grads) == {x, w}
+    assert np.allclose(grads[x], g @ w.data.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(grads[w], x.data.reshape(-1, 4).T @ g.reshape(-1, 6),
+                       rtol=1e-12, atol=1e-12)
+    for probe in (x, w):
+        def f(v):
+            return nx.sum_all(tanh(nx.linear(*(v if leaf is probe else leaf
+                                                for leaf in (x, w)))))
+
+        assert nx.finite_diff_check(f, probe) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +102,13 @@ def test_stacked_ops_match_per_head_matrices(layer_norm, near):
     u = t(rng.normal((2, 5)))
     wo, bo = t(rng.normal((6, 6))), t(rng.normal(6))
     gain, bias = t(rng.normal(6) + 1.0), t(rng.normal(6))
-    q = nx.matmul(x, w)
+    q = nx.linear(t(x.data @ w.data), u)
     out, a, v = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5, trace=True)
-    assert q.shape == (3, 4, 2) and a.shape == (3, 4, 4) and v.shape == (3, 4, 2)
+    assert q.shape == (3, 4, 5) and a.shape == (3, 4, 4) and v.shape == (3, 4, 2)
     for h in range(3):
         qh = x.data @ w.data[h]
-        assert np.array_equal(q.data[h], qh)
         assert np.array_equal(v[h], qh)
-        assert np.array_equal(nx.matmul(q, u).data[h], qh @ u.data)
+        assert np.array_equal(q.data[h], qh @ u.data)
         one = t(w.data[h:h + 1])
         alone = nx.attention(x, x, one, one, one, t(wo.data[2 * h:2 * h + 2]), bo,
                              gain, bias, 0.5, trace=True)
@@ -129,9 +153,9 @@ def test_attention_requires_a_head_stack():
 
 @pytest.mark.parametrize("probe", ["matrix", "stack", "shared right"])
 def test_finite_diff_stacked_head_ops(probe):
-    """A matrix times a stack, a stack times a shared matrix, attention with
-    one stack as its query, key and value weights, and stacked take_row;
-    each operand probed."""
+    """A matrix times each matrix of a stack, picked by gather_rows, a stack
+    times a shared matrix, attention with one stack as its query, key and
+    value weights, and stacked take_row; each operand probed."""
     rng = nx.Rng(13)
     leaves = {"matrix": t(rng.normal((4, 6))), "stack": t(rng.normal((3, 6, 2))),
               "shared right": t(rng.normal((2, 5)))}
@@ -140,11 +164,12 @@ def test_finite_diff_stacked_head_ops(probe):
 
     def f(v):
         x, w, u = (v if name == probe else leaf for name, leaf in leaves.items())
-        q = nx.matmul(x, w)
+        q = nx.reshape(nx.concat([nx.linear(x, nx.gather_rows(w, h)) for h in range(3)]),
+                       (3, 4, 2))
         out = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5)
         return nx.sum_n([nx.sum_all(tanh(out)),
                          nx.sum_all(nx.mul(nx.take_row(q, 1), nx.take_row(q, 2))),
-                         nx.mean_all(tanh(nx.matmul(q, u)))])
+                         nx.mean_all(tanh(nx.linear(q, u)))])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
 
@@ -164,14 +189,12 @@ def test_batched_ops_match_per_item_ops():
     assert top.shape == (3, 4, 6)
     for b in range(3):
         assert np.array_equal(top.data[b], nx.prepend_row(row, t(x.data[b])).data)
-    q = nx.matmul(nx.reshape(x, (3, 1, 3, 6)), w)
     wo, bo = t(rng.normal((6, 6))), t(rng.normal(6))
     gain, bias = t(rng.normal(6)), t(rng.normal(6))
     out, a, v = nx.attention(x, x, w, w, w, wo, bo, gain, bias, 0.5, trace=True)
     normed = tanh(out, gain, bias)
-    assert q.shape == (3, 2, 3, 3) and out.shape == (3, 3, 6)
+    assert out.shape == (3, 3, 6)
     for b in range(3):
-        assert np.array_equal(q.data[b], nx.matmul(t(x.data[b]), w).data)
         one = nx.attention(t(x.data[b]), t(x.data[b]), w, w, w, wo, bo, gain, bias, 0.5,
                            trace=True)
         assert np.array_equal(out.data[b], one[0].data)
@@ -198,18 +221,14 @@ def test_batched_ops_match_per_item_ops():
         nx.cross_entropy_logits(normed, targets[0])
     with pytest.raises(nx.ShapeError):
         nx.binary_cross_entropy_logit(normed, labels[0])
-    # leading axes that do not broadcast are still rejected
-    with pytest.raises(nx.ShapeError):
-        nx.matmul(nx.reshape(x, (3, 1, 3, 6)), t(rng.normal((2, 2, 6, 3))))
 
 
 @pytest.mark.parametrize("probe", ["short", "long", "cls", "weights", "gain", "bias"])
 def test_finite_diff_batched_ops(probe):
-    """A zero-padded stack under a shared [CLS] row, (B, 1, L, d) @
-    (heads, d, w) (both operands) and (B, heads) @ (B, heads) matmul, batched
-    attention and a residual tanh node that share one layer norm's gain and
-    bias, int and repeated leading-axis indexing, and batched cross-entropy
-    and BCE; each operand probed."""
+    """A zero-padded stack under a shared [CLS] row, batched attention and a
+    residual tanh node that share one layer norm's gain and bias, int and
+    repeated leading-axis indexing, and batched cross-entropy and BCE; each
+    operand probed."""
     rng = nx.Rng(15)
     leaves = {"short": t(rng.normal((2, 4))), "long": t(rng.normal((3, 4))),
               "cls": t(rng.normal((1, 4))), "weights": t(rng.normal((2, 4, 3))),
@@ -219,11 +238,9 @@ def test_finite_diff_batched_ops(probe):
     def f(v):
         short, long_, cls, w, gain, bias = (v if name == probe else leaf
                                             for name, leaf in leaves.items())
-        padded = nx.concat([short, t(np.zeros((1, 4)))], axis=0)
-        stack = nx.reshape(nx.concat([padded, long_, padded], axis=0), (3, 3, 4))
+        padded = nx.concat([short, t(np.zeros((1, 4)))])
+        stack = nx.reshape(nx.concat([padded, long_, padded]), (3, 3, 4))
         rows = nx.prepend_row(cls, stack)
-        q = nx.matmul(nx.reshape(rows, (3, 1, 4, 4)), w)
-        scores = nx.matmul(q, nx.reshape(tanh(q), (3, 2, 3, 4)))
         out = nx.attention(rows, rows, w, w, w, wo, bo, gain, bias, 0.5)
         y = tanh(out, gain, bias)
         picked = nx.gather_rows(y, [2, 0, 2])
@@ -232,25 +249,9 @@ def test_finite_diff_batched_ops(probe):
                                                   [3, 0, 1, 2]]))
         bce = nx.binary_cross_entropy_logit(one, np.eye(4))
         return nx.sum_n([nx.sum_all(tanh(picked)), nx.mean_all(nx.mul(one, one)),
-                         nx.mean_all(tanh(scores)), nx.sum_all(ce),
-                         nx.sum_all(bce)])
+                         nx.sum_all(ce), nx.sum_all(bce)])
 
     assert nx.finite_diff_check(f, leaves[probe]) < 1e-6
-
-
-def test_shared_stack_matmul_backward_matches_broadcast_sum():
-    """(B, 1, L, d) @ (heads, d, w): each operand's gradient is the per-pair,
-    per-head products summed over the axes it was broadcast along."""
-    rng = nx.Rng(16)
-    a, w = t(rng.normal((5, 1, 3, 4)), grad=True), t(rng.normal((2, 4, 3)), grad=True)
-    g = rng.normal((5, 2, 3, 3))
-    grads = nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
-    want_a = sum(g[:, h:h + 1] @ w.data[h].T for h in range(2))
-    want_w = np.stack([sum(a.data[b, 0].T @ g[b, h] for b in range(5))
-                       for h in range(2)])
-    assert grads[a].shape == a.shape and grads[w].shape == w.shape
-    assert np.allclose(grads[a], want_a, rtol=1e-12, atol=1e-12)
-    assert np.allclose(grads[w], want_w, rtol=1e-12, atol=1e-12)
 
 
 def test_shared_matrix_matmul_backward_matches_broadcast_sum():
@@ -261,7 +262,7 @@ def test_shared_matrix_matmul_backward_matches_broadcast_sum():
         a = t(rng.normal(lead + (3, 4)), grad=True)
         w = t(rng.normal((4, 6)), grad=True)
         g = rng.normal(lead + (3, 6))
-        grads = nx.backward(nx.sum_all(nx.mul(nx.matmul(a, w), t(g))))
+        grads = nx.backward(nx.sum_all(nx.mul(nx.linear(a, w), t(g))))
         want_a = nx._unbroadcast(g @ np.swapaxes(w.data, -1, -2), a.shape)
         want_w = nx._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, w.shape)
         assert grads[a].shape == a.shape and grads[w].shape == w.shape
@@ -283,6 +284,22 @@ def test_gather_rows_backward_matches_add_at(ids):
     np.add.at(want, np.asarray(ids), g)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     assert not got[0].any()
+
+
+@pytest.mark.parametrize("k", [0, 3, -1])
+def test_gather_rows_of_an_int_id_matches_its_one_entry_list(k):
+    """An int id is a 0-d id: the entry ``table[k]``, with the leading axis
+    dropped, holds the values of ``[k]``'s one entry and takes the same
+    gradient."""
+    rng = nx.Rng(26)
+    table = t(rng.normal((5, 2, 3)), grad=True)
+    one, listed = nx.gather_rows(table, k), nx.gather_rows(table, [k])
+    assert one.shape == (2, 3) and listed.shape == (1, 2, 3)
+    assert np.array_equal(one.data, listed.data[0])
+    g = rng.normal((2, 3))
+    got = nx.backward(nx.sum_all(nx.mul(one, t(g))))[table]
+    want = nx.backward(nx.sum_all(nx.mul(listed, t(g[None]))))[table]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows", [1, [2, 0, 2]], ids=["one row", "row per matrix"])
@@ -1135,9 +1152,8 @@ def test_finite_diff_concat_and_sum_n():
     w = t(rng.normal((3, 3)))
 
     def f(v):
-        rows = nx.concat([v, nx.matmul(v, w), v], axis=0)
-        cols = nx.concat([rows, tanh(rows)], axis=1)
-        return nx.sum_n([nx.sum_all(cols), nx.mean_all(nx.mul(cols, cols)),
+        rows = nx.concat([v, nx.linear(v, w), tanh(v)])
+        return nx.sum_n([nx.sum_all(rows), nx.mean_all(nx.mul(rows, rows)),
                          nx.sum_all(v)])
 
     assert nx.finite_diff_check(f, x) < 1e-6
@@ -1145,7 +1161,7 @@ def test_finite_diff_concat_and_sum_n():
 
 def test_concat_and_sum_n_reject_mismatched_shapes():
     with pytest.raises(nx.ShapeError):
-        nx.concat([t(np.zeros((2, 3))), t(np.zeros((2, 2)))], axis=0)
+        nx.concat([t(np.zeros((2, 3))), t(np.zeros((2, 2)))])
     with pytest.raises(nx.ShapeError):
         nx.sum_n([t(1.0), t([1.0, 2.0])])
     with pytest.raises(nx.ShapeError):
@@ -1167,7 +1183,7 @@ def test_gradcheck_random_small_graphs(seed):
     eye, stack = t(np.eye(4)), t(np.eye(4)[None])
 
     def f(v):
-        h = tanh(nx.matmul(v, w))
+        h = tanh(nx.linear(v, w))
         s = nx.attention(h, eye, stack, stack, stack, eye, t(np.zeros(4)), *unit_norm(4),
                          1.0)
         return nx.cross_entropy_logits(nx.take_row(s, 0), seed % 4)
@@ -1231,6 +1247,6 @@ def test_init_params_draws_match_the_rescanning_loop(seed, monkeypatch):
     monkeypatch.setattr(nx.Rng, "truncated_normal", lambda rng, shape, scale=1.0:
                         rescanning_truncated_normal(rng, shape, scale)[0])
     want = md.init_params(cfg, nx.Rng(seed))
-    assert [name for name, _ in got.named()] == [name for name, _ in want.named()]
-    for (name, a), (_, b) in zip(got.named(), want.named()):
+    assert list(got) == list(want)
+    for (name, a), (_, b) in zip(got.items(), want.items()):
         assert np.array_equal(a.data, b.data), name

@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -122,11 +125,61 @@ def default_step(stage=2):
     return model_cfg, state.params, step
 
 
+# one default stage-1 step and its backward, as default_step builds it;
+# writes the loss terms and every gradient to the .npz file named by argv[1]
+_STEP_AND_BACKWARD = """
+import dataclasses, sys
+import numpy as np
+from phrasealign import data, trainer
+from phrasealign import model as md
+from phrasealign import numerics as nx
+from phrasealign.numerics import Rng
+from phrasealign.textproc import TextPipeline
+pipeline = TextPipeline()
+dataset = data.generate_dataset(data.DataConfig(), Rng(0))
+model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
+cfg = trainer.TrainConfig()
+state = trainer.TrainState.for_params(md.init_params(model_cfg, Rng(1)), model_cfg, cfg,
+                                      Rng(2), Rng(3))
+batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
+                          state.batch_rng)[0]
+total, breakdown = trainer.train_step(batch, 1, state, model_cfg, cfg)
+grads = nx.backward(total)
+np.savez(sys.argv[1], **{f"loss.{k}": v for k, v in dataclasses.asdict(breakdown).items()},
+         **{f"grad.{name}": grads[p] for name, p in state.params.items() if p in grads})
+"""
+
+
+def test_default_step_is_bit_identical_at_a_fixed_blas_thread_count(tmp_path):
+    """Two runs at one BLAS thread give the same bytes; a run at two threads
+    may sum a product in another order, so its gradients may differ in the
+    last bits (about 1e-15 of an array's largest entry, measured), but
+    its losses do not."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(FIXTURES.parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for i, threads in enumerate(("1", "1", "2")):
+        path = tmp_path / f"run{i}.npz"
+        subprocess.run([sys.executable, "-c", _STEP_AND_BACKWARD, str(path)], check=True,
+                       env={**env, "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+        with np.load(path) as arrays:
+            runs.append(dict(arrays))
+    same, other = runs[:2], runs[2]
+    assert sum(k.startswith("grad.") for k in other) == 156
+    for key in same[0]:
+        assert same[0][key].tobytes() == same[1][key].tobytes(), key
+        if key.startswith("loss."):
+            assert other[key] == same[0][key], key
+        else:
+            assert np.abs(other[key] - same[0][key]).max() <= \
+                1e-14 * np.abs(same[0][key]).max(), key
+
+
 def test_cross_keys_projected_once_per_distinct_image(monkeypatch):
     # every cross layer of both streams hands the attention the 8 batch
     # images' rows, not one image stack per pair
     model_cfg, params, step = default_step()
-    keys = {id(p) for name, p in params.named() if name.endswith(".cross.wk")}
+    keys = {id(p) for name, p in params.items() if name.endswith(".cross.wk")}
     rows = []
     attention = nx.attention
 
@@ -341,7 +394,7 @@ def test_trace_only_phrase_passes_keep_losses_and_gradients(
 
         monkeypatch.setattr(md, "cross_encode", recording)
         params = md.init_params(model_cfg, Rng(1))
-        for name, t in params.named():
+        for name, t in params.items():
             if t.data.ndim >= 2 and name != "mpm.w2":
                 t.data *= 12.0
         state = trainer.TrainState.for_params(params, model_cfg, cfg, Rng(2), Rng(3))
@@ -374,10 +427,20 @@ def test_train_config_rejects_bad_values(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("stage1_epochs", 1.5), ("stage2_epochs", 2.0), ("batch_size", "8"),
-    ("queue_size", 256.0), ("seed", None)])
+    ("queue_size", 256.0), ("seed", None), ("batch_size", True), ("seed", False),
+    ("stage1_epochs", True)])
 def test_train_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         trainer.TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_lr", "1e-3"), ("warmup_lr", None), ("warmup_frac", [0.1]),
+    ("momentum_coeff", True), ("weight_decay", "0")])
+def test_train_config_rejects_non_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        trainer.TrainConfig(**{field: value}).validate()
+    trainer.TrainConfig(**{field: np.float64(0.5)}).validate()
 
 
 def test_train_step_enqueues_batch_momentum_embeddings():
@@ -441,7 +504,7 @@ def test_train_is_bitwise_reproducible():
     b = trainer.train(model_cfg, cfg, dataset, pipeline)
     assert len(a.log_rows) > 0
     assert a.log_rows == b.log_rows
-    for name, t in a.params.named():
+    for name, t in a.params.items():
         assert np.array_equal(t.data, b.params[name].data), name
     for name, t in a.momentum.shadow.items():
         assert np.array_equal(t.data, b.momentum.shadow[name].data), name
@@ -518,10 +581,11 @@ def test_lr_schedule_spans_each_stage_of_batches():
 
 
 def grad_params(**grads):
-    """Params holding zeros, and the given gradients keyed by parameter, one
-    per name."""
-    params = md.Params()
-    return params, {params.add(name, np.zeros_like(g)): g for name, g in grads.items()}
+    """Parameters holding zeros, and the given gradients keyed by parameter,
+    one per name."""
+    params = {name: nx.Tensor(np.zeros_like(g), requires_grad=True)
+              for name, g in grads.items()}
+    return params, {params[name]: g for name, g in grads.items()}
 
 
 def test_adamw_first_step_is_bias_corrected_sign_step():
@@ -538,7 +602,7 @@ def test_adamw_first_step_is_bias_corrected_sign_step():
 def test_adamw_decays_only_tensors_of_two_or_more_axes():
     params, grads = grad_params(bias=np.zeros(3), matrix=np.zeros((2, 3)),
                                 stacked=np.zeros((2, 3, 4)))
-    for _, p in params.named():
+    for p in params.values():
         p.data[...] = 1.0
     trainer.adamw_step(params, grads, trainer.OptimState.for_params(params), lr=0.1,
                        weight_decay=0.5)
@@ -572,15 +636,14 @@ def test_adamw_steps_a_parameter_without_a_gradient_as_with_a_zero_one():
             "bias": rng.normal(3)}
     runs = []
     for missing in (False, True):
-        params = md.Params()
-        for name, value in init.items():
-            params.add(name, value.copy())
+        params = {name: nx.Tensor(value.copy(), requires_grad=True)
+                  for name, value in init.items()}
         state = trainer.OptimState.for_params(params)
         for step in range(3):
             # the first step reaches every parameter, so the moments are
             # not zero once the gradients go missing
             grads = {p: Rng(step).normal(p.shape) if step == 0 or name == "reached"
-                     else np.zeros(p.shape) for name, p in params.named()}
+                     else np.zeros(p.shape) for name, p in params.items()}
             if missing and step:
                 grads = {params["reached"]: grads[params["reached"]]}
             trainer.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
@@ -601,7 +664,7 @@ def test_train_steps_the_parameters_no_term_reaches():
     state, batch = tiny_state(pipeline, dataset, model_cfg, cfg)
     total, _ = trainer.train_step(batch, 1, state, model_cfg, cfg)
     grads = nx.backward(total)
-    unreached = sorted(name for name, p in state.params.named() if p not in grads)
+    unreached = sorted(name for name, p in state.params.items() if p not in grads)
     assert unreached == ["mpm.b1", "mpm.b2", "mpm.w1", "mpm.w2", "score.w"]
     init = md.init_params(model_cfg, Rng(cfg.seed).child())
     trained = trainer.train(model_cfg, cfg, dataset, pipeline)
@@ -640,7 +703,7 @@ def test_train_writes_checkpoints_and_log(tmp_path):
         momentum = md.MomentumState.from_params(params, cfg.momentum_coeff)
         md.load_params_state(params, momentum,
                              md.load_checkpoint(tmp_path / f"stage{stage}.ckpt"))
-        for name, t in want.params.named():
+        for name, t in want.params.items():
             assert np.array_equal(params[name].data, t.data), (stage, name)
         for name, t in want.momentum.shadow.items():
             assert np.array_equal(momentum.shadow[name].data, t.data), (stage, name)
