@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .numerics import Rng, load_arrays, save_arrays
-from .textproc import Phrase, MaskedPhrase, TextPipeline, mask_phrase
+from .textproc import Phrase, TextPipeline, mask_phrase
 
 FORMAT_VERSION = 2   # 2: records in the manifest, images as one tensor
 _MAGIC = b"PATTR001"
@@ -328,7 +328,7 @@ class Batch:
     images: list           # (rows*cols, patch_pixels) arrays
     token_ids: list        # caption token ids, per item
     identities: list
-    phrase_pairs: list     # per item: list of (Phrase, MaskedPhrase)
+    masked_phrases: list   # per item: list of MaskedPhrase, one per caption phrase
 
 
 def make_batches(records, batch_size: int, pipeline: TextPipeline,
@@ -353,14 +353,11 @@ def make_batches(records, batch_size: int, pipeline: TextPipeline,
         chosen = avail[:batch_size]
         picked = [remaining[i].pop() for i in chosen]
         batch_records = [records[j] for j in picked]
-        phrase_pairs = []
-        for rec in batch_records:
-            pairs = [(ph, mask_phrase(ph, rng)) for ph in pipeline.phrases(rec.caption)]
-            phrase_pairs.append(pairs)
         batches.append(Batch(
             images=[r.image for r in batch_records],
             token_ids=[pipeline.encode(r.caption) for r in batch_records],
             identities=[r.identity for r in batch_records],
-            phrase_pairs=phrase_pairs,
+            masked_phrases=[[mask_phrase(ph, rng) for ph in pipeline.phrases(r.caption)]
+                            for r in batch_records],
         ))
     return batches

@@ -42,18 +42,18 @@ class BidirectionalWeights:
         return BidirectionalWeights(self.w_fa[b], self.w_ba[b], self.w[b])
 
 
-def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray, mask_row,
-                    row_mode: str = "mask") -> BidirectionalWeights:
+def compute_weights(trace: AttentionTrace, heads_ws: np.ndarray,
+                    mask_row) -> BidirectionalWeights:
     """Weights of each pair of a batched (B, heads, L_txt, L_img + 1) trace,
-    given one mask row per pair and the :func:`score_vectors`. ``row_mode``
-    picks the forward-attention row: each pair's masked token row (default)
-    or the [CLS] row. Backward attention of head h at position j is
-    sum_k V[h, j, k] * heads_ws[h, k]. A pair whose rectified product has no
-    mass falls back to its forward average."""
+    given one mask row per pair and the :func:`score_vectors`. Forward
+    attention is each pair's own [MASK] row of the trace, the query whose
+    token the masked-phrase loss reconstructs. Backward attention of head h
+    at position j is sum_k V[h, j, k] * heads_ws[h, k]. A pair whose
+    rectified product has no mass falls back to its forward average."""
     if trace is None:
         raise ValueError("no attention trace captured; request a trace layer")
     attn = trace.attn
-    rows = np.broadcast_to(mask_row if row_mode == "mask" else 0, attn.shape[:1])
+    rows = np.broadcast_to(mask_row, attn.shape[:1])
     fa = np.mean(attn[np.arange(len(attn)), :, rows], axis=1)
     ba_heads = np.einsum("...hjk,...hk->...hj", trace.values, heads_ws)
     ba = np.mean(np.maximum(ba_heads, 0.0), axis=1)
@@ -139,7 +139,7 @@ def local_alignment_loss(image: EncoderOutput, phrase_out: EncoderOutput,
     one call, and their traced :func:`model.cross_encode`, with one mask row
     and one target id per pair."""
     weights = compute_weights(fusion.trace, score_vectors(params, cfg, target_id),
-                              mask_row, cfg.biatt_row)
+                              mask_row)
     loss = pooled_alignment_loss(weights.w, image, phrase_out, params, image_index)
     return loss, weights
 

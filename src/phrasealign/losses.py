@@ -144,20 +144,17 @@ def sample_negatives(identities: list, coarse_sims: np.ndarray, rng: Rng,
 
 
 def fusion_triplet_loss(pos: Tensor, neg_img: Tensor, neg_txt: Tensor,
-                        margin: float, direction: str = "standard") -> Tensor:
-    """Squared hinge separating each positive logit from both of its
-    negatives by ``margin``, averaged over the pairs (scalars or same-shape
-    vectors). The ``printed`` direction swaps the operands."""
+                        margin: float) -> Tensor:
+    """Squared hinge max(neg - pos + margin, 0)^2 separating each positive
+    logit from both of its negatives by ``margin``, averaged over the pairs
+    (scalars or same-shape vectors). A hinge is zero, with zero gradient,
+    wherever the positive leads its negative by at least ``margin``, the
+    kink included."""
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 
     def hinge(neg):
-        if direction == "standard":
-            gap = nx.add(nx.sub(neg, pos), Tensor(margin))
-        elif direction == "printed":
-            gap = nx.add(nx.sub(pos, neg), Tensor(margin))
-        else:
-            raise ValueError(f"unknown triplet direction {direction!r}")
+        gap = nx.add(nx.sub(neg, pos), Tensor(margin))
         r = nx.relu(gap)
         return nx.mul(r, r)
 

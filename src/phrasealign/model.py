@@ -30,7 +30,7 @@ sequence), the last layer's queries are those rows, one
 from every row. Training passes the [CLS] row to the matching cross-encode
 and to the momentum encoders, and each phrase's [MASK] row to the phrase
 cross-encode. A traced cross layer computes every row, since the local
-alignment reads its mask or [CLS] row; traced last, it selects ``rows``
+alignment reads each pair's mask row; traced last, it selects ``rows``
 after. Retrieval and the gallery pass no rows. A cross-encode whose caller
 reads its trace alone is given empty rows: it stops at the traced layer's
 cross-attention and builds no graph.
@@ -57,13 +57,16 @@ INIT_TEMPERATURE = 0.07
 
 def check_counts(config, low: dict) -> None:
     """Raise ValueError naming the first field of the dataclass ``config``
-    that is declared ``int`` and holds no integer (a bool is none), or that
-    holds less than its entry in ``low``."""
+    that is declared ``int`` and holds no integer (a bool is none), that is
+    declared ``bool`` and holds no bool (a string or an integer is none), or
+    that holds less than its entry in ``low``."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if field.type in ("int", int) and (isinstance(value, bool) or
                                             not isinstance(value, (int, np.integer))):
             raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        if field.type in ("bool", bool) and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{field.name} must be a bool, got {value!r}")
         if field.name in low and value < low[field.name]:
             raise ValueError(f"{field.name} must be at least {low[field.name]}")
 
@@ -82,8 +85,6 @@ class ModelConfig:
     max_text_len: int = 50
     vocab_size: int = 0           # filled from the text pipeline
     ffn_mult: int = 2
-    biatt_row: str = "mask"       # "mask" or "cls": row read for forward attention
-    biatt_phrase: str = "masked"  # "masked" or "clean": phrase fed to the local stream
     tie_score_head: bool = False
 
     @property
@@ -107,10 +108,6 @@ class ModelConfig:
             raise ValueError("patch_pixels must hold whole RGB triples")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must include the reserved tokens")
-        for field, allowed in (("biatt_row", ("mask", "cls")),
-                               ("biatt_phrase", ("masked", "clean"))):
-            if getattr(self, field) not in allowed:
-                raise ValueError(f"{field} must be one of {allowed}")
 
 
 # momentum shadows mirror the unimodal encoders and the coarse projections

@@ -59,7 +59,6 @@ class TrainConfig:
     queue_size: int = 256
     seed: int = 0
     weight_decay: float = 0.01
-    triplet_direction: str = "standard"   # or "printed"
     neg_sampling: str = "hard"            # or "uniform"
     enable_triplet: bool = True
     enable_biatt: bool = True
@@ -84,8 +83,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be nonnegative")
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise ValueError("momentum coefficient must lie in [0, 1)")
-        if self.triplet_direction not in ("standard", "printed"):
-            raise ValueError("triplet_direction must be standard or printed")
         if self.neg_sampling not in ("hard", "uniform"):
             raise ValueError("neg_sampling must be hard or uniform")
 
@@ -186,7 +183,10 @@ def train_step(batch: Batch, stage: int, state: TrainState,
     """One forward pass of the training objective; returns (total, breakdown),
     the loss Tensor and its terms as floats. Both stages build ITC and ITM;
     stage 2 adds the triplet, local-alignment and masked-phrase terms its
-    ``enable_*`` switches allow.
+    ``enable_*`` switches allow. Both phrase terms read one cross-encode of
+    the batch's masked phrases: the masked-phrase loss its [MASK] rows, the
+    local alignment its trace at ``bidiratt_layer``, at the same rows. The
+    pass reads no rows when only the local alignment is enabled.
 
     The state's queue receives the batch's momentum embeddings. The caller
     hands ``numerics.backward(total)`` to :func:`adamw_step`.
@@ -224,41 +224,24 @@ def train_step(batch: Batch, stage: int, state: TrainState,
     if stage == 2 and cfg.enable_triplet and neg_txt:
         pos, neg_t, neg_i = (nx.gather_rows(logits, range(k * n, (k + 1) * n))
                              for k in range(3))
-        tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin,
-                                     direction=cfg.triplet_direction)
+        tri = ls.fusion_triplet_loss(pos, neg_i, neg_t, margin=cfg.triplet_margin)
 
     biatt = mpm = None
-    # (image index, phrase, masked phrase), batch item by item
-    items = [(i, phrase, masked) for i in range(n)
-             for phrase, masked in batch.phrase_pairs[i]]
-    if stage == 2 and (cfg.enable_biatt or cfg.enable_mpm) and items:
-        need_trace = cfg.enable_biatt and model_cfg.biatt_phrase == "masked"
-        trace_layer = model_cfg.bidiratt_layer if need_trace else None
-        masked = [m for _, _, m in items]
-        image_ids = [i for i, _, _ in items]
+    masked = [m for item in batch.masked_phrases for m in item]
+    if stage == 2 and (cfg.enable_biatt or cfg.enable_mpm) and masked:
+        image_ids = [i for i, item in enumerate(batch.masked_phrases) for _ in item]
         mask_rows = [m.mask_index + 1 for m in masked]
-        if cfg.enable_mpm or need_trace:
-            phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-            # the masked-phrase loss reads each phrase's [MASK] row alone;
-            # without it, the pass feeds the local stream its trace alone,
-            # so it reads no rows
-            fused = md.cross_encode(phrases, img_out, params, model_cfg,
-                                    trace_layer=trace_layer, image_index=image_ids,
-                                    rows=mask_rows if cfg.enable_mpm else ())
+        phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
+        # the masked-phrase loss reads each phrase's [MASK] row alone; without
+        # it, the pass feeds the local stream its trace alone, so it reads no
+        # rows
+        fused = md.cross_encode(
+            phrases, img_out, params, model_cfg,
+            trace_layer=model_cfg.bidiratt_layer if cfg.enable_biatt else None,
+            image_index=image_ids, rows=mask_rows if cfg.enable_mpm else ())
         if cfg.enable_biatt:
-            # the local stream reads the masked phrases' own pass, or the
-            # trace alone of a separate pass over the clean phrases
-            if need_trace:
-                biatt_phrases, biatt_fused = phrases, fused
-            else:
-                biatt_phrases = md.encode_text(
-                    [phrase.token_ids for _, phrase, _ in items], params, model_cfg)
-                biatt_fused = md.cross_encode(biatt_phrases, img_out, params,
-                                              model_cfg,
-                                              trace_layer=model_cfg.bidiratt_layer,
-                                              image_index=image_ids, rows=())
             biatt, _ = local_alignment_loss(
-                img_out, biatt_phrases, biatt_fused, mask_rows, params, model_cfg,
+                img_out, phrases, fused, mask_rows, params, model_cfg,
                 target_id=[m.target_id for m in masked], image_index=image_ids)
         if cfg.enable_mpm:
             mpm = ls.masked_phrase_loss(fused, masked, params)

@@ -1,5 +1,7 @@
 """Golden values of ``trainer.train_step`` on a tiny config, for the default
-switches and for every non-default value of each switch.
+switches, for every non-default value of each switch (the ``bool`` and
+``str`` fields of ``ModelConfig`` and ``TrainConfig``), and for a traced last
+cross layer.
 
     PYTHONPATH=src python tests/fixtures/train_step_golden.py [VARIANT ...]
 
@@ -36,10 +38,7 @@ GEOMETRY = dict(patch_rows=2, patch_cols=2, patch_pixels=6)
 # name -> (ModelConfig overrides, TrainConfig overrides)
 VARIANTS = {
     "default": ({}, {}),
-    "biatt_row=cls": ({"biatt_row": "cls"}, {}),
-    "biatt_phrase=clean": ({"biatt_phrase": "clean"}, {}),
     "tie_score_head": ({"tie_score_head": True}, {}),
-    "triplet_direction=printed": ({}, {"triplet_direction": "printed"}),
     "neg_sampling=uniform": ({}, {"neg_sampling": "uniform"}),
     "enable_triplet=False": ({}, {"enable_triplet": False}),
     "enable_biatt=False": ({}, {"enable_biatt": False}),

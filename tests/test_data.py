@@ -6,7 +6,7 @@ import pytest
 
 from phrasealign import data as dt
 from phrasealign.numerics import Rng
-from phrasealign.textproc import TextPipeline
+from phrasealign.textproc import MASK_ID, TextPipeline
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def test_batches_deterministic(dataset, pipeline):
     a = dt.make_batches(dataset.train_records(), 8, pipeline, Rng(9))
     b = dt.make_batches(dataset.train_records(), 8, pipeline, Rng(9))
     assert [list(map(id, x.images)) for x in a] == [list(map(id, x.images)) for x in b]
-    assert [x.phrase_pairs for x in a] == [x.phrase_pairs for x in b]
+    assert [x.masked_phrases for x in a] == [x.masked_phrases for x in b]
 
 
 def test_batch_size_exceeding_identities_rejected(dataset, pipeline):
@@ -324,9 +324,20 @@ def test_batch_size_exceeding_identities_rejected(dataset, pipeline):
 
 
 def test_batches_carry_masked_phrases(dataset, pipeline):
-    batches = dt.make_batches(dataset.train_records(), 8, pipeline, Rng(2))
+    records = dataset.train_records()
+    record_of = {id(r.image): r for r in records}
+    batches = dt.make_batches(records, 8, pipeline, Rng(2))
     for b in batches:
-        for pairs in b.phrase_pairs:
-            assert len(pairs) >= 2
-            for phrase, masked in pairs:
-                assert len(masked.token_ids) == len(phrase.token_ids)
+        assert len(b.masked_phrases) == len(b.images)
+        for image, masked_phrases in zip(b.images, b.masked_phrases):
+            # each item's masked phrases are its caption's phrases, in order,
+            # each with one token masked
+            phrases = pipeline.phrases(record_of[id(image)].caption)
+            assert len(masked_phrases) == len(phrases) >= 2
+            for phrase, masked in zip(phrases, masked_phrases):
+                ids, pos = masked.token_ids, masked.mask_index
+                assert len(ids) == len(phrase.token_ids)
+                assert ids[:pos] == phrase.token_ids[:pos]
+                assert ids[pos + 1:] == phrase.token_ids[pos + 1:]
+                assert ids[pos] == MASK_ID
+                assert masked.target_id == phrase.token_ids[pos]

@@ -177,14 +177,13 @@ def test_weights_fall_back_per_pair():
     assert np.allclose(weights.w[1], np.array([0.5, 0.5, 1.0]) / 2.0)
 
 
-def test_weights_row_mode_reads_cls_or_own_row():
+def test_weights_read_each_pairs_own_mask_row():
     attn = [[[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]],
             [[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.1, 0.1, 0.8]]]
     trace = fake_trace(attn, np.ones((2, 3, 1)))
-    mask = la.compute_weights(trace, np.ones((1, 1)), [1, 2], row_mode="mask")
-    assert np.array_equal(mask.w_fa, [attn[0][1], attn[1][2]])
-    cls = la.compute_weights(trace, np.ones((1, 1)), [1, 2], row_mode="cls")
-    assert np.array_equal(cls.w_fa, [attn[0][0], attn[1][0]])
+    for rows in ([1, 2], [2, 1], [0, 2], [1, 1]):
+        weights = la.compute_weights(trace, np.ones((1, 1)), rows)
+        assert np.array_equal(weights.w_fa, [attn[0][rows[0]], attn[1][rows[1]]]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +425,7 @@ def probed_grads(params, biatt, mpm, probe):
     return {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
 
 
-VARIANTS = {"default": {}, "tie_score_head": {"tie_score_head": True},
-            "biatt_row=cls": {"biatt_row": "cls"}}
+VARIANTS = {"default": {}, "tie_score_head": {"tie_score_head": True}}
 
 
 @pytest.mark.parametrize("over", list(VARIANTS.values()), ids=list(VARIANTS))

@@ -228,11 +228,37 @@ def test_triplet_satisfied_margin():
     assert float(loss.data) == 0.0
 
 
-def test_triplet_printed_direction_flips_operands():
-    loss = ls.fusion_triplet_loss(Tensor(1.0), Tensor(0.8), Tensor(0.8),
-                                  margin=0.6, direction="printed")
-    # printed operand order penalizes the correct ranking instead
-    assert float(loss.data) == pytest.approx(2 * (1.0 - 0.8 + 0.6) ** 2)
+def test_triplet_gradient_is_zero_at_the_kink():
+    # neg - pos + margin is exactly 0 for both negatives
+    leaves = [Tensor(v, requires_grad=True) for v in (1.0, 0.5, 0.5)]
+    loss = ls.fusion_triplet_loss(*leaves, margin=0.5)
+    grads = nx.backward(loss)
+    assert float(loss.data) == 0.0
+    assert [float(np.sum(grads.get(t, 0.0))) for t in leaves] == [0.0, 0.0, 0.0]
+
+
+def test_triplet_gradient_beside_the_kink():
+    """At gaps of +-delta the gradient of each negative is 2 max(gap, 0)
+    over the pair count, the positive's is minus their sum, and finite
+    differences, whose stencil stays on one side of the kink, agree."""
+    margin, delta = 0.5, 1e-3
+    values = [np.ones(2), np.array([0.5 - delta, 0.5 + delta]),
+              np.array([0.5 + delta, 0.5 - delta])]
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    grads = nx.backward(ls.fusion_triplet_loss(*leaves, margin=margin))
+    pos, neg_img, neg_txt = values
+    want_img, want_txt = (2.0 * np.maximum(neg - pos + margin, 0.0) / len(pos)
+                          for neg in (neg_img, neg_txt))
+    assert np.allclose(want_img, [0.0, delta], rtol=1e-9, atol=0.0)
+    for got, want in zip((grads[t] for t in leaves),
+                         (-(want_img + want_txt), want_img, want_txt)):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    for k in range(3):
+        def f(x, k=k):
+            args = [x if j == k else Tensor(v) for j, v in enumerate(values)]
+            return ls.fusion_triplet_loss(*args, margin=margin)
+
+        assert nx.finite_diff_check(f, Tensor(values[k])) < 1e-6
 
 
 def test_triplet_rejects_bad_margin():

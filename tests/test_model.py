@@ -79,6 +79,15 @@ def test_config_rejects_booleans_that_would_pass_as_counts():
     md.ModelConfig(d=np.int64(32), heads=np.int64(4), vocab_size=10).validate()
 
 
+@pytest.mark.parametrize("value", ["False", "True", 0, 1, None, 1.0])
+def test_config_rejects_switches_that_are_not_bools(value):
+    # a non-empty string is true, so "False" would tie the score head
+    with pytest.raises(ValueError, match=f"^tie_score_head must be a bool, got {value!r}"):
+        md.ModelConfig(vocab_size=50, tie_score_head=value).validate()
+    for ok in (True, np.bool_(True), np.bool_(False)):
+        md.ModelConfig(vocab_size=50, tie_score_head=ok).validate()
+
+
 # ---------------------------------------------------------------------------
 # encoders
 
@@ -217,7 +226,7 @@ def test_pad_embedding_reaches_no_real_row_or_loss(cfg, pipeline):
         reps = md.encode_text(ids, params, cfg).reps.data
         batch = data.make_batches(dataset.train_records(), 5, pipeline,
                                   state.batch_rng)[0]
-        phrases = [m.token_ids for pairs in batch.phrase_pairs for _, m in pairs]
+        phrases = [m.token_ids for item in batch.masked_phrases for m in item]
         for texts in (batch.token_ids, phrases):
             assert md.encode_text(texts, params, cfg).pad_bias is not None
         _, breakdown = trainer.train_step(batch, 2, state, cfg, train_cfg)

@@ -15,8 +15,14 @@ miss a dead member, never flag a used one. A dataclass passed by name to
 ``dataclasses.fields``, ``asdict`` or ``astuple`` has all its fields read.
 An instance passed to them is not resolved to its class.
 
-``ALLOWED`` names each exception together with what will call it. A name
-leaves the list once it has a caller; the list can only shrink.
+Every ``bool`` or ``str`` field of ``ModelConfig`` and ``TrainConfig`` (a
+config switch) must be set to a constant other than its default by a keyword
+argument in the same files, such as ``enable_biatt=False``. The callee is
+not resolved either: the keyword counts on any call.
+
+``ALLOWED`` names each exception together with what will call it, or for a
+switch what will set it. A name leaves the list once it has a caller; the
+list can only shrink.
 """
 
 from __future__ import annotations
@@ -46,7 +52,15 @@ ALLOWED = {
     "model.load_params_state": "ROADMAP item 6: resume",
     "gradcheck.run_suite": "the CI step that runs the finite-difference suite",
     "gradcheck.TOLERANCE": "the CI step that runs the finite-difference suite",
+    "trainer.TrainConfig.enable_mpm": "ROADMAP item 2's ablate and item 7's "
+                                      "\"w/o MPM\" workload",
+    "trainer.TrainConfig.enable_triplet": "ROADMAP item 2's ablate",
+    "model.ModelConfig.tie_score_head": "ROADMAP item 4, which ties or removes "
+                                        "the score head",
 }
+
+# the config dataclasses whose bool and str fields are switches
+CONFIGS = (("model", "ModelConfig"), ("trainer", "TrainConfig"))
 
 
 def _assigned(node) -> list[str]:
@@ -168,6 +182,40 @@ def attribute_reads(path: Path) -> set[str]:
     return found
 
 
+def config_switches() -> dict[str, str]:
+    """"module.Class.field" -> the repr of its default, for each ``bool`` or
+    ``str`` field of the ``CONFIGS``."""
+    switches = {}
+    for module, name in CONFIGS:
+        (cls,) = [c for c in _public_classes(module) if c.name == name]
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and \
+                    ast.unparse(node.annotation) in ("bool", "str"):
+                switches[f"{module}.{name}.{node.target.id}"] = \
+                    repr(ast.literal_eval(node.value))
+    return switches
+
+
+def constant_keywords(path: Path) -> set[tuple[str, str]]:
+    """(keyword, repr of the constant) for each keyword argument ``path``
+    passes a constant, on any call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(node.arg, repr(node.value.value)) for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant)}
+
+
+def switch_is_set(name: str, keywords: set[tuple[str, str]]) -> bool:
+    """Whether a keyword sets the switch "module.Class.field" to a constant
+    other than its default."""
+    field, default = name.rsplit(".", 1)[1], config_switches()[name]
+    return any(arg == field and value != default for arg, value in keywords)
+
+
+@pytest.fixture(scope="module")
+def keywords() -> set[tuple[str, str]]:
+    return set().union(*(constant_keywords(path) for path in CALLER_FILES))
+
+
 @pytest.fixture(scope="module")
 def used() -> set[str]:
     return {f"{m}.{n}" for path in CALLER_FILES for m, n in references(path)}
@@ -211,10 +259,22 @@ def test_every_dataclass_field_is_read(module, used, read_attributes):
                         f"{unread}; read, delete or allow-list them")
 
 
+def test_every_config_switch_is_set_by_a_caller(keywords):
+    unset = [name for name in config_switches()
+             if not switch_is_set(name, keywords) and name not in ALLOWED]
+    assert not unset, (f"config switches never set to a non-default value in src/ "
+                       f"or perfbench/: {unset}; set, delete or allow-list them")
+
+
 @pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allow_listed_name_exists_without_a_caller(name, used, read_attributes):
+def test_allow_listed_name_exists_without_a_caller(name, used, read_attributes,
+                                                   keywords):
     module, attr = name.split(".", 1)
-    if attr in public_fields(module):
+    if name in config_switches():
+        # allow-listed for having no caller that sets it; it is still read
+        assert field_is_read(name, used, read_attributes), f"{name} is never read"
+        defined, called = public_fields(module), switch_is_set(name, keywords)
+    elif attr in public_fields(module):
         defined, called = public_fields(module), field_is_read(name, used,
                                                                read_attributes)
     elif "." in attr:     # a method or property
@@ -278,3 +338,25 @@ def test_constants_and_dataclass_fields_are_listed(tmp_path, monkeypatch):
     assert public_fields("mod") == ["Row.size"]
     assert references(tmp_path / "mod.py") == {("mod", "LIMIT"), ("mod", "Row"),
                                                ("mod", "Row.*")}
+
+
+def test_switches_are_set_by_constant_keywords(tmp_path, monkeypatch):
+    """A switch is a bool or str field of a config; a keyword passing a
+    constant on any call sets it, and only a value other than the default
+    counts."""
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    monkeypatch.setitem(globals(), "CONFIGS", (("mod", "Cfg"),))
+    (tmp_path / "mod.py").write_text(
+        "import dataclasses\n"
+        "@dataclasses.dataclass\nclass Cfg:\n    size: int = 1\n"
+        "    flag: bool = False\n    kind: str = 'a'\n    mode: str = 'x'\n"
+        "def run(x, **over):\n"
+        "    Cfg(flag=True, kind='a', mode=x, size=2, **over)\n"
+        "    return run(1, kind='b')\n", encoding="utf-8")
+    assert config_switches() == {"mod.Cfg.flag": "False", "mod.Cfg.kind": "'a'",
+                                 "mod.Cfg.mode": "'x'"}
+    keywords = constant_keywords(tmp_path / "mod.py")
+    assert keywords == {("flag", "True"), ("kind", "'a'"), ("size", "2"),
+                        ("kind", "'b'")}
+    assert [switch_is_set(name, keywords) for name in config_switches()] == \
+        [True, True, False]

@@ -116,7 +116,7 @@ def default_step(stage=2):
                                           cfg, Rng(2), Rng(3))
     batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
                               state.batch_rng)[0]
-    assert len(batch.images) == 8 and sum(map(len, batch.phrase_pairs)) == 28
+    assert len(batch.images) == 8 and sum(map(len, batch.masked_phrases)) == 28
 
     def step():
         total, _ = trainer.train_step(batch, stage, state, model_cfg, cfg)
@@ -360,19 +360,16 @@ def test_memory_helpers_measure_from_entry_and_leave_a_running_trace(peak_mib,
             tracemalloc.stop()
 
 
-# (ModelConfig, TrainConfig) overrides whose phrase cross-encodes feed the
-# local stream their trace alone, and per cross-encode of a stage-2 step
+# (ModelConfig, TrainConfig) overrides whose phrase cross-encode feeds the
+# local stream its trace alone, and per cross-encode of a stage-2 step
 # whether it reads no rows: the matching pass, then the masked-phrase pass
-# unless nothing reads it, then the clean-phrase pass
 TRACE_ONLY_PASSES = [
-    ({"biatt_phrase": "clean"}, {}, [False, False, True]),
     ({}, {"enable_mpm": False}, [False, True]),
-    ({"biatt_phrase": "clean"}, {"enable_mpm": False}, [False, True]),
 ]
 
 
 @pytest.mark.parametrize("model_over, train_over, trace_only", TRACE_ONLY_PASSES,
-                         ids=["biatt_phrase=clean", "enable_mpm=False", "both"])
+                         ids=["enable_mpm=False"])
 def test_trace_only_phrase_passes_keep_losses_and_gradients(
         monkeypatch, model_over, train_over, trace_only, param_grads):
     """A phrase cross-encode the local stream reads for its trace alone reads
@@ -435,6 +432,16 @@ def test_train_config_rejects_non_integer_counts(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("enable_mpm", "no"), ("enable_biatt", 0), ("enable_triplet", 1),
+    ("enable_mpm", None), ("enable_biatt", "False")])
+def test_train_config_rejects_switches_that_are_not_bools(field, value):
+    # a non-empty string is true, so enable_mpm="no" would build the MPM term
+    with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}"):
+        trainer.TrainConfig(**{field: value}).validate()
+    trainer.TrainConfig(**{field: np.bool_(False)}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
     ("base_lr", "1e-3"), ("warmup_lr", None), ("warmup_frac", [0.1]),
     ("momentum_coeff", True), ("weight_decay", "0")])
 def test_train_config_rejects_non_numbers(field, value):
@@ -492,7 +499,7 @@ def test_stage1_step_builds_no_stage2_term(monkeypatch):
     monkeypatch.setattr(ls, "masked_phrase_loss", refuse)
     monkeypatch.setattr(ls, "fusion_triplet_loss", refuse)
     batch, _, (total, bd) = first_step(1)
-    assert any(batch.phrase_pairs)
+    assert any(batch.masked_phrases)
     assert bd.tri == bd.biatt == bd.mpm == 0.0
     assert float(total.data) == bd.total == pytest.approx(bd.itc + bd.itm, rel=1e-15)
 
