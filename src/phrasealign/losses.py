@@ -168,8 +168,6 @@ def masked_phrase_loss(fusion: EncoderOutput, masked: list[MaskedPhrase],
     phrases. The fusion holds exactly those rows (``fusion.rows``), (B, 1, d),
     as a cross-encode given the phrases' [MASK] rows returns them.
     """
-    if fusion.reps is None:
-        raise ValueError("the pass read no row and holds only the trace")
     mask_rows = [phrase.mask_index + 1 for phrase in masked]
     if fusion.rows is None or not np.array_equal(
             np.broadcast_to(fusion.rows, fusion.reps.shape[:1]), mask_rows):

@@ -23,17 +23,15 @@ index as well: given a text index per pair, cross layer 0's self-attention,
 the only sublayer that reads the text alone, runs once per distinct text,
 and one gather picks each pair's rows; every later sublayer runs per pair.
 
-Every pass returns exactly the rows its caller reads, in one
-:class:`EncoderOutput`. Given ``rows`` (0 for [CLS], or one row per
+Every pass runs every layer and returns exactly the rows its caller reads,
+in one :class:`EncoderOutput`. Given ``rows`` (0 for [CLS], or one row per
 sequence), the last layer's queries are those rows, one
 :func:`numerics.select_rows` node, while its keys and values still come
 from every row. Training passes the [CLS] row to the matching cross-encode
 and to the momentum encoders, and each phrase's [MASK] row to the phrase
 cross-encode. A traced cross layer computes every row, since the local
 alignment reads each pair's mask row; traced last, it selects ``rows``
-after. Retrieval and the gallery pass no rows. A cross-encode whose caller
-reads its trace alone is given empty rows: it stops at the traced layer's
-cross-attention and builds no graph.
+after. Retrieval and the gallery pass no rows.
 """
 
 from __future__ import annotations
@@ -256,18 +254,15 @@ class EncoderOutput:
 
     A pass given ``rows`` holds exactly those rows: ``reps`` is then (1, d)
     or (B, 1, d), row ``rows`` of each sequence (or ``rows[b]`` of sequence
-    b), with no ``pad_bias``; given empty ``rows``, ``reps`` is None and the
-    output holds the trace alone. ``cls`` raises unless it holds row 0."""
+    b), with no ``pad_bias``. ``cls`` raises unless it holds row 0."""
 
-    reps: Tensor | None
+    reps: Tensor
     pad_bias: np.ndarray | None = None
-    rows: int | np.ndarray | None = None   # None: every row; empty: none
+    rows: int | np.ndarray | None = None   # None: every row
     trace: AttentionTrace | None = None
 
     @property
     def cls(self) -> Tensor:
-        if self.reps is None:
-            raise ValueError("the pass read no row and holds only the trace")
         if self.rows is not None and np.any(self.rows):
             raise ValueError(f"the output holds rows {np.asarray(self.rows).tolist()} "
                              "of each sequence, not the [CLS] row 0")
@@ -341,30 +336,21 @@ def _cross_layer(layer: int, x: Tensor, text_bias: np.ndarray | None, image: Ten
     for pair b), feed-forward. Given ``text_index``, ``x`` and ``text_bias``
     hold distinct texts: the self-attention runs once per text, and one
     gather then picks text ``text_index[b]`` for pair b. Given ``rows``, the
-    layer computes only those query rows; keys and values still come from
-    every row; empty ``rows`` read the trace alone, so the layer computes
-    every row and stops after its cross-attention. Returns (rows out, or
-    None for empty ``rows``; the layer's :class:`AttentionTrace` with
-    ``trace``, else None)."""
+    layer computes only those query rows, picked after that gather; keys and
+    values still come from every row. Returns (rows out, the layer's
+    :class:`AttentionTrace` with ``trace``, else None)."""
     prefix = f"cross{layer}"
-    trace_only = rows is not None and np.size(rows) == 0
-    rows = None if trace_only else rows
-    # a row per pair is picked once the pairs' texts are gathered
-    per_pair = text_index is not None and np.ndim(rows) > 0
-    x = _multi_head_attention(_queries(x, None if per_pair else rows), x, params,
-                              f"{prefix}.self", f"{prefix}.ln1", cfg, text_bias)
+    queries = x if text_index is not None else _queries(x, rows)
+    x = _multi_head_attention(queries, x, params, f"{prefix}.self", f"{prefix}.ln1",
+                              cfg, text_bias)
     if text_index is not None:
-        x = nx.gather_rows(x, text_index)
-        if per_pair:
-            x = _queries(x, rows)
+        x = _queries(nx.gather_rows(x, text_index), rows)
     cross = _multi_head_attention(x, image, params, f"{prefix}.cross", f"{prefix}.ln2",
                                   cfg, kv_index=index, trace=trace)
     captured = None
     if trace:
         cross, a, v = cross
         captured = AttentionTrace(a, v)
-    if trace_only:
-        return None, captured
     return _ffn(cross, params, f"{prefix}.ffn", f"{prefix}.ln3"), captured
 
 
@@ -461,14 +447,10 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: dict,
     of pair b ``rows[b]``; the last layer computes only those, None all. A
     traced layer computes every row for its trace, so a traced last layer
     then selects ``rows``: the output holds exactly ``rows`` either way.
-    Empty ``rows`` read no row, only the trace: the pass stops after the
-    traced layer's cross-attention, records no graph and returns no reps."""
+    Empty ``rows`` raise ``ShapeError``."""
     ctx = _grad_mode(mode)
     if trace_layer is not None and not 1 <= trace_layer <= cfg.n_cross_layers:
         raise ValueError(f"trace_layer {trace_layer} outside 1..{cfg.n_cross_layers}")
-    trace_only = rows is not None and np.size(rows) == 0
-    if trace_only and trace_layer is None:
-        raise ValueError("a cross-encode that reads no rows needs a trace layer")
     index = None if image_index is None else np.asarray(image_index, dtype=np.intp)
     texts = None if text_index is None else np.asarray(text_index, dtype=np.intp)
     pairs = img_out.reps.shape[:-2] if index is None else index.shape
@@ -485,17 +467,16 @@ def cross_encode(text_out: EncoderOutput, img_out: EncoderOutput, params: dict,
                          f"0..{text_out.reps.shape[0] - 1}")
     if text_out.rows is not None or img_out.rows is not None:
         raise nx.ShapeError("cross_encode needs every row of the text and the image")
-    layers = trace_layer if trace_only else cfg.n_cross_layers
-    select_after = trace_layer == cfg.n_cross_layers and not trace_only
+    select_after = trace_layer == cfg.n_cross_layers
     # after layer 0, a text index has made the text rows and padding per pair
     pair_bias = text_out.pad_bias if texts is None or text_out.pad_bias is None \
         else text_out.pad_bias[texts]
-    with nx.no_grad() if trace_only else ctx:
+    with ctx:
         x, bias, trace = text_out.reps, text_out.pad_bias, None
-        for layer in range(layers):
+        for layer in range(cfg.n_cross_layers):
             x, captured = _cross_layer(
                 layer, x, bias, img_out.reps, params, cfg,
-                None if select_after or layer < layers - 1 else rows, index,
+                None if select_after or layer < cfg.n_cross_layers - 1 else rows, index,
                 layer + 1 == trace_layer, None if layer else texts)
             trace, bias = trace or captured, pair_bias
         x = _queries(x, rows) if select_after else x

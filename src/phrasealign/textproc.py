@@ -99,12 +99,10 @@ def pos_tag(tokens: Sequence[str], lexicon: dict[str, str]) -> list[TaggedToken]
 
 @dataclasses.dataclass(frozen=True)
 class Phrase:
-    """A chunked noun phrase: its words (leading determiner dropped), the
-    (start, end) span in the source token stream (the span keeps the
-    determiner), and the words' vocabulary ids."""
+    """A chunked noun phrase: its words (leading determiner dropped) and
+    their vocabulary ids."""
 
     words: tuple[str, ...]
-    span: tuple[int, int]
     token_ids: tuple[int, ...]
 
 
@@ -115,9 +113,8 @@ _NOMINAL_TAGS = {"NN", "NNS"}
 def chunk_noun_phrases(tagged: Sequence[TaggedToken],
                        vocab: "Vocabulary") -> list[Phrase]:
     """Maximal non-overlapping ``DT? (JJ|VBG)* (NN|NNS)+`` runs, left to right,
-    their words encoded by ``vocab``.
-
-    The determiner is kept in the span but dropped from the phrase words.
+    their words encoded by ``vocab``. The determiner is dropped from the
+    phrase words.
     """
     phrases: list[Phrase] = []
     i, n = 0, len(tagged)
@@ -132,7 +129,7 @@ def chunk_noun_phrases(tagged: Sequence[TaggedToken],
             while j < n and tagged[j].tag in _NOMINAL_TAGS:
                 j += 1
             words = tuple(t.text for t in tagged[body:j])
-            phrases.append(Phrase(words, (i, j), tuple(vocab.encode(words))))
+            phrases.append(Phrase(words, tuple(vocab.encode(words))))
             i = j
         else:
             i += 1

@@ -186,7 +186,8 @@ def train_step(batch: Batch, stage: int, state: TrainState,
     ``enable_*`` switches allow. Both phrase terms read one cross-encode of
     the batch's masked phrases: the masked-phrase loss its [MASK] rows, the
     local alignment its trace at ``bidiratt_layer``, at the same rows. The
-    pass reads no rows when only the local alignment is enabled.
+    pass returns the [MASK] rows either way; with MPM off, nothing reads
+    them.
 
     The state's queue receives the batch's momentum embeddings. The caller
     hands ``numerics.backward(total)`` to :func:`adamw_step`.
@@ -232,13 +233,10 @@ def train_step(batch: Batch, stage: int, state: TrainState,
         image_ids = [i for i, item in enumerate(batch.masked_phrases) for _ in item]
         mask_rows = [m.mask_index + 1 for m in masked]
         phrases = md.encode_text([m.token_ids for m in masked], params, model_cfg)
-        # the masked-phrase loss reads each phrase's [MASK] row alone; without
-        # it, the pass feeds the local stream its trace alone, so it reads no
-        # rows
         fused = md.cross_encode(
             phrases, img_out, params, model_cfg,
             trace_layer=model_cfg.bidiratt_layer if cfg.enable_biatt else None,
-            image_index=image_ids, rows=mask_rows if cfg.enable_mpm else ())
+            image_index=image_ids, rows=mask_rows)
         if cfg.enable_biatt:
             biatt, _ = local_alignment_loss(
                 img_out, phrases, fused, mask_rows, params, model_cfg,

@@ -3,16 +3,19 @@ switches, for every non-default value of each switch (the ``bool`` and
 ``str`` fields of ``ModelConfig`` and ``TrainConfig``), and for a traced last
 cross layer.
 
-    PYTHONPATH=src python tests/fixtures/train_step_golden.py [VARIANT ...]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python tests/fixtures/train_step_golden.py [VARIANT ...]
 
 rewrites ``train_step_golden.json`` beside this file: the named variants'
 records, or every record when none is named. Every other line of the file is
-kept byte for byte. Each variant runs one
+kept byte for byte. Products may sum in another order at another BLAS
+thread count, so the file is recorded at one thread. Each variant runs one
 stage-1 step, one AdamW and momentum update, then one stage-2 step with the
 queue the first step filled. Per step it records the loss breakdown and,
 per parameter, the gradient's L2 norm and its dot product with a fixed probe
 seeded by the parameter's name. ``tests/test_trainer.py`` recomputes every
-record with the current code and compares.
+record with the current code and compares, and checks that the variants
+cover every switch value.
 """
 
 from __future__ import annotations

@@ -303,12 +303,6 @@ def test_mpm_rejects_a_fusion_of_every_row():
         ls.masked_phrase_loss(every_row, [masked], params)
 
 
-def test_mpm_rejects_a_trace_only_fusion():
-    params, _, masked, _ = mpm_setup()
-    with pytest.raises(ValueError, match="read no row and holds only the trace"):
-        ls.masked_phrase_loss(md.EncoderOutput(None, rows=()), [masked], params)
-
-
 # ---------------------------------------------------------------------------
 # total
 

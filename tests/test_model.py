@@ -602,45 +602,24 @@ def test_text_index_is_checked(cfg, params):
         md.cross_encode(one, img, params, cfg, image_index=[0, 1], text_index=[0, 0])
 
 
-@pytest.mark.parametrize("trace_layer", [1, 2, 3])
-def test_trace_only_cross_encode_stops_at_the_traced_layer(cfg, pipeline, monkeypatch,
-                                                           trace_layer):
-    """Empty rows read the trace alone: bit-equal to the full pass's trace,
-    made by the layers up to the traced one's cross-attention, one Tensor
-    per sublayer, none of them a graph node, though the inputs are on the
-    graph."""
+def test_cross_encode_of_no_rows_is_rejected(cfg, pipeline):
+    """Empty rows name no row to return, for one pair and for a batch named
+    by index, traced or not."""
     params = md.init_params(cfg, Rng(8))
     img = md.encode_image(np.stack([random_patches(cfg, s) for s in (1, 2)]), params, cfg)
     phrases = md.encode_text([pipeline.vocab.encode(words) for words in
                               (["red", "shirt"], ["dark", "blue", "jacket"])], params, cfg)
-    assert img.reps.requires_grad and phrases.reps.requires_grad
-    full = md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0])
-    made = []
-    init = nx.Tensor.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self.requires_grad)
-
-    monkeypatch.setattr(nx.Tensor, "__init__", recording)
-    only = md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0],
-                           rows=[])
-    monkeypatch.setattr(nx.Tensor, "__init__", init)
-    assert made == [False] * (3 * trace_layer - 1)
-    assert only.reps is None and only.rows == []
-    assert np.array_equal(only.trace.attn, full.trace.attn)
-    assert np.array_equal(only.trace.values, full.trace.values)
-    with pytest.raises(ValueError, match="reads no rows needs a trace layer"):
-        md.cross_encode(phrases, img, params, cfg, image_index=[1, 0], rows=())
-
-
-def test_cls_of_a_trace_only_cross_encode_names_what_is_missing(cfg, pipeline):
-    params = md.init_params(cfg, Rng(8))
-    img = md.encode_image(random_patches(cfg, 1), params, cfg)
-    phrase = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg)
-    only = md.cross_encode(phrase, img, params, cfg, trace_layer=1, rows=())
-    with pytest.raises(ValueError, match="read no row and holds only the trace"):
-        only.cls
+    one_img = md.encode_image(random_patches(cfg, 1), params, cfg)
+    one_phrase = md.encode_text(pipeline.vocab.encode(["red", "shirt"]), params, cfg)
+    for trace_layer in (None, 1, cfg.n_cross_layers):
+        with pytest.raises(nx.ShapeError, match="one row or one row per matrix"):
+            md.cross_encode(one_phrase, one_img, params, cfg, trace_layer, rows=())
+        with pytest.raises(nx.ShapeError, match="one row or one row per matrix"):
+            md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0],
+                            rows=[])
+        with pytest.raises(nx.ShapeError, match="one row or one row per matrix"):
+            md.cross_encode(phrases, img, params, cfg, trace_layer, image_index=[1, 0],
+                            text_index=[0, 0], rows=())
 
 
 # ---------------------------------------------------------------------------

@@ -87,24 +87,33 @@ def test_fixture_has_twenty_sentences():
 
 
 def test_chunker_spans_sorted_disjoint(pipeline):
+    """Each phrase's words are a run of the tokens after the previous
+    phrase's: phrases come in token order and never overlap."""
     for case in FIXTURE:
-        spans = [p.span for p in pipeline.phrases(case["text"])]
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            assert a1 <= b0, "spans overlap or are unsorted"
+        tokens = [t.text for t in pipeline.tagged(case["text"])]
+        start = 0
+        for p in pipeline.phrases(case["text"]):
+            n = len(p.words)
+            found = [i for i in range(start, len(tokens) - n + 1)
+                     if tuple(tokens[i:i + n]) == p.words]
+            assert found, f"{p.words} is not a run of {tokens[start:]}"
+            start = found[0] + n
 
 
 def test_chunker_heads_are_nominal(pipeline):
+    # the tagger reads no context, so the head's tag is its tag alone
     for case in FIXTURE:
-        tagged = pipeline.tagged(case["text"])
         for p in pipeline.phrases(case["text"]):
             assert p.words, "empty phrase"
-            assert tagged[p.span[1] - 1].tag in ("NN", "NNS")
+            assert tp.pos_tag(p.words[-1:], pipeline.lexicon)[0].tag in ("NN", "NNS")
 
 
 def test_determiner_kept_in_span_dropped_from_words(pipeline):
+    tagged = pipeline.tagged("a short sleeve dress shirt")
     (p,) = pipeline.phrases("a short sleeve dress shirt")
-    assert p.span == (0, 5)
+    assert tagged[0].tag == "DT"
     assert p.words == ("short", "sleeve", "dress", "shirt")
+    assert p.token_ids == tuple(pipeline.vocab.encode(p.words))
 
 
 # ---------------------------------------------------------------------------

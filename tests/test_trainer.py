@@ -56,6 +56,31 @@ def test_golden_records_are_the_fixture_variants(golden_records):
     assert list(golden_records) == list(golden.VARIANTS)
 
 
+# the values a ``str`` switch takes; each one other than its default needs a
+# golden variant
+STR_SWITCH_VALUES = {"neg_sampling": ("hard", "uniform")}
+
+
+def test_golden_variants_cover_every_switch_value():
+    """A golden variant sets each non-default value of every ``bool`` or
+    ``str`` field of ``ModelConfig`` and ``TrainConfig`` alone, so a new
+    switch or switch value fails here until the fixture records it."""
+    variants = list(golden.VARIANTS.values())
+    for side, config in enumerate((md.ModelConfig, trainer.TrainConfig)):
+        for field in dataclasses.fields(config):
+            if field.type in ("bool", bool):
+                values = [not field.default]
+            elif field.type in ("str", str):
+                assert field.name in STR_SWITCH_VALUES, \
+                    f"{field.name}: list its values in STR_SWITCH_VALUES"
+                values = [v for v in STR_SWITCH_VALUES[field.name] if v != field.default]
+            else:
+                continue
+            for value in values:
+                over = ({}, {field.name: value}) if side else ({field.name: value}, {})
+                assert over in variants, f"no golden variant sets {field.name}={value!r}"
+
+
 def test_golden_rewrite_of_named_variants_keeps_every_other_line(tmp_path, monkeypatch):
     path = tmp_path / "golden.json"
     path.write_bytes(golden.PATH.read_bytes())
@@ -104,10 +129,9 @@ def first_step(stage):
     return batch, state.queue, trainer.train_step(batch, stage, state, model_cfg, cfg)
 
 
-def default_step(stage=2):
-    """The default configs and corpus, and a ``train_step`` of ``stage`` on
-    its first batch (8 images, 24 image-text and 28 image-phrase pairs) as a
-    zero-argument callable returning the total."""
+def default_setup():
+    """The default configs and corpus, a fresh state and its first batch (8
+    images, 24 image-text and 28 image-phrase pairs)."""
     pipeline = TextPipeline()
     dataset = data.generate_dataset(data.DataConfig(), Rng(0))
     model_cfg = md.ModelConfig(vocab_size=len(pipeline.vocab))
@@ -117,6 +141,13 @@ def default_step(stage=2):
     batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
                               state.batch_rng)[0]
     assert len(batch.images) == 8 and sum(map(len, batch.masked_phrases)) == 28
+    return model_cfg, cfg, state, batch
+
+
+def default_step(stage=2):
+    """``default_setup``'s configs, and a ``train_step`` of ``stage`` on its
+    batch as a zero-argument callable returning the total."""
+    model_cfg, cfg, state, batch = default_setup()
 
     def step():
         total, _ = trainer.train_step(batch, stage, state, model_cfg, cfg)
@@ -360,55 +391,20 @@ def test_memory_helpers_measure_from_entry_and_leave_a_running_trace(peak_mib,
             tracemalloc.stop()
 
 
-# (ModelConfig, TrainConfig) overrides whose phrase cross-encode feeds the
-# local stream its trace alone, and per cross-encode of a stage-2 step
-# whether it reads no rows: the matching pass, then the masked-phrase pass
-TRACE_ONLY_PASSES = [
-    ({}, {"enable_mpm": False}, [False, True]),
-]
-
-
-@pytest.mark.parametrize("model_over, train_over, trace_only", TRACE_ONLY_PASSES,
-                         ids=["enable_mpm=False"])
-def test_trace_only_phrase_passes_keep_losses_and_gradients(
-        monkeypatch, model_over, train_over, trace_only, param_grads):
-    """A phrase cross-encode the local stream reads for its trace alone reads
-    no rows, so it stops at the traced layer and records no graph; the
-    step's losses and gradients equal those with that pass run in full on
-    the graph."""
-    pipeline, dataset, model_cfg, cfg = tiny_setup(**train_over)
-    model_cfg = dataclasses.replace(model_cfg, **model_over)
-    assert model_cfg.bidiratt_layer < model_cfg.n_cross_layers
-    cross_encode = md.cross_encode
-
-    def run(full):
-        reads_none = []
-
-        def recording(*args, rows=None, **kwargs):
-            reads_none.append(rows is not None and np.size(rows) == 0)
-            return cross_encode(*args, rows=None if full and reads_none[-1] else rows,
-                                **kwargs)
-
-        monkeypatch.setattr(md, "cross_encode", recording)
-        params = md.init_params(model_cfg, Rng(1))
-        for name, t in params.items():
-            if t.data.ndim >= 2 and name != "mpm.w2":
-                t.data *= 12.0
-        state = trainer.TrainState.for_params(params, model_cfg, cfg, Rng(2), Rng(3))
-        batch = data.make_batches(dataset.train_records(), cfg.batch_size, pipeline,
-                                  state.batch_rng)[0]
-        total, breakdown = trainer.train_step(batch, 2, state, model_cfg, cfg)
-        return reads_none, breakdown, param_grads(params, total)
-
-    reads_none, got, got_grads = run(full=False)
-    _, want, want_grads = run(full=True)
-    assert reads_none == trace_only
-    assert got.biatt > 0.0 and (got.mpm > 0.0) == cfg.enable_mpm
-    for term, value in dataclasses.asdict(want).items():
-        assert abs(getattr(got, term) - value) <= 1e-12 * abs(value), term
-    for name, g in want_grads.items():
-        assert np.allclose(got_grads[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max()), \
-            name
+@pytest.mark.parametrize("switch, term", [
+    ("enable_mpm", "mpm"), ("enable_biatt", "biatt"), ("enable_triplet", "tri")])
+def test_a_switched_off_term_leaves_every_other_term_as_is(switch, term):
+    """One ``enable_*`` switch off zeroes its term and leaves every other term
+    of a stage-2 step on the same state and batch bit-equal to the default
+    step's: in particular the local term reads the same phrase pass whether
+    MPM is on or off."""
+    model_cfg, cfg, state, batch = default_setup()
+    want, got = (trainer.train_step(batch, 2, state.replica(), model_cfg, step_cfg)[1]
+                 for step_cfg in (cfg, dataclasses.replace(cfg, **{switch: False})))
+    assert getattr(want, term) > 0.0 and getattr(got, term) == 0.0
+    for other in ("itc", "itm", "tri", "biatt", "mpm"):
+        if other != term:
+            assert getattr(got, other) == getattr(want, other), other
 
 
 @pytest.mark.parametrize("field, value", [
